@@ -5,6 +5,9 @@ preferences into per-cell popularity, place cached files per cell, then
 jointly pick user associations and transmit powers minimizing a weighted
 energy-delay objective via Benders decomposition, with heuristic baselines
 and a brute-force oracle for verification.
+
+Solver internals (cuts, the subproblem and master solves, power recovery,
+candidate enumeration) stay importable from their modules.
 """
 
 from .model import (
@@ -17,11 +20,8 @@ from .model import (
     PowerVector,
     Scenario,
     check_feasible,
-    delivery_delay,
     objective,
-    rate,
     sinr,
-    total_delay,
 )
 from .popularity import (
     PopularityTable,
@@ -37,30 +37,9 @@ from .placement import (
     lpf_greedy,
     rc_placement,
 )
-from .benders import (
-    BendersTrace,
-    Cut,
-    DualPoint,
-    MasterSolution,
-    NoFeasibleAssociationError,
-    UcwtResult,
-    delay_coefficients,
-    penalty_lambda,
-    recover_power,
-    rmp_penalty_value,
-    solve_master,
-    solve_subproblem,
-    ucwt,
-    varrho,
-)
-from .baselines import BaselineResult, doa, ema, min_power_for, reachable_sbs
-from .oracle import (
-    Candidate,
-    OracleSolution,
-    brute_force,
-    brute_force_sweep,
-    enumerate_candidates,
-)
+from .benders import ucwt
+from .baselines import doa, ema
+from .oracle import brute_force, brute_force_sweep
 from .scenario import (
     GenerationConfig,
     Instance,
@@ -77,36 +56,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Association",
-    "BaselineResult",
-    "BendersTrace",
     "CachePlacement",
-    "Candidate",
-    "Cut",
     "DemandMatrix",
-    "DualPoint",
     "FeasibilityReport",
     "GenerationConfig",
     "Instance",
-    "MasterSolution",
     "ModelError",
-    "NoFeasibleAssociationError",
     "ObjectiveValue",
-    "OracleSolution",
     "PopularityTable",
     "PowerVector",
     "PreferenceMatrix",
     "Scenario",
-    "UcwtResult",
     "brute_force",
     "brute_force_sweep",
     "check_feasible",
-    "delay_coefficients",
-    "delivery_delay",
     "desk_scale",
     "doa",
     "dumps",
     "ema",
-    "enumerate_candidates",
     "generate",
     "gpc_placement",
     "hit_ratio",
@@ -115,22 +82,12 @@ __all__ = [
     "loads",
     "local_popularity",
     "lpf_greedy",
-    "min_power_for",
     "objective",
     "paper_scale",
-    "penalty_lambda",
-    "rate",
     "rc_placement",
-    "reachable_sbs",
-    "recover_power",
-    "rmp_penalty_value",
     "sample_demands",
     "sample_preferences",
     "save",
     "sinr",
-    "solve_master",
-    "solve_subproblem",
-    "total_delay",
     "ucwt",
-    "varrho",
 ]

@@ -8,11 +8,11 @@ repaired by moving the hardest users to their next-best candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from . import lp as lpmod
+from .benders import min_power_for
 from .model import (
     Association,
     CachePlacement,
@@ -20,10 +20,9 @@ from .model import (
     ModelError,
     PowerVector,
     Scenario,
+    delay_coefficients,
     requested_thresholds,
-    serving_time,
 )
-from .benders import delay_coefficients
 
 _REPAIR_ROUNDS = 50
 
@@ -36,39 +35,6 @@ class NoReachableSbsError(ModelError):
 class BaselineResult:
     assoc: Association
     power: PowerVector
-
-
-def min_power_for(
-    scenario: Scenario, demands: DemandMatrix, assoc: Association
-) -> Optional[PowerVector]:
-    """Minimum-energy powers for a fixed association, or None if infeasible.
-
-    Solves min sum_j T_j p_j subject to the assigned users' SINR
-    requirements and per-SBS power caps.
-    """
-    U, B = scenario.user_count, scenario.sbs_count
-    g = scenario.channel_gains
-    gammas = requested_thresholds(scenario, demands)
-    T = serving_time(scenario, demands, None, "relaxed")
-    A = np.zeros((U, B))
-    b = np.zeros(U)
-    assigned = assoc.assigned_sbs
-    for i in range(U):
-        j = int(assigned[i])
-        A[i] = -gammas[i] * g[i]
-        A[i, j] = g[i, j]
-        b[i] = gammas[i] * scenario.noise_power
-    problem = lpmod.LinearProgram(
-        "min", T, A, b, [lpmod.GE] * U, upper=scenario.max_power.copy()
-    )
-    result = lpmod.solve_lp(problem, feas_tol=lpmod.STRICT_TOL)
-    if result.status != "optimal":
-        return None
-    if lpmod.solution_violation(problem, result.x) > lpmod.STRICT_TOL:
-        # borderline instance: the solver accepted a vertex that misses a
-        # constraint by a visible margin, so treat it as infeasible
-        return None
-    return PowerVector(result.x.clip(min=0.0))
 
 
 def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:

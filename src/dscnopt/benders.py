@@ -5,7 +5,14 @@ association, solved through its dual so that bounded solves yield extreme
 points (optimality cuts) and unbounded solves yield extreme rays
 (feasibility cuts). The master picks the association, minimizing the
 weighted energy lower bound plus total delivery delay over all collected
-cuts; it is solved exactly by branch-and-bound with LP-relaxation bounds.
+cuts. It is solved exactly: by vectorized enumeration of every binary
+association while there are at most ``_MASTER_ENUMERATION_LIMIT`` of them,
+and by branch-and-bound with LP-relaxation bounds above that.
+
+For a binary association, the minimum transmit power and the
+feasible/infeasible verdict come from one strictly verified LP over the
+assigned users' SINR rows (``min_power_for``). The subproblem, power
+recovery, the baselines and the oracle all use it.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -29,7 +36,8 @@ from .model import (
     ModelError,
     PowerVector,
     Scenario,
-    relaxed_delay_table,
+    delay_coefficients,
+    objective,
     requested_thresholds,
     serving_time,
     total_transmission_time,
@@ -224,6 +232,46 @@ def _cleaned(mu: np.ndarray, nu: np.ndarray):
     return mu, nu
 
 
+def _min_power_lp(
+    scenario: Scenario, demands: DemandMatrix, assigned: np.ndarray
+) -> Tuple[lpmod.LinearProgram, lpmod.LpResult, bool]:
+    """The strict minimum-energy LP of a binary association, solved.
+
+    min sum_j T_j p_j subject to the assigned users' SINR requirements and
+    per-SBS power caps, solved at ``STRICT_TOL``. The association is
+    feasible only if the solver reports an optimum that also passes the
+    strict vertex check: near the boundary the solver may accept a vertex
+    that misses a constraint by a visible margin.
+    """
+    users = np.arange(scenario.user_count)
+    g = scenario.channel_gains
+    gammas = requested_thresholds(scenario, demands)
+    A = -gammas[:, None] * g
+    A[users, assigned] = g[users, assigned]
+    problem = lpmod.LinearProgram(
+        "min",
+        serving_time(scenario, demands, None, "relaxed"),
+        A,
+        gammas * scenario.noise_power,
+        [lpmod.GE] * scenario.user_count,
+        upper=scenario.max_power.copy(),
+    )
+    result = lpmod.solve_lp(problem, feas_tol=lpmod.STRICT_TOL)
+    feasible = (
+        result.status == "optimal"
+        and lpmod.solution_violation(problem, result.x) <= lpmod.STRICT_TOL
+    )
+    return problem, result, feasible
+
+
+def min_power_for(
+    scenario: Scenario, demands: DemandMatrix, assoc: Association
+) -> Optional[PowerVector]:
+    """Minimum-energy powers for a fixed association, or None if infeasible."""
+    _, result, feasible = _min_power_lp(scenario, demands, assoc.assigned_sbs)
+    return PowerVector(result.x.clip(min=0.0)) if feasible else None
+
+
 def solve_subproblem(
     scenario: Scenario,
     demands: DemandMatrix,
@@ -235,10 +283,9 @@ def solve_subproblem(
     Bounded: extreme point and the minimum relaxed energy M. Unbounded,
     i.e. the association admits no feasible power: extreme ray and
     M = +inf. For a binary association the feasible/infeasible verdict is
-    taken from the same strictly verified power LP that the rest of the
-    pipeline uses, so near-boundary associations are classified uniformly;
-    the dual LP then supplies the extreme point or ray (the primal solve
-    fills in whenever the two solves disagree at tolerance level).
+    that of ``min_power_for``, so near-boundary associations are classified
+    uniformly; the dual LP then supplies the extreme point or ray (the
+    strict LP fills in whenever the two solves disagree at tolerance level).
     """
     U, B = scenario.user_count, scenario.sbs_count
     primal = build_subproblem_primal(scenario, demands, x, rho)
@@ -247,19 +294,8 @@ def solve_subproblem(
     feasible: Optional[bool] = None
     small = small_result = None
     if binary:
-        # verdict from the assigned rows only — the same LP used for power
-        # recovery and enumeration — verified strictly
         assigned = np.argmax(X, axis=1)
-        rows = np.arange(U) * B + assigned
-        small = lpmod.LinearProgram(
-            "min", primal.c, primal.A[rows], primal.b[rows],
-            [lpmod.GE] * U, upper=primal.upper.copy(),
-        )
-        small_result = lpmod.solve_lp(small, feas_tol=lpmod.STRICT_TOL)
-        feasible = (
-            small_result.status == "optimal"
-            and lpmod.solution_violation(small, small_result.x) <= lpmod.STRICT_TOL
-        )
+        small, small_result, feasible = _min_power_lp(scenario, demands, assigned)
 
     dual_lp = build_subproblem_dual(scenario, demands, x, rho)
     result = lpmod.solve_lp(dual_lp)
@@ -310,26 +346,13 @@ def solve_subproblem(
 
 
 def recover_power(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    assoc: Association,
-    rho: Optional[float] = None,
+    scenario: Scenario, demands: DemandMatrix, assoc: Association
 ) -> PowerVector:
-    """Minimum-power vector for a feasible association via the primal LP."""
-    if rho is None:
-        rho = varrho(scenario, demands)
-    result = lpmod.solve_lp(build_subproblem_primal(scenario, demands, assoc, rho))
-    if result.status != "optimal":
+    """Minimum-power vector for an association known to be feasible."""
+    power = min_power_for(scenario, demands, assoc)
+    if power is None:
         raise ModelError("association admits no feasible power")
-    return PowerVector(result.x.clip(min=0.0))
-
-
-def delay_coefficients(
-    scenario: Scenario, demands: DemandMatrix, placement: CachePlacement
-) -> np.ndarray:
-    """Per (user, SBS) relaxed delivery delay of the user's requested file."""
-    table = relaxed_delay_table(scenario, placement)   # B x F
-    return table[:, demands.requested_file].T          # U x B
+    return power
 
 
 @dataclass(frozen=True)
@@ -717,9 +740,8 @@ def ucwt(
             )
         trace.omega = omega
     best = proposed[trace.omega - 1]
-    power = recover_power(scenario, demands, best, rho)
-    T = serving_time(scenario, demands, None, "relaxed")
-    energy = float(power.p @ T)
-    delay = float((dcoef * best.x).sum())
-    trace.final_objective = alpha * energy + (1.0 - alpha) * delay
+    power = recover_power(scenario, demands, best)
+    trace.final_objective = objective(
+        scenario, demands, placement, best, power, alpha
+    ).weighted
     return UcwtResult(assoc=best, power=power, trace=trace)

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import baselines, benders, oracle, placement as plc, scenario as scn
-from .model import ModelError, total_delay
+from .model import ModelError, objective, total_transmission_time
 from .popularity import local_popularity
 
 EXIT_NONCONVERGENCE = 1
@@ -81,13 +81,7 @@ def sampled_backhaul_delay(
     s = inst.scenario
     files = inst.demands.requested_file
     assigned = assoc.assigned_sbs
-    base = total_delay(s, inst.demands, cache, assoc) - float(
-        sum(
-            (1 - cache.y[int(assigned[i]), int(files[i])])
-            * s.backhaul_mean[int(assigned[i])]
-            for i in range(s.user_count)
-        )
-    )
+    base = total_transmission_time(s, inst.demands)
     total = 0.0
     for _ in range(samples):
         draw = base
@@ -155,16 +149,13 @@ def _solve_rows(inst, cache, algorithm, alpha, epsilon):
     else:  # pragma: no cover - guarded by click.Choice
         raise click.UsageError(f"unknown algorithm {algorithm!r}")
 
-    dcoef = benders.delay_coefficients(s, inst.demands, cache)
-    T = benders.serving_time(s, inst.demands, None, "relaxed")
-    energy = float(power.p @ T)
-    delay = float((dcoef * assoc.x).sum())
+    value = objective(s, inst.demands, cache, assoc, power, alpha)
     rows: List[Sequence] = [
         ("algorithm", "", algorithm),
         ("alpha", "", _f(alpha)),
-        ("energy_joules", "", _f(energy)),
-        ("delay_seconds", "", _f(delay)),
-        ("weighted", "", _f(alpha * energy + (1 - alpha) * delay)),
+        ("energy_joules", "", _f(value.energy)),
+        ("delay_seconds", "", _f(value.delay)),
+        ("weighted", "", _f(value.weighted)),
         ("converged", "", int(converged)),
         ("iterations", "", iterations),
     ]
@@ -203,13 +194,6 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     _, cache = _pipeline(inst)
     try:
         rows, code, trace = _solve_rows(inst, cache, algorithm, alpha, epsilon)
-    except (
-        benders.NoFeasibleAssociationError,
-        oracle.InstanceInfeasibleError,
-        baselines.NoReachableSbsError,
-    ) as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
     except ModelError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -269,11 +253,9 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                     res = benders.ucwt(s, inst.demands, cache, a, epsilon)
                     if not res.trace.converged:
                         nonconverged += 1
-                    dcoef = benders.delay_coefficients(s, inst.demands, cache)
-                    T = benders.serving_time(s, inst.demands, None, "relaxed")
-                    e = float(res.power.p @ T)
-                    d = float((dcoef * res.assoc.x).sum())
-                    rows.append((_f(a), rep, _f(e), _f(d), _f(a * e + (1 - a) * d)))
+                    v = objective(s, inst.demands, cache, res.assoc, res.power, a)
+                    rows.append((_f(a), rep, _f(v.energy), _f(v.delay),
+                                 _f(v.weighted)))
         except (benders.NoFeasibleAssociationError, oracle.InstanceInfeasibleError):
             infeasible += 1
     _write_csv(
@@ -327,11 +309,8 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
                 _, mean_hit = plc.hit_ratio(cache, pop)
                 try:
                     res = benders.ucwt(s, inst.demands, cache, alpha)
-                    dcoef = benders.delay_coefficients(s, inst.demands, cache)
-                    T = benders.serving_time(s, inst.demands, None, "relaxed")
-                    e = float(res.power.p @ T)
-                    d = float((dcoef * res.assoc.x).sum())
-                    energy, delay = _f(e), _f(d)
+                    v = objective(s, inst.demands, cache, res.assoc, res.power)
+                    energy, delay = _f(v.energy), _f(v.delay)
                 except benders.NoFeasibleAssociationError:
                     energy = delay = ""
                 rows.append((name, _f(frac), seed + r, _f(mean_hit), energy, delay))
@@ -383,8 +362,6 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
             inst = scn.generate(config, seed + r)
             s = inst.scenario
             _, cache = _pipeline(inst)
-            dcoef = benders.delay_coefficients(s, inst.demands, cache)
-            T = benders.serving_time(s, inst.demands, None, "relaxed")
             solvers = {
                 "ucwt": lambda: benders.ucwt(s, inst.demands, cache, alpha),
                 "doa": lambda: baselines.doa(s, inst.demands, cache),
@@ -393,18 +370,15 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
             for name, run in solvers.items():
                 try:
                     res = run()
-                except (benders.NoFeasibleAssociationError,
-                        baselines.NoReachableSbsError, ModelError):
+                except ModelError:
                     continue
-                assoc, power = res.assoc, res.power
-                e = float(power.p @ T)
-                d = float((dcoef * assoc.x).sum())
-                row = [sweep, _f(value), seed + r, name, _f(e), _f(d)]
+                v = objective(s, inst.demands, cache, res.assoc, res.power)
+                row = [sweep, _f(value), seed + r, name, _f(v.energy), _f(v.delay)]
                 if sample_backhaul:
                     alg_tag = {"ucwt": 0, "doa": 1, "ema": 2}[name]
                     rng = np.random.default_rng((seed + r, alg_tag))
                     row.append(_f(sampled_backhaul_delay(
-                        inst, cache, assoc, rng, samples)))
+                        inst, cache, res.assoc, rng, samples)))
                 rows.append(row)
     rows.sort(key=lambda row: (float(row[1]), int(row[2]), row[3]))
     _write_csv(out, header, rows)

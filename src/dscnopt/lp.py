@@ -402,13 +402,3 @@ def duality_gap(lp: LinearProgram, result: LpResult) -> float:
     dual_value += float(lp.upper[finite] @ result.upper_duals[finite])
     return abs(float(lp.c @ result.x) - dual_value)
 
-
-def dump(lp: LinearProgram) -> str:
-    """Plain-text fixed-order dump for external cross-checking."""
-    lines = [f"sense {lp.sense}", "c " + " ".join(f"{v:.17g}" for v in lp.c)]
-    for r in range(lp.num_rows):
-        row = " ".join(f"{v:.17g}" for v in lp.A[r])
-        lines.append(f"row {lp.row_senses[r]} {lp.b[r]:.17g} {row}")
-    lines.append("lower " + " ".join(f"{v:.17g}" for v in lp.lower))
-    lines.append("upper " + " ".join(f"{v:.17g}" for v in lp.upper))
-    return "\n".join(lines) + "\n"

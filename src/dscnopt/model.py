@@ -235,55 +235,6 @@ def sinr(scenario: Scenario, p: PowerVector, i: int, j: int) -> float:
     return float(p.p[j] * g[j] / (interference + scenario.noise_power))
 
 
-def rate(scenario: Scenario, p: PowerVector, i: int, j: int) -> float:
-    """Shannon downlink rate in bit/s for user i served by SBS j."""
-    return float(scenario.bandwidth * np.log2(1.0 + sinr(scenario, p, i, j)))
-
-
-def wireless_delay(
-    scenario: Scenario,
-    i: int,
-    j: int,
-    k: int,
-    mode: str = "relaxed",
-    p: Optional[PowerVector] = None,
-) -> float:
-    """Over-the-air transmission time of file k from SBS j to user i.
-
-    Relaxed mode charges the file at its required rate (s_k / R_k), which
-    does not depend on the association; exact mode uses the achieved rate.
-    """
-    bits = scenario.file_sizes[k] * BITS_PER_BYTE
-    if mode == "relaxed":
-        return float(bits / scenario.rate_requirements[k])
-    if mode == "exact":
-        if p is None:
-            raise ModelError("exact mode requires a power vector")
-        r = rate(scenario, p, i, j)
-        if r <= 0:
-            raise ModelError(f"zero rate for user {i} at SBS {j}, delay undefined")
-        return float(bits / r)
-    raise ModelError(f"unknown mode {mode!r}")
-
-
-def delivery_delay(
-    scenario: Scenario,
-    placement: CachePlacement,
-    i: int,
-    j: int,
-    k: int,
-    mode: str = "relaxed",
-    p: Optional[PowerVector] = None,
-) -> float:
-    """End-to-end delivery delay: wireless time plus backhaul on a cache miss.
-
-    The backhaul term uses the deterministic mean delay of SBS j.
-    """
-    _check_indices(scenario, i, j)
-    tau = wireless_delay(scenario, i, j, k, mode, p)
-    return float(tau + (1 - placement.y[j, k]) * scenario.backhaul_mean[j])
-
-
 def relaxed_delay_table(scenario: Scenario, placement: CachePlacement) -> np.ndarray:
     """Relaxed d_ij^k as a (B, F) table: s_k/R_k plus backhaul on misses.
 
@@ -300,46 +251,30 @@ def total_transmission_time(scenario: Scenario, demands: DemandMatrix) -> float:
     return float(tau[demands.requested_file].sum())
 
 
+def delay_coefficients(
+    scenario: Scenario, demands: DemandMatrix, placement: CachePlacement
+) -> np.ndarray:
+    """Per (user, SBS) relaxed delivery delay of the user's requested file."""
+    table = relaxed_delay_table(scenario, placement)   # B x F
+    return table[:, demands.requested_file].T          # U x B
+
+
 def serving_time(
     scenario: Scenario,
     demands: DemandMatrix,
     assoc: Optional[Association],
     mode: str = "relaxed",
-    p: Optional[PowerVector] = None,
 ) -> np.ndarray:
-    """Per-SBS time T_j needed to transmit every file requested at that SBS."""
-    if mode == "relaxed":
-        return scenario.load_coefficients * total_transmission_time(scenario, demands)
-    if mode != "exact":
+    """Per-SBS time T_j needed to transmit every file requested at that SBS.
+
+    Only the relaxed model exists: T_j = load_j * D, which does not depend
+    on the association. ``assoc`` and ``mode`` stay in the signature so
+    existing callers of ``serving_time(s, d, None, "relaxed")`` keep
+    working; any mode other than ``"relaxed"`` is rejected.
+    """
+    if mode != "relaxed":
         raise ModelError(f"unknown mode {mode!r}")
-    if assoc is None:
-        raise ModelError("exact mode requires an association")
-    T = np.zeros(scenario.sbs_count)
-    files = demands.requested_file
-    for i in range(scenario.user_count):
-        j = int(assoc.assigned_sbs[i])
-        T[j] += wireless_delay(scenario, i, j, int(files[i]), "exact", p)
-    return T
-
-
-def total_delay(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    placement: CachePlacement,
-    assoc: Association,
-    mode: str = "relaxed",
-    p: Optional[PowerVector] = None,
-) -> float:
-    """Sum of end-to-end delivery delays over all users."""
-    files = demands.requested_file
-    return float(
-        sum(
-            delivery_delay(
-                scenario, placement, i, int(assoc.assigned_sbs[i]), int(files[i]), mode, p
-            )
-            for i in range(scenario.user_count)
-        )
-    )
+    return scenario.load_coefficients * total_transmission_time(scenario, demands)
 
 
 def objective(
@@ -348,15 +283,18 @@ def objective(
     placement: CachePlacement,
     assoc: Association,
     p: PowerVector,
-    mode: str = "relaxed",
     alpha: Optional[float] = None,
 ) -> ObjectiveValue:
-    """Weighted energy-delay objective with both components reported."""
+    """Weighted energy-delay objective with both components reported.
+
+    Energy is ``p @ T`` with the relaxed serving times; delay is the sum of
+    the relaxed delivery delays of the assigned (user, SBS) pairs. ``alpha``
+    defaults to the scenario's weight.
+    """
     if alpha is None:
         alpha = scenario.alpha
-    T = serving_time(scenario, demands, assoc, mode, p)
-    energy = float(p.p @ T)
-    delay = total_delay(scenario, demands, placement, assoc, mode, p)
+    energy = float(p.p @ serving_time(scenario, demands, assoc))
+    delay = float((delay_coefficients(scenario, demands, placement) * assoc.x).sum())
     return ObjectiveValue(energy, delay, alpha * energy + (1 - alpha) * delay)
 
 

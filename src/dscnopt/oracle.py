@@ -13,8 +13,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import min_power_for, reachable_sbs
-from .benders import delay_coefficients
+from .baselines import reachable_sbs
+from .benders import min_power_for
 from .model import (
     Association,
     CachePlacement,
@@ -22,7 +22,7 @@ from .model import (
     ModelError,
     PowerVector,
     Scenario,
-    serving_time,
+    objective,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -83,8 +83,6 @@ def enumerate_candidates(
         raise EnumerationCapError(
             f"{B}^{U} associations exceed the cap of {cap}; use a smaller instance"
         )
-    dcoef = delay_coefficients(scenario, demands, placement)
-    T = serving_time(scenario, demands, None, "relaxed")
     # single-user reachability is a necessary condition (interference only
     # hurts), so assignments using an unreachable pair are skipped unsolved
     reach = reachable_sbs(scenario, demands)
@@ -96,9 +94,8 @@ def enumerate_candidates(
         power = min_power_for(scenario, demands, assoc)
         if power is None:
             continue
-        energy = float(power.p @ T)
-        delay = float(dcoef[np.arange(U), assigned].sum())
-        out.append(Candidate(assigned, power, energy, delay))
+        value = objective(scenario, demands, placement, assoc, power)
+        out.append(Candidate(assigned, power, value.energy, value.delay))
     return out
 
 

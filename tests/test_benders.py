@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from dscnopt import benders, lp as lpmod, scenario as scn
-from dscnopt.baselines import min_power_for
 from dscnopt.benders import (
     Cut,
     NoFeasibleAssociationError,
     build_subproblem_dual,
     build_subproblem_primal,
     delay_coefficients,
+    min_power_for,
     penalty_lambda,
     recover_power,
     rmp_penalty_value,
@@ -212,6 +212,29 @@ class TestRecoverPower:
         s, demands, _ = mixed_case()
         with pytest.raises(ModelError):
             recover_power(s, demands, Association([[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("case", ["mixed", 0, 1, 2, 3])
+    def test_every_path_gives_one_verdict(self, case):
+        if case == "mixed":
+            s, demands, _ = mixed_case()
+        else:
+            inst = scn.generate(scn.desk_scale(user_count=4), case)
+            s, demands = inst.scenario, inst.demands
+        rho = varrho(s, demands)
+        verdicts = set()
+        for assigned in iter_assignments(s.user_count, s.sbs_count):
+            assoc = Association.from_assignment(assigned, s.sbs_count)
+            feasible = min_power_for(s, demands, assoc) is not None
+            try:
+                recover_power(s, demands, assoc)
+                recovered = True
+            except ModelError:
+                recovered = False
+            _, M = solve_subproblem(s, demands, assoc, rho)
+            assert feasible == recovered == math.isfinite(M), assigned
+            verdicts.add(feasible)
+        # each case holds both feasible and infeasible associations
+        assert verdicts == {True, False}
 
 
 class TestMaster:

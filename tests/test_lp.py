@@ -268,13 +268,3 @@ class TestDegeneracy:
         assert result.status == "optimal"
         assert result.objective == pytest.approx(-0.05, abs=1e-9)
 
-
-def test_dump_is_stable():
-    problem = lp.LinearProgram(
-        "min", [1.0, 2.0], [[1.0, -1.0]], [0.5], [lp.GE],
-        upper=np.array([3.0, np.inf]),
-    )
-    text = lp.dump(problem)
-    assert text.splitlines()[0] == "sense min"
-    assert "row >= 0.5 1 -1" in text
-    assert lp.dump(problem) == text
