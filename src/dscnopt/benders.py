@@ -7,7 +7,9 @@ points (optimality cuts) and unbounded solves yield extreme rays
 weighted energy lower bound plus total delivery delay over all collected
 cuts. It is solved exactly: by vectorized enumeration of every binary
 association while there are at most ``_MASTER_ENUMERATION_LIMIT`` of them,
-and by branch-and-bound with LP-relaxation bounds above that.
+and by branch-and-bound with LP-relaxation bounds above that. Enumeration
+keeps a running table of cut scores over all associations, so a ``ucwt``
+run scores each cut once, not once per iteration.
 
 For a binary association, the minimum transmit power and the
 feasible/infeasible verdict come from one strictly verified LP over the
@@ -105,14 +107,10 @@ def build_subproblem_primal(
     g = scenario.channel_gains
     gammas = requested_thresholds(scenario, demands)
     T = serving_time(scenario, demands, None, "relaxed")
-    A = np.zeros((U * B, B))
-    b = np.zeros(U * B)
-    for i in range(U):
-        for j in range(B):
-            row = i * B + j
-            A[row] = -gammas[i] * g[i]
-            A[row, j] = g[i, j]
-            b[row] = gammas[i] * scenario.noise_power - (1.0 - X[i, j]) / rho
+    # row i*B + j: the interference row -gamma_i g_i with g_ij on the diagonal
+    A = np.repeat(-gammas[:, None] * g, B, axis=0)
+    A[np.arange(U * B), np.tile(np.arange(B), U)] = g.ravel()
+    b = (gammas[:, None] * scenario.noise_power - (1.0 - X) / rho).ravel()
     return lpmod.LinearProgram(
         sense="min",
         c=T,
@@ -139,20 +137,14 @@ def build_subproblem_dual(
     g = scenario.channel_gains
     gammas = requested_thresholds(scenario, demands)
     T = serving_time(scenario, demands, None, "relaxed")
-    n = B + U * B
-    c = np.zeros(n)
-    c[:B] = -scenario.max_power
-    for i in range(U):
-        for j in range(B):
-            c[B + i * B + j] = (X[i, j] - 1.0) / rho + scenario.noise_power * gammas[i]
-    A = np.zeros((B, n))
-    for j in range(B):
-        A[j, j] = 1.0
-        for i in range(U):
-            A[j, B + i * B + j] = -g[i, j]
-            for l in range(B):
-                if l != j:
-                    A[j, B + i * B + l] += gammas[i] * g[i, j]
+    c = np.concatenate([
+        -scenario.max_power,
+        ((X - 1.0) / rho + scenario.noise_power * gammas[:, None]).ravel(),
+    ])
+    # nu block [j, i, l]: gamma_i g_ij off the diagonal l != j, -g_ij on it
+    nu_block = np.repeat((gammas[:, None] * g).T[:, :, None], B, axis=2)
+    nu_block[np.arange(B), :, np.arange(B)] = -g.T
+    A = np.hstack([np.eye(B), nu_block.reshape(B, U * B)])
     return lpmod.LinearProgram(
         sense="max",
         c=c,
@@ -288,7 +280,6 @@ def solve_subproblem(
     strict LP fills in whenever the two solves disagree at tolerance level).
     """
     U, B = scenario.user_count, scenario.sbs_count
-    primal = build_subproblem_primal(scenario, demands, x, rho)
     X = _as_x_matrix(x, scenario)
     binary = np.all((X == 0.0) | (X == 1.0)) and np.all(X.sum(axis=1) == 1.0)
     feasible: Optional[bool] = None
@@ -322,6 +313,7 @@ def solve_subproblem(
 
     if result.status == "unbounded":
         mu, nu = _cleaned(result.ray[:B], result.ray[B:])
+        primal = build_subproblem_primal(scenario, demands, X, rho)
         violation = float(nu @ primal.b - mu @ primal.upper)
     else:
         # the dual solve missed the (near-boundary) infeasibility: fall back
@@ -466,29 +458,47 @@ def _all_assignment_matrices(U: int, B: int) -> np.ndarray:
     return _assignment_cache[key]
 
 
-def _solve_master_enumerate(
-    U: int, B: int, dcoef: np.ndarray, cuts: Sequence[Cut], alpha: float
-) -> MasterSolution:
-    """Exact master by evaluating every binary association at once."""
-    flat = _all_assignment_matrices(U, B)
-    K = flat.shape[0]
-    eta = np.zeros(K)
-    feasible = np.ones(K, dtype=bool)
-    for cut in cuts:
-        h = cut.constant + flat @ cut.coef.ravel()
-        if cut.kind == "feasibility":
-            feasible &= h <= 1e-9 * cut.magnitude
-        else:
-            np.maximum(eta, h, out=eta)
-    if not feasible.any():
-        raise MasterInfeasibleError("no feasible association exists")
-    values = alpha * eta + (1.0 - alpha) * (flat @ dcoef.ravel())
-    values[~feasible] = np.inf
-    k = int(np.argmin(values))            # first minimum: lexicographic ties
-    x = flat[k].reshape(U, B).astype(np.int8)
-    return MasterSolution(
-        eta=float(eta[k]), assoc=Association(x), value=float(values[k])
-    )
+class _CutTable:
+    """The enumerated master's running scores over every binary association.
+
+    Holds the B**U associations, their delivery delays, and the eta and
+    feasibility mask of the cuts absorbed so far, so that each cut of a
+    growing list is scored against the associations only once.
+    """
+
+    def __init__(self, U: int, B: int, dcoef: np.ndarray):
+        self.shape = (U, B)
+        self.flat = _all_assignment_matrices(U, B)
+        self.delay = self.flat @ dcoef.ravel()
+        self.eta = np.zeros(self.flat.shape[0])
+        self.feasible = np.ones(self.flat.shape[0], dtype=bool)
+        self.absorbed = 0
+
+    def absorb(self, cuts: Sequence[Cut]) -> None:
+        """Score the cuts appended to ``cuts`` since the last call."""
+        if len(cuts) < self.absorbed:
+            raise ModelError(
+                f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
+            )
+        for cut in cuts[self.absorbed:]:
+            h = cut.constant + self.flat @ cut.coef.ravel()
+            if cut.kind == "feasibility":
+                self.feasible &= h <= 1e-9 * cut.magnitude
+            else:
+                np.maximum(self.eta, h, out=self.eta)
+        self.absorbed = len(cuts)
+
+    def solve(self, alpha: float) -> MasterSolution:
+        """Exact master over the absorbed cuts; ties keep the lexicographic first."""
+        if not self.feasible.any():
+            raise MasterInfeasibleError("no feasible association exists")
+        values = alpha * self.eta + (1.0 - alpha) * self.delay
+        values[~self.feasible] = np.inf
+        k = int(np.argmin(values))
+        x = self.flat[k].reshape(self.shape).astype(np.int8)
+        return MasterSolution(
+            eta=float(self.eta[k]), assoc=Association(x), value=float(values[k])
+        )
 
 
 def solve_master(
@@ -497,21 +507,28 @@ def solve_master(
     placement: CachePlacement,
     cuts: Sequence[Cut],
     alpha: float,
+    table: Optional[_CutTable] = None,
 ) -> MasterSolution:
     """Exact master solve over binary associations.
 
     Small association spaces are enumerated wholesale with vectorized cut
-    evaluation, keeping the lexicographically first optimum. Larger ones
-    use branch-and-bound: branch on the most fractional x_ij of the node
-    relaxation, exploring the x_ij = 1 child first, with LP bounds pruning
-    against the incumbent and ties keeping the first incumbent found. Both
-    paths are deterministic.
+    evaluation, keeping the lexicographically first optimum. ``table`` holds
+    the scores of the cuts passed on earlier calls with the same growing
+    ``cuts`` list, so only the new cuts are scored; without one, a fresh
+    table scores them all. ``ucwt`` keeps one table per run, so each of its
+    cuts is scored once. Larger spaces use branch-and-bound: branch on the
+    most fractional x_ij of the node relaxation, exploring the x_ij = 1
+    child first, with LP bounds pruning against the incumbent and ties
+    keeping the first incumbent found. Both paths are deterministic.
     """
     U, B = scenario.user_count, scenario.sbs_count
-    dcoef = delay_coefficients(scenario, demands, placement)
     if B**U <= _MASTER_ENUMERATION_LIMIT:
-        return _solve_master_enumerate(U, B, dcoef, cuts, alpha)
+        if table is None:
+            table = _CutTable(U, B, delay_coefficients(scenario, demands, placement))
+        table.absorb(cuts)
+        return table.solve(alpha)
 
+    dcoef = delay_coefficients(scenario, demands, placement)
     best_value = math.inf
     best_x: Optional[np.ndarray] = None
 
@@ -688,8 +705,11 @@ def ucwt(
     rho = varrho(scenario, demands, interferer_count)
     dcoef = delay_coefficients(scenario, demands, placement)
 
+    U, B = scenario.user_count, scenario.sbs_count
+    table = _CutTable(U, B, dcoef) if B**U <= _MASTER_ENUMERATION_LIMIT else None
+
     trace = BendersTrace(epsilon=epsilon)
-    x_prev: object = np.zeros((scenario.user_count, scenario.sbs_count))
+    x_prev: object = np.zeros((U, B))
     candidates: List[Tuple[float, float]] = []   # (M, delay) per proposed X
     proposed: List[Association] = []
     eps = epsilon
@@ -707,7 +727,9 @@ def ucwt(
             eps = 1e-6 * (1.0 + abs(psi_upper))
             trace.epsilon = eps
         try:
-            master = solve_master(scenario, demands, placement, trace.cuts, alpha)
+            master = solve_master(
+                scenario, demands, placement, trace.cuts, alpha, table
+            )
         except MasterInfeasibleError:
             raise NoFeasibleAssociationError(
                 "feasibility cuts exclude every association"

@@ -5,8 +5,8 @@ policy comparisons, association algorithm comparisons, and instance
 generation. All outputs are deterministic given (instance, seed, flags);
 floats are written with 9 significant digits.
 
-Exit codes: 0 success, 1 solver non-convergence, 2 usage error,
-3 infeasible instance.
+Exit codes: 0 success, 1 solver non-convergence, 2 usage error (including
+an oracle request above the enumeration cap), 3 infeasible instance.
 """
 
 from __future__ import annotations
@@ -194,6 +194,8 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     _, cache = _pipeline(inst)
     try:
         rows, code, trace = _solve_rows(inst, cache, algorithm, alpha, epsilon)
+    except oracle.EnumerationCapError as exc:
+        raise click.UsageError(str(exc))
     except ModelError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -256,6 +258,8 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                     v = objective(s, inst.demands, cache, res.assoc, res.power, a)
                     rows.append((_f(a), rep, _f(v.energy), _f(v.delay),
                                  _f(v.weighted)))
+        except oracle.EnumerationCapError as exc:
+            raise click.UsageError(str(exc))
         except (benders.NoFeasibleAssociationError, oracle.InstanceInfeasibleError):
             infeasible += 1
     _write_csv(

@@ -1,9 +1,10 @@
 """Dense two-phase simplex with dual solutions, extreme rays and Farkas certificates.
 
 The solver is deliberately small and deterministic: Dantzig pricing with a
-Bland fallback after a streak of degenerate pivots, dense numpy linear
-algebra throughout. Instances in this project are tiny (tens of variables),
-so no factorization reuse or sparsity is attempted.
+Bland fallback after a streak of degenerate pivots, dense linear algebra
+throughout, with each basis LU taken straight from LAPACK. Instances in
+this project are tiny (tens of variables), so no factorization reuse or
+sparsity is attempted.
 
 Unbounded verdicts carry a feasible point and an improving extreme ray,
 which is what Benders feasibility cuts are built from. Infeasible verdicts
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
@@ -193,6 +194,21 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     )
 
 
+def lu_factor(basis_matrix: np.ndarray):
+    """LU factors (lu, piv) of a simplex basis, by LAPACK ``getrf``.
+
+    ``_simplex`` calls this exactly once per pivot, which is how
+    ``bench/tracing.py`` counts pivots. LAPACK is called directly because
+    the ``scipy.linalg`` wrappers around ``getrf``/``getrs`` cost several
+    times the work on a basis this small. Raises ``LinAlgError`` on a zero
+    or NaN pivot: ``getrf`` reports a zero pivot only in its info code.
+    """
+    lu, piv, _ = dgetrf(basis_matrix)
+    if not np.all(np.abs(np.diagonal(lu)) > 0.0):
+        raise np.linalg.LinAlgError("singular simplex basis")
+    return lu, piv
+
+
 def _simplex(A, b, c, basis, tol):
     """Primal simplex from a feasible basis.
 
@@ -202,14 +218,21 @@ def _simplex(A, b, c, basis, tol):
     """
     m, n = A.shape
     basis = list(basis)
+    if m == 0:
+        # LAPACK rejects an empty basis; without rows the origin is optimal
+        # unless a column of negative cost is an improving ray
+        improving = np.nonzero(c < -tol)[0]
+        if improving.size == 0:
+            return "optimal", basis, np.zeros(0), np.zeros(0), None
+        ray = np.zeros(n)
+        ray[improving[np.argmin(c[improving])]] = 1.0
+        return "unbounded", basis, np.zeros(0), np.zeros(0), ray
     degenerate_streak = 0
     for _ in range(_MAX_PIVOTS):
         # one LU factorization per pivot serves all three basis solves
-        factors = lu_factor(A[:, basis], check_finite=False)
-        if not np.all(np.abs(np.diagonal(factors[0])) > 0.0):
-            raise np.linalg.LinAlgError("singular simplex basis")
-        xB = lu_solve(factors, b, check_finite=False)
-        y = lu_solve(factors, c[basis], trans=1, check_finite=False)
+        lu, piv = lu_factor(A[:, basis])
+        xB = dgetrs(lu, piv, b)[0]
+        y = dgetrs(lu, piv, c[basis], trans=1)[0]
         reduced = c - A.T @ y
         in_basis = np.zeros(n, dtype=bool)
         in_basis[basis] = True
@@ -220,7 +243,7 @@ def _simplex(A, b, c, basis, tol):
             enter = int(candidates[0])                      # Bland
         else:
             enter = int(candidates[np.argmin(reduced[candidates])])  # Dantzig
-        d = lu_solve(factors, A[:, enter], check_finite=False)
+        d = dgetrs(lu, piv, A[:, enter])[0]
         positive = d > tol
         if not positive.any():
             ray = np.zeros(n)

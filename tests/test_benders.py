@@ -28,6 +28,7 @@ from dscnopt.model import (
     DemandMatrix,
     ModelError,
     Scenario,
+    requested_thresholds,
     serving_time,
 )
 from dscnopt.oracle import brute_force, iter_assignments
@@ -115,6 +116,46 @@ class TestSubproblemLPs:
             dual = lpmod.solve_lp(build_subproblem_dual(s, demands, assoc, rho))
             assert primal.status == dual.status == "optimal"
             assert dual.objective == pytest.approx(primal.objective, rel=1e-7, abs=1e-9)
+
+    def test_builders_match_loop_reference(self):
+        # the array builders must reproduce the per-entry definition exactly
+        for seed in range(2):
+            inst, _ = desk_pipeline(seed)
+            s, demands = inst.scenario, inst.demands
+            U, B = s.user_count, s.sbs_count
+            rho = varrho(s, demands)
+            g = s.channel_gains
+            gammas = requested_thresholds(s, demands)
+            rng = np.random.default_rng(seed)
+            for X in (
+                Association.from_assignment(rng.integers(0, B, U), B).x.astype(float),
+                rng.dirichlet(np.ones(B), size=U),
+            ):
+                A = np.zeros((U * B, B))
+                b = np.zeros(U * B)
+                c = np.zeros(B + U * B)
+                A_dual = np.zeros((B, B + U * B))
+                c[:B] = -s.max_power
+                for i in range(U):
+                    for j in range(B):
+                        row = i * B + j
+                        A[row] = -gammas[i] * g[i]
+                        A[row, j] = g[i, j]
+                        b[row] = gammas[i] * s.noise_power - (1.0 - X[i, j]) / rho
+                        c[B + row] = (X[i, j] - 1.0) / rho + s.noise_power * gammas[i]
+                for j in range(B):
+                    A_dual[j, j] = 1.0
+                    for i in range(U):
+                        A_dual[j, B + i * B + j] = -g[i, j]
+                        for l in range(B):
+                            if l != j:
+                                A_dual[j, B + i * B + l] += gammas[i] * g[i, j]
+                primal = build_subproblem_primal(s, demands, X, rho)
+                dual = build_subproblem_dual(s, demands, X, rho)
+                assert np.array_equal(primal.A, A)
+                assert np.array_equal(primal.b, b)
+                assert np.array_equal(dual.A, A_dual)
+                assert np.array_equal(dual.c, c)
 
     def test_dual_unbounded_iff_primal_infeasible(self):
         s, demands, _ = mixed_case()
@@ -280,6 +321,33 @@ class TestMaster:
                     m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
                     bb = solve_master(s, demands, placement, cuts, alpha)
                 assert bb.value == pytest.approx(enum.value, rel=1e-7, abs=1e-9)
+
+
+    def test_cut_table_matches_fresh_solve(self):
+        # replay the cuts of ucwt runs one at a time through one running table
+        cases = [mixed_case()]
+        for seed in range(4):
+            inst, placement = desk_pipeline(seed)
+            cases.append((inst.scenario, inst.demands, placement))
+        for s, demands, placement in cases:
+            cuts = ucwt(s, demands, placement, 0.5).trace.cuts
+            table = benders._CutTable(
+                s.user_count, s.sbs_count, delay_coefficients(s, demands, placement)
+            )
+            for k in range(1, len(cuts) + 1):
+                for alpha in (0.0, 0.5, 1.0):
+                    kept = solve_master(s, demands, placement, cuts[:k], alpha, table)
+                    fresh = solve_master(s, demands, placement, cuts[:k], alpha)
+                    assert kept.value == fresh.value
+                    assert kept.eta == fresh.eta
+                    assert np.array_equal(kept.assoc.x, fresh.assoc.x)
+            eta, feasible = table.eta.copy(), table.feasible.copy()
+            table.absorb(cuts)
+            assert table.absorbed == len(cuts)
+            assert np.array_equal(table.eta, eta)
+            assert np.array_equal(table.feasible, feasible)
+            with pytest.raises(ModelError):
+                table.absorb(cuts[:-1])
 
 
 class TestPenalty:

@@ -137,6 +137,23 @@ class TestSolve:
         )
         assert result.exit_code == 3
 
+    def test_oracle_over_enumeration_cap_exits_2(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["solve", "--paper-scale", "--algorithm", "oracle",
+             "--out", str(tmp_path / "o.csv")],
+        )
+        assert_cap_usage_error(result)
+
+
+def assert_cap_usage_error(result):
+    """The oracle's enumeration cap is a usage error: exit 2, no traceback."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "exceed the cap" in result.output
+    assert "infeasible" not in result.output
+    assert "Traceback" not in result.output
+
 
 class TestSweepAlpha:
     def test_oracle_sweep_schema_and_pareto(self, runner, tmp_path):
@@ -187,6 +204,14 @@ class TestSweepAlpha:
             main, ["sweep-alpha", "--grid", "0.5,nope", "--out", str(tmp_path / "o")]
         )
         assert result.exit_code == 2
+
+    def test_oracle_over_enumeration_cap_exits_2(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--paper-scale", "--algorithm", "oracle",
+             "--grid", "0.5", "--out", str(tmp_path / "o.csv")],
+        )
+        assert_cap_usage_error(result)
 
 
 class TestCompareCaching:

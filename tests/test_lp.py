@@ -136,6 +136,25 @@ class TestBasicSolves:
         assert result.status == "unbounded"
         verify_ray(problem, result)
 
+    def test_no_rows(self):
+        # without rows the origin is optimal, or a negative-cost column is a ray
+        bounded = lp.LinearProgram("min", [1.0, 2.0], np.zeros((0, 2)), [], [])
+        result = lp.solve_lp(bounded)
+        assert result.status == "optimal"
+        assert result.objective == 0.0
+        assert result.x == pytest.approx([0.0, 0.0])
+        unbounded = lp.LinearProgram("min", [1.0, -1.0], np.zeros((0, 2)), [], [])
+        result = lp.solve_lp(unbounded)
+        assert result.status == "unbounded"
+        assert result.ray == pytest.approx([0.0, 1.0])
+
+    def test_singular_basis_raises(self):
+        # LAPACK reports an exactly singular basis without raising; the
+        # simplex must refuse it rather than solve with a zero pivot
+        A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            lp._simplex(A, np.array([1.0, 2.0]), np.zeros(3), [0, 1], 1e-9)
+
     def test_malformed_inputs_raise(self):
         with pytest.raises(lp.LpError):
             lp.LinearProgram("min", [1.0, 2.0], [[1.0]], [1.0], [lp.GE])
