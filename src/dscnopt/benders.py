@@ -1,20 +1,27 @@
 """Benders decomposition of the joint user-association / power-control problem.
 
 The continuous subproblem is the minimum-energy power control for a fixed
-association, solved through its dual so that bounded solves yield extreme
-points (optimality cuts) and unbounded solves yield extreme rays
-(feasibility cuts). The master picks the association, minimizing the
-weighted energy lower bound plus total delivery delay over all collected
-cuts. It is solved exactly: by vectorized enumeration of every binary
-association while there are at most ``_MASTER_ENUMERATION_LIMIT`` of them,
-and by branch-and-bound with LP-relaxation bounds above that. Enumeration
-keeps a running table of cut scores over all associations, so a ``ucwt``
-run scores each cut once, not once per iteration.
+association; bounded solves yield dual extreme points (optimality cuts)
+and unbounded ones extreme rays (feasibility cuts). The master picks the
+association, minimizing the weighted energy lower bound plus total
+delivery delay over all collected cuts. It is solved exactly: by
+vectorized enumeration of every binary association while there are at
+most ``_MASTER_ENUMERATION_LIMIT`` of them, and by branch-and-bound with
+LP-relaxation bounds above that. Enumeration keeps a running table of cut
+scores over all associations, so a ``ucwt`` run scores each cut once, not
+once per iteration.
 
-For a binary association, the minimum transmit power and the
-feasible/infeasible verdict come from one strictly verified LP over the
-assigned users' SINR rows (``min_power_for``). The subproblem, power
-recovery, the baselines and the oracle all use it.
+For a binary association, the assigned users' SINR rows form a standard
+interference function (Yates 1995), so the minimum transmit powers are its
+least fixed point. ``_min_power`` finds it by policy iteration over one
+binding user per SBS, which needs only B x B linear solves, and reads the
+optimality duals, or a Farkas ray cut down to an irreducible infeasible
+subsystem, from the same solves. Every answer is verified; one that fails
+is answered by the strict minimum-power LP instead. ``min_power_for``, the
+subproblem, power recovery, the baselines and the oracle all take their
+powers and their feasible/infeasible verdict from it. Only a fractional
+association (the all-zero start of ``ucwt``) is solved through the dual
+LP.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -24,11 +31,13 @@ optimum as the assigned-only one.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import lp as lpmod
 from .model import (
@@ -51,6 +60,16 @@ _PRUNE_TOL = 1e-9
 # below this many binary associations the master is solved by vectorized
 # enumeration; above it, by branch-and-bound with LP-relaxation bounds
 _MASTER_ENUMERATION_LIMIT = 20_000
+# policy iteration: steps before giving up to the LP, and the relative gain
+# in a user's power requirement that moves its SBS's binding row to it
+_POLICY_STEPS = 50
+_SWITCH_TOL = 1e-14
+# a structured infeasibility ray stands only if it proves some row or cap
+# missed by this much relative to its norm, well above what the strict LP
+# check tolerates; closer calls are left to the LP
+_RAY_MARGIN = 10 * lpmod.STRICT_TOL
+
+logger = logging.getLogger(__name__)
 
 
 class MasterInfeasibleError(ModelError):
@@ -59,6 +78,10 @@ class MasterInfeasibleError(ModelError):
 
 class NoFeasibleAssociationError(ModelError):
     """The instance admits no power-feasible association at all."""
+
+
+class SolverFault(ModelError):
+    """An internal failure: no path yields a certificate for a subproblem."""
 
 
 def varrho(
@@ -224,29 +247,31 @@ def _cleaned(mu: np.ndarray, nu: np.ndarray):
     return mu, nu
 
 
-def _min_power_lp(
+def _sinr_rows(
     scenario: Scenario, demands: DemandMatrix, assigned: np.ndarray
-) -> Tuple[lpmod.LinearProgram, lpmod.LpResult, bool]:
-    """The strict minimum-energy LP of a binary association, solved.
-
-    min sum_j T_j p_j subject to the assigned users' SINR requirements and
-    per-SBS power caps, solved at ``STRICT_TOL``. The association is
-    feasible only if the solver reports an optimum that also passes the
-    strict vertex check: near the boundary the solver may accept a vertex
-    that misses a constraint by a visible margin.
-    """
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The assigned users' SINR requirements of a binary association as A p >= b."""
     users = np.arange(scenario.user_count)
     g = scenario.channel_gains
     gammas = requested_thresholds(scenario, demands)
     A = -gammas[:, None] * g
     A[users, assigned] = g[users, assigned]
+    return A, gammas * scenario.noise_power
+
+
+def _min_power_lp(
+    A: np.ndarray, b: np.ndarray, T: np.ndarray, pmax: np.ndarray
+) -> Tuple[lpmod.LinearProgram, lpmod.LpResult, bool]:
+    """The strict minimum-energy LP of a binary association, solved.
+
+    min T p subject to the SINR rows ``A p >= b`` and the per-SBS power
+    caps, solved at ``STRICT_TOL``. The association is feasible only if the
+    solver reports an optimum that also passes the strict vertex check:
+    near the boundary the solver may accept a vertex that misses a
+    constraint by a visible margin.
+    """
     problem = lpmod.LinearProgram(
-        "min",
-        serving_time(scenario, demands, None, "relaxed"),
-        A,
-        gammas * scenario.noise_power,
-        [lpmod.GE] * scenario.user_count,
-        upper=scenario.max_power.copy(),
+        "min", T, A, b, [lpmod.GE] * len(b), upper=pmax.copy()
     )
     result = lpmod.solve_lp(problem, feas_tol=lpmod.STRICT_TOL)
     feasible = (
@@ -256,12 +281,249 @@ def _min_power_lp(
     return problem, result, feasible
 
 
+@dataclass(frozen=True)
+class _PowerAnswer:
+    """Minimum powers of a binary association, with their certificate.
+
+    ``power`` is None when the association is infeasible. ``mu`` (per SBS,
+    on the power caps) and ``nu`` (per user, on its SINR row) are the
+    optimality duals of a feasible association, or else a Farkas ray
+    normalized to a certified violation ``nu @ b - mu @ p_max`` of 1.
+    """
+
+    power: Optional[np.ndarray]
+    mu: np.ndarray
+    nu: np.ndarray
+
+
+def _ray(
+    mu: np.ndarray, nu: np.ndarray, b: np.ndarray, pmax: np.ndarray
+) -> _PowerAnswer:
+    # rays are scale-free: normalize so the certified violation at this
+    # association is exactly 1, keeping the resulting cut well scaled
+    violation = float(nu @ b - mu @ pmax)
+    if violation > 0.0:
+        mu, nu = mu / violation, nu / violation
+    return _PowerAnswer(None, mu, nu)
+
+
+class _InterferenceSystem:
+    """The SINR rows of a binary association in fixed-point form.
+
+    User i served by SBS a(i) needs p_a(i) >= u_i + sum_l C[i, l] p_l with
+    u_i = gamma_i N / g_i,a(i) and C[i, l] = gamma_i g_il / g_i,a(i) off its
+    own SBS (0 on it). A set ``S`` of users holding one user per SBS gives
+    the square system (I - F_S) p = u_S over the SBSs serving them; row i
+    of ``A`` divided by g_i,a(i) holds row i of I - C.
+    """
+
+    def __init__(
+        self, A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray
+    ):
+        users = np.arange(len(b))
+        self.assigned = assigned
+        self.cap = pmax[assigned]          # per user, the cap of its SBS
+        self.own = A[users, assigned]
+        self.normalized = A / self.own[:, None]
+        self.C = -self.normalized
+        self.C[users, assigned] = 0.0
+        self.u = b / self.own
+
+    def factor(self, S: np.ndarray):
+        """LU factors of I - F_S, or None if it is exactly singular."""
+        lu, piv, info = dgetrf(self.normalized[S][:, self.assigned[S]])
+        return None if info != 0 else (lu, piv)
+
+    def least_powers(self, S: np.ndarray):
+        """(LU factors, p) of (I - F_S) p = u_S; p is None when no p > 0 solves it.
+
+        For F_S >= 0 and u_S > 0 a positive solution exists exactly when
+        the spectral radius of F_S is below 1, and it is then the least
+        p meeting the rows of S.
+        """
+        factors = self.factor(S)
+        if factors is None:
+            return None, None
+        p = dgetrs(*factors, self.u[S])[0]
+        return factors, (p if p.min() > 0.0 else None)
+
+    def most_demanding(self, r: np.ndarray) -> np.ndarray:
+        """Per serving SBS in ascending order, its user of largest ``r``.
+
+        Ties go to the lowest user index.
+        """
+        order = np.lexsort((-r, self.assigned))
+        ranked = self.assigned[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        return order[first]
+
+
+def _policy_iteration(
+    A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray,
+    T: np.ndarray,
+) -> Optional[_PowerAnswer]:
+    """Least powers of a binary association by policy iteration, with certificate.
+
+    The assigned rows form a standard interference function, so the least
+    feasible powers are its least fixed point and minimize T p (T > 0).
+    Each step fixes one binding user per serving SBS, solves the square
+    system for it, and moves every SBS to its most demanding user at those
+    powers. The powers only grow, stay below the least fixed point, and
+    settle on it after finitely many steps, unless some step proves the
+    association infeasible first: no positive solution (spectral radius
+    >= 1) or a solution above a cap. Returns None if the steps run out.
+    """
+    U, B = A.shape
+    system = _InterferenceSystem(A, b, assigned, pmax)
+    sigma = system.most_demanding(system.u)
+    for _ in range(_POLICY_STEPS):
+        factors, p_sigma = system.least_powers(sigma)
+        if p_sigma is None or (p_sigma > system.cap[sigma]).any():
+            return _irreducible_ray(system, sigma, factors, p_sigma, b, pmax)
+        cols = assigned[sigma]
+        p = np.zeros(B)
+        p[cols] = p_sigma
+        r = system.u + system.C @ p
+        best = system.most_demanding(r)
+        switch = r[best] > r[sigma] * (1.0 + _SWITCH_TOL)
+        if not switch.any():
+            # optimality duals: w = (I - F)^-T T on the serving SBSs, with
+            # nu = w / g_own on the binding rows and mu = 0
+            w = dgetrs(*factors, T[cols], trans=1)[0]
+            nu = np.zeros(U)
+            nu[sigma] = w / system.own[sigma]
+            return _PowerAnswer(p, np.zeros(B), nu)
+        sigma = np.where(switch, best, sigma)
+    return None
+
+
+def _irreducible_ray(
+    system: _InterferenceSystem, S: np.ndarray, factors, p: Optional[np.ndarray],
+    b: np.ndarray, pmax: np.ndarray,
+) -> Optional[_PowerAnswer]:
+    """Farkas ray of an irreducible infeasible subsystem within the users ``S``.
+
+    ``S`` holds one user per SBS and is infeasible; ``factors`` and ``p``
+    are what ``least_powers(S)`` returned for it. A deletion filter drops
+    its users in index order while the rest stays infeasible, which leaves
+    an irreducible infeasible subsystem (IIS): a cut from it excludes every
+    association holding those few pairs, where the full certificate would
+    exclude only those holding all of ``S``. The ray follows from one more
+    solve on the IIS. Returns None if no ray can be read off (a numerical
+    edge case).
+    """
+    for i in np.sort(S):
+        rest = S[S != i]
+        if rest.size == 0:
+            continue
+        rest_factors, q = system.least_powers(rest)
+        if q is None or (q > system.cap[rest]).any():
+            S, factors, p = rest, rest_factors, q
+    cols = system.assigned[S]
+    mu = np.zeros(len(pmax))
+    if p is not None:
+        # spectral radius below 1: the most exceeded cap j, with
+        # w = (I - F)^-T e_j and mu = e_j
+        k = int(np.argmax(p / system.cap[S]))
+        e = np.zeros(len(S))
+        e[k] = 1.0
+        w = dgetrs(*factors, e, trans=1)[0]
+        mu[cols[k]] = 1.0
+    else:
+        # spectral radius at least 1 and every proper subset feasible:
+        # w = (1, w') with (I - F')^T w' = F[first, rest] keeps the other
+        # SBSs' columns tight, and the first one's column is then <= 0
+        factors = system.factor(S[1:]) if S.size > 1 else None
+        if factors is None:
+            return None
+        head = system.C[S[0], cols[1:]]
+        w = np.concatenate([[1.0], dgetrs(*factors, head, trans=1)[0]])
+    nu = np.zeros(len(b))
+    nu[S] = w.clip(min=0.0) / system.own[S]
+    return _ray(mu, nu, b, pmax)
+
+
+def _verified(
+    A: np.ndarray, b: np.ndarray, pmax: np.ndarray, T: np.ndarray,
+    answer: _PowerAnswer,
+) -> bool:
+    """Whether a structured answer passes the checks that let it stand.
+
+    Powers pass the strict row check at ``STRICT_TOL`` and lie in
+    [0, p_max]; their duals nu, mu >= 0 satisfy A'nu - mu <= T. A ray
+    nu, mu >= 0 satisfies the Farkas inequalities with a margin: over every
+    p in [0, p_max], nu'(b - A p) + mu'(p - p_max) >= gain, where gain
+    charges any positive part of A'nu - mu at p_max. The gain must exceed
+    ``_RAY_MARGIN`` times the rows' and caps' weight, so that some row or
+    cap misses by more than the strict LP check lets pass.
+    """
+    mu, nu = answer.mu, answer.nu
+    if mu.min() < 0.0 or nu.min() < 0.0:
+        return False
+    magnitude = np.abs(A)
+    row_norm = magnitude.max(axis=1)
+    columns = nu @ A - mu
+    if answer.power is not None:
+        p = answer.power
+        slack = (A @ p - b) / row_norm
+        return bool(
+            p.min() >= 0.0
+            and (p <= pmax).all()
+            and slack.min() >= -lpmod.STRICT_TOL
+            and (columns - T <= 1e-9 * (nu @ magnitude + mu + T)).all()
+        )
+    gain = nu @ b - mu @ pmax - columns.clip(min=0.0) @ pmax
+    return bool(gain > _RAY_MARGIN * (nu @ row_norm + mu.sum()))
+
+
+def _min_power(
+    scenario: Scenario, demands: DemandMatrix, assigned: np.ndarray
+) -> _PowerAnswer:
+    """Minimum powers of a binary association with their verified certificate.
+
+    Policy iteration on the interference system answers; if its answer
+    fails ``_verified``, the strict LP answers instead, and that fallback
+    is logged. Raises ``SolverFault`` when neither gives a certificate.
+    """
+    A, b = _sinr_rows(scenario, demands, assigned)
+    T = serving_time(scenario, demands, None, "relaxed")
+    pmax = scenario.max_power
+    answer = _policy_iteration(A, b, assigned, pmax, T)
+    if answer is not None and _verified(A, b, pmax, T, answer):
+        return answer
+    logger.warning(
+        "structured power control unverified for assignment %s; solving the LP",
+        assigned.tolist(),
+    )
+    problem, result, feasible = _min_power_lp(A, b, T, pmax)
+    if feasible:
+        # the duals come from the dual LP, max b'nu - pmax'mu subject to
+        # A'nu - mu <= T, whose points are dual feasible by construction;
+        # near the boundary the strict LP's own row duals may not be. Should
+        # it find no optimum, its feasible point still gives a valid cut.
+        U, B = A.shape
+        dual = lpmod.solve_lp(lpmod.LinearProgram(
+            "max", np.concatenate([b, -pmax]), np.hstack([A.T, -np.eye(B)]), T,
+            [lpmod.LE] * B,
+        ))
+        mu, nu = _cleaned(dual.x[U:], dual.x[:U])
+        return _PowerAnswer(result.x.clip(min=0.0), mu, nu)
+    if result.status != "infeasible":
+        # rejected only by the strict vertex check: force a certificate
+        result = lpmod.solve_lp(problem, feas_tol=0.0)
+    if result.status != "infeasible":
+        raise SolverFault("power subproblem infeasible but no certificate is available")
+    mu, nu = _cleaned(-result.farkas_upper, result.farkas)
+    return _ray(mu, nu, b, pmax)
+
+
 def min_power_for(
     scenario: Scenario, demands: DemandMatrix, assoc: Association
 ) -> Optional[PowerVector]:
     """Minimum-energy powers for a fixed association, or None if infeasible."""
-    _, result, feasible = _min_power_lp(scenario, demands, assoc.assigned_sbs)
-    return PowerVector(result.x.clip(min=0.0)) if feasible else None
+    power = _min_power(scenario, demands, assoc.assigned_sbs).power
+    return None if power is None else PowerVector(power)
 
 
 def solve_subproblem(
@@ -270,67 +532,38 @@ def solve_subproblem(
     x,
     rho: float,
 ) -> Tuple[DualPoint, float]:
-    """Solve the dual subproblem at a fixed association.
+    """Solve the power subproblem at a fixed association.
 
     Bounded: extreme point and the minimum relaxed energy M. Unbounded,
     i.e. the association admits no feasible power: extreme ray and
-    M = +inf. For a binary association the feasible/infeasible verdict is
-    that of ``min_power_for``, so near-boundary associations are classified
-    uniformly; the dual LP then supplies the extreme point or ray (the
-    strict LP fills in whenever the two solves disagree at tolerance level).
+    M = +inf. A binary association is answered by ``_min_power``, the
+    routine behind ``min_power_for``, so every path gives one verdict; its
+    multipliers on the assigned rows extend with zeros to the other pairs.
+    A fractional association is solved through the dual LP.
     """
     U, B = scenario.user_count, scenario.sbs_count
     X = _as_x_matrix(x, scenario)
-    binary = np.all((X == 0.0) | (X == 1.0)) and np.all(X.sum(axis=1) == 1.0)
-    feasible: Optional[bool] = None
-    small = small_result = None
-    if binary:
+    if np.all((X == 0.0) | (X == 1.0)) and np.all(X.sum(axis=1) == 1.0):
         assigned = np.argmax(X, axis=1)
-        small, small_result, feasible = _min_power_lp(scenario, demands, assigned)
-
-    dual_lp = build_subproblem_dual(scenario, demands, x, rho)
-    result = lpmod.solve_lp(dual_lp)
-    if result.status == "infeasible":  # pragma: no cover - origin always feasible
-        raise ModelError("dual subproblem infeasible; serving times must be >= 0")
-
-    if feasible is None:
-        feasible = result.status == "optimal"
-
-    if feasible:
-        if result.status == "optimal":
-            mu, nu = _cleaned(result.x[:B], result.x[B:])
-            nu = nu.reshape(U, B)
-            M = float(result.objective)
-        else:
-            # dual of min T'p s.t. Ap >= b, p <= pmax: row duals are nu >= 0
-            # and the upper-bound duals are -mu <= 0; rows for non-assigned
-            # pairs extend with nu = 0
-            mu, nu_small = _cleaned(-small_result.upper_duals, small_result.dual)
-            nu = np.zeros((U, B))
-            nu[np.arange(U), assigned] = nu_small
-            M = float(small_result.objective)
-        return DualPoint(mu=mu, nu=nu, kind="extreme_point"), M
-
-    if result.status == "unbounded":
-        mu, nu = _cleaned(result.ray[:B], result.ray[B:])
-        primal = build_subproblem_primal(scenario, demands, X, rho)
-        violation = float(nu @ primal.b - mu @ primal.upper)
-    else:
-        # the dual solve missed the (near-boundary) infeasibility: fall back
-        # to the strict LP's Farkas certificate, extended with zeros
-        if small_result.status != "infeasible":
-            # rejected only by the strict vertex check: force a certificate
-            small_result = lpmod.solve_lp(small, feas_tol=0.0)
-        if small_result.status != "infeasible":  # pragma: no cover - see above
-            raise ModelError(
-                "power subproblem infeasible but no certificate is available"
-            )
-        mu, nu_small = _cleaned(-small_result.farkas_upper, small_result.farkas)
+        answer = _min_power(scenario, demands, assigned)
         nu = np.zeros((U, B))
-        nu[np.arange(U), assigned] = nu_small
-        violation = float(nu_small @ small.b - mu @ small.upper)
-    # rays are scale-free: normalize so the certified violation at this
-    # association is exactly 1, keeping the resulting cut well scaled
+        nu[np.arange(U), assigned] = answer.nu
+        if answer.power is None:
+            return DualPoint(mu=answer.mu, nu=nu, kind="extreme_ray"), math.inf
+        T = serving_time(scenario, demands, None, "relaxed")
+        M = float(T @ answer.power)
+        return DualPoint(mu=answer.mu, nu=nu, kind="extreme_point"), M
+
+    result = lpmod.solve_lp(build_subproblem_dual(scenario, demands, X, rho))
+    if result.status == "optimal":
+        mu, nu = _cleaned(result.x[:B], result.x[B:])
+        point = DualPoint(mu=mu, nu=nu.reshape(U, B), kind="extreme_point")
+        return point, float(result.objective)
+    if result.status != "unbounded":  # pragma: no cover - origin always feasible
+        raise ModelError("dual subproblem infeasible; serving times must be >= 0")
+    mu, nu = _cleaned(result.ray[:B], result.ray[B:])
+    primal = build_subproblem_primal(scenario, demands, X, rho)
+    violation = float(nu @ primal.b - mu @ primal.upper)
     if violation > 0.0:
         mu /= violation
         nu /= violation

@@ -6,7 +6,8 @@ generation. All outputs are deterministic given (instance, seed, flags);
 floats are written with 9 significant digits.
 
 Exit codes: 0 success, 1 solver non-convergence, 2 usage error (including
-an oracle request above the enumeration cap), 3 infeasible instance.
+an oracle request above the enumeration cap), 3 infeasible instance, 4
+internal solver fault.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .popularity import local_popularity
 
 EXIT_NONCONVERGENCE = 1
 EXIT_INFEASIBLE = 3
+EXIT_SOLVER_FAULT = 4
 
 _PAPER_SCALE_WARNING = (
     "warning: paper-scale instances (B=25, U=150, F=600) make the exact "
@@ -196,6 +198,9 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
         rows, code, trace = _solve_rows(inst, cache, algorithm, alpha, epsilon)
     except oracle.EnumerationCapError as exc:
         raise click.UsageError(str(exc))
+    except benders.SolverFault as exc:
+        click.echo(f"solver fault: {exc}", err=True)
+        sys.exit(EXIT_SOLVER_FAULT)
     except ModelError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -260,6 +265,9 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                                  _f(v.weighted)))
         except oracle.EnumerationCapError as exc:
             raise click.UsageError(str(exc))
+        except benders.SolverFault as exc:
+            click.echo(f"solver fault: {exc}", err=True)
+            sys.exit(EXIT_SOLVER_FAULT)
         except (benders.NoFeasibleAssociationError, oracle.InstanceInfeasibleError):
             infeasible += 1
     _write_csv(

@@ -14,7 +14,7 @@ for finite upper bounds), i.e. a dual ray proving the constraints empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,7 +123,7 @@ class StandardForm:
     neg_part: np.ndarray            # standard column of - part, -1 if none
     row_sign: np.ndarray            # +-1 per standard row (b-sign flips)
     n_user_rows: int                # rows from the original A (before ub rows)
-    upper_rows: list = field(default_factory=list)  # (var, std row) pairs
+    upper_vars: np.ndarray          # variable of each ub row, in row order
 
 
 def standard_form(lp: LinearProgram) -> StandardForm:
@@ -132,65 +132,64 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     Free variables are split, finite upper bounds become extra rows, and
     inequality rows gain slack/surplus columns.
     """
-    m, n = lp.num_rows, lp.num_vars
-    ub_rows = [(j, float(lp.upper[j])) for j in range(n) if np.isfinite(lp.upper[j])]
-    total_rows = m + len(ub_rows)
+    return _standard_form(
+        lp.sense, lp.c, lp.A, lp.b, lp.row_senses, lp.lower, lp.upper
+    )
 
-    pos = np.zeros(n, dtype=int)
-    neg = np.full(n, -1, dtype=int)
-    cols = []
-    c_cols = []
-    sign = 1.0 if lp.sense == "min" else -1.0
-    col = 0
-    for j in range(n):
-        a = np.zeros(total_rows)
-        a[:m] = lp.A[:, j]
-        for r, (var, _) in enumerate(ub_rows):
-            if var == j:
-                a[m + r] = 1.0
-        cols.append(a)
-        c_cols.append(sign * lp.c[j])
-        pos[j] = col
-        col += 1
-        if np.isneginf(lp.lower[j]):
-            cols.append(-a)
-            c_cols.append(-sign * lp.c[j])
-            neg[j] = col
-            col += 1
-    # slack/surplus columns
-    for r in range(m):
-        s = lp.row_senses[r]
-        if s == EQ:
-            continue
-        a = np.zeros(total_rows)
-        a[r] = 1.0 if s == LE else -1.0
-        cols.append(a)
-        c_cols.append(0.0)
-        col += 1
-    for r in range(len(ub_rows)):
-        a = np.zeros(total_rows)
-        a[m + r] = 1.0
-        cols.append(a)
-        c_cols.append(0.0)
-        col += 1
 
-    A = np.column_stack(cols) if cols else np.zeros((total_rows, 0))
-    b = np.concatenate([lp.b, [u for _, u in ub_rows]])
+def _standard_form(sense, c, A, b, row_senses, lower, upper) -> StandardForm:
+    """``standard_form`` on the LP's arrays, which are taken as validated.
+
+    Columns, in order: each variable x_j followed by its negative part if
+    x_j is free, one slack (LE, +1) or surplus (GE, -1) per inequality row,
+    then one slack per finite upper bound.
+    """
+    m, n = A.shape
+    ub_vars = np.flatnonzero(np.isfinite(upper))
+    k = len(ub_vars)
+    total_rows = m + k
+
+    free = np.isneginf(lower)
+    widths = 1 + free
+    pos = np.cumsum(widths) - widths
+    neg = np.where(free, pos + 1, -1)
+    source = np.repeat(np.arange(n), widths)
+    flip_col = np.zeros(len(source), dtype=bool)
+    flip_col[neg[free]] = True
+    obj_sign = 1.0 if sense == "min" else -1.0
+
+    structural = np.zeros((total_rows, n))
+    structural[:m] = A
+    structural[m + np.arange(k), ub_vars] = 1.0
+    structural = structural[:, source]
+    structural[:, flip_col] = -structural[:, flip_col]
+    c_struct = obj_sign * c[source]
+    c_struct[flip_col] = -c_struct[flip_col]
+
+    senses = np.asarray(row_senses, dtype=object)
+    slack_rows = np.flatnonzero(senses != EQ)
+    slacks = np.zeros((total_rows, len(slack_rows) + k))
+    slacks[slack_rows, np.arange(len(slack_rows))] = np.where(
+        senses[slack_rows] == LE, 1.0, -1.0
+    )
+    slacks[m + np.arange(k), len(slack_rows) + np.arange(k)] = 1.0
+
+    A_std = np.hstack([structural, slacks])
+    b_std = np.concatenate([b, upper[ub_vars]])
     row_sign = np.ones(total_rows)
-    flip = b < 0
+    flip = b_std < 0
     row_sign[flip] = -1.0
-    A[flip] *= -1.0
-    b = b * row_sign
+    A_std[flip] *= -1.0
     return StandardForm(
-        c=np.array(c_cols),
-        A=A,
-        b=b,
-        obj_sign=sign,
+        c=np.concatenate([c_struct, np.zeros(slacks.shape[1])]),
+        A=A_std,
+        b=b_std * row_sign,
+        obj_sign=obj_sign,
         pos_part=pos,
         neg_part=neg,
         row_sign=row_sign,
         n_user_rows=m,
-        upper_rows=[(j, m + r) for r, (j, _) in enumerate(ub_rows)],
+        upper_vars=ub_vars,
     )
 
 
@@ -325,16 +324,11 @@ def solve_lp(
     """
     row_norm = np.abs(lp.A).max(axis=1, initial=0.0)
     scale = np.where(row_norm > 0.0, 1.0 / np.maximum(row_norm, 1e-300), 1.0)
-    scaled = LinearProgram(
-        lp.sense,
-        lp.c,
-        lp.A * scale[:, None],
-        lp.b * scale,
-        list(lp.row_senses),
-        lower=lp.lower.copy(),
-        upper=lp.upper.copy(),
+    std = _standard_form(
+        lp.sense, lp.c, lp.A * scale[:, None], lp.b * scale, lp.row_senses,
+        lp.lower, lp.upper,
     )
-    result = _solve_equilibrated(scaled, tol, feas_tol)
+    result = _solve_equilibrated(std, lp.num_vars, tol, feas_tol)
     if result.dual is not None:
         result.dual = result.dual * scale
     if result.farkas is not None:
@@ -343,9 +337,8 @@ def solve_lp(
 
 
 def _solve_equilibrated(
-    lp: LinearProgram, tol: float, feas_tol: float
+    std: StandardForm, n_vars: int, tol: float, feas_tol: float
 ) -> LpResult:
-    std = standard_form(lp)
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
 
@@ -355,9 +348,8 @@ def _solve_equilibrated(
         # y' A_col + y_upper[j] <= 0 per column and y' b + y_upper' u > 0
         y_full = farkas * std.row_sign
         fk = y_full[: std.n_user_rows]
-        fk_upper = np.zeros(lp.num_vars)
-        for j, r in std.upper_rows:
-            fk_upper[j] = y_full[r]
+        fk_upper = np.zeros(n_vars)
+        fk_upper[std.upper_vars] = y_full[std.n_user_rows:]
         return LpResult(status="infeasible", farkas=fk, farkas_upper=fk_upper)
 
     # phase two: forbid artificial columns by pricing them out
@@ -369,19 +361,18 @@ def _solve_equilibrated(
     z = np.zeros(n + m)
     for pos_i, bi in enumerate(basis):
         z[bi] = xB[pos_i]
-    x = _to_original(std, z, lp.num_vars)
+    x = _to_original(std, z, n_vars)
 
     if status == "unbounded":
-        r = _to_original(std, ray, lp.num_vars)
+        r = _to_original(std, ray, n_vars)
         return LpResult(status="unbounded", x=x, ray=r)
 
     obj = std.obj_sign * float(std.c @ z[:n])
     # duals in original row space: undo b-sign flips; match the problem sense
     y_full = y * std.row_sign
     dual = std.obj_sign * y_full[: std.n_user_rows]
-    ub_dual = np.zeros(lp.num_vars)
-    for j, r in std.upper_rows:
-        ub_dual[j] = std.obj_sign * y_full[r]
+    ub_dual = np.zeros(n_vars)
+    ub_dual[std.upper_vars] = std.obj_sign * y_full[std.n_user_rows:]
     return LpResult(
         status="optimal", x=x, objective=obj, dual=dual, upper_duals=ub_dual
     )

@@ -1,8 +1,10 @@
 """Ground-truth solver: exhaustive enumeration over binary associations.
 
 Deliberately simple so it can be trusted: a mixed-radix counter walks
-every row-stochastic binary association, each one gets an exact
-minimum-power LP, and the weighted objective is compared directly.
+every row-stochastic binary association, each one gets its exact minimum
+powers and feasible/infeasible verdict from ``benders.min_power_for`` (the
+verified least fixed point of the SINR rows, or the strict LP when that
+fails its checks), and the weighted objective is compared directly.
 """
 
 from __future__ import annotations

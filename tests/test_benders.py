@@ -1,9 +1,12 @@
 """Decomposition machinery: cuts, subproblem duality, master, full loop."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.benders import (
@@ -34,6 +37,8 @@ from dscnopt.model import (
 from dscnopt.oracle import brute_force, iter_assignments
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
+
+from test_lp import verify_farkas
 
 
 def small_scenario(gains, thresholds, max_power=1.0):
@@ -276,6 +281,203 @@ class TestRecoverPower:
             verdicts.add(feasible)
         # each case holds both feasible and infeasible associations
         assert verdicts == {True, False}
+
+
+def strict_lp(s, demands, assigned, users=None):
+    """The strict minimum-power LP over the SINR rows of ``users``, solved.
+
+    Returns (problem, result, feasible), the verdict being that of
+    ``solution_violation`` at ``STRICT_TOL``.
+    """
+    if users is None:
+        users = np.arange(s.user_count)
+    rows = np.arange(len(users))
+    g = s.channel_gains[users]
+    gammas = requested_thresholds(s, demands)[users]
+    A = -gammas[:, None] * g
+    A[rows, assigned[users]] = g[rows, assigned[users]]
+    problem = lpmod.LinearProgram(
+        "min", serving_time(s, demands, None, "relaxed"), A,
+        gammas * s.noise_power, [lpmod.GE] * len(users), upper=s.max_power.copy(),
+    )
+    result = lpmod.solve_lp(problem, feas_tol=lpmod.STRICT_TOL)
+    feasible = (
+        result.status == "optimal"
+        and lpmod.solution_violation(problem, result.x) <= lpmod.STRICT_TOL
+    )
+    return problem, result, feasible
+
+
+def check_answer(s, demands, assigned, answer, minimal=None, tol=1e-7):
+    """Check a ``_min_power`` answer against the strict LP built here.
+
+    Asserts that the verdicts and powers match, that optimality duals are
+    dual feasible, and that a ray passes the Farkas inequalities at
+    ``tol``. ``minimal`` is None for an answer of the LP fallback; for a
+    structured answer it caches, by the (user, SBS) pairs of a ray's
+    support, whether dropping any one of its users leaves a feasible
+    system, which is asserted, as is b'nu - pmax'mu = T p for its
+    optimality duals. Returns the verdict.
+    """
+    problem, result, feasible = strict_lp(s, demands, assigned)
+    assert (answer.power is not None) == feasible, assigned
+    A, b, T = problem.A, problem.b, problem.c
+    mu, nu = answer.mu, answer.nu
+    assert mu.min() >= 0.0 and nu.min() >= 0.0
+    if feasible:
+        x = result.x.clip(min=0.0)
+        assert np.abs(answer.power - x).max() <= 1e-12 * x.max()
+        assert np.all(nu @ A - mu <= T * (1.0 + 1e-9))
+        if minimal is not None:
+            energy = float(T @ answer.power)
+            assert float(nu @ b - mu @ s.max_power) == pytest.approx(energy, rel=1e-9)
+        return True
+    # on the equilibrated rows, with the ray scaled to unit size, so that
+    # the tolerances of verify_farkas are relative ones
+    norm = np.abs(A).max(axis=1)
+    scaled = lpmod.LinearProgram(
+        "min", T, A / norm[:, None], b / norm, problem.row_senses,
+        upper=problem.upper,
+    )
+    size = max((nu * norm).max(), mu.max())
+    verify_farkas(
+        scaled,
+        lpmod.LpResult("infeasible", farkas=nu * norm / size, farkas_upper=-mu / size),
+        tol=tol,
+    )
+    if minimal is not None:
+        support = np.flatnonzero(nu)
+        key = tuple((int(i), int(assigned[i])) for i in support)
+        if key not in minimal:
+            minimal[key] = all(
+                strict_lp(s, demands, assigned, support[support != i])[2]
+                for i in support
+            )
+        assert minimal[key], key
+    return False
+
+
+def uncapped_least_powers(s, demands, assigned):
+    """Least fixed point of the interference function by Yates' iteration."""
+    users = np.arange(s.user_count)
+    g = s.channel_gains
+    gammas = requested_thresholds(s, demands)
+    own = g[users, assigned]
+    C = gammas[:, None] * g / own[:, None]
+    C[users, assigned] = 0.0
+    u = gammas * s.noise_power / own
+    p = np.zeros(s.sbs_count)
+    for _ in range(100_000):
+        new = np.zeros(s.sbs_count)
+        np.maximum.at(new, assigned, u + C @ p)
+        diverged = new.max() > 1e3 * s.max_power.max()
+        if diverged or np.allclose(new, p, rtol=1e-16, atol=0.0):
+            return new
+        p = new
+    raise AssertionError("Yates iteration did not settle")
+
+
+class TestStructuredPower:
+    def test_matches_strict_lp_on_every_association(self, caplog):
+        verdicts = {True: 0, False: 0}
+        with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
+            for seed in range(10):
+                inst = scn.generate(scn.desk_scale(), seed)
+                s, demands = inst.scenario, inst.demands
+                minimal = {}
+                for assigned in iter_assignments(s.user_count, s.sbs_count):
+                    answer = benders._min_power(s, demands, assigned)
+                    verdicts[check_answer(s, demands, assigned, answer, minimal)] += 1
+        assert not caplog.records          # no LP fallback
+        assert verdicts[True] >= 50 and verdicts[False] >= 5000
+
+    def test_near_boundary_thresholds(self, caplog):
+        # thresholds scaled so that the least powers sit a hair inside or
+        # outside the cap of the SBS that reaches it first
+        checked = 0
+        for seed in range(5):
+            inst = scn.generate(scn.desk_scale(), seed)
+            s, demands = inst.scenario, inst.demands
+            feasible = [
+                a for a in iter_assignments(s.user_count, s.sbs_count)
+                if benders._min_power(s, demands, a).power is not None
+            ]
+            for assigned in feasible[:2]:
+                def excess(t):
+                    scaled = dataclasses.replace(
+                        s, sinr_thresholds=t * s.sinr_thresholds
+                    )
+                    p = uncapped_least_powers(scaled, demands, assigned)
+                    return float((p / s.max_power).max()) - 1.0
+
+                t_hi = 1.0
+                while excess(t_hi) < 0.0:
+                    t_hi *= 1.5
+                for offset in (-1e-9, 1e-9, -1e-12, 1e-12):
+                    t = brentq(lambda t: excess(t) - offset, 1.0, t_hi,
+                               xtol=1e-16, rtol=1e-15)
+                    scaled = dataclasses.replace(
+                        s, sinr_thresholds=t * s.sinr_thresholds
+                    )
+                    p = uncapped_least_powers(scaled, demands, assigned)
+                    assert abs((p / s.max_power).max() - 1.0 - offset) < 1e-13
+                    caplog.clear()
+                    with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
+                        answer = benders._min_power(scaled, demands, assigned)
+                    # inside the cap the structured answer stands; just
+                    # outside, the LP may judge by its tolerance, and rays
+                    # left to it need not be minimal
+                    assert offset > 0.0 or not caplog.records
+                    check_answer(scaled, demands, assigned, answer,
+                                 None if caplog.records else {}, tol=1e-13)
+                    checked += 1
+        assert checked == 40
+
+    def test_fallback_answers_by_lp_and_logs(self, monkeypatch, caplog):
+        inst = scn.generate(scn.desk_scale(), 0)
+        for s, demands in (mixed_case()[:2], (inst.scenario, inst.demands)):
+            rho = varrho(s, demands)
+            T = serving_time(s, demands, None, "relaxed")
+            everything = list(iter_assignments(s.user_count, s.sbs_count))
+            energies = {}
+            for assigned in everything:
+                assoc = Association.from_assignment(assigned, s.sbs_count)
+                power = min_power_for(s, demands, assoc)
+                if power is not None:
+                    energies[tuple(assigned)] = float(T @ power.p)
+            for assigned in everything[::13] + [np.array(a) for a in energies]:
+                assoc = Association.from_assignment(assigned, s.sbs_count)
+                caplog.clear()
+                with monkeypatch.context() as m, caplog.at_level(
+                    logging.WARNING, logger="dscnopt.benders"
+                ):
+                    m.setattr(benders, "_verified", lambda *args: False)
+                    point, M = solve_subproblem(s, demands, assoc, rho)
+                assert len(caplog.records) == 1
+                assert caplog.records[0].name == "dscnopt.benders"
+                assert math.isfinite(M) == (tuple(assigned) in energies)
+                cut = Cut.from_dual_point(s, demands, rho, point)
+                if math.isfinite(M):
+                    assert M == pytest.approx(energies[tuple(assigned)], rel=1e-9)
+                    assert cut.value(assoc) == pytest.approx(M, rel=1e-7)
+                else:
+                    assert cut.value(assoc) == pytest.approx(1.0, rel=1e-9)
+                for other, energy in energies.items():
+                    h = cut.value(
+                        Association.from_assignment(np.array(other), s.sbs_count)
+                    )
+                    if cut.kind == "feasibility":
+                        assert h <= 1e-9 * cut.magnitude
+                    else:
+                        assert h <= energy + 1e-9 * max(1.0, energy)
+
+    def test_no_certificate_is_a_solver_fault(self, monkeypatch):
+        s, demands, _ = mixed_case()
+        zero = lpmod.LpResult("optimal", x=np.zeros(2), objective=0.0)
+        monkeypatch.setattr(benders, "_verified", lambda *args: False)
+        monkeypatch.setattr(lpmod, "solve_lp", lambda *args, **kwargs: zero)
+        with pytest.raises(benders.SolverFault):
+            min_power_for(s, demands, Association([[1, 0], [0, 1]]))
 
 
 class TestMaster:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dscnopt import scenario as scn
+from dscnopt import benders, scenario as scn
 from dscnopt.cli import main
 
 
@@ -146,6 +146,25 @@ class TestSolve:
         assert_cap_usage_error(result)
 
 
+    def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
+        result = runner.invoke(main, ["solve", "--out", str(tmp_path / "o.csv")])
+        assert_solver_fault(result)
+
+
+def raise_solver_fault(*args):
+    raise benders.SolverFault("power subproblem: no certificate is available")
+
+
+def assert_solver_fault(result):
+    """An internal fault has its own exit code and is not called infeasible."""
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert "solver fault: power subproblem" in result.output
+    assert "infeasible" not in result.output
+    assert "Traceback" not in result.output
+
+
 def assert_cap_usage_error(result):
     """The oracle's enumeration cap is a usage error: exit 2, no traceback."""
     assert result.exit_code == 2
@@ -212,6 +231,16 @@ class TestSweepAlpha:
              "--grid", "0.5", "--out", str(tmp_path / "o.csv")],
         )
         assert_cap_usage_error(result)
+
+    @pytest.mark.parametrize("algorithm", ["oracle", "ucwt"])
+    def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch, algorithm):
+        monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--algorithm", algorithm, "--grid", "0.5",
+             "--out", str(tmp_path / "o.csv")],
+        )
+        assert_solver_fault(result)
 
 
 class TestCompareCaching:

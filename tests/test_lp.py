@@ -245,6 +245,83 @@ class TestRandomized:
                 )
 
 
+def loop_standard_form(problem: lp.LinearProgram):
+    """The column-at-a-time standard-form builder the array one replaced.
+
+    Returns (A, b, c, obj_sign, pos, neg, row_sign, upper_vars).
+    """
+    m, n = problem.num_rows, problem.num_vars
+    ub_rows = [(j, float(problem.upper[j])) for j in range(n)
+               if np.isfinite(problem.upper[j])]
+    total_rows = m + len(ub_rows)
+    pos = np.zeros(n, dtype=int)
+    neg = np.full(n, -1, dtype=int)
+    cols, c_cols = [], []
+    sign = 1.0 if problem.sense == "min" else -1.0
+    col = 0
+    for j in range(n):
+        a = np.zeros(total_rows)
+        a[:m] = problem.A[:, j]
+        for r, (var, _) in enumerate(ub_rows):
+            if var == j:
+                a[m + r] = 1.0
+        cols.append(a)
+        c_cols.append(sign * problem.c[j])
+        pos[j] = col
+        col += 1
+        if np.isneginf(problem.lower[j]):
+            cols.append(-a)
+            c_cols.append(-sign * problem.c[j])
+            neg[j] = col
+            col += 1
+    for r in range(m):
+        s = problem.row_senses[r]
+        if s == lp.EQ:
+            continue
+        a = np.zeros(total_rows)
+        a[r] = 1.0 if s == lp.LE else -1.0
+        cols.append(a)
+        c_cols.append(0.0)
+    for r in range(len(ub_rows)):
+        a = np.zeros(total_rows)
+        a[m + r] = 1.0
+        cols.append(a)
+        c_cols.append(0.0)
+    A = np.column_stack(cols) if cols else np.zeros((total_rows, 0))
+    b = np.concatenate([problem.b, [u for _, u in ub_rows]])
+    row_sign = np.ones(total_rows)
+    flip = b < 0
+    row_sign[flip] = -1.0
+    A[flip] *= -1.0
+    upper_vars = np.array([j for j, _ in ub_rows], dtype=int)
+    return A, b * row_sign, np.array(c_cols), sign, pos, neg, row_sign, upper_vars
+
+
+class TestStandardForm:
+    def test_matches_loop_reference(self):
+        # bit for bit, on LPs with free variables, all row senses, finite
+        # and infinite upper bounds, both senses, and no rows
+        rng = np.random.default_rng(5)
+        problems = []
+        for _ in range(300):
+            problem = random_lp(rng)
+            problem.lower = np.where(rng.random(problem.num_vars) < 0.3,
+                                     -np.inf, 0.0)
+            problems.append(problem)
+        problems.append(lp.LinearProgram("max", [1.0, -2.0], np.zeros((0, 2)), [], []))
+        for problem in problems:
+            std = lp.standard_form(problem)
+            A, b, c, sign, pos, neg, row_sign, upper_vars = loop_standard_form(problem)
+            for new, old in ((std.A, A), (std.b, b), (std.c, c), (std.pos_part, pos),
+                             (std.neg_part, neg), (std.row_sign, row_sign),
+                             (std.upper_vars, upper_vars)):
+                assert new.shape == old.shape
+                assert new.dtype == old.dtype
+                assert new.tobytes() == old.tobytes()
+            assert std.obj_sign == sign
+            assert std.n_user_rows == problem.num_rows
+
+
 class TestSolutionViolation:
     def test_zero_for_feasible_point(self):
         problem = lp.LinearProgram(
