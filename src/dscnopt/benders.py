@@ -8,8 +8,8 @@ delivery delay over all collected cuts. It is solved exactly: by
 vectorized enumeration of every binary association while there are at
 most ``_MASTER_ENUMERATION_LIMIT`` of them, and by branch-and-bound with
 LP-relaxation bounds above that. Enumeration keeps a running table of cut
-scores over all associations, so a ``ucwt`` run scores each cut once, not
-once per iteration.
+scores over all associations and scores each cut of a ``ucwt`` run once, by
+outer sums of its per-user terms; no matrix of the associations is built.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -674,37 +674,31 @@ def _master_relaxation(
     return result, x_full, const, free
 
 
-_assignment_cache: dict = {}
+def _grid_sum(coef: np.ndarray) -> np.ndarray:
+    """The B**U vector of sum_i coef[i, a_i] over all assignments a.
 
-
-def _all_assignment_matrices(U: int, B: int) -> np.ndarray:
-    """(B**U, U*B) matrix of all flattened binary associations, lexicographic."""
-    key = (U, B)
-    if key not in _assignment_cache:
-        grids = np.meshgrid(*[np.arange(B)] * U, indexing="ij")
-        assigned = np.stack([g.ravel() for g in grids], axis=1)   # (B**U, U)
-        flat = np.zeros((assigned.shape[0], U * B))
-        rows = np.repeat(np.arange(assigned.shape[0]), U)
-        cols = (np.tile(np.arange(U), assigned.shape[0]) * B + assigned.ravel())
-        flat[rows, cols] = 1.0
-        _assignment_cache[key] = flat
-    return _assignment_cache[key]
+    Lexicographic order, user 0 most significant. Built from the last user
+    to the first, so the long axis of each outer sum stays innermost.
+    """
+    h = np.zeros(1)
+    for row in coef[::-1]:
+        h = (row[:, None] + h).ravel()
+    return h
 
 
 class _CutTable:
     """The enumerated master's running scores over every binary association.
 
-    Holds the B**U associations, their delivery delays, and the eta and
-    feasibility mask of the cuts absorbed so far, so that each cut of a
-    growing list is scored against the associations only once.
+    Holds, per association in lexicographic order, the delivery delay and
+    the eta and feasibility mask of the cuts absorbed so far; each cut of a
+    growing list is scored once, by outer sums over users (``_grid_sum``).
     """
 
     def __init__(self, U: int, B: int, dcoef: np.ndarray):
         self.shape = (U, B)
-        self.flat = _all_assignment_matrices(U, B)
-        self.delay = self.flat @ dcoef.ravel()
-        self.eta = np.zeros(self.flat.shape[0])
-        self.feasible = np.ones(self.flat.shape[0], dtype=bool)
+        self.delay = _grid_sum(dcoef)
+        self.eta = np.zeros(self.delay.size)
+        self.feasible = np.ones(self.delay.size, dtype=bool)
         self.absorbed = 0
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
@@ -714,7 +708,7 @@ class _CutTable:
                 f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
             )
         for cut in cuts[self.absorbed:]:
-            h = cut.constant + self.flat @ cut.coef.ravel()
+            h = cut.constant + _grid_sum(cut.coef)
             if cut.kind == "feasibility":
                 self.feasible &= h <= 1e-9 * cut.magnitude
             else:
@@ -728,9 +722,10 @@ class _CutTable:
         values = alpha * self.eta + (1.0 - alpha) * self.delay
         values[~self.feasible] = np.inf
         k = int(np.argmin(values))
-        x = self.flat[k].reshape(self.shape).astype(np.int8)
+        U, B = self.shape
+        assoc = Association.from_assignment(np.unravel_index(k, (B,) * U), B)
         return MasterSolution(
-            eta=float(self.eta[k]), assoc=Association(x), value=float(values[k])
+            eta=float(self.eta[k]), assoc=assoc, value=float(values[k])
         )
 
 
@@ -744,15 +739,16 @@ def solve_master(
 ) -> MasterSolution:
     """Exact master solve over binary associations.
 
-    Small association spaces are enumerated wholesale with vectorized cut
-    evaluation, keeping the lexicographically first optimum. ``table`` holds
-    the scores of the cuts passed on earlier calls with the same growing
-    ``cuts`` list, so only the new cuts are scored; without one, a fresh
-    table scores them all. ``ucwt`` keeps one table per run, so each of its
-    cuts is scored once. Larger spaces use branch-and-bound: branch on the
-    most fractional x_ij of the node relaxation, exploring the x_ij = 1
-    child first, with LP bounds pruning against the incumbent and ties
-    keeping the first incumbent found. Both paths are deterministic.
+    Small association spaces are enumerated wholesale, scoring each cut by
+    outer sums of its per-user coefficients (no association matrix) and
+    keeping the lexicographically first optimum. ``table`` holds the scores
+    of the cuts passed on earlier calls with the same growing ``cuts``
+    list, so only the new cuts are scored; without one, a fresh table
+    scores them all. ``ucwt`` keeps one table per run, so each of its cuts
+    is scored once. Larger spaces use branch-and-bound: branch on the most
+    fractional x_ij of the node relaxation, exploring the x_ij = 1 child
+    first, with LP bounds pruning against the incumbent and ties keeping
+    the first incumbent found. Both paths are deterministic.
     """
     U, B = scenario.user_count, scenario.sbs_count
     if B**U <= _MASTER_ENUMERATION_LIMIT:

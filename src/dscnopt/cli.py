@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import sys
-from typing import List, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 import click
 import numpy as np
@@ -103,6 +103,11 @@ def _parse_grid(raw: str, name: str) -> List[float]:
     if not values:
         raise click.UsageError(f"{name} must be non-empty")
     return values
+
+
+def _exit_solver_fault(exc: Exception) -> NoReturn:
+    click.echo(f"solver fault: {exc}", err=True)
+    sys.exit(EXIT_SOLVER_FAULT)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -199,8 +204,7 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     except oracle.EnumerationCapError as exc:
         raise click.UsageError(str(exc))
     except benders.SolverFault as exc:
-        click.echo(f"solver fault: {exc}", err=True)
-        sys.exit(EXIT_SOLVER_FAULT)
+        _exit_solver_fault(exc)
     except ModelError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -266,8 +270,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
         except oracle.EnumerationCapError as exc:
             raise click.UsageError(str(exc))
         except benders.SolverFault as exc:
-            click.echo(f"solver fault: {exc}", err=True)
-            sys.exit(EXIT_SOLVER_FAULT)
+            _exit_solver_fault(exc)
         except (benders.NoFeasibleAssociationError, oracle.InstanceInfeasibleError):
             infeasible += 1
     _write_csv(
@@ -323,6 +326,8 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
                     res = benders.ucwt(s, inst.demands, cache, alpha)
                     v = objective(s, inst.demands, cache, res.assoc, res.power)
                     energy, delay = _f(v.energy), _f(v.delay)
+                except benders.SolverFault as exc:
+                    _exit_solver_fault(exc)
                 except benders.NoFeasibleAssociationError:
                     energy = delay = ""
                 rows.append((name, _f(frac), seed + r, _f(mean_hit), energy, delay))
@@ -382,6 +387,8 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
             for name, run in solvers.items():
                 try:
                     res = run()
+                except benders.SolverFault as exc:
+                    _exit_solver_fault(exc)
                 except ModelError:
                     continue
                 v = objective(s, inst.demands, cache, res.assoc, res.power)

@@ -21,8 +21,12 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
-def _frozen_int(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.int8)
+def _frozen_binary(a, name: str) -> np.ndarray:
+    """Read-only int8 copy of a 0/1 matrix, checked before the cast."""
+    raw = np.asarray(a)
+    if raw.ndim != 2 or not ((raw == 0) | (raw == 1)).all():
+        raise ModelError(f"{name} must be a binary matrix")
+    arr = raw.astype(np.int8)
     arr.setflags(write=False)
     return arr
 
@@ -130,10 +134,8 @@ class DemandMatrix:
     theta: np.ndarray
 
     def __post_init__(self):
-        th = _frozen_int(self.theta)
+        th = _frozen_binary(self.theta, "theta")
         object.__setattr__(self, "theta", th)
-        if th.ndim != 2 or not np.isin(th, (0, 1)).all():
-            raise ModelError("theta must be a binary matrix")
         if np.any(th.sum(axis=1) != 1):
             raise ModelError("each user must request exactly one file")
 
@@ -150,19 +152,15 @@ class Association:
     x: np.ndarray
 
     def __post_init__(self):
-        x = _frozen_int(self.x)
+        x = _frozen_binary(self.x, "x")
         object.__setattr__(self, "x", x)
-        if x.ndim != 2 or not np.isin(x, (0, 1)).all():
-            raise ModelError("x must be a binary matrix")
         if np.any(x.sum(axis=1) != 1):
             raise ModelError("each user must associate with exactly one SBS")
 
     @classmethod
     def from_assignment(cls, assigned_sbs, sbs_count: int) -> "Association":
         assigned = np.asarray(assigned_sbs, dtype=int)
-        x = np.zeros((assigned.size, sbs_count), dtype=np.int8)
-        x[np.arange(assigned.size), assigned] = 1
-        return cls(x)
+        return cls(np.eye(sbs_count, dtype=np.int8)[assigned])
 
     @property
     def assigned_sbs(self) -> np.ndarray:
@@ -194,10 +192,8 @@ class CachePlacement:
     y: np.ndarray
 
     def __post_init__(self):
-        y = _frozen_int(self.y)
+        y = _frozen_binary(self.y, "y")
         object.__setattr__(self, "y", y)
-        if y.ndim != 2 or not np.isin(y, (0, 1)).all():
-            raise ModelError("y must be a binary matrix")
 
     def check_capacity(self, scenario: Scenario) -> bool:
         used = self.y @ scenario.file_sizes

@@ -27,7 +27,7 @@ from dscnopt.benders import (
     varrho,
 )
 from dscnopt.model import Association, ModelError, serving_time
-from dscnopt.oracle import brute_force_sweep, enumerate_candidates
+from dscnopt.oracle import brute_force_sweep, enumerate_candidates, iter_assignments
 from dscnopt.placement import (
     DEFAULT_GRID_BYTES,
     _greedy_fill,
@@ -334,9 +334,9 @@ def test_criterion_10_penalty_equivalence():
             eta = max([0.0] + [c.value(x) for c in cut_pool])
             return rmp_penalty_value(s, demands, cache, cut_pool, 0.5, lam, eta, x)
 
-        flat = benders._all_assignment_matrices(s.user_count, s.sbs_count)
         binary_min = min(
-            value_at(row.reshape(s.user_count, s.sbs_count)) for row in flat
+            value_at(Association.from_assignment(a, s.sbs_count))
+            for a in iter_assignments(s.user_count, s.sbs_count)
         )
         assert binary_min == pytest.approx(master.value, rel=1e-9, abs=1e-9)
         for _ in range(50):

@@ -551,6 +551,57 @@ class TestMaster:
             with pytest.raises(ModelError):
                 table.absorb(cuts[:-1])
 
+    @pytest.mark.parametrize("U, B", [(1, 3), (3, 1), (1, 1), (6, 3), (15, 2)])
+    def test_grid_sum_matches_enumeration(self, U, B):
+        coef = np.random.default_rng(10 * U + B).uniform(0.5, 2.0, (U, B))
+        h = benders._grid_sum(coef)
+        expected = [coef[np.arange(U), a].sum() for a in iter_assignments(U, B)]
+        assert h.shape == (B**U,)
+        np.testing.assert_allclose(h, expected, rtol=1e-12, atol=0)
+
+    def test_master_matches_brute_force_on_random_cuts(self):
+        for seed in range(3):
+            inst, placement = desk_pipeline(seed)
+            s, demands = inst.scenario, inst.demands
+            U, B = s.user_count, s.sbs_count
+            rng = np.random.default_rng(200 + seed)
+            cuts = [
+                Cut(float(rng.normal()), rng.normal(size=(U, B)), "optimality")
+                for _ in range(6)
+            ]
+            for _ in range(2):
+                # a feasibility cut that keeps a random association feasible
+                coef = rng.normal(size=(U, B))
+                kept = coef[np.arange(U), rng.integers(0, B, U)].sum()
+                cuts.append(Cut(-float(kept) - 0.5, coef, "feasibility"))
+            dcoef = delay_coefficients(s, demands, placement)
+            for alpha in (0.0, 0.5, 1.0):
+                sol = solve_master(s, demands, placement, cuts, alpha)
+                values = []
+                for a in iter_assignments(U, B):
+                    x = Association.from_assignment(a, B).x
+                    eta = benders._eta_for(x, cuts)
+                    if eta is not None:
+                        values.append(alpha * eta + (1 - alpha) * (dcoef * x).sum())
+                assert sol.value == pytest.approx(min(values), rel=1e-12, abs=1e-12)
+                eta = benders._eta_for(sol.assoc.x, cuts)
+                assert eta == pytest.approx(sol.eta, rel=1e-12, abs=1e-12)
+
+    def test_equal_coefficients_keep_lexicographic_first(self):
+        inst, placement = desk_pipeline(0)
+        s, demands = inst.scenario, inst.demands
+        U, B = s.user_count, s.sbs_count
+        flat = Cut(1.0, np.tile(np.arange(U, dtype=float)[:, None], (1, B)),
+                   "optimality")
+        sol = solve_master(s, demands, placement, [flat], alpha=1.0)
+        assert sol.assoc.assigned_sbs.tolist() == [0] * U
+        # cutting off user 0 at SBS 0 moves the optimum to the next association
+        coef = np.zeros((U, B))
+        coef[0, 0] = 1.0
+        cutoff = Cut(-0.5, coef, "feasibility")
+        sol = solve_master(s, demands, placement, [flat, cutoff], alpha=1.0)
+        assert sol.assoc.assigned_sbs.tolist() == [1] + [0] * (U - 1)
+
 
 class TestPenalty:
     def test_binary_matches_master_objective(self):

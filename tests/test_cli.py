@@ -267,6 +267,15 @@ class TestCompareCaching:
             for s in ("0", "1", "2"):
                 assert table[(policy, "1", s)] == pytest.approx(1.0)
 
+    def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
+        result = runner.invoke(
+            main,
+            ["compare-caching", "--seeds", "1", "--capacity-grid", "0.5",
+             "--out", str(tmp_path / "o.csv")],
+        )
+        assert_solver_fault(result)
+
 
 class TestCompareAlgorithms:
     def test_users_sweep_schema(self, runner, tmp_path):
@@ -301,3 +310,12 @@ class TestCompareAlgorithms:
             outs.append(read_csv(str(out)))
         assert outs[0] == outs[1]
         assert outs[0][0][-1] == "sampled_delay_seconds"
+
+    def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
+        result = runner.invoke(
+            main,
+            ["compare-algorithms", "--seeds", "1", "--grid", "4",
+             "--out", str(tmp_path / "o.csv")],
+        )
+        assert_solver_fault(result)

@@ -94,6 +94,17 @@ class TestStructuredTypes:
         with pytest.raises(ModelError):
             Association([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("cls", [DemandMatrix, Association, CachePlacement])
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.5, 0], [0, 1]], [[257, 0], [0, 1]], [[0.9, 1.0]]],
+        ids=["fraction", "wraps-in-int8", "truncates-in-int8"],
+    )
+    def test_binary_matrix_rejects_non_binary_entries(self, cls, matrix):
+        # each would cast to a valid 0/1 int8 matrix
+        with pytest.raises(ModelError, match="binary matrix"):
+            cls(np.array(matrix))
+
     def test_power_vector_bounds(self):
         s = tiny_scenario()
         assert PowerVector([0.5, 1.0]).check_bounds(s)
