@@ -4,12 +4,16 @@ The continuous subproblem is the minimum-energy power control for a fixed
 association; bounded solves yield dual extreme points (optimality cuts)
 and unbounded ones extreme rays (feasibility cuts). The master picks the
 association, minimizing the weighted energy lower bound plus total
-delivery delay over all collected cuts. It is solved exactly: by
-vectorized enumeration of every binary association while there are at
-most ``_MASTER_ENUMERATION_LIMIT`` of them, and by branch-and-bound with
-LP-relaxation bounds above that. Enumeration keeps a running table of cut
-scores over all associations and scores each cut of a ``ucwt`` run once, by
-outer sums of its per-user terms; no matrix of the associations is built.
+delivery delay over all collected cuts. It is solved exactly, with no
+LP: by vectorized enumeration of every binary association while there
+are at most ``_MASTER_ENUMERATION_LIMIT`` of them, and by a depth-first
+search over users above that. Enumeration keeps a running table of cut
+scores over all associations and scores each cut of a ``ucwt`` run once,
+by outer sums of its per-user terms; no matrix of the associations is
+built. The search bounds each cut over the completions of a partial
+association by its fixed terms plus each free user's least coefficient;
+since 1/varrho dominates, this is the combinatorial cut bound of Codato
+& Fischetti (Oper. Res. 2006).
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -19,9 +23,9 @@ optimality duals, or a Farkas ray cut down to an irreducible infeasible
 subsystem, from the same solves. Every answer is verified; one that fails
 is answered by the strict minimum-power LP instead. ``min_power_for``, the
 subproblem, power recovery, the baselines and the oracle all take their
-powers and their feasible/infeasible verdict from it. Only a fractional
-association (the all-zero start of ``ucwt``) is solved through the dual
-LP.
+powers and their feasible/infeasible verdict from it. ``ucwt`` starts
+from the master's answer with no cuts, so every association it solves is
+binary.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -55,10 +59,8 @@ from .model import (
 )
 
 DEFAULT_MAX_ITERS = 500
-_INTEGRALITY_TOL = 1e-6
-_PRUNE_TOL = 1e-9
-# below this many binary associations the master is solved by vectorized
-# enumeration; above it, by branch-and-bound with LP-relaxation bounds
+# up to this many binary associations the master is solved by vectorized
+# enumeration; above it, by a depth-first search with cut bounds
 _MASTER_ENUMERATION_LIMIT = 20_000
 # policy iteration: steps before giving up to the LP, and the relative gain
 # in a user's power requirement that moves its SBS's binding row to it
@@ -84,20 +86,16 @@ class SolverFault(ModelError):
     """An internal failure: no path yields a certificate for a subproblem."""
 
 
-def varrho(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    interferer_count: Optional[int] = None,
-) -> float:
+def varrho(scenario: Scenario, demands: DemandMatrix) -> float:
     """SINR-deactivation constant: min_i 1 / (gamma_i ((I-1) p_max g_max + noise)).
 
-    ``interferer_count`` defaults to the SBS count, so 1/varrho exceeds any
-    user's threshold times the worst-case interference-plus-noise level.
+    I is the SBS count, so 1/varrho exceeds any user's threshold times the
+    worst-case interference-plus-noise level.
     """
     gammas = requested_thresholds(scenario, demands)
     if np.any(gammas <= 0):
         raise ModelError("every requested-file SINR threshold must be positive")
-    I = scenario.sbs_count if interferer_count is None else interferer_count
+    I = scenario.sbs_count
     p_bar = float(scenario.max_power.max())
     g_bar = float(scenario.channel_gains.max())
     worst = (I - 1) * p_bar * g_bar + scenario.noise_power
@@ -527,47 +525,29 @@ def min_power_for(
 
 
 def solve_subproblem(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    x,
-    rho: float,
+    scenario: Scenario, demands: DemandMatrix, x
 ) -> Tuple[DualPoint, float]:
-    """Solve the power subproblem at a fixed association.
+    """Solve the power subproblem at a fixed binary association.
 
     Bounded: extreme point and the minimum relaxed energy M. Unbounded,
     i.e. the association admits no feasible power: extreme ray and
-    M = +inf. A binary association is answered by ``_min_power``, the
-    routine behind ``min_power_for``, so every path gives one verdict; its
-    multipliers on the assigned rows extend with zeros to the other pairs.
-    A fractional association is solved through the dual LP.
+    M = +inf. The answer comes from ``_min_power``, the routine behind
+    ``min_power_for``, so every path gives one verdict; its multipliers on
+    the assigned rows extend with zeros to the other pairs. Raises
+    ``ModelError`` on a fractional ``x``.
     """
     U, B = scenario.user_count, scenario.sbs_count
     X = _as_x_matrix(x, scenario)
-    if np.all((X == 0.0) | (X == 1.0)) and np.all(X.sum(axis=1) == 1.0):
-        assigned = np.argmax(X, axis=1)
-        answer = _min_power(scenario, demands, assigned)
-        nu = np.zeros((U, B))
-        nu[np.arange(U), assigned] = answer.nu
-        if answer.power is None:
-            return DualPoint(mu=answer.mu, nu=nu, kind="extreme_ray"), math.inf
-        T = serving_time(scenario, demands, None, "relaxed")
-        M = float(T @ answer.power)
-        return DualPoint(mu=answer.mu, nu=nu, kind="extreme_point"), M
-
-    result = lpmod.solve_lp(build_subproblem_dual(scenario, demands, X, rho))
-    if result.status == "optimal":
-        mu, nu = _cleaned(result.x[:B], result.x[B:])
-        point = DualPoint(mu=mu, nu=nu.reshape(U, B), kind="extreme_point")
-        return point, float(result.objective)
-    if result.status != "unbounded":  # pragma: no cover - origin always feasible
-        raise ModelError("dual subproblem infeasible; serving times must be >= 0")
-    mu, nu = _cleaned(result.ray[:B], result.ray[B:])
-    primal = build_subproblem_primal(scenario, demands, X, rho)
-    violation = float(nu @ primal.b - mu @ primal.upper)
-    if violation > 0.0:
-        mu /= violation
-        nu /= violation
-    return DualPoint(mu=mu, nu=nu.reshape(U, B), kind="extreme_ray"), math.inf
+    if not (np.all((X == 0.0) | (X == 1.0)) and np.all(X.sum(axis=1) == 1.0)):
+        raise ModelError("the power subproblem needs a binary association")
+    assigned = np.argmax(X, axis=1)
+    answer = _min_power(scenario, demands, assigned)
+    nu = np.zeros((U, B))
+    nu[np.arange(U), assigned] = answer.nu
+    if answer.power is None:
+        return DualPoint(mu=answer.mu, nu=nu, kind="extreme_ray"), math.inf
+    T = serving_time(scenario, demands, None, "relaxed")
+    return DualPoint(mu=answer.mu, nu=nu, kind="extreme_point"), float(T @ answer.power)
 
 
 def recover_power(
@@ -585,93 +565,6 @@ class MasterSolution:
     eta: float
     assoc: Association
     value: float               # N: the master objective optimum
-
-
-def _eta_for(x: np.ndarray, cuts: Sequence[Cut]) -> Optional[float]:
-    """Smallest feasible eta at a binary X, or None if a feasibility cut fails.
-
-    The feasibility threshold is relative to each cut's coefficient
-    magnitude, matching the LP relaxation, which solves row-equilibrated
-    data; an absolute threshold would disagree with the LP on cuts with
-    large coefficients and force needless branching.
-    """
-    eta = 0.0
-    for cut in cuts:
-        h = cut.value(x)
-        if cut.kind == "feasibility":
-            if h > 1e-9 * cut.magnitude:
-                return None
-        else:
-            eta = max(eta, h)
-    return eta
-
-
-def _master_relaxation(
-    scenario: Scenario,
-    alpha: float,
-    dcoef: np.ndarray,
-    cuts: Sequence[Cut],
-    allowed: np.ndarray,
-) -> Tuple[Optional[lpmod.LpResult], Optional[np.ndarray], float, List[Tuple[int, int]]]:
-    """LP relaxation of the master on the branching mask ``allowed``.
-
-    Users with a single allowed SBS are folded into constants. Returns the
-    LP result, the full fractional X (None if infeasible), the fixed-part
-    objective constant, and the index map of free variables.
-    """
-    U, B = allowed.shape
-    fixed_x = np.zeros((U, B))
-    free: List[Tuple[int, int]] = []
-    for i in range(U):
-        js = np.nonzero(allowed[i])[0]
-        if js.size == 1:
-            fixed_x[i, js[0]] = 1.0
-        else:
-            free.extend((i, int(j)) for j in js)
-    n = 1 + len(free)                       # eta first, then free x entries
-    col = {ij: 1 + t for t, ij in enumerate(free)}
-
-    c = np.zeros(n)
-    c[0] = alpha
-    for ij, t in col.items():
-        c[t] = (1.0 - alpha) * dcoef[ij]
-    const = (1.0 - alpha) * float((dcoef * fixed_x).sum())
-
-    rows, b, senses = [], [], []
-    for i in range(U):
-        js = np.nonzero(allowed[i])[0]
-        if js.size == 1:
-            continue
-        row = np.zeros(n)
-        for j in js:
-            row[col[(i, int(j))]] = 1.0
-        rows.append(row)
-        b.append(1.0)
-        senses.append(lpmod.EQ)
-    for cut in cuts:
-        row = np.zeros(n)
-        if cut.kind == "optimality":
-            row[0] = -1.0
-        for ij, t in col.items():
-            row[t] = cut.coef[ij]
-        rows.append(row)
-        b.append(-cut.constant - float((cut.coef * fixed_x).sum()))
-        senses.append(lpmod.LE)
-    upper = np.ones(n)
-    upper[0] = np.inf
-    relax = lpmod.LinearProgram(
-        "min", c, np.array(rows) if rows else np.zeros((0, n)),
-        np.array(b), senses, upper=upper,
-    )
-    result = lpmod.solve_lp(relax)
-    if result.status == "infeasible":
-        return None, None, const, free
-    if result.status == "unbounded":       # pragma: no cover - eta is clamped
-        raise ModelError("master relaxation unbounded")
-    x_full = fixed_x.copy()
-    for ij, t in col.items():
-        x_full[ij] = result.x[t]
-    return result, x_full, const, free
 
 
 def _grid_sum(coef: np.ndarray) -> np.ndarray:
@@ -729,6 +622,70 @@ class _CutTable:
         )
 
 
+def _search_master(
+    dcoef: np.ndarray, cuts: Sequence[Cut], alpha: float
+) -> MasterSolution:
+    """Exact master by depth-first search over users 0..U-1, SBSs in index order.
+
+    Each cut is affine in x, so over the completions of a partial
+    association it is least at its fixed users' terms plus each free
+    user's smallest coefficient; the delay is bounded the same way. A
+    child is pruned when a feasibility cut's bound exceeds the threshold
+    of ``_CutTable`` or its objective bound reaches the incumbent. A leaf
+    replaces the incumbent only if strictly better, so ties keep the
+    lexicographically first association, as enumeration does.
+    """
+    U, B = dcoef.shape
+    optimality = [c for c in cuts if c.kind == "optimality"]
+    feasibility = [c for c in cuts if c.kind == "feasibility"]
+    # rows: optimality cuts, then feasibility cuts, then the delay
+    rows = optimality + feasibility
+    k_opt, k_delay = len(optimality), len(rows)
+    coef = np.stack([c.coef for c in rows] + [dcoef])
+    # tail[:, d]: least sum of each row's terms over the users d..U-1
+    tail = np.zeros((len(rows) + 1, U + 1))
+    tail[:, :U] = np.cumsum(coef.min(axis=2)[:, ::-1], axis=1)[:, ::-1]
+    limit = np.array([1e-9 * c.magnitude for c in feasibility])[:, None]
+    const = np.array([c.constant for c in rows] + [0.0])
+    last_first = np.arange(U)[::-1]
+    assigned = np.zeros(U, dtype=int)
+    best_value, best_assigned, best_eta = math.inf, None, 0.0
+
+    def score(low: np.ndarray):
+        """Per column of row values: eta, and the objective (inf if cut off)."""
+        eta = low[:k_opt].max(axis=0, initial=0.0)
+        value = alpha * eta + (1.0 - alpha) * low[k_delay]
+        value[(low[k_opt:k_delay] > limit).any(axis=0)] = math.inf
+        return eta, value
+
+    def visit(d: int, fixed: np.ndarray) -> None:
+        nonlocal best_value, best_assigned, best_eta
+        h = fixed[:, None] + coef[:, d, :]          # per row, per SBS of user d
+        _, bound = score(h + tail[:, d + 1, None])
+        for j, least in enumerate(bound.tolist()):
+            if least >= best_value:
+                continue
+            assigned[d] = j
+            if d + 1 < U:
+                visit(d + 1, h[:, j])
+                continue
+            # re-summed in the enumeration's order, last user first, so that
+            # a leaf scores exactly as it does in ``_CutTable``
+            terms = coef[:, last_first, assigned[last_first]]
+            (eta,), (value,) = score(const[:, None] + terms.cumsum(axis=1)[:, -1:])
+            if value < best_value:
+                best_value, best_assigned, best_eta = value, assigned.copy(), eta
+
+    visit(0, const)
+    if best_assigned is None:
+        raise MasterInfeasibleError("no feasible association exists")
+    return MasterSolution(
+        eta=float(best_eta),
+        assoc=Association.from_assignment(best_assigned, B),
+        value=float(best_value),
+    )
+
+
 def solve_master(
     scenario: Scenario,
     demands: DemandMatrix,
@@ -745,73 +702,19 @@ def solve_master(
     of the cuts passed on earlier calls with the same growing ``cuts``
     list, so only the new cuts are scored; without one, a fresh table
     scores them all. ``ucwt`` keeps one table per run, so each of its cuts
-    is scored once. Larger spaces use branch-and-bound: branch on the most
-    fractional x_ij of the node relaxation, exploring the x_ij = 1 child
-    first, with LP bounds pruning against the incumbent and ties keeping
-    the first incumbent found. Both paths are deterministic.
+    is scored once. Larger spaces are searched depth first
+    (``_search_master``), which keeps the same tie rule. Both paths are
+    deterministic.
     """
     U, B = scenario.user_count, scenario.sbs_count
-    if B**U <= _MASTER_ENUMERATION_LIMIT:
-        if table is None:
-            table = _CutTable(U, B, delay_coefficients(scenario, demands, placement))
-        table.absorb(cuts)
-        return table.solve(alpha)
-
-    dcoef = delay_coefficients(scenario, demands, placement)
-    best_value = math.inf
-    best_x: Optional[np.ndarray] = None
-
-    root = np.ones((U, B), dtype=bool)
-    stack = [root]
-    while stack:
-        allowed = stack.pop()
-        if not allowed.any(axis=1).all():
-            continue
-        result, x_full, const, free = _master_relaxation(
-            scenario, alpha, dcoef, cuts, allowed
+    if B**U > _MASTER_ENUMERATION_LIMIT:
+        return _search_master(
+            delay_coefficients(scenario, demands, placement), cuts, alpha
         )
-        if result is None:
-            continue
-        bound = result.objective + const
-        if bound >= best_value - _PRUNE_TOL:
-            continue
-        frac = np.abs(x_full - np.rint(x_full))
-        if frac.max() <= _INTEGRALITY_TOL:
-            x_bin = np.rint(x_full).astype(np.int8)
-            eta = _eta_for(x_bin, cuts)
-            if eta is not None:
-                value = alpha * eta + (1.0 - alpha) * float((dcoef * x_bin).sum())
-                if value < best_value - 1e-12:
-                    best_value = value
-                    best_x = x_bin
-                continue
-            if not free:
-                continue
-            # the LP accepted this point within tolerance but the exact cut
-            # evaluation rejects it (large cut coefficients magnify LP-level
-            # slack). The node may still contain other associations, so
-            # branch on a free entry of the rejected point instead of
-            # discarding the node.
-            bi, bj = next(ij for ij in free if x_full[ij] > 0.5)
-        else:
-            # most fractional free entry; lowest (i, j) on ties
-            scores = [
-                (abs(x_full[ij] - 0.5), ij)
-                for ij in free
-                if frac[ij] > _INTEGRALITY_TOL
-            ]
-            _, (bi, bj) = min(scores)
-        zero_child = allowed.copy()
-        zero_child[bi, bj] = False
-        one_child = allowed.copy()
-        one_child[bi, :] = False
-        one_child[bi, bj] = True
-        stack.append(zero_child)   # popped second
-        stack.append(one_child)    # popped first: explore x_ij = 1 branch
-    if best_x is None:
-        raise MasterInfeasibleError("no feasible association exists")
-    eta = _eta_for(best_x, cuts)
-    return MasterSolution(eta=eta, assoc=Association(best_x), value=best_value)
+    if table is None:
+        table = _CutTable(U, B, delay_coefficients(scenario, demands, placement))
+    table.absorb(cuts)
+    return table.solve(alpha)
 
 
 def penalty_lambda(scenario: Scenario, demands: DemandMatrix) -> float:
@@ -917,40 +820,38 @@ def ucwt(
     alpha: float,
     epsilon: Optional[float] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    interferer_count: Optional[int] = None,
 ) -> UcwtResult:
     """Iterative cut generation until the bound gap closes.
 
-    Starts from the all-zero association (whose subproblem is bounded with
-    zero power and yields a benign first cut); alternates subproblem and
-    master solves, keeping the best master-proposed association as the
-    incumbent. ``epsilon`` defaults to 1e-6 * (1 + |first finite upper
-    bound|).
+    Starts from the master's answer with no cuts (the least-delay
+    association, the lexicographically first one at alpha = 1); alternates
+    subproblem and master solves, keeping the best master-proposed
+    association as the incumbent. ``epsilon`` defaults to
+    1e-6 * (1 + |first finite upper bound|).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0, 1]")
     if epsilon is not None and epsilon <= 0:
         raise ModelError("epsilon must be positive")
-    rho = varrho(scenario, demands, interferer_count)
+    rho = varrho(scenario, demands)
     dcoef = delay_coefficients(scenario, demands, placement)
 
     U, B = scenario.user_count, scenario.sbs_count
     table = _CutTable(U, B, dcoef) if B**U <= _MASTER_ENUMERATION_LIMIT else None
 
     trace = BendersTrace(epsilon=epsilon)
-    x_prev: object = np.zeros((U, B))
+    assoc = solve_master(scenario, demands, placement, [], alpha, table).assoc
     candidates: List[Tuple[float, float]] = []   # (M, delay) per proposed X
     proposed: List[Association] = []
     eps = epsilon
 
     for t in range(1, max_iters + 1):
-        point, M = solve_subproblem(scenario, demands, x_prev, rho)
+        proposed.append(assoc)
+        point, M = solve_subproblem(scenario, demands, assoc)
         cut = Cut.from_dual_point(scenario, demands, rho, point)
         if not any(cut.same_coefficients(existing) for existing in trace.cuts):
             trace.cuts.append(cut)
-        if t >= 2:
-            # x_prev is the association proposed at iteration t-1
-            candidates.append((M, float((dcoef * proposed[-1].x).sum())))
+        candidates.append((M, float((dcoef * assoc.x).sum())))
         psi_upper, omega = update_bounds(candidates, alpha)
         if eps is None and math.isfinite(psi_upper):
             eps = 1e-6 * (1.0 + abs(psi_upper))
@@ -979,8 +880,7 @@ def ucwt(
             trace.converged = True
             trace.omega = omega
             break
-        proposed.append(master.assoc)
-        x_prev = master.assoc.x
+        assoc = master.assoc
 
     if trace.omega is None:
         # not converged: fall back to the best incumbent seen, if any

@@ -385,14 +385,18 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
                 "ema": lambda: baselines.ema(s, inst.demands, cache),
             }
             for name, run in solvers.items():
+                row = [sweep, _f(value), seed + r, name]
                 try:
                     res = run()
                 except benders.SolverFault as exc:
                     _exit_solver_fault(exc)
                 except ModelError:
+                    # no answer (an infeasible instance or a doa/ema repair
+                    # failure): a row with empty cells
+                    rows.append(row + [""] * (len(header) - len(row)))
                     continue
                 v = objective(s, inst.demands, cache, res.assoc, res.power)
-                row = [sweep, _f(value), seed + r, name, _f(v.energy), _f(v.delay)]
+                row += [_f(v.energy), _f(v.delay)]
                 if sample_backhaul:
                     alg_tag = {"ucwt": 0, "doa": 1, "ema": 2}[name]
                     rng = np.random.default_rng((seed + r, alg_tag))

@@ -172,7 +172,7 @@ def test_criterion_04_strong_duality():
             primal = lpmod.solve_lp(
                 build_subproblem_primal(s, demands, assoc, rho)
             )
-            point, M = solve_subproblem(s, demands, assoc, rho)
+            point, M = solve_subproblem(s, demands, assoc)
             if point.kind == "extreme_point":
                 assert primal.status == "optimal"
                 rel = abs(M - primal.objective) / max(1.0, abs(primal.objective))
@@ -323,7 +323,7 @@ def test_criterion_10_penalty_equivalence():
         for _ in range(4):
             assigned = rng.integers(0, s.sbs_count, s.user_count)
             point, M = solve_subproblem(
-                s, demands, Association.from_assignment(assigned, s.sbs_count), rho
+                s, demands, Association.from_assignment(assigned, s.sbs_count)
             )
             if point.kind == "extreme_point":
                 cut_pool.append(Cut.from_dual_point(s, demands, rho, point))

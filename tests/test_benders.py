@@ -34,7 +34,7 @@ from dscnopt.model import (
     requested_thresholds,
     serving_time,
 )
-from dscnopt.oracle import brute_force, iter_assignments
+from dscnopt.oracle import brute_force, brute_force_sweep, iter_assignments
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
 
@@ -95,10 +95,6 @@ class TestVarrho:
         residual = primal.A @ p - primal.b
         for i, j in ((0, 1), (1, 0)):
             assert residual[i * 2 + j] >= 0.0
-
-    def test_interferer_count_override(self):
-        s, demands, _ = easy_case()
-        assert varrho(s, demands, 5) < varrho(s, demands, 2)
 
 
 class TestSubproblemLPs:
@@ -177,7 +173,7 @@ class TestSolveSubproblem:
         s, demands, _ = easy_case()
         rho = varrho(s, demands)
         assoc = Association([[1, 0], [0, 1]])
-        point, M = solve_subproblem(s, demands, assoc, rho)
+        point, M = solve_subproblem(s, demands, assoc)
         assert point.kind == "extreme_point"
         T = serving_time(s, demands, None, "relaxed")
         expected = float(min_power_for(s, demands, assoc).p @ T)
@@ -194,7 +190,7 @@ class TestSolveSubproblem:
         cuts = []
         for assigned in iter_assignments(2, 2):
             point, M = solve_subproblem(
-                s, demands, Association.from_assignment(assigned, 2), rho
+                s, demands, Association.from_assignment(assigned, 2)
             )
             cuts.append(Cut.from_dual_point(s, demands, rho, point))
         # every cut under-estimates the true energy at every association
@@ -208,7 +204,7 @@ class TestSolveSubproblem:
         s, demands, _ = mixed_case()
         rho = varrho(s, demands)
         bad = Association([[1, 0], [0, 1]])
-        point, M = solve_subproblem(s, demands, bad, rho)
+        point, M = solve_subproblem(s, demands, bad)
         assert point.kind == "extreme_ray" and math.isinf(M)
         cut = Cut.from_dual_point(s, demands, rho, point)
         assert cut.kind == "feasibility"
@@ -231,7 +227,7 @@ class TestSolveSubproblem:
             cuts, truths = [], []
             for assigned in assignments:
                 assoc = Association.from_assignment(assigned, 3)
-                point, M = solve_subproblem(s, demands, assoc, rho)
+                point, M = solve_subproblem(s, demands, assoc)
                 cuts.append(Cut.from_dual_point(s, demands, rho, point))
                 power = min_power_for(s, demands, assoc)
                 truths.append(
@@ -245,6 +241,16 @@ class TestSolveSubproblem:
                             assert h <= 1e-6 * cut.magnitude
                     elif math.isfinite(energy):
                         assert h <= energy + 1e-6 * max(1.0, energy)
+
+
+    def test_fractional_association_is_rejected(self):
+        inst, _ = desk_pipeline(0)
+        s, demands = inst.scenario, inst.demands
+        U, B = s.user_count, s.sbs_count
+        rng = np.random.default_rng(0)
+        for x in (rng.dirichlet(np.ones(B), size=U), np.zeros((U, B))):
+            with pytest.raises(ModelError):
+                solve_subproblem(s, demands, x)
 
 
 class TestRecoverPower:
@@ -276,7 +282,7 @@ class TestRecoverPower:
                 recovered = True
             except ModelError:
                 recovered = False
-            _, M = solve_subproblem(s, demands, assoc, rho)
+            _, M = solve_subproblem(s, demands, assoc)
             assert feasible == recovered == math.isfinite(M), assigned
             verdicts.add(feasible)
         # each case holds both feasible and infeasible associations
@@ -452,7 +458,7 @@ class TestStructuredPower:
                     logging.WARNING, logger="dscnopt.benders"
                 ):
                     m.setattr(benders, "_verified", lambda *args: False)
-                    point, M = solve_subproblem(s, demands, assoc, rho)
+                    point, M = solve_subproblem(s, demands, assoc)
                 assert len(caplog.records) == 1
                 assert caplog.records[0].name == "dscnopt.benders"
                 assert math.isfinite(M) == (tuple(assigned) in energies)
@@ -493,7 +499,7 @@ class TestMaster:
     def test_respects_feasibility_cut(self):
         s, demands, placement = mixed_case()
         rho = varrho(s, demands)
-        point, _ = solve_subproblem(s, demands, Association([[1, 0], [0, 1]]), rho)
+        point, _ = solve_subproblem(s, demands, Association([[1, 0], [0, 1]]))
         cut = Cut.from_dual_point(s, demands, rho, point)
         sol = solve_master(s, demands, placement, [cut], alpha=0.0)
         assert cut.value(sol.assoc) <= 1e-9 * cut.magnitude
@@ -505,7 +511,7 @@ class TestMaster:
         with pytest.raises(benders.MasterInfeasibleError):
             solve_master(s, demands, placement, [cut], alpha=0.5)
 
-    def test_enumeration_and_branch_and_bound_agree(self, monkeypatch):
+    def test_enumeration_and_search_agree(self, monkeypatch):
         for seed in range(4):
             inst, placement = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
@@ -514,15 +520,17 @@ class TestMaster:
             cuts = []
             for assigned in [rng.integers(0, 3, 6) for _ in range(5)]:
                 point, _ = solve_subproblem(
-                    s, demands, Association.from_assignment(assigned, 3), rho
+                    s, demands, Association.from_assignment(assigned, 3)
                 )
                 cuts.append(Cut.from_dual_point(s, demands, rho, point))
             for alpha in (0.0, 0.5, 1.0):
                 enum = solve_master(s, demands, placement, cuts, alpha)
                 with monkeypatch.context() as m:
                     m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                    bb = solve_master(s, demands, placement, cuts, alpha)
-                assert bb.value == pytest.approx(enum.value, rel=1e-7, abs=1e-9)
+                    found = solve_master(s, demands, placement, cuts, alpha)
+                assert found.value == pytest.approx(enum.value, rel=1e-12)
+                assert found.eta == pytest.approx(enum.eta, rel=1e-12, abs=1e-12)
+                assert np.array_equal(found.assoc.x, enum.assoc.x)
 
 
     def test_cut_table_matches_fresh_solve(self):
@@ -559,7 +567,18 @@ class TestMaster:
         assert h.shape == (B**U,)
         np.testing.assert_allclose(h, expected, rtol=1e-12, atol=0)
 
-    def test_master_matches_brute_force_on_random_cuts(self):
+    def test_master_matches_brute_force_on_random_cuts(self, monkeypatch):
+        def eta_for(x, cuts):
+            # least eta at a binary x, or None if a feasibility cut fails
+            eta = 0.0
+            for cut in cuts:
+                h = cut.value(x)
+                if cut.kind == "optimality":
+                    eta = max(eta, h)
+                elif h > 1e-9 * cut.magnitude:
+                    return None
+            return eta
+
         for seed in range(3):
             inst, placement = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
@@ -576,31 +595,39 @@ class TestMaster:
                 cuts.append(Cut(-float(kept) - 0.5, coef, "feasibility"))
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
-                sol = solve_master(s, demands, placement, cuts, alpha)
                 values = []
                 for a in iter_assignments(U, B):
                     x = Association.from_assignment(a, B).x
-                    eta = benders._eta_for(x, cuts)
+                    eta = eta_for(x, cuts)
                     if eta is not None:
                         values.append(alpha * eta + (1 - alpha) * (dcoef * x).sum())
-                assert sol.value == pytest.approx(min(values), rel=1e-12, abs=1e-12)
-                eta = benders._eta_for(sol.assoc.x, cuts)
-                assert eta == pytest.approx(sol.eta, rel=1e-12, abs=1e-12)
+                # enumeration, then the search
+                for limit in (B**U, 0):
+                    monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", limit)
+                    sol = solve_master(s, demands, placement, cuts, alpha)
+                    assert sol.value == pytest.approx(
+                        min(values), rel=1e-12, abs=1e-12
+                    )
+                    eta = eta_for(sol.assoc.x, cuts)
+                    assert eta == pytest.approx(sol.eta, rel=1e-12, abs=1e-12)
 
-    def test_equal_coefficients_keep_lexicographic_first(self):
+    def test_equal_coefficients_keep_lexicographic_first(self, monkeypatch):
         inst, placement = desk_pipeline(0)
         s, demands = inst.scenario, inst.demands
         U, B = s.user_count, s.sbs_count
         flat = Cut(1.0, np.tile(np.arange(U, dtype=float)[:, None], (1, B)),
                    "optimality")
-        sol = solve_master(s, demands, placement, [flat], alpha=1.0)
-        assert sol.assoc.assigned_sbs.tolist() == [0] * U
-        # cutting off user 0 at SBS 0 moves the optimum to the next association
         coef = np.zeros((U, B))
         coef[0, 0] = 1.0
         cutoff = Cut(-0.5, coef, "feasibility")
-        sol = solve_master(s, demands, placement, [flat, cutoff], alpha=1.0)
-        assert sol.assoc.assigned_sbs.tolist() == [1] + [0] * (U - 1)
+        # enumeration, then the search
+        for limit in (B**U, 0):
+            monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", limit)
+            sol = solve_master(s, demands, placement, [flat], alpha=1.0)
+            assert sol.assoc.assigned_sbs.tolist() == [0] * U
+            # cutting off user 0 at SBS 0 moves the optimum to the next one
+            sol = solve_master(s, demands, placement, [flat, cutoff], alpha=1.0)
+            assert sol.assoc.assigned_sbs.tolist() == [1] + [0] * (U - 1)
 
 
 class TestPenalty:
@@ -672,6 +699,41 @@ class TestUcwt:
                 oracle = brute_force(inst.scenario, inst.demands, placement, alpha)
                 assert result.trace.final_objective == pytest.approx(
                     oracle.objective, rel=1e-6, abs=1e-9
+                )
+
+    def test_starts_from_cut_free_master(self):
+        statuses = set()
+        for seed in range(4):
+            inst, placement = desk_pipeline(seed)
+            s, demands = inst.scenario, inst.demands
+            T = serving_time(s, demands, None, "relaxed")
+            for alpha in (0.0, 0.5, 1.0):
+                start = solve_master(s, demands, placement, [], alpha).assoc
+                first = ucwt(s, demands, placement, alpha).trace.iterations[0]
+                power = min_power_for(s, demands, start)
+                if power is None:
+                    assert first.subproblem_status == "unbounded"
+                    assert math.isinf(first.M)
+                else:
+                    assert first.subproblem_status == "bounded"
+                    assert first.M == float(T @ power.p)
+                statuses.add(first.subproblem_status)
+        assert statuses == {"bounded", "unbounded"}
+
+    def test_matches_oracle_above_enumeration_limit(self):
+        # desk B=3, U=10: 59,049 associations, so the master is searched
+        alphas = (0.0, 0.5, 1.0)
+        for seed in (0, 1):
+            inst = scn.generate(scn.desk_scale(user_count=10), seed)
+            s, demands = inst.scenario, inst.demands
+            placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+            assert s.sbs_count**s.user_count > benders._MASTER_ENUMERATION_LIMIT
+            swept = dict(brute_force_sweep(s, demands, placement, alphas))
+            for alpha in alphas:
+                result = ucwt(s, demands, placement, alpha)
+                assert result.trace.converged
+                assert result.trace.final_objective == pytest.approx(
+                    swept[alpha].objective, rel=1e-6, abs=1e-9
                 )
 
     def test_trace_csv_format(self):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dscnopt import benders, scenario as scn
+from dscnopt import baselines, benders, scenario as scn
 from dscnopt.cli import main
+from dscnopt.model import ModelError
 
 
 @pytest.fixture()
@@ -319,3 +320,20 @@ class TestCompareAlgorithms:
              "--out", str(tmp_path / "o.csv")],
         )
         assert_solver_fault(result)
+
+    def test_repair_failure_writes_empty_row(self, runner, tmp_path, monkeypatch):
+        def give_up(*args):
+            raise ModelError("doa: repair found no feasible association")
+
+        monkeypatch.setattr(baselines, "doa", give_up)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["compare-algorithms", "--seeds", "1", "--grid", "4",
+             "--sample-backhaul", "--samples", "10", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = {r[3]: r for r in read_csv(str(out))[1:]}
+        assert sorted(rows) == ["doa", "ema", "ucwt"]
+        assert rows["doa"] == ["users", "4", "0", "doa", "", "", ""]
+        assert all(cell != "" for cell in rows["ucwt"])
