@@ -7,13 +7,13 @@ association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
 LP: by vectorized enumeration of every binary association while there
 are at most ``_MASTER_ENUMERATION_LIMIT`` of them, and by a depth-first
-search over users above that. Enumeration keeps a running table of cut
-scores over all associations and scores each cut of a ``ucwt`` run once,
-by outer sums of its per-user terms; no matrix of the associations is
-built. The search bounds each cut over the completions of a partial
-association by its fixed terms plus each free user's least coefficient;
-since 1/varrho dominates, this is the combinatorial cut bound of Codato
-& Fischetti (Oper. Res. 2006).
+search over users above that. Enumeration keeps a running table of the
+master objective at the run's alpha over all associations and scores each
+cut of a ``ucwt`` run once, by outer sums of its per-user terms; no matrix
+of the associations is built. The search bounds each cut over the
+completions of a partial association by its fixed terms plus each free
+user's least coefficient; since 1/varrho dominates, this is the
+combinatorial cut bound of Codato & Fischetti (Oper. Res. 2006).
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -25,7 +25,10 @@ is answered by the strict minimum-power LP instead. ``min_power_for``, the
 subproblem, power recovery, the baselines and the oracle all take their
 powers and their feasible/infeasible verdict from it. ``ucwt`` starts
 from the master's answer with no cuts, so every association it solves is
-binary.
+binary. Following Benders (1962), its upper bound is the best subproblem
+value seen so far, kept as a single incumbent, and its lower bound is the
+exact master's optimum. Every cut is kept: an exact master re-proposes an
+association whose cut it holds only once the gap has closed.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -225,13 +228,6 @@ class Cut:
     def magnitude(self) -> float:
         """Scale of the cut's data, used for relative feasibility thresholds."""
         return max(1.0, abs(self.constant), float(np.abs(self.coef).max()))
-
-    def same_coefficients(self, other: "Cut", tol: float = 0.0) -> bool:
-        return (
-            self.kind == other.kind
-            and abs(self.constant - other.constant) <= tol
-            and np.allclose(self.coef, other.coef, rtol=0, atol=tol)
-        )
 
 
 def _cleaned(mu: np.ndarray, nu: np.ndarray):
@@ -580,18 +576,24 @@ def _grid_sum(coef: np.ndarray) -> np.ndarray:
 
 
 class _CutTable:
-    """The enumerated master's running scores over every binary association.
+    """The enumerated master's running objective over every binary association.
 
-    Holds, per association in lexicographic order, the delivery delay and
-    the eta and feasibility mask of the cuts absorbed so far; each cut of a
-    growing list is scored once, by outer sums over users (``_grid_sum``).
+    Built for one ``alpha``, it holds per association, in lexicographic
+    order, eta (the largest optimality cut absorbed so far, at least 0) and
+    the master objective alpha * eta + (1 - alpha) * delay, or +inf where a
+    feasibility cut excludes the association. Each cut of a growing list is
+    scored once, by outer sums over users (``_grid_sum``). An optimality cut
+    h raises the objective to its maximum with alpha * h + (1 - alpha) *
+    delay: rounding is monotone and alpha >= 0, so this equals re-weighting
+    the raised eta, bit for bit.
     """
 
-    def __init__(self, U: int, B: int, dcoef: np.ndarray):
+    def __init__(self, U: int, B: int, dcoef: np.ndarray, alpha: float):
         self.shape = (U, B)
-        self.delay = _grid_sum(dcoef)
-        self.eta = np.zeros(self.delay.size)
-        self.feasible = np.ones(self.delay.size, dtype=bool)
+        self.alpha = alpha
+        self.weighted_delay = (1.0 - alpha) * _grid_sum(dcoef)
+        self.eta = np.zeros(self.weighted_delay.size)
+        self.value = alpha * self.eta + self.weighted_delay
         self.absorbed = 0
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
@@ -603,22 +605,23 @@ class _CutTable:
         for cut in cuts[self.absorbed:]:
             h = cut.constant + _grid_sum(cut.coef)
             if cut.kind == "feasibility":
-                self.feasible &= h <= 1e-9 * cut.magnitude
+                self.value[h > 1e-9 * cut.magnitude] = np.inf
             else:
                 np.maximum(self.eta, h, out=self.eta)
+                np.maximum(
+                    self.value, self.alpha * h + self.weighted_delay, out=self.value
+                )
         self.absorbed = len(cuts)
 
-    def solve(self, alpha: float) -> MasterSolution:
+    def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
-        if not self.feasible.any():
+        k = int(np.argmin(self.value))
+        if self.value[k] == np.inf:
             raise MasterInfeasibleError("no feasible association exists")
-        values = alpha * self.eta + (1.0 - alpha) * self.delay
-        values[~self.feasible] = np.inf
-        k = int(np.argmin(values))
         U, B = self.shape
         assoc = Association.from_assignment(np.unravel_index(k, (B,) * U), B)
         return MasterSolution(
-            eta=float(self.eta[k]), assoc=assoc, value=float(values[k])
+            eta=float(self.eta[k]), assoc=assoc, value=float(self.value[k])
         )
 
 
@@ -698,11 +701,12 @@ def solve_master(
 
     Small association spaces are enumerated wholesale, scoring each cut by
     outer sums of its per-user coefficients (no association matrix) and
-    keeping the lexicographically first optimum. ``table`` holds the scores
-    of the cuts passed on earlier calls with the same growing ``cuts``
-    list, so only the new cuts are scored; without one, a fresh table
-    scores them all. ``ucwt`` keeps one table per run, so each of its cuts
-    is scored once. Larger spaces are searched depth first
+    keeping the lexicographically first optimum. ``table`` holds the master
+    objective at ``alpha`` over the cuts passed on earlier calls with the
+    same growing ``cuts`` list, so only the new cuts are scored; without
+    one, a fresh table scores them all. ``ucwt`` keeps one table per run,
+    so each of its cuts is scored once. Raises ``ModelError`` if ``table``
+    was built for another ``alpha``. Larger spaces are searched depth first
     (``_search_master``), which keeps the same tie rule. Both paths are
     deterministic.
     """
@@ -712,9 +716,15 @@ def solve_master(
             delay_coefficients(scenario, demands, placement), cuts, alpha
         )
     if table is None:
-        table = _CutTable(U, B, delay_coefficients(scenario, demands, placement))
+        table = _CutTable(
+            U, B, delay_coefficients(scenario, demands, placement), alpha
+        )
+    elif table.alpha != alpha:
+        raise ModelError(
+            f"cut table built for alpha={table.alpha}, solved at alpha={alpha}"
+        )
     table.absorb(cuts)
-    return table.solve(alpha)
+    return table.solve()
 
 
 def penalty_lambda(scenario: Scenario, demands: DemandMatrix) -> float:
@@ -787,25 +797,6 @@ class BendersTrace:
         return rows
 
 
-def update_bounds(
-    candidates: Sequence[Tuple[float, float]], alpha: float
-) -> Tuple[float, Optional[int]]:
-    """Running upper bound over past iterations.
-
-    ``candidates[r - 1]`` holds (M, delay) of the association proposed at
-    iteration r; unbounded entries (M = +inf) are skipped. Returns the
-    minimum weighted value and the 1-based argmin (first on ties).
-    """
-    best, omega = math.inf, None
-    for r, (M, delay) in enumerate(candidates, start=1):
-        if math.isinf(M):
-            continue
-        value = alpha * M + (1.0 - alpha) * delay
-        if value < best:
-            best, omega = value, r
-    return best, omega
-
-
 @dataclass(frozen=True)
 class UcwtResult:
     assoc: Association
@@ -819,14 +810,18 @@ def ucwt(
     placement: CachePlacement,
     alpha: float,
     epsilon: Optional[float] = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> UcwtResult:
     """Iterative cut generation until the bound gap closes.
 
     Starts from the master's answer with no cuts (the least-delay
     association, the lexicographically first one at alpha = 1); alternates
-    subproblem and master solves, keeping the best master-proposed
-    association as the incumbent. ``epsilon`` defaults to
+    subproblem and master solves for at most ``DEFAULT_MAX_ITERS``
+    iterations. Every cut is kept. The incumbent is the first bounded
+    proposal of least alpha * M + (1 - alpha) * delay: its value is the
+    upper bound, the master's optimum the lower bound. An exact master
+    re-proposes an association whose cut it holds only once the gap has
+    closed. Without convergence the incumbent is returned all the same,
+    with ``trace.converged`` False. ``epsilon`` defaults to
     1e-6 * (1 + |first finite upper bound|).
     """
     if not 0.0 <= alpha <= 1.0:
@@ -837,25 +832,25 @@ def ucwt(
     dcoef = delay_coefficients(scenario, demands, placement)
 
     U, B = scenario.user_count, scenario.sbs_count
-    table = _CutTable(U, B, dcoef) if B**U <= _MASTER_ENUMERATION_LIMIT else None
+    if B**U <= _MASTER_ENUMERATION_LIMIT:
+        table = _CutTable(U, B, dcoef, alpha)
+    else:
+        table = None
 
     trace = BendersTrace(epsilon=epsilon)
     assoc = solve_master(scenario, demands, placement, [], alpha, table).assoc
-    candidates: List[Tuple[float, float]] = []   # (M, delay) per proposed X
-    proposed: List[Association] = []
-    eps = epsilon
+    # the incumbent: its value, 1-based iteration and association
+    psi_upper, omega, best = math.inf, None, None
 
-    for t in range(1, max_iters + 1):
-        proposed.append(assoc)
+    for t in range(1, DEFAULT_MAX_ITERS + 1):
         point, M = solve_subproblem(scenario, demands, assoc)
-        cut = Cut.from_dual_point(scenario, demands, rho, point)
-        if not any(cut.same_coefficients(existing) for existing in trace.cuts):
-            trace.cuts.append(cut)
-        candidates.append((M, float((dcoef * assoc.x).sum())))
-        psi_upper, omega = update_bounds(candidates, alpha)
-        if eps is None and math.isfinite(psi_upper):
-            eps = 1e-6 * (1.0 + abs(psi_upper))
-            trace.epsilon = eps
+        trace.cuts.append(Cut.from_dual_point(scenario, demands, rho, point))
+        if math.isfinite(M):
+            value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
+            if value < psi_upper:
+                psi_upper, omega, best = value, t, assoc
+            if trace.epsilon is None:
+                trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
         try:
             master = solve_master(
                 scenario, demands, placement, trace.cuts, alpha, table
@@ -864,11 +859,10 @@ def ucwt(
             raise NoFeasibleAssociationError(
                 "feasibility cuts exclude every association"
             ) from None
-        psi_lower = master.value
         trace.iterations.append(
             IterationRecord(
                 t=t,
-                psi_lower=psi_lower,
+                psi_lower=master.value,
                 psi_upper=psi_upper,
                 subproblem_status="bounded" if math.isfinite(M) else "unbounded",
                 M=M,
@@ -876,21 +870,16 @@ def ucwt(
                 omega=omega,
             )
         )
-        if eps is not None and psi_upper - psi_lower <= eps:
+        if trace.epsilon is not None and psi_upper - master.value <= trace.epsilon:
             trace.converged = True
-            trace.omega = omega
             break
         assoc = master.assoc
 
-    if trace.omega is None:
-        # not converged: fall back to the best incumbent seen, if any
-        psi_upper, omega = update_bounds(candidates, alpha)
-        if omega is None:
-            raise NoFeasibleAssociationError(
-                "no power-feasible association found within the iteration budget"
-            )
-        trace.omega = omega
-    best = proposed[trace.omega - 1]
+    if best is None:
+        raise NoFeasibleAssociationError(
+            "no power-feasible association found within the iteration budget"
+        )
+    trace.omega = omega
     power = recover_power(scenario, demands, best)
     trace.final_objective = objective(
         scenario, demands, placement, best, power, alpha

@@ -127,10 +127,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def generate(seed: int, paper_scale: bool, out: str) -> None:
     """Generate a random instance and write it to a file."""
-    if paper_scale:
-        click.echo(_PAPER_SCALE_WARNING, err=True)
-    config = scn.paper_scale() if paper_scale else scn.desk_scale()
-    scn.save(scn.generate(config, seed), out)
+    scn.save(_load_instance(None, seed, paper_scale), out)
     click.echo(f"wrote {out}")
 
 
@@ -245,11 +242,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
     rows = []
     infeasible = nonconverged = 0
     for rep in range(replications):
-        inst = (
-            _load_instance(instance, seed, paper_scale)
-            if instance is not None
-            else _load_instance(None, seed + rep, paper_scale)
-        )
+        inst = _load_instance(instance, seed + rep, paper_scale)
         _, cache = _pipeline(inst)
         s = inst.scenario
         try:
@@ -324,12 +317,16 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
                 _, mean_hit = plc.hit_ratio(cache, pop)
                 try:
                     res = benders.ucwt(s, inst.demands, cache, alpha)
-                    v = objective(s, inst.demands, cache, res.assoc, res.power)
-                    energy, delay = _f(v.energy), _f(v.delay)
                 except benders.SolverFault as exc:
                     _exit_solver_fault(exc)
                 except benders.NoFeasibleAssociationError:
-                    energy = delay = ""
+                    res = None
+                # no answer (an infeasible instance or a non-converged
+                # run): empty cells
+                energy = delay = ""
+                if res is not None and res.trace.converged:
+                    v = objective(s, inst.demands, cache, res.assoc, res.power)
+                    energy, delay = _f(v.energy), _f(v.delay)
                 rows.append((name, _f(frac), seed + r, _f(mean_hit), energy, delay))
     rows.sort(key=lambda row: (row[0], float(row[1]), int(row[2])))
     _write_csv(
@@ -391,8 +388,11 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
                 except benders.SolverFault as exc:
                     _exit_solver_fault(exc)
                 except ModelError:
-                    # no answer (an infeasible instance or a doa/ema repair
-                    # failure): a row with empty cells
+                    res = None
+                if res is None or (name == "ucwt" and not res.trace.converged):
+                    # no answer (an infeasible instance, a doa/ema repair
+                    # failure or a non-converged ucwt run): a row with
+                    # empty cells
                     rows.append(row + [""] * (len(header) - len(row)))
                     continue
                 v = objective(s, inst.demands, cache, res.assoc, res.power)

@@ -4,7 +4,8 @@ The solver is deliberately small and deterministic: Dantzig pricing with a
 Bland fallback after a streak of degenerate pivots, dense linear algebra
 throughout, with each basis LU taken straight from LAPACK. Instances in
 this project are tiny (tens of variables), so no factorization reuse or
-sparsity is attempted.
+sparsity is attempted. Every variable lies in 0 <= x <= upper, the only
+bounds the power problems need, so no variable is split.
 
 Unbounded verdicts carry a feasible point and an improving extreme ray,
 which is what Benders feasibility cuts are built from. Infeasible verdicts
@@ -35,10 +36,9 @@ class LpError(ValueError):
 
 @dataclass
 class LinearProgram:
-    """min/max  c @ x  subject to  A x (<=,=,>=) b  and simple variable bounds.
+    """min/max  c @ x  subject to  A x (<=,=,>=) b  and  0 <= x <= upper.
 
-    Variable lower bounds are 0 (default) or -inf; upper bounds are +inf
-    (default) or finite.
+    Upper bounds are +inf (default) or finite.
     """
 
     sense: str                    # "min" | "max"
@@ -46,7 +46,6 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
     row_senses: Sequence[str]
-    lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -62,18 +61,12 @@ class LinearProgram:
             s not in (LE, EQ, GE) for s in self.row_senses
         ):
             raise LpError("row senses must be one of <=, =, >= per row")
-        if self.lower is None:
-            self.lower = np.zeros(n)
-        else:
-            self.lower = np.asarray(self.lower, dtype=float)
         if self.upper is None:
             self.upper = np.full(n, np.inf)
         else:
             self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise LpError("bound vectors must match the variable count")
-        if not np.all((self.lower == 0.0) | np.isneginf(self.lower)):
-            raise LpError("variable lower bounds must be 0 or -inf")
+        if self.upper.shape != (n,):
+            raise LpError("the upper bound vector must match the variable count")
         for arr in (self.c, self.A, self.b):
             if not np.all(np.isfinite(arr)):
                 raise LpError("c, A, b must be finite")
@@ -113,14 +106,15 @@ class LpResult:
 
 @dataclass
 class StandardForm:
-    """min c @ z  s.t.  A z = b, z >= 0, with b >= 0, plus back-maps."""
+    """min c @ z  s.t.  A z = b, z >= 0, with b >= 0, plus back-maps.
+
+    The original variables are the first columns of z, in order.
+    """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     obj_sign: float                 # multiply standard objective by this
-    pos_part: np.ndarray            # standard column of x_j (or its + part)
-    neg_part: np.ndarray            # standard column of - part, -1 if none
     row_sign: np.ndarray            # +-1 per standard row (b-sign flips)
     n_user_rows: int                # rows from the original A (before ub rows)
     upper_vars: np.ndarray          # variable of each ub row, in row order
@@ -129,42 +123,27 @@ class StandardForm:
 def standard_form(lp: LinearProgram) -> StandardForm:
     """Rewrite an LP as min c z s.t. A z = b, z >= 0 with b >= 0.
 
-    Free variables are split, finite upper bounds become extra rows, and
-    inequality rows gain slack/surplus columns.
+    Finite upper bounds become extra rows, and inequality rows gain
+    slack/surplus columns.
     """
-    return _standard_form(
-        lp.sense, lp.c, lp.A, lp.b, lp.row_senses, lp.lower, lp.upper
-    )
+    return _standard_form(lp.sense, lp.c, lp.A, lp.b, lp.row_senses, lp.upper)
 
 
-def _standard_form(sense, c, A, b, row_senses, lower, upper) -> StandardForm:
+def _standard_form(sense, c, A, b, row_senses, upper) -> StandardForm:
     """``standard_form`` on the LP's arrays, which are taken as validated.
 
-    Columns, in order: each variable x_j followed by its negative part if
-    x_j is free, one slack (LE, +1) or surplus (GE, -1) per inequality row,
-    then one slack per finite upper bound.
+    Columns, in order: the variables, one slack (LE, +1) or surplus (GE,
+    -1) per inequality row, then one slack per finite upper bound.
     """
     m, n = A.shape
     ub_vars = np.flatnonzero(np.isfinite(upper))
     k = len(ub_vars)
     total_rows = m + k
-
-    free = np.isneginf(lower)
-    widths = 1 + free
-    pos = np.cumsum(widths) - widths
-    neg = np.where(free, pos + 1, -1)
-    source = np.repeat(np.arange(n), widths)
-    flip_col = np.zeros(len(source), dtype=bool)
-    flip_col[neg[free]] = True
     obj_sign = 1.0 if sense == "min" else -1.0
 
     structural = np.zeros((total_rows, n))
     structural[:m] = A
     structural[m + np.arange(k), ub_vars] = 1.0
-    structural = structural[:, source]
-    structural[:, flip_col] = -structural[:, flip_col]
-    c_struct = obj_sign * c[source]
-    c_struct[flip_col] = -c_struct[flip_col]
 
     senses = np.asarray(row_senses, dtype=object)
     slack_rows = np.flatnonzero(senses != EQ)
@@ -181,12 +160,10 @@ def _standard_form(sense, c, A, b, row_senses, lower, upper) -> StandardForm:
     row_sign[flip] = -1.0
     A_std[flip] *= -1.0
     return StandardForm(
-        c=np.concatenate([c_struct, np.zeros(slacks.shape[1])]),
+        c=np.concatenate([obj_sign * c, np.zeros(slacks.shape[1])]),
         A=A_std,
         b=b_std * row_sign,
         obj_sign=obj_sign,
-        pos_part=pos,
-        neg_part=neg,
         row_sign=row_sign,
         n_user_rows=m,
         upper_vars=ub_vars,
@@ -299,21 +276,12 @@ def _phase_one(A, b, tol, feas_tol):
     return "feasible", basis, None
 
 
-def _to_original(std: StandardForm, z: np.ndarray, n_vars: int) -> np.ndarray:
-    x = z[std.pos_part].copy()
-    has_neg = std.neg_part >= 0
-    x[has_neg] -= z[std.neg_part[has_neg]]
-    return x[:n_vars]
-
-
-def solve_lp(
-    lp: LinearProgram, tol: float = OPT_TOL, feas_tol: float = FEAS_TOL
-) -> LpResult:
+def solve_lp(lp: LinearProgram, feas_tol: float = FEAS_TOL) -> LpResult:
     """Solve an LP, returning an optimum with duals, a ray, or a certificate.
 
-    ``feas_tol`` sets the relative phase-one threshold between "feasible"
-    and "infeasible"; callers needing a stricter split near the feasibility
-    boundary may lower it.
+    Pricing and ratio tests use ``OPT_TOL``. ``feas_tol`` sets the relative
+    phase-one threshold between "feasible" and "infeasible"; callers needing
+    a stricter split near the feasibility boundary may lower it.
 
     Constraint rows are equilibrated to unit infinity norm before the solve
     so that pivot and feasibility tolerances act relative to each row's own
@@ -326,9 +294,9 @@ def solve_lp(
     scale = np.where(row_norm > 0.0, 1.0 / np.maximum(row_norm, 1e-300), 1.0)
     std = _standard_form(
         lp.sense, lp.c, lp.A * scale[:, None], lp.b * scale, lp.row_senses,
-        lp.lower, lp.upper,
+        lp.upper,
     )
-    result = _solve_equilibrated(std, lp.num_vars, tol, feas_tol)
+    result = _solve_equilibrated(std, lp.num_vars, feas_tol)
     if result.dual is not None:
         result.dual = result.dual * scale
     if result.farkas is not None:
@@ -336,13 +304,11 @@ def solve_lp(
     return result
 
 
-def _solve_equilibrated(
-    std: StandardForm, n_vars: int, tol: float, feas_tol: float
-) -> LpResult:
+def _solve_equilibrated(std: StandardForm, n_vars: int, feas_tol: float) -> LpResult:
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
 
-    status, basis, farkas = _phase_one(A, b, max(tol, 1e-12), feas_tol)
+    status, basis, farkas = _phase_one(A, b, OPT_TOL, feas_tol)
     if status == "infeasible":
         # map the phase-one duals back to original rows: a dual ray with
         # y' A_col + y_upper[j] <= 0 per column and y' b + y_upper' u > 0
@@ -356,16 +322,15 @@ def _solve_equilibrated(
     A2 = np.hstack([A, np.eye(m)])
     big = 1.0 + np.abs(c).sum()
     c2 = np.concatenate([c, np.full(m, big * 1e6)])
-    status, basis, xB, y, ray = _simplex(A2, b, c2, basis, max(tol, 1e-12))
+    status, basis, xB, y, ray = _simplex(A2, b, c2, basis, OPT_TOL)
 
     z = np.zeros(n + m)
     for pos_i, bi in enumerate(basis):
         z[bi] = xB[pos_i]
-    x = _to_original(std, z, n_vars)
+    x = z[:n_vars]
 
     if status == "unbounded":
-        r = _to_original(std, ray, n_vars)
-        return LpResult(status="unbounded", x=x, ray=r)
+        return LpResult(status="unbounded", x=x, ray=ray[:n_vars])
 
     obj = std.obj_sign * float(std.c @ z[:n])
     # duals in original row space: undo b-sign flips; match the problem sense
@@ -400,7 +365,7 @@ def solution_violation(lp: LinearProgram, x: np.ndarray) -> float:
             worst = max(worst, rows[r])
         else:
             worst = max(worst, abs(rows[r]))
-    worst = max(worst, float((lp.lower - x).max(initial=0.0)))
+    worst = max(worst, float((-x).max(initial=0.0)))
     finite = np.isfinite(lp.upper)
     if finite.any():
         worst = max(worst, float((x[finite] - lp.upper[finite]).max(initial=0.0)))

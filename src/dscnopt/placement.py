@@ -98,23 +98,17 @@ def knapsack_exact(
     return chosen, float(values @ chosen)
 
 
-def gpc_placement(scenario: Scenario, zipf_exponent: float = 0.8) -> CachePlacement:
-    """Global-popularity caching: every SBS caches the same top-ranked files.
+def gpc_placement(scenario: Scenario) -> CachePlacement:
+    """Global-popularity caching: every SBS caches by one global ranking.
 
-    The global ranking is Zipf over the file index (rank = index), so the
-    exponent only shapes the implied probabilities, not the order.
+    The ranking is Zipf over the file index (rank = index), so each SBS
+    admits files in index order until its capacity is spent.
     """
-    if zipf_exponent <= 0:
-        raise ModelError("Zipf exponent must be positive")
     order = np.arange(scenario.file_count)
-    row = _greedy_fill(order, scenario.file_sizes, float(scenario.cache_capacity[0]))
-    B = scenario.sbs_count
-    y = np.zeros((B, scenario.file_count), dtype=np.int8)
-    for j in range(B):
-        if scenario.cache_capacity[j] == scenario.cache_capacity[0]:
-            y[j] = row
-        else:
-            y[j] = _greedy_fill(order, scenario.file_sizes, scenario.cache_capacity[j])
+    y = np.array([
+        _greedy_fill(order, scenario.file_sizes, capacity)
+        for capacity in scenario.cache_capacity
+    ])
     return CachePlacement(y)
 
 

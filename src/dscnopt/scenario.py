@@ -14,9 +14,9 @@ byte-identical files and round-trip exactly.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional, TextIO, Tuple, Union
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -220,101 +220,68 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
 
 # --- serialization ---------------------------------------------------------
 
-_SCALARS = [
-    ("sbs_count", int),
-    ("user_count", int),
-    ("file_count", int),
-    ("bandwidth_hz", float),
-    ("noise_power_w", float),
-    ("pathloss_exponent", float),
-    ("alpha", float),
-    ("central_zone_radius_m", float),
+# Every field of the instance file, in file order: (key, Instance attribute,
+# value type, shape). Scalars have no shape; a matrix's dimensions are
+# counts (B SBSs, U users, F files) or fixed sizes, and a vector is one
+# column wide.
+_FIELDS = [
+    ("sbs_count", "scenario.sbs_count", int, None),
+    ("user_count", "scenario.user_count", int, None),
+    ("file_count", "scenario.file_count", int, None),
+    ("bandwidth_hz", "scenario.bandwidth", float, None),
+    ("noise_power_w", "scenario.noise_power", float, None),
+    ("pathloss_exponent", "scenario.pathloss_exponent", float, None),
+    ("alpha", "scenario.alpha", float, None),
+    ("central_zone_radius_m", "scenario.central_zone_radius", float, None),
+    ("sbs_positions_m", "scenario.sbs_positions", float, ("B", 2)),
+    ("user_positions_m", "scenario.user_positions", float, ("U", 2)),
+    ("max_power_w", "scenario.max_power", float, ("B", 1)),
+    ("cache_capacity_bytes", "scenario.cache_capacity", float, ("B", 1)),
+    ("backhaul_mean_s", "scenario.backhaul_mean", float, ("B", 1)),
+    ("load_coefficients", "scenario.load_coefficients", float, ("B", 1)),
+    ("file_sizes_bytes", "scenario.file_sizes", float, ("F", 1)),
+    ("sinr_thresholds", "scenario.sinr_thresholds", float, ("F", 1)),
+    ("preference_rho", "preferences.rho", float, ("U", "F")),
+    ("demand_theta", "demands.theta", int, ("U", "F")),
 ]
-_BLOCKS = [
-    # (name, kind, rows attr, cols attr or None for vectors)
-    ("sbs_positions_m", "float", "B", 2),
-    ("user_positions_m", "float", "U", 2),
-    ("max_power_w", "float", "B", None),
-    ("cache_capacity_bytes", "float", "B", None),
-    ("backhaul_mean_s", "float", "B", None),
-    ("load_coefficients", "float", "B", None),
-    ("file_sizes_bytes", "float", "F", None),
-    ("sinr_thresholds", "float", "F", None),
-    ("preference_rho", "float", "U", "F"),
-    ("demand_theta", "int", "U", "F"),
-]
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _write(instance: Instance, out: TextIO) -> None:
-    sc = instance.scenario
-    scalars = {
-        "sbs_count": sc.sbs_count,
-        "user_count": sc.user_count,
-        "file_count": sc.file_count,
-        "bandwidth_hz": sc.bandwidth,
-        "noise_power_w": sc.noise_power,
-        "pathloss_exponent": sc.pathloss_exponent,
-        "alpha": sc.alpha,
-        "central_zone_radius_m": sc.central_zone_radius,
-    }
-    blocks = {
-        "sbs_positions_m": sc.sbs_positions,
-        "user_positions_m": sc.user_positions,
-        "max_power_w": sc.max_power,
-        "cache_capacity_bytes": sc.cache_capacity,
-        "backhaul_mean_s": sc.backhaul_mean,
-        "load_coefficients": sc.load_coefficients,
-        "file_sizes_bytes": sc.file_sizes,
-        "sinr_thresholds": sc.sinr_thresholds,
-        "preference_rho": instance.preferences.rho,
-        "demand_theta": instance.demands.theta,
-    }
-    if sc.sbs_positions is None or sc.user_positions is None:
-        raise ModelError("only instances with positions can be serialized")
-    out.write(FORMAT_HEADER + "\n[scenario]\n")
-    for name, kind in _SCALARS:
-        value = scalars[name]
-        out.write(f"{name} = {value if kind is int else _fmt(value)}\n")
-    for name, kind, _, _cols in _BLOCKS:
-        data = np.asarray(blocks[name])
-        if data.ndim == 1:
-            data = data[:, None]
-        out.write(f"[matrix {name} {data.shape[0]} {data.shape[1]}]\n")
-        for row in data:
-            if kind == "int":
-                out.write(" ".join(str(int(v)) for v in row) + "\n")
-            else:
-                out.write(" ".join(_fmt(v) for v in row) + "\n")
-
-
-def save(instance: Instance, path: str) -> None:
-    buf = io.StringIO()
-    _write(instance, buf)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+def _fmt(v, kind: type) -> str:
+    return str(int(v)) if kind is int else format(float(v), ".17g")
 
 
 def dumps(instance: Instance) -> str:
-    buf = io.StringIO()
-    _write(instance, buf)
-    return buf.getvalue()
+    sc = instance.scenario
+    if sc.sbs_positions is None or sc.user_positions is None:
+        raise ModelError("only instances with positions can be serialized")
+    lines = [FORMAT_HEADER, "[scenario]"]
+    for key, source, kind, shape in _FIELDS:
+        value = attrgetter(source)(instance)
+        if shape is None:
+            lines.append(f"{key} = {_fmt(value, kind)}")
+            continue
+        data = np.asarray(value).reshape(len(value), -1)
+        lines.append(f"[matrix {key} {data.shape[0]} {data.shape[1]}]")
+        lines.extend(" ".join(_fmt(v, kind) for v in row) for row in data)
+    return "\n".join(lines) + "\n"
 
 
-def _parse_blocks(lines: List[str]):
-    scalars = {}
-    matrices = {}
-    i = 0
+def save(instance: Instance, path: str) -> None:
+    text = dumps(instance)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _parse_fields(lines: List[str]) -> dict:
+    """Every field's raw value, keyed as in ``_FIELDS``; matrices as floats."""
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ParseError("missing or unknown format header")
-    i = 1
-    if i >= len(lines) or lines[i].strip() != "[scenario]":
+    if len(lines) < 2 or lines[1].strip() != "[scenario]":
         raise ParseError("missing [scenario] section")
-    i += 1
-    scalar_types = dict(_SCALARS)
+    scalars = {key: kind for key, _, kind, shape in _FIELDS if shape is None}
+    matrices = {key for key, _, _, shape in _FIELDS if shape is not None}
+    values = {}
+    i = 2
     while i < len(lines) and not lines[i].startswith("["):
         line = lines[i].strip()
         i += 1
@@ -324,15 +291,14 @@ def _parse_blocks(lines: List[str]):
             raise ParseError(f"line {i}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in scalar_types:
+        if key not in scalars:
             raise ParseError(f"line {i}: unknown scalar key {key!r}")
-        if key in scalars:
+        if key in values:
             raise ParseError(f"line {i}: duplicate key {key!r}")
         try:
-            scalars[key] = scalar_types[key](raw)
+            values[key] = scalars[key](raw)
         except ValueError as exc:
             raise ParseError(f"line {i}: bad value for {key!r}: {raw!r}") from exc
-    known_blocks = {name for name, *_ in _BLOCKS}
     while i < len(lines):
         header = lines[i].strip()
         i += 1
@@ -341,81 +307,66 @@ def _parse_blocks(lines: List[str]):
         parts = header.strip("[]").split()
         if len(parts) != 4 or parts[0] != "matrix":
             raise ParseError(f"line {i}: expected a matrix header, got {header!r}")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-        if name not in known_blocks:
+        name = parts[1]
+        try:
+            rows, cols = int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ParseError(f"line {i}: bad dimensions for matrix {name!r}") from exc
+        if name not in matrices:
             raise ParseError(f"line {i}: unknown matrix {name!r}")
-        if name in matrices:
+        if name in values:
             raise ParseError(f"line {i}: duplicate matrix {name!r}")
         data = []
         for r in range(rows):
             if i >= len(lines):
                 raise ParseError(f"matrix {name!r} truncated: expected {rows} rows")
-            values = lines[i].split()
+            row = lines[i].split()
             i += 1
-            if len(values) != cols:
+            if len(row) != cols:
                 raise ParseError(
-                    f"matrix {name!r} row {r}: expected {cols} values, got {len(values)}"
+                    f"matrix {name!r} row {r}: expected {cols} values, got {len(row)}"
                 )
             try:
-                data.append([float(v) for v in values])
+                data.append([float(v) for v in row])
             except ValueError as exc:
                 raise ParseError(f"matrix {name!r} row {r}: bad number") from exc
-        matrices[name] = np.array(data)
-    for key, _ in _SCALARS:
-        if key not in scalars:
-            raise ParseError(f"missing scalar {key!r} in [scenario]")
-    for name, *_ in _BLOCKS:
-        if name not in matrices:
-            raise ParseError(f"missing matrix section {name!r}")
-    return scalars, matrices
+        values[name] = np.array(data, dtype=float)
+    for key, *_ in _FIELDS:
+        if key not in values:
+            raise ParseError(f"missing field {key!r}")
+    return values
 
 
 def loads(text: str) -> Instance:
-    scalars, matrices = _parse_blocks(text.splitlines())
-    B, U, F = scalars["sbs_count"], scalars["user_count"], scalars["file_count"]
-    expected = {
-        "sbs_positions_m": (B, 2),
-        "user_positions_m": (U, 2),
-        "max_power_w": (B, 1),
-        "cache_capacity_bytes": (B, 1),
-        "backhaul_mean_s": (B, 1),
-        "load_coefficients": (B, 1),
-        "file_sizes_bytes": (F, 1),
-        "sinr_thresholds": (F, 1),
-        "preference_rho": (U, F),
-        "demand_theta": (U, F),
+    """Parse an instance file; malformed or invalid content raises ``ParseError``."""
+    values = _parse_fields(text.splitlines())
+    counts = {
+        "B": values["sbs_count"], "U": values["user_count"], "F": values["file_count"]
     }
-    for name, shape in expected.items():
-        if matrices[name].shape != shape:
-            raise ParseError(
-                f"matrix {name!r} has shape {matrices[name].shape}, expected {shape}"
-            )
-    sbs_pos = matrices["sbs_positions_m"]
-    users = matrices["user_positions_m"]
-    dist = np.linalg.norm(users[:, None, :] - sbs_pos[None, :, :], axis=2)
-    gains = dist ** (-scalars["pathloss_exponent"])
-    scenario = Scenario(
-        sbs_count=B,
-        user_count=U,
-        file_count=F,
-        max_power=matrices["max_power_w"][:, 0],
-        cache_capacity=matrices["cache_capacity_bytes"][:, 0],
-        backhaul_mean=matrices["backhaul_mean_s"][:, 0],
-        file_sizes=matrices["file_sizes_bytes"][:, 0],
-        sinr_thresholds=matrices["sinr_thresholds"][:, 0],
-        bandwidth=scalars["bandwidth_hz"],
-        noise_power=scalars["noise_power_w"],
-        pathloss_exponent=scalars["pathloss_exponent"],
-        channel_gains=gains,
-        alpha=scalars["alpha"],
-        load_coefficients=matrices["load_coefficients"][:, 0],
-        central_zone_radius=scalars["central_zone_radius_m"],
-        sbs_positions=sbs_pos,
-        user_positions=users,
+    parts = {"scenario": {}, "preferences": {}, "demands": {}}
+    for key, source, _, shape in _FIELDS:
+        value = values[key]
+        if shape is not None:
+            expected = tuple(counts.get(d, d) for d in shape)
+            if value.shape != expected:
+                raise ParseError(
+                    f"matrix {key!r} has shape {value.shape}, expected {expected}"
+                )
+            if shape[1] == 1:
+                value = value[:, 0]
+        owner, attr = source.split(".")
+        parts[owner][attr] = value
+    sc = parts["scenario"]
+    dist = np.linalg.norm(
+        sc["user_positions"][:, None, :] - sc["sbs_positions"][None, :, :], axis=2
     )
-    U_ = scenario.user_count
-    prefs = PreferenceMatrix(matrices["preference_rho"], np.full(U_, 1.0 / U_))
-    demands = DemandMatrix(matrices["demand_theta"].astype(np.int8))
+    try:
+        scenario = Scenario(channel_gains=dist ** (-sc["pathloss_exponent"]), **sc)
+        U = scenario.user_count
+        prefs = PreferenceMatrix(parts["preferences"]["rho"], np.full(U, 1.0 / U))
+        demands = DemandMatrix(parts["demands"]["theta"])
+    except ModelError as exc:
+        raise ParseError(f"invalid instance: {exc}") from exc
     return Instance(scenario, prefs, demands)
 
 

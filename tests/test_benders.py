@@ -22,7 +22,6 @@ from dscnopt.benders import (
     solve_master,
     solve_subproblem,
     ucwt,
-    update_bounds,
     varrho,
 )
 from dscnopt.model import (
@@ -541,23 +540,25 @@ class TestMaster:
             cases.append((inst.scenario, inst.demands, placement))
         for s, demands, placement in cases:
             cuts = ucwt(s, demands, placement, 0.5).trace.cuts
-            table = benders._CutTable(
-                s.user_count, s.sbs_count, delay_coefficients(s, demands, placement)
-            )
-            for k in range(1, len(cuts) + 1):
-                for alpha in (0.0, 0.5, 1.0):
+            dcoef = delay_coefficients(s, demands, placement)
+            for alpha in (0.0, 0.5, 1.0):
+                table = benders._CutTable(s.user_count, s.sbs_count, dcoef, alpha)
+                for k in range(1, len(cuts) + 1):
                     kept = solve_master(s, demands, placement, cuts[:k], alpha, table)
                     fresh = solve_master(s, demands, placement, cuts[:k], alpha)
                     assert kept.value == fresh.value
                     assert kept.eta == fresh.eta
                     assert np.array_equal(kept.assoc.x, fresh.assoc.x)
-            eta, feasible = table.eta.copy(), table.feasible.copy()
-            table.absorb(cuts)
-            assert table.absorbed == len(cuts)
-            assert np.array_equal(table.eta, eta)
-            assert np.array_equal(table.feasible, feasible)
-            with pytest.raises(ModelError):
-                table.absorb(cuts[:-1])
+                eta, value = table.eta.copy(), table.value.copy()
+                table.absorb(cuts)
+                assert table.absorbed == len(cuts)
+                assert np.array_equal(table.eta, eta)
+                assert np.array_equal(table.value, value)
+                with pytest.raises(ModelError):
+                    table.absorb(cuts[:-1])
+                # a table holds the objective at one alpha only
+                with pytest.raises(ModelError):
+                    solve_master(s, demands, placement, cuts, 0.25, table)
 
     @pytest.mark.parametrize("U, B", [(1, 3), (3, 1), (1, 1), (6, 3), (15, 2)])
     def test_grid_sum_matches_enumeration(self, U, B):
@@ -651,15 +652,6 @@ class TestPenalty:
             rmp_penalty_value(s, demands, placement, [], 0.3, lam, 0.0, frac * 3)
 
 
-class TestUpdateBounds:
-    def test_skips_unbounded_and_keeps_first_tie(self):
-        candidates = [(math.inf, 1.0), (4.0, 2.0), (2.0, 4.0), (2.0, 4.0)]
-        best, omega = update_bounds(candidates, 0.5)
-        assert best == pytest.approx(3.0)
-        assert omega == 2
-        assert update_bounds([(math.inf, 1.0)], 0.5) == (math.inf, None)
-
-
 class TestUcwt:
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_matches_oracle_on_small_case(self, alpha):
@@ -735,6 +727,55 @@ class TestUcwt:
                 assert result.trace.final_objective == pytest.approx(
                     swept[alpha].objective, rel=1e-6, abs=1e-9
                 )
+
+    def test_trace_keeps_one_cut_per_iteration_and_one_incumbent(self):
+        # every cut is new, and the incumbent moves only on a strict drop
+        for seed in range(10):
+            for users in (6, 8):
+                inst = scn.generate(scn.desk_scale(user_count=users), seed)
+                s, demands = inst.scenario, inst.demands
+                placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+                for alpha in (0.0, 0.5, 1.0):
+                    trace = ucwt(s, demands, placement, alpha).trace
+                    assert len(trace.cuts) == len(trace.iterations)
+                    keys = {(c.kind, c.constant, c.coef.tobytes()) for c in trace.cuts}
+                    assert len(keys) == len(trace.cuts)
+                    upper, omega = math.inf, None
+                    for r in trace.iterations:
+                        if r.subproblem_status == "unbounded":
+                            assert (r.psi_upper, r.omega) == (upper, omega)
+                        elif r.omega != omega:
+                            assert r.psi_upper < upper and r.omega == r.t
+                        else:
+                            assert r.psi_upper == upper
+                        upper, omega = r.psi_upper, r.omega
+                    assert trace.omega == omega
+
+    def test_iteration_budget_returns_incumbent_unconverged(self, monkeypatch):
+        # a budget of k iterations replays the first k of the full run
+        outcomes = set()
+        for seed in range(6):
+            inst, placement = desk_pipeline(seed)
+            s, demands = inst.scenario, inst.demands
+            for alpha in (0.0, 0.5, 1.0):
+                full = ucwt(s, demands, placement, alpha).trace.iterations
+                for budget in range(1, min(4, len(full))):
+                    monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", budget)
+                    head = full[:budget]
+                    if all(r.subproblem_status == "unbounded" for r in head):
+                        with pytest.raises(NoFeasibleAssociationError):
+                            ucwt(s, demands, placement, alpha)
+                        outcomes.add("no incumbent")
+                    else:
+                        trace = ucwt(s, demands, placement, alpha).trace
+                        assert not trace.converged
+                        assert trace.iterations == head
+                        assert trace.final_objective == pytest.approx(
+                            head[-1].psi_upper, rel=1e-12
+                        )
+                        outcomes.add("incumbent")
+                    monkeypatch.undo()
+        assert outcomes == {"incumbent", "no incumbent"}
 
     def test_trace_csv_format(self):
         s, demands, placement = easy_case()

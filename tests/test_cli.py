@@ -122,6 +122,41 @@ class TestSolve:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("header, row", [
+        ("[matrix max_power_w 3 1]", None),
+        ("[matrix max_power_w 3 1]", "-1"),
+        ("[matrix demand_theta 6 8]", "0.5 0.5 0 0 0 0 0 0"),
+    ])
+    def test_invalid_instance_exits_2(self, runner, tmp_path, header, row):
+        # a non-integer dimension, a negative power budget, a non-binary demand
+        lines = scn.dumps(scn.generate(scn.desk_scale(), 0)).splitlines()
+        k = lines.index(header)
+        if row is None:
+            lines[k] = header.replace(" 3 1]", " x 1]")
+        else:
+            lines[k + 1] = row
+        path = tmp_path / "inst.txt"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["solve", "--instance", str(path), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 2
+        assert "cannot load instance" in result.output
+        assert "Traceback" not in result.output
+
+    def test_iteration_budget_exits_1(self, runner, tmp_path, monkeypatch):
+        # desk seed 3 at alpha 1 proposes a feasible association first and
+        # needs more than two iterations to close the gap
+        monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", 2)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main, ["solve", "--seed", "3", "--alpha", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        fields = long_fields(read_csv(str(out)))
+        assert fields["converged"][0][1] == "0"
+        assert fields["iterations"][0][1] == "2"
+
     def test_infeasible_instance_exits_3(self, runner, tmp_path):
         # shrink every SBS's power budget until no association is feasible
         inst = scn.generate(scn.desk_scale(), 0)
@@ -151,6 +186,18 @@ class TestSolve:
         monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
         result = runner.invoke(main, ["solve", "--out", str(tmp_path / "o.csv")])
         assert_solver_fault(result)
+
+
+def unconverged_ucwt(monkeypatch):
+    """Make every ucwt run report that it did not converge."""
+    ucwt = benders.ucwt
+
+    def run(*args, **kwargs):
+        result = ucwt(*args, **kwargs)
+        result.trace.converged = False
+        return result
+
+    monkeypatch.setattr(benders, "ucwt", run)
 
 
 def raise_solver_fault(*args):
@@ -277,6 +324,19 @@ class TestCompareCaching:
         )
         assert_solver_fault(result)
 
+    def test_unconverged_ucwt_writes_empty_cells(self, runner, tmp_path, monkeypatch):
+        unconverged_ucwt(monkeypatch)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["compare-caching", "--seeds", "1", "--capacity-grid", "0.5",
+             "--seed", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = read_csv(str(out))[1:]
+        assert sorted(r[0] for r in rows) == ["gpc", "lpf", "rc"]
+        assert all(r[3] != "" and r[4:] == ["", ""] for r in rows)
+
 
 class TestCompareAlgorithms:
     def test_users_sweep_schema(self, runner, tmp_path):
@@ -337,3 +397,16 @@ class TestCompareAlgorithms:
         assert sorted(rows) == ["doa", "ema", "ucwt"]
         assert rows["doa"] == ["users", "4", "0", "doa", "", "", ""]
         assert all(cell != "" for cell in rows["ucwt"])
+
+    def test_unconverged_ucwt_writes_empty_row(self, runner, tmp_path, monkeypatch):
+        unconverged_ucwt(monkeypatch)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["compare-algorithms", "--seeds", "1", "--grid", "4",
+             "--sample-backhaul", "--samples", "10", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = {r[3]: r for r in read_csv(str(out))[1:]}
+        assert rows["ucwt"] == ["users", "4", "0", "ucwt", "", "", ""]
+        assert all(cell != "" for cell in rows["ema"])

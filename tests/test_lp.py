@@ -40,8 +40,7 @@ def verify_ray(problem: lp.LinearProgram, result: lp.LpResult, tol=1e-7):
             assert rows[r] <= tol * scale
         else:
             assert abs(rows[r]) <= tol * scale
-    zero_lower = problem.lower == 0.0
-    assert np.all(ray[zero_lower] >= -tol * scale)
+    assert np.all(ray >= -tol * scale)
     finite = np.isfinite(problem.upper)
     assert np.all(ray[finite] <= tol * scale)
     gain = float(problem.c @ ray)
@@ -109,16 +108,6 @@ class TestBasicSolves:
         assert result.objective == pytest.approx(3.0, abs=1e-9)
         assert result.x == pytest.approx([0.0, 3.0], abs=1e-9)
 
-    def test_free_variable(self):
-        # min x with x free and x >= -5: optimum -5
-        problem = lp.LinearProgram(
-            "min", [1.0], [[1.0]], [-5.0], [lp.GE],
-            lower=np.array([-np.inf]),
-        )
-        result = lp.solve_lp(problem)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(-5.0, abs=1e-9)
-
     def test_infeasible_certificate(self):
         # x >= 2 and x <= 1 cannot hold together
         problem = lp.LinearProgram(
@@ -164,10 +153,6 @@ class TestBasicSolves:
             lp.LinearProgram("min", [1.0], [[1.0]], [1.0], ["=="])
         with pytest.raises(lp.LpError):
             lp.LinearProgram("min", [np.inf], [[1.0]], [1.0], [lp.GE])
-        with pytest.raises(lp.LpError):
-            lp.LinearProgram(
-                "min", [1.0], [[1.0]], [1.0], [lp.GE], lower=np.array([2.0])
-            )
 
 
 class TestDuals:
@@ -234,8 +219,7 @@ class TestRandomized:
             scaled = lp.LinearProgram(
                 problem.sense, problem.c,
                 problem.A * factors[:, None], problem.b * factors,
-                list(problem.row_senses),
-                lower=problem.lower.copy(), upper=problem.upper.copy(),
+                list(problem.row_senses), upper=problem.upper.copy(),
             )
             other = lp.solve_lp(scaled)
             assert base.status == other.status
@@ -248,17 +232,14 @@ class TestRandomized:
 def loop_standard_form(problem: lp.LinearProgram):
     """The column-at-a-time standard-form builder the array one replaced.
 
-    Returns (A, b, c, obj_sign, pos, neg, row_sign, upper_vars).
+    Returns (A, b, c, obj_sign, row_sign, upper_vars).
     """
     m, n = problem.num_rows, problem.num_vars
     ub_rows = [(j, float(problem.upper[j])) for j in range(n)
                if np.isfinite(problem.upper[j])]
     total_rows = m + len(ub_rows)
-    pos = np.zeros(n, dtype=int)
-    neg = np.full(n, -1, dtype=int)
     cols, c_cols = [], []
     sign = 1.0 if problem.sense == "min" else -1.0
-    col = 0
     for j in range(n):
         a = np.zeros(total_rows)
         a[:m] = problem.A[:, j]
@@ -267,13 +248,6 @@ def loop_standard_form(problem: lp.LinearProgram):
                 a[m + r] = 1.0
         cols.append(a)
         c_cols.append(sign * problem.c[j])
-        pos[j] = col
-        col += 1
-        if np.isneginf(problem.lower[j]):
-            cols.append(-a)
-            c_cols.append(-sign * problem.c[j])
-            neg[j] = col
-            col += 1
     for r in range(m):
         s = problem.row_senses[r]
         if s == lp.EQ:
@@ -294,27 +268,21 @@ def loop_standard_form(problem: lp.LinearProgram):
     row_sign[flip] = -1.0
     A[flip] *= -1.0
     upper_vars = np.array([j for j, _ in ub_rows], dtype=int)
-    return A, b * row_sign, np.array(c_cols), sign, pos, neg, row_sign, upper_vars
+    return A, b * row_sign, np.array(c_cols), sign, row_sign, upper_vars
 
 
 class TestStandardForm:
     def test_matches_loop_reference(self):
-        # bit for bit, on LPs with free variables, all row senses, finite
-        # and infinite upper bounds, both senses, and no rows
+        # bit for bit, on LPs with all row senses, finite and infinite
+        # upper bounds, both senses, and no rows
         rng = np.random.default_rng(5)
-        problems = []
-        for _ in range(300):
-            problem = random_lp(rng)
-            problem.lower = np.where(rng.random(problem.num_vars) < 0.3,
-                                     -np.inf, 0.0)
-            problems.append(problem)
+        problems = [random_lp(rng) for _ in range(300)]
         problems.append(lp.LinearProgram("max", [1.0, -2.0], np.zeros((0, 2)), [], []))
         for problem in problems:
             std = lp.standard_form(problem)
-            A, b, c, sign, pos, neg, row_sign, upper_vars = loop_standard_form(problem)
-            for new, old in ((std.A, A), (std.b, b), (std.c, c), (std.pos_part, pos),
-                             (std.neg_part, neg), (std.row_sign, row_sign),
-                             (std.upper_vars, upper_vars)):
+            A, b, c, sign, row_sign, upper_vars = loop_standard_form(problem)
+            for new, old in ((std.A, A), (std.b, b), (std.c, c),
+                             (std.row_sign, row_sign), (std.upper_vars, upper_vars)):
                 assert new.shape == old.shape
                 assert new.dtype == old.dtype
                 assert new.tobytes() == old.tobytes()

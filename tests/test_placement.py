@@ -96,8 +96,6 @@ class TestBaselinePolicies:
         assert placement.check_capacity(inst.scenario)
         # equal capacities -> identical rows
         assert np.all(placement.y == placement.y[0])
-        with pytest.raises(ModelError):
-            gpc_placement(inst.scenario, zipf_exponent=0.0)
 
     def test_rc_is_seeded(self, desk):
         inst, _ = desk

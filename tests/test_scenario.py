@@ -97,6 +97,13 @@ class TestGeneration:
         )
 
 
+def replace_row(text, header, row):
+    """The instance text with the first row under a matrix header replaced."""
+    lines = text.splitlines()
+    lines[lines.index(header) + 1] = row
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         inst = scn.generate(desk_scale(), 6)
@@ -130,6 +137,9 @@ class TestSerialization:
             lambda t: t.replace("alpha = ", "unknown_key = ", 1),
             lambda t: t.replace("[matrix max_power_w 3 1]", "[matrix max_power_w 4 1]"),
             lambda t: "\n".join(t.splitlines()[:-1]),
+            lambda t: t.replace("[matrix max_power_w 3 1]", "[matrix max_power_w x 1]"),
+            lambda t: replace_row(t, "[matrix max_power_w 3 1]", "-1"),
+            lambda t: replace_row(t, "[matrix demand_theta 6 8]", "0.5 0.5" + " 0" * 6),
         ],
     )
     def test_malformed_files_raise(self, mangle):
