@@ -1,8 +1,9 @@
 """Benders decomposition of the joint user-association / power-control problem.
 
 The continuous subproblem is the minimum-energy power control for a fixed
-association; bounded solves yield dual extreme points (optimality cuts)
-and unbounded ones extreme rays (feasibility cuts). The master picks the
+association; ``solve_subproblem`` builds each cut straight from its answer,
+an optimality cut from the multipliers of a feasible association and a
+feasibility cut from the Farkas ray of an infeasible one. The master picks the
 association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
 LP: by vectorized enumeration of every binary association while there
@@ -96,8 +97,6 @@ def varrho(scenario: Scenario, demands: DemandMatrix) -> float:
     worst-case interference-plus-noise level.
     """
     gammas = requested_thresholds(scenario, demands)
-    if np.any(gammas <= 0):
-        raise ModelError("every requested-file SINR threshold must be positive")
     I = scenario.sbs_count
     p_bar = float(scenario.max_power.max())
     g_bar = float(scenario.channel_gains.max())
@@ -118,14 +117,15 @@ def build_subproblem_primal(
     scenario: Scenario,
     demands: DemandMatrix,
     x,
-    rho: float,
 ) -> lpmod.LinearProgram:
-    """Minimum-energy power LP at a fixed association.
+    """Minimum-energy power LP at a fixed association, over every pair.
 
     Every (user, SBS) pair carries a relaxed SINR row; rows for
     non-assigned pairs are slack for any feasible power by construction
-    of ``rho``.
+    of ``varrho``. No solver uses it: it is the reference that
+    ``solve_subproblem``'s energies are checked against.
     """
+    rho = varrho(scenario, demands)
     X = _as_x_matrix(x, scenario)
     U, B = X.shape
     g = scenario.channel_gains
@@ -145,52 +145,6 @@ def build_subproblem_primal(
     )
 
 
-def build_subproblem_dual(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    x,
-    rho: float,
-) -> lpmod.LinearProgram:
-    """Dual of the minimum-energy power LP, over (mu, nu) >= 0.
-
-    Variables are ordered mu_0..mu_{B-1} then nu row-major by (user, SBS).
-    One >= constraint per SBS carries the serving-time cost coefficient.
-    """
-    X = _as_x_matrix(x, scenario)
-    U, B = X.shape
-    g = scenario.channel_gains
-    gammas = requested_thresholds(scenario, demands)
-    T = serving_time(scenario, demands, None, "relaxed")
-    c = np.concatenate([
-        -scenario.max_power,
-        ((X - 1.0) / rho + scenario.noise_power * gammas[:, None]).ravel(),
-    ])
-    # nu block [j, i, l]: gamma_i g_ij off the diagonal l != j, -g_ij on it
-    nu_block = np.repeat((gammas[:, None] * g).T[:, :, None], B, axis=2)
-    nu_block[np.arange(B), :, np.arange(B)] = -g.T
-    A = np.hstack([np.eye(B), nu_block.reshape(B, U * B)])
-    return lpmod.LinearProgram(
-        sense="max",
-        c=c,
-        A=A,
-        b=-T,
-        row_senses=[lpmod.GE] * B,
-    )
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """Extreme point or extreme ray of the dual subproblem."""
-
-    mu: np.ndarray             # length B
-    nu: np.ndarray             # U x B
-    kind: str                  # "extreme_point" | "extreme_ray"
-
-    def __post_init__(self):
-        if self.kind not in ("extreme_point", "extreme_ray"):
-            raise ModelError(f"unknown dual point kind {self.kind!r}")
-
-
 @dataclass(frozen=True)
 class Cut:
     """The affine map X -> h(X, mu, nu) as constant + sum coef_ij x_ij.
@@ -201,23 +155,6 @@ class Cut:
     constant: float
     coef: np.ndarray           # U x B, equals nu / varrho
     kind: str                  # "optimality" | "feasibility"
-
-    @classmethod
-    def from_dual_point(
-        cls,
-        scenario: Scenario,
-        demands: DemandMatrix,
-        rho: float,
-        point: DualPoint,
-    ) -> "Cut":
-        gammas = requested_thresholds(scenario, demands)
-        const = float(
-            -(scenario.max_power @ point.mu)
-            + ((scenario.noise_power * gammas[:, None] - 1.0 / rho) * point.nu).sum()
-        )
-        coef = point.nu / rho
-        kind = "optimality" if point.kind == "extreme_point" else "feasibility"
-        return cls(const, coef, kind)
 
     def value(self, x) -> float:
         """Evaluate h at a (possibly fractional) association matrix."""
@@ -279,15 +216,17 @@ def _min_power_lp(
 class _PowerAnswer:
     """Minimum powers of a binary association, with their certificate.
 
-    ``power`` is None when the association is infeasible. ``mu`` (per SBS,
-    on the power caps) and ``nu`` (per user, on its SINR row) are the
-    optimality duals of a feasible association, or else a Farkas ray
-    normalized to a certified violation ``nu @ b - mu @ p_max`` of 1.
+    ``power`` is None when the association is infeasible, and ``energy``
+    is then +inf, else T p. ``mu`` (per SBS, on the power caps) and ``nu``
+    (per user, on its SINR row) are the optimality duals of a feasible
+    association, or else a Farkas ray normalized to a certified violation
+    ``nu @ b - mu @ p_max`` of 1.
     """
 
     power: Optional[np.ndarray]
     mu: np.ndarray
     nu: np.ndarray
+    energy: float = math.inf
 
 
 def _ray(
@@ -387,7 +326,7 @@ def _policy_iteration(
             w = dgetrs(*factors, T[cols], trans=1)[0]
             nu = np.zeros(U)
             nu[sigma] = w / system.own[sigma]
-            return _PowerAnswer(p, np.zeros(B), nu)
+            return _PowerAnswer(p, np.zeros(B), nu, float(T @ p))
         sigma = np.where(switch, best, sigma)
     return None
 
@@ -502,7 +441,8 @@ def _min_power(
             [lpmod.LE] * B,
         ))
         mu, nu = _cleaned(dual.x[U:], dual.x[:U])
-        return _PowerAnswer(result.x.clip(min=0.0), mu, nu)
+        power = result.x.clip(min=0.0)
+        return _PowerAnswer(power, mu, nu, float(T @ power))
     if result.status != "infeasible":
         # rejected only by the strict vertex check: force a certificate
         result = lpmod.solve_lp(problem, feas_tol=0.0)
@@ -522,15 +462,15 @@ def min_power_for(
 
 def solve_subproblem(
     scenario: Scenario, demands: DemandMatrix, x
-) -> Tuple[DualPoint, float]:
-    """Solve the power subproblem at a fixed binary association.
+) -> Tuple[Cut, float]:
+    """Benders cut and minimum relaxed energy M at a fixed binary association.
 
-    Bounded: extreme point and the minimum relaxed energy M. Unbounded,
-    i.e. the association admits no feasible power: extreme ray and
-    M = +inf. The answer comes from ``_min_power``, the routine behind
-    ``min_power_for``, so every path gives one verdict; its multipliers on
-    the assigned rows extend with zeros to the other pairs. Raises
-    ``ModelError`` on a fractional ``x``.
+    A feasible association gives an optimality cut and its energy M, an
+    infeasible one a feasibility cut and M = +inf. The answer comes from
+    ``_min_power``, as ``min_power_for``'s does, so every path gives one
+    verdict. With its multipliers nu extended by zeros to the unassigned
+    pairs, h(X) = -p_max mu + sum_ij nu_ij (N gamma_i - (1 - x_ij) / varrho).
+    Raises ``ModelError`` on a fractional ``x``.
     """
     U, B = scenario.user_count, scenario.sbs_count
     X = _as_x_matrix(x, scenario)
@@ -538,12 +478,16 @@ def solve_subproblem(
         raise ModelError("the power subproblem needs a binary association")
     assigned = np.argmax(X, axis=1)
     answer = _min_power(scenario, demands, assigned)
+    rho = varrho(scenario, demands)
     nu = np.zeros((U, B))
     nu[np.arange(U), assigned] = answer.nu
-    if answer.power is None:
-        return DualPoint(mu=answer.mu, nu=nu, kind="extreme_ray"), math.inf
-    T = serving_time(scenario, demands, None, "relaxed")
-    return DualPoint(mu=answer.mu, nu=nu, kind="extreme_point"), float(T @ answer.power)
+    gammas = requested_thresholds(scenario, demands)
+    constant = float(
+        -(scenario.max_power @ answer.mu)
+        + ((scenario.noise_power * gammas[:, None] - 1.0 / rho) * nu).sum()
+    )
+    kind = "feasibility" if answer.power is None else "optimality"
+    return Cut(constant, nu / rho, kind), answer.energy
 
 
 def recover_power(
@@ -558,9 +502,10 @@ def recover_power(
 
 @dataclass(frozen=True)
 class MasterSolution:
-    eta: float
+    """The master's optimal association and its objective value N."""
+
     assoc: Association
-    value: float               # N: the master objective optimum
+    value: float
 
 
 def _grid_sum(coef: np.ndarray) -> np.ndarray:
@@ -579,21 +524,20 @@ class _CutTable:
     """The enumerated master's running objective over every binary association.
 
     Built for one ``alpha``, it holds per association, in lexicographic
-    order, eta (the largest optimality cut absorbed so far, at least 0) and
-    the master objective alpha * eta + (1 - alpha) * delay, or +inf where a
-    feasibility cut excludes the association. Each cut of a growing list is
-    scored once, by outer sums over users (``_grid_sum``). An optimality cut
-    h raises the objective to its maximum with alpha * h + (1 - alpha) *
-    delay: rounding is monotone and alpha >= 0, so this equals re-weighting
-    the raised eta, bit for bit.
+    order, the master objective alpha * eta + (1 - alpha) * delay, eta being
+    the largest optimality cut absorbed so far and at least 0, or +inf where
+    a feasibility cut excludes the association. Each cut of a growing list
+    is scored once, by outer sums over users (``_grid_sum``). The objective
+    starts at the weighted delay, and an optimality cut h raises it to its
+    maximum with alpha * h + (1 - alpha) * delay: rounding is monotone and
+    alpha >= 0, so this equals weighting the largest h, bit for bit.
     """
 
     def __init__(self, U: int, B: int, dcoef: np.ndarray, alpha: float):
         self.shape = (U, B)
         self.alpha = alpha
         self.weighted_delay = (1.0 - alpha) * _grid_sum(dcoef)
-        self.eta = np.zeros(self.weighted_delay.size)
-        self.value = alpha * self.eta + self.weighted_delay
+        self.value = self.weighted_delay.copy()
         self.absorbed = 0
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
@@ -607,7 +551,6 @@ class _CutTable:
             if cut.kind == "feasibility":
                 self.value[h > 1e-9 * cut.magnitude] = np.inf
             else:
-                np.maximum(self.eta, h, out=self.eta)
                 np.maximum(
                     self.value, self.alpha * h + self.weighted_delay, out=self.value
                 )
@@ -620,9 +563,7 @@ class _CutTable:
             raise MasterInfeasibleError("no feasible association exists")
         U, B = self.shape
         assoc = Association.from_assignment(np.unravel_index(k, (B,) * U), B)
-        return MasterSolution(
-            eta=float(self.eta[k]), assoc=assoc, value=float(self.value[k])
-        )
+        return MasterSolution(assoc=assoc, value=float(self.value[k]))
 
 
 def _search_master(
@@ -652,19 +593,19 @@ def _search_master(
     const = np.array([c.constant for c in rows] + [0.0])
     last_first = np.arange(U)[::-1]
     assigned = np.zeros(U, dtype=int)
-    best_value, best_assigned, best_eta = math.inf, None, 0.0
+    best_value, best_assigned = math.inf, None
 
-    def score(low: np.ndarray):
-        """Per column of row values: eta, and the objective (inf if cut off)."""
+    def score(low: np.ndarray) -> np.ndarray:
+        """Per column of row values, the objective (inf if cut off)."""
         eta = low[:k_opt].max(axis=0, initial=0.0)
         value = alpha * eta + (1.0 - alpha) * low[k_delay]
         value[(low[k_opt:k_delay] > limit).any(axis=0)] = math.inf
-        return eta, value
+        return value
 
     def visit(d: int, fixed: np.ndarray) -> None:
-        nonlocal best_value, best_assigned, best_eta
+        nonlocal best_value, best_assigned
         h = fixed[:, None] + coef[:, d, :]          # per row, per SBS of user d
-        _, bound = score(h + tail[:, d + 1, None])
+        bound = score(h + tail[:, d + 1, None])
         for j, least in enumerate(bound.tolist()):
             if least >= best_value:
                 continue
@@ -675,17 +616,15 @@ def _search_master(
             # re-summed in the enumeration's order, last user first, so that
             # a leaf scores exactly as it does in ``_CutTable``
             terms = coef[:, last_first, assigned[last_first]]
-            (eta,), (value,) = score(const[:, None] + terms.cumsum(axis=1)[:, -1:])
+            (value,) = score(const[:, None] + terms.cumsum(axis=1)[:, -1:])
             if value < best_value:
-                best_value, best_assigned, best_eta = value, assigned.copy(), eta
+                best_value, best_assigned = value, assigned.copy()
 
     visit(0, const)
     if best_assigned is None:
         raise MasterInfeasibleError("no feasible association exists")
     return MasterSolution(
-        eta=float(best_eta),
-        assoc=Association.from_assignment(best_assigned, B),
-        value=float(best_value),
+        assoc=Association.from_assignment(best_assigned, B), value=float(best_value)
     )
 
 
@@ -740,7 +679,6 @@ def rmp_penalty_value(
     scenario: Scenario,
     demands: DemandMatrix,
     placement: CachePlacement,
-    cuts: Sequence[Cut],
     alpha: float,
     lam: float,
     eta: float,
@@ -748,8 +686,9 @@ def rmp_penalty_value(
 ) -> float:
     """Penalized relaxed-master objective at a (possibly fractional) association.
 
-    At binary X the penalty vanishes and the value equals the master
-    objective; fractional entries are charged lam * (x - x^2) each.
+    ``eta`` is the energy bound at ``x``, the caller's largest optimality
+    cut there. At binary X the penalty vanishes and the value equals the
+    master objective; fractional entries are charged lam * (x - x^2) each.
     """
     X = np.asarray(x.x if isinstance(x, Association) else x, dtype=float)
     if np.any(X < -1e-12) or np.any(X > 1 + 1e-12):
@@ -766,7 +705,6 @@ class IterationRecord:
     psi_upper: float
     subproblem_status: str      # "bounded" | "unbounded"
     M: float                    # +inf when unbounded
-    N: float
     omega: Optional[int]
 
 
@@ -781,18 +719,14 @@ class BendersTrace:
     final_objective: Optional[float] = None
     cuts: List[Cut] = field(default_factory=list)
 
-    @property
-    def gap(self) -> float:
-        last = self.iterations[-1]
-        return last.psi_upper - last.psi_lower
-
     def csv_rows(self) -> List[str]:
+        """One row per iteration; the master optimum N is the lower bound."""
         rows = ["t,psi_lower,psi_upper,subproblem_status,M,N,omega"]
         for r in self.iterations:
             omega = "" if r.omega is None else str(r.omega)
             rows.append(
                 f"{r.t},{r.psi_lower:.9g},{r.psi_upper:.9g},"
-                f"{r.subproblem_status},{r.M:.9g},{r.N:.9g},{omega}"
+                f"{r.subproblem_status},{r.M:.9g},{r.psi_lower:.9g},{omega}"
             )
         return rows
 
@@ -828,7 +762,6 @@ def ucwt(
         raise ModelError("alpha must lie in [0, 1]")
     if epsilon is not None and epsilon <= 0:
         raise ModelError("epsilon must be positive")
-    rho = varrho(scenario, demands)
     dcoef = delay_coefficients(scenario, demands, placement)
 
     U, B = scenario.user_count, scenario.sbs_count
@@ -843,8 +776,8 @@ def ucwt(
     psi_upper, omega, best = math.inf, None, None
 
     for t in range(1, DEFAULT_MAX_ITERS + 1):
-        point, M = solve_subproblem(scenario, demands, assoc)
-        trace.cuts.append(Cut.from_dual_point(scenario, demands, rho, point))
+        cut, M = solve_subproblem(scenario, demands, assoc)
+        trace.cuts.append(cut)
         if math.isfinite(M):
             value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
             if value < psi_upper:
@@ -866,7 +799,6 @@ def ucwt(
                 psi_upper=psi_upper,
                 subproblem_status="bounded" if math.isfinite(M) else "unbounded",
                 M=M,
-                N=master.value,
                 omega=omega,
             )
         )

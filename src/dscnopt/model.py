@@ -7,7 +7,7 @@ once at scenario construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -84,6 +84,17 @@ class Scenario:
         object.__setattr__(self, "channel_gains", g)
         if g.shape != (U, B):
             raise ModelError(f"channel_gains must have shape ({U}, {B})")
+        for name, n in [("sbs_positions", B), ("user_positions", U)]:
+            pos = getattr(self, name)
+            if pos is not None:
+                pos = _frozen(pos)
+                object.__setattr__(self, name, pos)
+                if pos.shape != (n, 2):
+                    raise ModelError(f"{name} must have shape ({n}, 2)")
+        values = [getattr(self, f.name) for f in fields(self) if f.init]
+        flat = np.concatenate([np.ravel(v) for v in values if v is not None])
+        if not np.isfinite(flat).all():
+            raise ModelError("every scenario value must be finite")
 
         if np.any(self.max_power <= 0) or np.any(self.file_sizes <= 0):
             raise ModelError("powers and file sizes must be strictly positive")
@@ -97,18 +108,13 @@ class Scenario:
             raise ModelError("pathloss exponent must lie in [2, 5]")
         if not 0.0 <= self.alpha <= 1.0:
             raise ModelError("alpha must lie in [0, 1]")
+        if self.central_zone_radius <= 0:
+            raise ModelError("central zone radius must be positive")
         if np.any(self.load_coefficients <= 0) or not np.isclose(
             self.load_coefficients.sum(), 1.0, atol=1e-9
         ):
             raise ModelError("load coefficients must be positive and sum to 1")
 
-        for name, n in [("sbs_positions", B), ("user_positions", U)]:
-            pos = getattr(self, name)
-            if pos is not None:
-                pos = _frozen(pos)
-                object.__setattr__(self, name, pos)
-                if pos.shape != (n, 2):
-                    raise ModelError(f"{name} must have shape ({n}, 2)")
         if self.sbs_positions is not None and self.user_positions is not None:
             dist = np.linalg.norm(
                 self.user_positions[:, None, :] - self.sbs_positions[None, :, :],
@@ -160,6 +166,9 @@ class Association:
     @classmethod
     def from_assignment(cls, assigned_sbs, sbs_count: int) -> "Association":
         assigned = np.asarray(assigned_sbs, dtype=int)
+        # a Python scan is cheaper than array compares on short assignments
+        if not all(0 <= j < sbs_count for j in assigned.ravel().tolist()):
+            raise ModelError(f"SBS indices must lie in [0, {sbs_count})")
         return cls(np.eye(sbs_count, dtype=np.int8)[assigned])
 
     @property

@@ -73,14 +73,15 @@ def enumerate_candidates(
     scenario: Scenario,
     demands: DemandMatrix,
     placement: CachePlacement,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> List[Candidate]:
     """Every power-feasible association with its minimum energy and total delay.
 
     Alpha-independent, so a single enumeration serves a whole tradeoff
-    sweep.
+    sweep. Raises ``EnumerationCapError`` above ``DEFAULT_ENUMERATION_CAP``
+    associations.
     """
     U, B = scenario.user_count, scenario.sbs_count
+    cap = DEFAULT_ENUMERATION_CAP
     if B**U > cap:
         raise EnumerationCapError(
             f"{B}^{U} associations exceed the cap of {cap}; use a smaller instance"
@@ -125,15 +126,9 @@ def brute_force(
     demands: DemandMatrix,
     placement: CachePlacement,
     alpha: float,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> OracleSolution:
     """Global optimum of the weighted energy-delay problem by full enumeration."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError("alpha must lie in [0, 1]")
-    candidates = enumerate_candidates(scenario, demands, placement, cap)
-    if not candidates:
-        raise InstanceInfeasibleError("every association is power-infeasible")
-    return _pick(candidates, alpha, scenario.sbs_count)
+    return brute_force_sweep(scenario, demands, placement, [alpha])[0][1]
 
 
 def brute_force_sweep(
@@ -141,10 +136,11 @@ def brute_force_sweep(
     demands: DemandMatrix,
     placement: CachePlacement,
     alphas: Sequence[float],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> List[Tuple[float, OracleSolution]]:
-    """One enumeration reused across a whole alpha grid."""
-    candidates = enumerate_candidates(scenario, demands, placement, cap)
+    """One enumeration reused across a whole alpha grid, each alpha in [0, 1]."""
+    if not all(0.0 <= a <= 1.0 for a in alphas):
+        raise ModelError("alpha must lie in [0, 1]")
+    candidates = enumerate_candidates(scenario, demands, placement)
     if not candidates:
         raise InstanceInfeasibleError("every association is power-infeasible")
     return [(a, _pick(candidates, a, scenario.sbs_count)) for a in alphas]

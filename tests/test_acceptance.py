@@ -16,7 +16,6 @@ from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.baselines import doa, ema, min_power_for
 from dscnopt.benders import (
     Cut,
-    build_subproblem_dual,
     build_subproblem_primal,
     delay_coefficients,
     penalty_lambda,
@@ -24,7 +23,6 @@ from dscnopt.benders import (
     solve_master,
     solve_subproblem,
     ucwt,
-    varrho,
 )
 from dscnopt.model import Association, ModelError, serving_time
 from dscnopt.oracle import brute_force_sweep, enumerate_candidates, iter_assignments
@@ -156,7 +154,6 @@ def test_criterion_04_strong_duality():
     for seed in range(25):
         inst, cache = desk_pipeline(seed)
         s, demands = inst.scenario, inst.demands
-        rho = varrho(s, demands)
         # uniform associations are rarely power-feasible here, so half the
         # sample is drawn from the enumerated feasible set to exercise the
         # bounded branch of strong duality as well
@@ -170,10 +167,10 @@ def test_criterion_04_strong_duality():
             pairs += 1
             assoc = Association.from_assignment(assigned, s.sbs_count)
             primal = lpmod.solve_lp(
-                build_subproblem_primal(s, demands, assoc, rho)
+                build_subproblem_primal(s, demands, assoc)
             )
-            point, M = solve_subproblem(s, demands, assoc)
-            if point.kind == "extreme_point":
+            cut, M = solve_subproblem(s, demands, assoc)
+            if cut.kind == "optimality":
                 assert primal.status == "optimal"
                 rel = abs(M - primal.objective) / max(1.0, abs(primal.objective))
                 worst = max(worst, rel)
@@ -317,22 +314,21 @@ def test_criterion_10_penalty_equivalence():
     for seed in range(20):
         inst, cache = desk_pipeline(seed)
         s, demands = inst.scenario, inst.demands
-        rho = varrho(s, demands)
         # a representative cut pool: optimality cuts from random associations
         cut_pool = []
         for _ in range(4):
             assigned = rng.integers(0, s.sbs_count, s.user_count)
-            point, M = solve_subproblem(
+            cut, M = solve_subproblem(
                 s, demands, Association.from_assignment(assigned, s.sbs_count)
             )
-            if point.kind == "extreme_point":
-                cut_pool.append(Cut.from_dual_point(s, demands, rho, point))
+            if cut.kind == "optimality":
+                cut_pool.append(cut)
         lam = penalty_lambda(s, demands)
         master = solve_master(s, demands, cache, cut_pool, 0.5)
 
         def value_at(x):
             eta = max([0.0] + [c.value(x) for c in cut_pool])
-            return rmp_penalty_value(s, demands, cache, cut_pool, 0.5, lam, eta, x)
+            return rmp_penalty_value(s, demands, cache, 0.5, lam, eta, x)
 
         binary_min = min(
             value_at(Association.from_assignment(a, s.sbs_count))

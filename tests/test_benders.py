@@ -1,4 +1,4 @@
-"""Decomposition machinery: cuts, subproblem duality, master, full loop."""
+"""Decomposition machinery: cuts, the power subproblem, master, full loop."""
 
 import dataclasses
 import logging
@@ -12,7 +12,6 @@ from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.benders import (
     Cut,
     NoFeasibleAssociationError,
-    build_subproblem_dual,
     build_subproblem_primal,
     delay_coefficients,
     min_power_for,
@@ -87,8 +86,7 @@ class TestVarrho:
 
     def test_deactivates_non_assigned_rows(self):
         s, demands, _ = easy_case()
-        rho = varrho(s, demands)
-        primal = build_subproblem_primal(s, demands, Association([[1, 0], [0, 1]]), rho)
+        primal = build_subproblem_primal(s, demands, Association([[1, 0], [0, 1]]))
         # rows for non-assigned pairs must hold at any in-bounds power
         p = s.max_power.copy()
         residual = primal.A @ p - primal.b
@@ -99,26 +97,15 @@ class TestVarrho:
 class TestSubproblemLPs:
     def test_primal_matches_assigned_rows_solution(self):
         s, demands, _ = easy_case()
-        rho = varrho(s, demands)
         assoc = Association([[1, 0], [0, 1]])
-        full = lpmod.solve_lp(build_subproblem_primal(s, demands, assoc, rho))
+        full = lpmod.solve_lp(build_subproblem_primal(s, demands, assoc))
         small = min_power_for(s, demands, assoc)
         assert full.status == "optimal"
         T = serving_time(s, demands, None, "relaxed")
         assert full.objective == pytest.approx(float(small.p @ T), rel=1e-8)
 
-    def test_strong_duality(self):
-        s, demands, _ = easy_case()
-        rho = varrho(s, demands)
-        for assigned in iter_assignments(2, 2):
-            assoc = Association.from_assignment(assigned, 2)
-            primal = lpmod.solve_lp(build_subproblem_primal(s, demands, assoc, rho))
-            dual = lpmod.solve_lp(build_subproblem_dual(s, demands, assoc, rho))
-            assert primal.status == dual.status == "optimal"
-            assert dual.objective == pytest.approx(primal.objective, rel=1e-7, abs=1e-9)
-
     def test_builders_match_loop_reference(self):
-        # the array builders must reproduce the per-entry definition exactly
+        # the array builder must reproduce the per-entry definition exactly
         for seed in range(2):
             inst, _ = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
@@ -133,65 +120,38 @@ class TestSubproblemLPs:
             ):
                 A = np.zeros((U * B, B))
                 b = np.zeros(U * B)
-                c = np.zeros(B + U * B)
-                A_dual = np.zeros((B, B + U * B))
-                c[:B] = -s.max_power
                 for i in range(U):
                     for j in range(B):
                         row = i * B + j
                         A[row] = -gammas[i] * g[i]
                         A[row, j] = g[i, j]
                         b[row] = gammas[i] * s.noise_power - (1.0 - X[i, j]) / rho
-                        c[B + row] = (X[i, j] - 1.0) / rho + s.noise_power * gammas[i]
-                for j in range(B):
-                    A_dual[j, j] = 1.0
-                    for i in range(U):
-                        A_dual[j, B + i * B + j] = -g[i, j]
-                        for l in range(B):
-                            if l != j:
-                                A_dual[j, B + i * B + l] += gammas[i] * g[i, j]
-                primal = build_subproblem_primal(s, demands, X, rho)
-                dual = build_subproblem_dual(s, demands, X, rho)
+                primal = build_subproblem_primal(s, demands, X)
                 assert np.array_equal(primal.A, A)
                 assert np.array_equal(primal.b, b)
-                assert np.array_equal(dual.A, A_dual)
-                assert np.array_equal(dual.c, c)
-
-    def test_dual_unbounded_iff_primal_infeasible(self):
-        s, demands, _ = mixed_case()
-        rho = varrho(s, demands)
-        assoc = Association([[1, 0], [0, 1]])
-        primal = lpmod.solve_lp(build_subproblem_primal(s, demands, assoc, rho))
-        dual = lpmod.solve_lp(build_subproblem_dual(s, demands, assoc, rho))
-        assert primal.status == "infeasible"
-        assert dual.status == "unbounded"
 
 
 class TestSolveSubproblem:
     def test_bounded_returns_minimum_energy(self):
         s, demands, _ = easy_case()
-        rho = varrho(s, demands)
         assoc = Association([[1, 0], [0, 1]])
-        point, M = solve_subproblem(s, demands, assoc)
-        assert point.kind == "extreme_point"
+        cut, M = solve_subproblem(s, demands, assoc)
+        assert cut.kind == "optimality"
         T = serving_time(s, demands, None, "relaxed")
         expected = float(min_power_for(s, demands, assoc).p @ T)
         assert M == pytest.approx(expected, rel=1e-8)
         # the optimality cut is tight at the proposing association
-        cut = Cut.from_dual_point(s, demands, rho, point)
-        assert cut.kind == "optimality"
         assert cut.value(assoc) == pytest.approx(M, rel=1e-7, abs=1e-9)
 
     def test_optimality_cut_is_globally_valid(self):
         s, demands, _ = easy_case()
-        rho = varrho(s, demands)
         T = serving_time(s, demands, None, "relaxed")
         cuts = []
         for assigned in iter_assignments(2, 2):
-            point, M = solve_subproblem(
+            cut, M = solve_subproblem(
                 s, demands, Association.from_assignment(assigned, 2)
             )
-            cuts.append(Cut.from_dual_point(s, demands, rho, point))
+            cuts.append(cut)
         # every cut under-estimates the true energy at every association
         for assigned in iter_assignments(2, 2):
             assoc = Association.from_assignment(assigned, 2)
@@ -201,12 +161,9 @@ class TestSolveSubproblem:
 
     def test_ray_certifies_infeasibility(self):
         s, demands, _ = mixed_case()
-        rho = varrho(s, demands)
         bad = Association([[1, 0], [0, 1]])
-        point, M = solve_subproblem(s, demands, bad)
-        assert point.kind == "extreme_ray" and math.isinf(M)
-        cut = Cut.from_dual_point(s, demands, rho, point)
-        assert cut.kind == "feasibility"
+        cut, M = solve_subproblem(s, demands, bad)
+        assert cut.kind == "feasibility" and math.isinf(M)
         # normalized: violation exactly 1 at the infeasible association
         assert cut.value(bad) == pytest.approx(1.0, rel=1e-7)
         # feasible associations survive the cut
@@ -219,15 +176,14 @@ class TestSolveSubproblem:
         for seed in range(3):
             inst, placement = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
-            rho = varrho(s, demands)
             T = serving_time(s, demands, None, "relaxed")
             rng = np.random.default_rng(seed)
             assignments = [rng.integers(0, 3, 6) for _ in range(8)]
             cuts, truths = [], []
             for assigned in assignments:
                 assoc = Association.from_assignment(assigned, 3)
-                point, M = solve_subproblem(s, demands, assoc)
-                cuts.append(Cut.from_dual_point(s, demands, rho, point))
+                cut, M = solve_subproblem(s, demands, assoc)
+                cuts.append(cut)
                 power = min_power_for(s, demands, assoc)
                 truths.append(
                     (assoc, math.inf if power is None else float(power.p @ T))
@@ -271,7 +227,6 @@ class TestRecoverPower:
         else:
             inst = scn.generate(scn.desk_scale(user_count=4), case)
             s, demands = inst.scenario, inst.demands
-        rho = varrho(s, demands)
         verdicts = set()
         for assigned in iter_assignments(s.user_count, s.sbs_count):
             assoc = Association.from_assignment(assigned, s.sbs_count)
@@ -441,7 +396,6 @@ class TestStructuredPower:
     def test_fallback_answers_by_lp_and_logs(self, monkeypatch, caplog):
         inst = scn.generate(scn.desk_scale(), 0)
         for s, demands in (mixed_case()[:2], (inst.scenario, inst.demands)):
-            rho = varrho(s, demands)
             T = serving_time(s, demands, None, "relaxed")
             everything = list(iter_assignments(s.user_count, s.sbs_count))
             energies = {}
@@ -457,11 +411,10 @@ class TestStructuredPower:
                     logging.WARNING, logger="dscnopt.benders"
                 ):
                     m.setattr(benders, "_verified", lambda *args: False)
-                    point, M = solve_subproblem(s, demands, assoc)
+                    cut, M = solve_subproblem(s, demands, assoc)
                 assert len(caplog.records) == 1
                 assert caplog.records[0].name == "dscnopt.benders"
                 assert math.isfinite(M) == (tuple(assigned) in energies)
-                cut = Cut.from_dual_point(s, demands, rho, point)
                 if math.isfinite(M):
                     assert M == pytest.approx(energies[tuple(assigned)], rel=1e-9)
                     assert cut.value(assoc) == pytest.approx(M, rel=1e-7)
@@ -491,15 +444,12 @@ class TestMaster:
         sol = solve_master(s, demands, placement, [], alpha=0.5)
         dcoef = delay_coefficients(s, demands, placement)
         expected = dcoef.min(axis=1).sum()
-        assert sol.eta == 0.0
         assert sol.value == pytest.approx(0.5 * expected)
         assert np.array_equal(sol.assoc.assigned_sbs, dcoef.argmin(axis=1))
 
     def test_respects_feasibility_cut(self):
         s, demands, placement = mixed_case()
-        rho = varrho(s, demands)
-        point, _ = solve_subproblem(s, demands, Association([[1, 0], [0, 1]]))
-        cut = Cut.from_dual_point(s, demands, rho, point)
+        cut, _ = solve_subproblem(s, demands, Association([[1, 0], [0, 1]]))
         sol = solve_master(s, demands, placement, [cut], alpha=0.0)
         assert cut.value(sol.assoc) <= 1e-9 * cut.magnitude
 
@@ -514,21 +464,19 @@ class TestMaster:
         for seed in range(4):
             inst, placement = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
-            rho = varrho(s, demands)
             rng = np.random.default_rng(100 + seed)
             cuts = []
             for assigned in [rng.integers(0, 3, 6) for _ in range(5)]:
-                point, _ = solve_subproblem(
+                cut, _ = solve_subproblem(
                     s, demands, Association.from_assignment(assigned, 3)
                 )
-                cuts.append(Cut.from_dual_point(s, demands, rho, point))
+                cuts.append(cut)
             for alpha in (0.0, 0.5, 1.0):
                 enum = solve_master(s, demands, placement, cuts, alpha)
                 with monkeypatch.context() as m:
                     m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
                     found = solve_master(s, demands, placement, cuts, alpha)
                 assert found.value == pytest.approx(enum.value, rel=1e-12)
-                assert found.eta == pytest.approx(enum.eta, rel=1e-12, abs=1e-12)
                 assert np.array_equal(found.assoc.x, enum.assoc.x)
 
 
@@ -547,12 +495,10 @@ class TestMaster:
                     kept = solve_master(s, demands, placement, cuts[:k], alpha, table)
                     fresh = solve_master(s, demands, placement, cuts[:k], alpha)
                     assert kept.value == fresh.value
-                    assert kept.eta == fresh.eta
                     assert np.array_equal(kept.assoc.x, fresh.assoc.x)
-                eta, value = table.eta.copy(), table.value.copy()
+                value = table.value.copy()
                 table.absorb(cuts)
                 assert table.absorbed == len(cuts)
-                assert np.array_equal(table.eta, eta)
                 assert np.array_equal(table.value, value)
                 with pytest.raises(ModelError):
                     table.absorb(cuts[:-1])
@@ -609,8 +555,9 @@ class TestMaster:
                     assert sol.value == pytest.approx(
                         min(values), rel=1e-12, abs=1e-12
                     )
-                    eta = eta_for(sol.assoc.x, cuts)
-                    assert eta == pytest.approx(sol.eta, rel=1e-12, abs=1e-12)
+                    x = sol.assoc.x
+                    value = alpha * eta_for(x, cuts) + (1 - alpha) * (dcoef * x).sum()
+                    assert value == pytest.approx(sol.value, rel=1e-12, abs=1e-12)
 
     def test_equal_coefficients_keep_lexicographic_first(self, monkeypatch):
         inst, placement = desk_pipeline(0)
@@ -637,7 +584,7 @@ class TestPenalty:
         lam = penalty_lambda(s, demands)
         dcoef = delay_coefficients(s, demands, placement)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        value = rmp_penalty_value(s, demands, placement, [], 0.3, lam, 2.0, x)
+        value = rmp_penalty_value(s, demands, placement, 0.3, lam, 2.0, x)
         assert value == pytest.approx(0.3 * 2.0 + 0.7 * float((dcoef * x).sum()))
 
     def test_fractional_is_penalized(self):
@@ -645,11 +592,11 @@ class TestPenalty:
         lam = penalty_lambda(s, demands)
         frac = np.full((2, 2), 0.5)
         binary = np.array([[1.0, 0.0], [0.0, 1.0]])
-        v_frac = rmp_penalty_value(s, demands, placement, [], 0.3, lam, 0.0, frac)
-        v_bin = rmp_penalty_value(s, demands, placement, [], 0.3, lam, 0.0, binary)
+        v_frac = rmp_penalty_value(s, demands, placement, 0.3, lam, 0.0, frac)
+        v_bin = rmp_penalty_value(s, demands, placement, 0.3, lam, 0.0, binary)
         assert v_frac > v_bin
         with pytest.raises(ModelError):
-            rmp_penalty_value(s, demands, placement, [], 0.3, lam, 0.0, frac * 3)
+            rmp_penalty_value(s, demands, placement, 0.3, lam, 0.0, frac * 3)
 
 
 class TestUcwt:
@@ -782,6 +729,8 @@ class TestUcwt:
         rows = ucwt(s, demands, placement, 0.5).trace.csv_rows()
         assert rows[0] == "t,psi_lower,psi_upper,subproblem_status,M,N,omega"
         assert all(len(r.split(",")) == 7 for r in rows[1:])
+        # the master optimum N is the lower bound on every row
+        assert all(r.split(",")[5] == r.split(",")[1] for r in rows[1:])
 
     def test_invalid_parameters(self):
         s, demands, placement = easy_case()

@@ -126,9 +126,11 @@ class TestSolve:
         ("[matrix max_power_w 3 1]", None),
         ("[matrix max_power_w 3 1]", "-1"),
         ("[matrix demand_theta 6 8]", "0.5 0.5 0 0 0 0 0 0"),
+        ("[matrix max_power_w 3 1]", "nan"),
     ])
     def test_invalid_instance_exits_2(self, runner, tmp_path, header, row):
-        # a non-integer dimension, a negative power budget, a non-binary demand
+        # a non-integer dimension, a negative power budget, a non-binary
+        # demand, a power budget that is not a number
         lines = scn.dumps(scn.generate(scn.desk_scale(), 0)).splitlines()
         k = lines.index(header)
         if row is None:

@@ -94,6 +94,12 @@ class TestStructuredTypes:
         with pytest.raises(ModelError):
             Association([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("assigned", [[-1, 0], [0, 3]])
+    def test_from_assignment_rejects_out_of_range_index(self, assigned):
+        # -1 would wrap to the last SBS, and 3 would index past the end
+        with pytest.raises(ModelError):
+            Association.from_assignment(assigned, 3)
+
     @pytest.mark.parametrize("cls", [DemandMatrix, Association, CachePlacement])
     @pytest.mark.parametrize(
         "matrix",

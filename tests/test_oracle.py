@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dscnopt import scenario as scn
+from dscnopt import oracle, scenario as scn
 from dscnopt.baselines import min_power_for, reachable_sbs
 from dscnopt.model import (
     Association,
@@ -98,10 +98,11 @@ class TestEnumerateCandidates:
                 assoc = Association.from_assignment(assigned, s.sbs_count)
                 assert min_power_for(s, demands, assoc) is None
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         s, demands, placement = all_feasible_case()
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", 3)
         with pytest.raises(EnumerationCapError):
-            enumerate_candidates(s, demands, placement, cap=3)
+            enumerate_candidates(s, demands, placement)
 
 
 class TestBruteForce:
@@ -161,6 +162,11 @@ class TestSweep:
             assert np.array_equal(
                 sol.assoc.assigned_sbs, single.assoc.assigned_sbs
             )
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        s, demands, placement = all_feasible_case()
+        with pytest.raises(ModelError):
+            brute_force_sweep(s, demands, placement, [0.5, 1.5])
 
     def test_pareto_consistent(self):
         inst = scn.generate(scn.desk_scale(), 2)

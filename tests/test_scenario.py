@@ -1,5 +1,7 @@
 """Generation, configuration validation and serialization round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,12 @@ class TestSerialization:
             lambda t: t.replace("[matrix max_power_w 3 1]", "[matrix max_power_w x 1]"),
             lambda t: replace_row(t, "[matrix max_power_w 3 1]", "-1"),
             lambda t: replace_row(t, "[matrix demand_theta 6 8]", "0.5 0.5" + " 0" * 6),
+            lambda t: replace_row(t, "[matrix max_power_w 3 1]", "nan"),
+            lambda t: re.sub(r"noise_power_w = .*", "noise_power_w = nan", t),
+            lambda t: re.sub(r"bandwidth_hz = .*", "bandwidth_hz = inf", t),
+            lambda t: re.sub(
+                r"central_zone_radius_m = .*", "central_zone_radius_m = -5", t
+            ),
         ],
     )
     def test_malformed_files_raise(self, mangle):
