@@ -760,8 +760,8 @@ def ucwt(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0, 1]")
-    if epsilon is not None and epsilon <= 0:
-        raise ModelError("epsilon must be positive")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ModelError("epsilon must be a finite positive number")
     dcoef = delay_coefficients(scenario, demands, placement)
 
     U, B = scenario.user_count, scenario.sbs_count

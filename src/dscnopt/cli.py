@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import sys
 from typing import List, NoReturn, Optional, Sequence
 
@@ -45,6 +46,14 @@ def _write_csv(path: str, header: Sequence[str], rows: List[Sequence]) -> None:
         writer.writerows(rows)
 
 
+def _config(paper_scale: bool, **overrides) -> scn.GenerationConfig:
+    """The desk or paper-scale preset with overrides; paper scale warns on stderr."""
+    if not paper_scale:
+        return scn.desk_scale(**overrides)
+    click.echo(_PAPER_SCALE_WARNING, err=True)
+    return dataclasses.replace(scn.paper_scale(), **overrides)
+
+
 def _load_instance(
     instance: Optional[str], seed: int, paper_scale: bool
 ) -> scn.Instance:
@@ -53,12 +62,7 @@ def _load_instance(
             return scn.load(instance)
         except (OSError, scn.ParseError) as exc:
             raise click.UsageError(f"cannot load instance: {exc}")
-    if paper_scale:
-        click.echo(_PAPER_SCALE_WARNING, err=True)
-        config = scn.paper_scale()
-    else:
-        config = scn.desk_scale()
-    return scn.generate(config, seed)
+    return scn.generate(_config(paper_scale), seed)
 
 
 def _pipeline(inst: scn.Instance):
@@ -116,6 +120,52 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_epsilon(epsilon: Optional[float]) -> None:
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise click.UsageError("epsilon must be a finite positive number")
+
+
+def _run(
+    algorithm: str,
+    inst: scn.Instance,
+    cache,
+    alpha: float,
+    epsilon: Optional[float] = None,
+):
+    """One solve: (association, powers, ucwt's trace or None).
+
+    Each solver is looked up on its module at call time, so a replaced
+    module attribute is the one that runs.
+    """
+    s, d = inst.scenario, inst.demands
+    if algorithm == "ucwt":
+        res = benders.ucwt(s, d, cache, alpha, epsilon)
+        return res.assoc, res.power, res.trace
+    if algorithm == "oracle":
+        res = oracle.brute_force(s, d, cache, alpha)
+    else:
+        res = {"doa": baselines.doa, "ema": baselines.ema}[algorithm](s, d, cache)
+    return res.assoc, res.power, None
+
+
+def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float):
+    """(association, powers) of one comparison run, or None for no answer.
+
+    No answer is any ``ModelError`` (an infeasible instance or a doa/ema
+    repair failure) or a non-converged ucwt run; the caller writes empty
+    cells for it. A solver fault exits with its own code.
+    """
+    try:
+        assoc, power, trace = _run(algorithm, inst, cache, alpha)
+    except benders.SolverFault as exc:
+        _exit_solver_fault(exc)
+    except ModelError:
+        return None
+    if trace is not None and not trace.converged:
+        return None
+    return assoc, power
+
+
 @click.group()
 def main() -> None:
     """Energy-delay optimization experiments for cached small cell networks."""
@@ -133,27 +183,10 @@ def generate(seed: int, paper_scale: bool, out: str) -> None:
 
 def _solve_rows(inst, cache, algorithm, alpha, epsilon):
     """Run one algorithm; returns (long-format rows, exit code, trace|None)."""
-    s = inst.scenario
-    trace = None
-    converged = True
-    iterations = 0
-    if algorithm == "ucwt":
-        result = benders.ucwt(s, inst.demands, cache, alpha, epsilon)
-        assoc, power, trace = result.assoc, result.power, result.trace
-        converged, iterations = trace.converged, len(trace.iterations)
-    elif algorithm == "oracle":
-        sol = oracle.brute_force(s, inst.demands, cache, alpha)
-        assoc, power = sol.assoc, sol.power
-    elif algorithm == "doa":
-        res = baselines.doa(s, inst.demands, cache)
-        assoc, power = res.assoc, res.power
-    elif algorithm == "ema":
-        res = baselines.ema(s, inst.demands, cache)
-        assoc, power = res.assoc, res.power
-    else:  # pragma: no cover - guarded by click.Choice
-        raise click.UsageError(f"unknown algorithm {algorithm!r}")
-
-    value = objective(s, inst.demands, cache, assoc, power, alpha)
+    assoc, power, trace = _run(algorithm, inst, cache, alpha, epsilon)
+    converged = trace is None or trace.converged
+    iterations = 0 if trace is None else len(trace.iterations)
+    value = objective(inst.scenario, inst.demands, cache, assoc, power, alpha)
     rows: List[Sequence] = [
         ("algorithm", "", algorithm),
         ("alpha", "", _f(alpha)),
@@ -192,8 +225,7 @@ def _solve_rows(inst, cache, algorithm, alpha, epsilon):
 def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out):
     """Solve one instance and write the objective, association and powers."""
     _check_alpha(alpha)
-    if epsilon is not None and epsilon <= 0:
-        raise click.UsageError("epsilon must be positive")
+    _check_epsilon(epsilon)
     inst = _load_instance(instance, seed, paper_scale)
     _, cache = _pipeline(inst)
     try:
@@ -237,6 +269,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
     alphas = _parse_grid(grid, "--grid")
     for a in alphas:
         _check_alpha(a)
+    _check_epsilon(epsilon)
     if replications < 1:
         raise click.UsageError("replications must be positive")
     rows = []
@@ -296,14 +329,10 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
             raise click.UsageError("capacity fractions must lie in [0, 1]")
     if seeds < 1:
         raise click.UsageError("seeds must be positive")
-    if paper_scale:
-        click.echo(_PAPER_SCALE_WARNING, err=True)
+    base = _config(paper_scale)
     rows = []
     for frac in fractions:
-        if paper_scale:
-            config = dataclasses.replace(scn.paper_scale(), cache_fraction=frac)
-        else:
-            config = scn.desk_scale(cache_fraction=frac)
+        config = dataclasses.replace(base, cache_fraction=frac)
         for r in range(seeds):
             inst = scn.generate(config, seed + r)
             s = inst.scenario
@@ -315,17 +344,10 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
             }
             for name, cache in policies.items():
                 _, mean_hit = plc.hit_ratio(cache, pop)
-                try:
-                    res = benders.ucwt(s, inst.demands, cache, alpha)
-                except benders.SolverFault as exc:
-                    _exit_solver_fault(exc)
-                except benders.NoFeasibleAssociationError:
-                    res = None
-                # no answer (an infeasible instance or a non-converged
-                # run): empty cells
+                answer = _answer("ucwt", inst, cache, alpha)
                 energy = delay = ""
-                if res is not None and res.trace.converged:
-                    v = objective(s, inst.demands, cache, res.assoc, res.power)
+                if answer is not None:
+                    v = objective(s, inst.demands, cache, *answer)
                     energy, delay = _f(v.energy), _f(v.delay)
                 rows.append((name, _f(frac), seed + r, _f(mean_hit), energy, delay))
     rows.sort(key=lambda row: (row[0], float(row[1]), int(row[2])))
@@ -365,7 +387,7 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
         header.append("sampled_delay_seconds")
     for value in values:
         if sweep == "users":
-            if value < 1 or value != int(value):
+            if value < 1 or not value.is_integer():
                 raise click.UsageError("user counts must be positive integers")
             config = scn.desk_scale(user_count=int(value))
         else:
@@ -374,34 +396,19 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
             config = scn.desk_scale(cache_fraction=value)
         for r in range(seeds):
             inst = scn.generate(config, seed + r)
-            s = inst.scenario
             _, cache = _pipeline(inst)
-            solvers = {
-                "ucwt": lambda: benders.ucwt(s, inst.demands, cache, alpha),
-                "doa": lambda: baselines.doa(s, inst.demands, cache),
-                "ema": lambda: baselines.ema(s, inst.demands, cache),
-            }
-            for name, run in solvers.items():
+            for alg_tag, name in enumerate(("ucwt", "doa", "ema")):
                 row = [sweep, _f(value), seed + r, name]
-                try:
-                    res = run()
-                except benders.SolverFault as exc:
-                    _exit_solver_fault(exc)
-                except ModelError:
-                    res = None
-                if res is None or (name == "ucwt" and not res.trace.converged):
-                    # no answer (an infeasible instance, a doa/ema repair
-                    # failure or a non-converged ucwt run): a row with
-                    # empty cells
+                answer = _answer(name, inst, cache, alpha)
+                if answer is None:
                     rows.append(row + [""] * (len(header) - len(row)))
                     continue
-                v = objective(s, inst.demands, cache, res.assoc, res.power)
+                v = objective(inst.scenario, inst.demands, cache, *answer)
                 row += [_f(v.energy), _f(v.delay)]
                 if sample_backhaul:
-                    alg_tag = {"ucwt": 0, "doa": 1, "ema": 2}[name]
                     rng = np.random.default_rng((seed + r, alg_tag))
                     row.append(_f(sampled_backhaul_delay(
-                        inst, cache, res.assoc, rng, samples)))
+                        inst, cache, answer[0], rng, samples)))
                 rows.append(row)
     rows.sort(key=lambda row: (float(row[1]), int(row[2]), row[3]))
     _write_csv(out, header, rows)

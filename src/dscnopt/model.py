@@ -138,17 +138,17 @@ class DemandMatrix:
     """Binary user x file request matrix; each user requests exactly one file."""
 
     theta: np.ndarray
+    # index of the file each user requests
+    requested_file: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         th = _frozen_binary(self.theta, "theta")
         object.__setattr__(self, "theta", th)
         if np.any(th.sum(axis=1) != 1):
             raise ModelError("each user must request exactly one file")
-
-    @property
-    def requested_file(self) -> np.ndarray:
-        """Index of the file each user requests."""
-        return np.argmax(self.theta, axis=1)
+        files = np.argmax(th, axis=1)
+        files.setflags(write=False)
+        object.__setattr__(self, "requested_file", files)
 
 
 @dataclass(frozen=True)

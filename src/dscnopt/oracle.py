@@ -1,14 +1,17 @@
 """Ground-truth solver: exhaustive enumeration over binary associations.
 
-Deliberately simple so it can be trusted: a mixed-radix counter walks
-every row-stochastic binary association, each one gets its exact minimum
-powers and feasible/infeasible verdict from ``benders.min_power_for`` (the
-verified least fixed point of the SINR rows, or the strict LP when that
-fails its checks), and the weighted objective is compared directly.
+Deliberately simple so it can be trusted: a Cartesian product walks
+every binary association in which each user joins an SBS it can reach
+alone (no other association can be power-feasible), each one gets its
+exact minimum powers and feasible/infeasible verdict from
+``benders.min_power_for`` (the verified least fixed point of the SINR
+rows, or the strict LP when that fails its checks), and the weighted
+objective is compared directly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -49,16 +52,7 @@ class OracleSolution:
 
 def iter_assignments(user_count: int, sbs_count: int) -> Iterator[np.ndarray]:
     """All assignments in lexicographic (mixed-radix, user 0 most significant) order."""
-    assigned = np.zeros(user_count, dtype=int)
-    while True:
-        yield assigned.copy()
-        i = user_count - 1
-        while i >= 0 and assigned[i] == sbs_count - 1:
-            assigned[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        assigned[i] += 1
+    return map(np.array, itertools.product(range(sbs_count), repeat=user_count))
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,9 @@ def enumerate_candidates(
     """Every power-feasible association with its minimum energy and total delay.
 
     Alpha-independent, so a single enumeration serves a whole tradeoff
-    sweep. Raises ``EnumerationCapError`` above ``DEFAULT_ENUMERATION_CAP``
-    associations.
+    sweep. Associations come in ``iter_assignments`` order, restricted to
+    each user's reachable SBSs. Raises ``EnumerationCapError`` above
+    ``DEFAULT_ENUMERATION_CAP`` associations (counted as B^U).
     """
     U, B = scenario.user_count, scenario.sbs_count
     cap = DEFAULT_ENUMERATION_CAP
@@ -87,18 +82,16 @@ def enumerate_candidates(
             f"{B}^{U} associations exceed the cap of {cap}; use a smaller instance"
         )
     # single-user reachability is a necessary condition (interference only
-    # hurts), so assignments using an unreachable pair are skipped unsolved
+    # hurts), so only the product of each user's reachable SBSs is solved
     reach = reachable_sbs(scenario, demands)
     out: List[Candidate] = []
-    for assigned in iter_assignments(U, B):
-        if not reach[np.arange(U), assigned].all():
-            continue
+    for assigned in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
         assoc = Association.from_assignment(assigned, B)
         power = min_power_for(scenario, demands, assoc)
         if power is None:
             continue
         value = objective(scenario, demands, placement, assoc, power)
-        out.append(Candidate(assigned, power, value.energy, value.delay))
+        out.append(Candidate(np.array(assigned), power, value.energy, value.delay))
     return out
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dscnopt import scenario as scn
+from dscnopt import baselines, scenario as scn
 from dscnopt.baselines import (
     NoReachableSbsError,
     doa,
@@ -129,6 +129,30 @@ class TestDoa:
         result = doa(s, demands, placement)
         assert result.assoc.assigned_sbs.tolist() == [1, 1]
 
+    def test_caching_sbs_wins_a_delay_tie(self):
+        # SBS 0 has no backhaul delay, so missing the cache there costs
+        # nothing: both SBSs tie on delay and the caching SBS 1 must win
+        # over the lower index
+        s = make_scenario(
+            [[1.0, 0.5], [0.5, 0.8]], [0.2, 0.3], backhaul=(0.0, 5.0)
+        )
+        demands = DemandMatrix([[1, 0], [0, 1]])
+        placement = CachePlacement([[0, 0], [1, 1]])
+        dcoef = delay_coefficients(s, demands, placement)
+        assert np.array_equal(dcoef[:, 0], dcoef[:, 1])
+        assert doa(s, demands, placement).assoc.assigned_sbs.tolist() == [1, 1]
+
+    def test_no_reachable_caching_sbs(self):
+        # user 0 cannot reach the caching SBS 1, so it takes the least-delay
+        # SBS it can reach
+        s = make_scenario(
+            [[1.0, 1e-6], [0.5, 0.8]], [1.0, 0.3], backhaul=(5.0, 5.0)
+        )
+        demands = DemandMatrix([[1, 0], [0, 1]])
+        placement = CachePlacement([[0, 0], [1, 1]])
+        assert reachable_sbs(s, demands).tolist() == [[True, False], [True, True]]
+        assert doa(s, demands, placement).assoc.assigned_sbs.tolist() == [0, 1]
+
     def test_minimizes_relaxed_delay_before_repair(self):
         for seed in range(5):
             inst, placement = desk_pipeline(seed)
@@ -154,6 +178,38 @@ class TestDoa:
         assert min_power_for(s, demands, result.assoc) is not None
         report = check_feasible(s, demands, result.assoc, result.power)
         assert bool(report), report.violation
+
+
+class TestRepair:
+    @pytest.mark.parametrize("baseline", [doa, ema])
+    def test_failed_repair_solves_each_association_once(self, monkeypatch, baseline):
+        tried = []
+
+        def infeasible(scenario, demands, assoc):
+            tried.append(tuple(assoc.assigned_sbs.tolist()))
+            return None
+
+        monkeypatch.setattr(baselines, "min_power_for", infeasible)
+        inst, placement = desk_pipeline(0)
+        with pytest.raises(ModelError, match="repair failed"):
+            baseline(inst.scenario, inst.demands, placement)
+        assert 1 < len(tried) <= baselines._REPAIR_ROUNDS
+        assert len(set(tried)) == len(tried)
+
+    def test_repaired_start_is_solved_once(self, monkeypatch):
+        # the split start is infeasible; the repair's answer is the last try
+        tried = []
+
+        def recorded(scenario, demands, assoc):
+            tried.append(tuple(assoc.assigned_sbs.tolist()))
+            return min_power_for(scenario, demands, assoc)
+
+        monkeypatch.setattr(baselines, "min_power_for", recorded)
+        s = make_scenario([[1.0, 0.9], [0.9, 0.8]], [3.0, 3.0])
+        demands = DemandMatrix([[1, 0], [0, 1]])
+        result = doa(s, demands, CachePlacement([[1, 0], [0, 1]]))
+        assert tried == [(0, 1), (0, 0)]
+        assert tried[-1] == tuple(result.assoc.assigned_sbs.tolist())
 
 
 class TestEnergyDelayOrdering:

@@ -736,8 +736,9 @@ class TestUcwt:
         s, demands, placement = easy_case()
         with pytest.raises(ModelError):
             ucwt(s, demands, placement, 1.5)
-        with pytest.raises(ModelError):
-            ucwt(s, demands, placement, 0.5, epsilon=0.0)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ModelError):
+                ucwt(s, demands, placement, 0.5, epsilon=epsilon)
 
     def test_wholly_infeasible_instance_raises(self):
         s = small_scenario(

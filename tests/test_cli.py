@@ -105,10 +105,12 @@ class TestSolve:
         out = tmp_path / "res.csv"
         bad_alpha = runner.invoke(main, ["solve", "--alpha", "1.5", "--out", str(out)])
         assert bad_alpha.exit_code == 2
-        bad_eps = runner.invoke(
-            main, ["solve", "--epsilon", "-1", "--out", str(out)]
-        )
-        assert bad_eps.exit_code == 2
+        for epsilon in ("-1", "nan", "inf"):
+            bad_eps = runner.invoke(
+                main, ["solve", "--epsilon", epsilon, "--out", str(out)]
+            )
+            assert bad_eps.exit_code == 2
+            assert "epsilon must be a finite positive number" in bad_eps.output
         bad_alg = runner.invoke(
             main, ["solve", "--algorithm", "nope", "--out", str(out)]
         )
@@ -274,6 +276,16 @@ class TestSweepAlpha:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bad_epsilon_exits_2(self, runner, tmp_path, epsilon):
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--algorithm", "ucwt", "--grid", "0.5",
+             "--epsilon", epsilon, "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2
+        assert "epsilon must be a finite positive number" in result.output
+
     def test_oracle_over_enumeration_cap_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -339,6 +351,22 @@ class TestCompareCaching:
         assert sorted(r[0] for r in rows) == ["gpc", "lpf", "rc"]
         assert all(r[3] != "" and r[4:] == ["", ""] for r in rows)
 
+    def test_model_error_writes_empty_cells(self, runner, tmp_path, monkeypatch):
+        def give_up(*args):
+            raise ModelError("ucwt: no answer")
+
+        monkeypatch.setattr(benders, "ucwt", give_up)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["compare-caching", "--seeds", "1", "--capacity-grid", "0.5",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = read_csv(str(out))[1:]
+        assert sorted(r[0] for r in rows) == ["gpc", "lpf", "rc"]
+        assert all(r[3] != "" and r[4:] == ["", ""] for r in rows)
+
 
 class TestCompareAlgorithms:
     def test_users_sweep_schema(self, runner, tmp_path):
@@ -373,6 +401,16 @@ class TestCompareAlgorithms:
             outs.append(read_csv(str(out)))
         assert outs[0] == outs[1]
         assert outs[0][0][-1] == "sampled_delay_seconds"
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "2.5", "0"])
+    def test_bad_user_count_exits_2(self, runner, tmp_path, grid):
+        result = runner.invoke(
+            main,
+            ["compare-algorithms", "--seeds", "1", "--grid", grid,
+             "--out", str(tmp_path / "o.csv")],
+        )
+        assert result.exit_code == 2
+        assert "user counts must be positive integers" in result.output
 
     def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(benders, "_min_power", raise_solver_fault)

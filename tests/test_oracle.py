@@ -98,6 +98,23 @@ class TestEnumerateCandidates:
                 assoc = Association.from_assignment(assigned, s.sbs_count)
                 assert min_power_for(s, demands, assoc) is None
 
+    def test_walks_reachable_feasible_associations_in_order(self):
+        inst = scn.generate(scn.desk_scale(), 0)
+        s, demands = inst.scenario, inst.demands
+        placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+        reach = reachable_sbs(s, demands)
+        assert not reach.all()
+        expected = [
+            assigned.tolist()
+            for assigned in iter_assignments(s.user_count, s.sbs_count)
+            if reach[np.arange(s.user_count), assigned].all()
+            and min_power_for(
+                s, demands, Association.from_assignment(assigned, s.sbs_count)
+            ) is not None
+        ]
+        got = [c.assigned.tolist() for c in enumerate_candidates(s, demands, placement)]
+        assert got == expected
+
     def test_cap_enforced(self, monkeypatch):
         s, demands, placement = all_feasible_case()
         monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", 3)
