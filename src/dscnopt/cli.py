@@ -46,12 +46,12 @@ def _write_csv(path: str, header: Sequence[str], rows: List[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _config(paper_scale: bool, **overrides) -> scn.GenerationConfig:
-    """The desk or paper-scale preset with overrides; paper scale warns on stderr."""
+def _config(paper_scale: bool) -> scn.GenerationConfig:
+    """The desk or paper-scale preset; paper scale warns on stderr."""
     if not paper_scale:
-        return scn.desk_scale(**overrides)
+        return scn.desk_scale()
     click.echo(_PAPER_SCALE_WARNING, err=True)
-    return dataclasses.replace(scn.paper_scale(), **overrides)
+    return scn.paper_scale()
 
 
 def _load_instance(
@@ -287,10 +287,10 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                                  _f(sol.objective)))
             else:
                 for a in alphas:
-                    res = benders.ucwt(s, inst.demands, cache, a, epsilon)
-                    if not res.trace.converged:
+                    assoc, power, trace = _run("ucwt", inst, cache, a, epsilon)
+                    if not trace.converged:
                         nonconverged += 1
-                    v = objective(s, inst.demands, cache, res.assoc, res.power, a)
+                    v = objective(s, inst.demands, cache, assoc, power, a)
                     rows.append((_f(a), rep, _f(v.energy), _f(v.delay),
                                  _f(v.weighted)))
         except oracle.EnumerationCapError as exc:
