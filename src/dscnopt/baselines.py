@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benders import min_power_for
+from .benders import min_power_for, reachable_sbs
 from .model import (
     Association,
     CachePlacement,
@@ -35,13 +35,6 @@ class NoReachableSbsError(ModelError):
 class BaselineResult:
     assoc: Association
     power: PowerVector
-
-
-def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
-    """Boolean (user, SBS) mask: SINR requirement met at full power, no interference."""
-    gammas = requested_thresholds(scenario, demands)
-    best = scenario.channel_gains * scenario.max_power[None, :]
-    return best / scenario.noise_power >= gammas[:, None] * (1 - 1e-12)
 
 
 def _reach_or_raise(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:

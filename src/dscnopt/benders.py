@@ -24,12 +24,19 @@ optimality duals, or a Farkas ray cut down to an irreducible infeasible
 subsystem, from the same solves. Every answer is verified; one that fails
 is answered by the strict minimum-power LP instead. ``min_power_for``, the
 subproblem, power recovery, the baselines and the oracle all take their
-powers and their feasible/infeasible verdict from it. ``ucwt`` starts
-from the master's answer with no cuts, so every association it solves is
-binary. Following Benders (1962), its upper bound is the best subproblem
-value seen so far, kept as a single incumbent, and its lower bound is the
-exact master's optimum. Every cut is kept: an exact master re-proposes an
-association whose cut it holds only once the gap has closed.
+powers and their feasible/infeasible verdict from it, and ``reachable_sbs``
+gives the one verdict on which (user, SBS) pairs can serve at all: a user
+that misses its SINR threshold at an SBS even alone at full power.
+
+``ucwt`` seeds the master with one cut, ``reachability_cut``, that excludes
+every association holding such a pair, so no iteration is spent learning
+them one subproblem at a time and every association it solves is binary
+and reachable. It starts from the master's answer over that cut alone.
+Following Benders (1962), its upper bound is the best subproblem value
+seen so far, kept as a single incumbent, and its lower bound is the exact
+master's optimum. Every cut is kept: an exact master re-proposes an
+association whose cut it holds only once the gap has closed. The trace
+keeps the iteration cuts only, one per iteration, without the seeded cut.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -153,7 +160,7 @@ class Cut:
     """
 
     constant: float
-    coef: np.ndarray           # U x B, equals nu / varrho
+    coef: np.ndarray           # U x B; nu / varrho for a subproblem's cut
     kind: str                  # "optimality" | "feasibility"
 
     def value(self, x) -> float:
@@ -452,6 +459,33 @@ def _min_power(
     return _ray(mu, nu, b, pmax)
 
 
+def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
+    """Boolean (user, SBS) mask: SINR requirement met at full power, no interference.
+
+    Interference only raises a user's power requirement, so an association
+    holding an excluded pair has no feasible powers: the user's least power
+    u_i exceeds the cap, and a 1e-12 relative slack keeps a pair on that
+    boundary. The rule is relative, the strict LP's tolerance absolute: a
+    pair within about 1e-9 of its cap can be excluded here while the LP
+    fallback of ``_min_power`` accepts an association holding it.
+    """
+    gammas = requested_thresholds(scenario, demands)
+    best = scenario.channel_gains * scenario.max_power[None, :]
+    return best / scenario.noise_power >= gammas[:, None] * (1 - 1e-12)
+
+
+def reachability_cut(scenario: Scenario, demands: DemandMatrix) -> Cut:
+    """One feasibility cut excluding every association with an unreachable pair.
+
+    sum of x_ij over the pairs ``reachable_sbs`` excludes <= 1/2, a
+    combinatorial cut (Codato & Fischetti, Oper. Res. 2006). It is exact in
+    floating point: at a binary association holding k excluded pairs
+    h = k - 1/2, and its magnitude is 1, so it cuts off exactly k >= 1.
+    """
+    unreachable = ~reachable_sbs(scenario, demands)
+    return Cut(constant=-0.5, coef=unreachable.astype(float), kind="feasibility")
+
+
 def min_power_for(
     scenario: Scenario, demands: DemandMatrix, assoc: Association
 ) -> Optional[PowerVector]:
@@ -747,15 +781,19 @@ def ucwt(
 ) -> UcwtResult:
     """Iterative cut generation until the bound gap closes.
 
-    Starts from the master's answer with no cuts (the least-delay
-    association, the lexicographically first one at alpha = 1); alternates
-    subproblem and master solves for at most ``DEFAULT_MAX_ITERS``
-    iterations. Every cut is kept. The incumbent is the first bounded
-    proposal of least alpha * M + (1 - alpha) * delay: its value is the
-    upper bound, the master's optimum the lower bound. An exact master
-    re-proposes an association whose cut it holds only once the gap has
-    closed. Without convergence the incumbent is returned all the same,
-    with ``trace.converged`` False. ``epsilon`` defaults to
+    The master always holds ``reachability_cut`` first, so no proposal
+    puts a user at an SBS it cannot reach alone; if some user reaches no
+    SBS, ``NoFeasibleAssociationError`` is raised before any subproblem.
+    Starts from the master's answer over that cut alone (the least-delay
+    reachable association, the lexicographically first one at alpha = 1);
+    alternates subproblem and master solves for at most
+    ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept; ``trace.cuts``
+    holds the iteration cuts only, one per iteration. The incumbent is the
+    first bounded proposal of least alpha * M + (1 - alpha) * delay: its
+    value is the upper bound, the master's optimum the lower bound. An
+    exact master re-proposes an association whose cut it holds only once
+    the gap has closed. Without convergence the incumbent is returned all
+    the same, with ``trace.converged`` False. ``epsilon`` defaults to
     1e-6 * (1 + |first finite upper bound|).
     """
     if not 0.0 <= alpha <= 1.0:
@@ -770,13 +808,21 @@ def ucwt(
     else:
         table = None
 
+    # the master's cuts: the reachability cut, then one cut per iteration
+    cuts = [reachability_cut(scenario, demands)]
     trace = BendersTrace(epsilon=epsilon)
-    assoc = solve_master(scenario, demands, placement, [], alpha, table).assoc
+    try:
+        assoc = solve_master(scenario, demands, placement, cuts, alpha, table).assoc
+    except MasterInfeasibleError:
+        raise NoFeasibleAssociationError(
+            "some user reaches no SBS even alone at full power"
+        ) from None
     # the incumbent: its value, 1-based iteration and association
     psi_upper, omega, best = math.inf, None, None
 
     for t in range(1, DEFAULT_MAX_ITERS + 1):
         cut, M = solve_subproblem(scenario, demands, assoc)
+        cuts.append(cut)
         trace.cuts.append(cut)
         if math.isfinite(M):
             value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
@@ -785,9 +831,7 @@ def ucwt(
             if trace.epsilon is None:
                 trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
         try:
-            master = solve_master(
-                scenario, demands, placement, trace.cuts, alpha, table
-            )
+            master = solve_master(scenario, demands, placement, cuts, alpha, table)
         except MasterInfeasibleError:
             raise NoFeasibleAssociationError(
                 "feasibility cuts exclude every association"

@@ -16,7 +16,7 @@ import csv
 import dataclasses
 import math
 import sys
-from typing import List, NoReturn, Optional, Sequence
+from typing import Iterable, List, NoReturn, Optional, Sequence
 
 import click
 import numpy as np
@@ -54,15 +54,20 @@ def _config(paper_scale: bool) -> scn.GenerationConfig:
     return scn.paper_scale()
 
 
-def _load_instance(
-    instance: Optional[str], seed: int, paper_scale: bool
-) -> scn.Instance:
+def _load_instances(
+    instance: Optional[str], seeds: Sequence[int], paper_scale: bool
+) -> Iterable[scn.Instance]:
+    """The instance file once per seed, or one generated instance per seed.
+
+    The preset is built once, so paper scale warns once per command.
+    """
     if instance is not None:
         try:
-            return scn.load(instance)
+            return [scn.load(instance)] * len(seeds)
         except (OSError, scn.ParseError) as exc:
             raise click.UsageError(f"cannot load instance: {exc}")
-    return scn.generate(_config(paper_scale), seed)
+    config = _config(paper_scale)
+    return (scn.generate(config, seed) for seed in seeds)
 
 
 def _pipeline(inst: scn.Instance):
@@ -177,7 +182,8 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def generate(seed: int, paper_scale: bool, out: str) -> None:
     """Generate a random instance and write it to a file."""
-    scn.save(_load_instance(None, seed, paper_scale), out)
+    (inst,) = _load_instances(None, [seed], paper_scale)
+    scn.save(inst, out)
     click.echo(f"wrote {out}")
 
 
@@ -226,7 +232,7 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     """Solve one instance and write the objective, association and powers."""
     _check_alpha(alpha)
     _check_epsilon(epsilon)
-    inst = _load_instance(instance, seed, paper_scale)
+    (inst,) = _load_instances(instance, [seed], paper_scale)
     _, cache = _pipeline(inst)
     try:
         rows, code, trace = _solve_rows(inst, cache, algorithm, alpha, epsilon)
@@ -274,8 +280,8 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
         raise click.UsageError("replications must be positive")
     rows = []
     infeasible = nonconverged = 0
-    for rep in range(replications):
-        inst = _load_instance(instance, seed + rep, paper_scale)
+    seeds = range(seed, seed + replications)
+    for rep, inst in enumerate(_load_instances(instance, seeds, paper_scale)):
         _, cache = _pipeline(inst)
         s = inst.scenario
         try:

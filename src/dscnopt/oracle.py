@@ -18,8 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import reachable_sbs
-from .benders import min_power_for
+from .benders import min_power_for, reachable_sbs
 from .model import (
     Association,
     CachePlacement,
@@ -72,18 +71,22 @@ def enumerate_candidates(
 
     Alpha-independent, so a single enumeration serves a whole tradeoff
     sweep. Associations come in ``iter_assignments`` order, restricted to
-    each user's reachable SBSs. Raises ``EnumerationCapError`` above
-    ``DEFAULT_ENUMERATION_CAP`` associations (counted as B^U).
+    each user's reachable SBSs. Raises ``EnumerationCapError`` when more
+    than ``DEFAULT_ENUMERATION_CAP`` associations would be walked (the
+    product of each user's reachable-SBS count, not B^U).
     """
     U, B = scenario.user_count, scenario.sbs_count
-    cap = DEFAULT_ENUMERATION_CAP
-    if B**U > cap:
-        raise EnumerationCapError(
-            f"{B}^{U} associations exceed the cap of {cap}; use a smaller instance"
-        )
     # single-user reachability is a necessary condition (interference only
     # hurts), so only the product of each user's reachable SBSs is solved
     reach = reachable_sbs(scenario, demands)
+    walked = math.prod(int(n) for n in reach.sum(axis=1))
+    cap = DEFAULT_ENUMERATION_CAP
+    if walked > cap:
+        shown = str(walked) if walked < 10**15 else f"at least 10^{len(str(walked)) - 1}"
+        raise EnumerationCapError(
+            f"{shown} reachable associations (of {B}^{U}) exceed the cap of "
+            f"{cap}; use a smaller instance"
+        )
     out: List[Candidate] = []
     for assigned in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
         assoc = Association.from_assignment(assigned, B)

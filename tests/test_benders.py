@@ -16,6 +16,8 @@ from dscnopt.benders import (
     delay_coefficients,
     min_power_for,
     penalty_lambda,
+    reachability_cut,
+    reachable_sbs,
     recover_power,
     rmp_penalty_value,
     solve_master,
@@ -32,7 +34,12 @@ from dscnopt.model import (
     requested_thresholds,
     serving_time,
 )
-from dscnopt.oracle import brute_force, brute_force_sweep, iter_assignments
+from dscnopt.oracle import (
+    brute_force,
+    brute_force_sweep,
+    enumerate_candidates,
+    iter_assignments,
+)
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
 
@@ -337,6 +344,36 @@ def uncapped_least_powers(s, demands, assigned):
     raise AssertionError("Yates iteration did not settle")
 
 
+def near_boundary_instances():
+    """(scenario, demands, assignment, offset) a hair inside or outside the cap.
+
+    Desk seeds 0-4, two feasible assignments each: all thresholds are
+    scaled so that the assignment's least powers exceed the cap of the SBS
+    that reaches it first by ``offset`` of that cap.
+    """
+    for seed in range(5):
+        inst = scn.generate(scn.desk_scale(), seed)
+        s, demands = inst.scenario, inst.demands
+        feasible = [
+            a for a in iter_assignments(s.user_count, s.sbs_count)
+            if benders._min_power(s, demands, a).power is not None
+        ]
+        for assigned in feasible[:2]:
+            def excess(t):
+                scaled = dataclasses.replace(s, sinr_thresholds=t * s.sinr_thresholds)
+                p = uncapped_least_powers(scaled, demands, assigned)
+                return float((p / s.max_power).max()) - 1.0
+
+            t_hi = 1.0
+            while excess(t_hi) < 0.0:
+                t_hi *= 1.5
+            for offset in (-1e-9, 1e-9, -1e-12, 1e-12):
+                t = brentq(lambda t: excess(t) - offset, 1.0, t_hi,
+                           xtol=1e-16, rtol=1e-15)
+                scaled = dataclasses.replace(s, sinr_thresholds=t * s.sinr_thresholds)
+                yield scaled, demands, assigned, offset
+
+
 class TestStructuredPower:
     def test_matches_strict_lp_on_every_association(self, caplog):
         verdicts = {True: 0, False: 0}
@@ -352,45 +389,20 @@ class TestStructuredPower:
         assert verdicts[True] >= 50 and verdicts[False] >= 5000
 
     def test_near_boundary_thresholds(self, caplog):
-        # thresholds scaled so that the least powers sit a hair inside or
-        # outside the cap of the SBS that reaches it first
         checked = 0
-        for seed in range(5):
-            inst = scn.generate(scn.desk_scale(), seed)
-            s, demands = inst.scenario, inst.demands
-            feasible = [
-                a for a in iter_assignments(s.user_count, s.sbs_count)
-                if benders._min_power(s, demands, a).power is not None
-            ]
-            for assigned in feasible[:2]:
-                def excess(t):
-                    scaled = dataclasses.replace(
-                        s, sinr_thresholds=t * s.sinr_thresholds
-                    )
-                    p = uncapped_least_powers(scaled, demands, assigned)
-                    return float((p / s.max_power).max()) - 1.0
-
-                t_hi = 1.0
-                while excess(t_hi) < 0.0:
-                    t_hi *= 1.5
-                for offset in (-1e-9, 1e-9, -1e-12, 1e-12):
-                    t = brentq(lambda t: excess(t) - offset, 1.0, t_hi,
-                               xtol=1e-16, rtol=1e-15)
-                    scaled = dataclasses.replace(
-                        s, sinr_thresholds=t * s.sinr_thresholds
-                    )
-                    p = uncapped_least_powers(scaled, demands, assigned)
-                    assert abs((p / s.max_power).max() - 1.0 - offset) < 1e-13
-                    caplog.clear()
-                    with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
-                        answer = benders._min_power(scaled, demands, assigned)
-                    # inside the cap the structured answer stands; just
-                    # outside, the LP may judge by its tolerance, and rays
-                    # left to it need not be minimal
-                    assert offset > 0.0 or not caplog.records
-                    check_answer(scaled, demands, assigned, answer,
-                                 None if caplog.records else {}, tol=1e-13)
-                    checked += 1
+        for scaled, demands, assigned, offset in near_boundary_instances():
+            p = uncapped_least_powers(scaled, demands, assigned)
+            assert abs((p / scaled.max_power).max() - 1.0 - offset) < 1e-13
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
+                answer = benders._min_power(scaled, demands, assigned)
+            # inside the cap the structured answer stands; just
+            # outside, the LP may judge by its tolerance, and rays
+            # left to it need not be minimal
+            assert offset > 0.0 or not caplog.records
+            check_answer(scaled, demands, assigned, answer,
+                         None if caplog.records else {}, tol=1e-13)
+            checked += 1
         assert checked == 40
 
     def test_fallback_answers_by_lp_and_logs(self, monkeypatch, caplog):
@@ -471,13 +483,18 @@ class TestMaster:
                     s, demands, Association.from_assignment(assigned, 3)
                 )
                 cuts.append(cut)
+            reach = reachable_sbs(s, demands)
+            seeded = [reachability_cut(s, demands)] + cuts
             for alpha in (0.0, 0.5, 1.0):
-                enum = solve_master(s, demands, placement, cuts, alpha)
-                with monkeypatch.context() as m:
-                    m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                    found = solve_master(s, demands, placement, cuts, alpha)
-                assert found.value == pytest.approx(enum.value, rel=1e-12)
-                assert np.array_equal(found.assoc.x, enum.assoc.x)
+                for pool in (cuts, seeded):
+                    enum = solve_master(s, demands, placement, pool, alpha)
+                    with monkeypatch.context() as m:
+                        m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
+                        found = solve_master(s, demands, placement, pool, alpha)
+                    assert found.value == enum.value
+                    assert np.array_equal(found.assoc.x, enum.assoc.x)
+                # the seeded pool went last: its answer holds reachable pairs only
+                assert reach[np.arange(s.user_count), found.assoc.assigned_sbs].all()
 
 
     def test_cut_table_matches_fresh_solve(self):
@@ -576,6 +593,82 @@ class TestMaster:
             # cutting off user 0 at SBS 0 moves the optimum to the next one
             sol = solve_master(s, demands, placement, [flat, cutoff], alpha=1.0)
             assert sol.assoc.assigned_sbs.tolist() == [1] + [0] * (U - 1)
+
+
+def single_excluded_pair(s, reach, i, j):
+    """An assignment holding the pair (i, j) and no other excluded pair.
+
+    Every other user sits at SBS j if it reaches it, else at its reachable
+    SBS of highest gain; None if some other user reaches no SBS.
+    """
+    gains = np.where(reach, s.channel_gains, -np.inf)
+    assigned = np.where(reach[:, j], j, gains.argmax(axis=1))
+    assigned[i] = j
+    others = np.arange(s.user_count) != i
+    if not reach[others, assigned[others]].all():
+        return None
+    return assigned
+
+
+def infeasible_excluded_pairs(s, demands):
+    """Per pair the mask excludes: (user, SBS, whether ``min_power_for`` rejects).
+
+    Each verdict is for ``single_excluded_pair``'s assignment; a pair
+    without one (some other user reaches no SBS) is skipped.
+    """
+    reach = reachable_sbs(s, demands)
+    for i, j in zip(*np.nonzero(~reach)):
+        assigned = single_excluded_pair(s, reach, i, j)
+        if assigned is not None:
+            assoc = Association.from_assignment(assigned, s.sbs_count)
+            yield i, j, min_power_for(s, demands, assoc) is None
+
+
+class TestReachability:
+    def test_excluded_pairs_are_infeasible(self):
+        checked = 0
+        for users in (6, 9, 12):
+            for seed in range(40):
+                inst = scn.generate(scn.desk_scale(user_count=users), seed)
+                s, demands = inst.scenario, inst.demands
+                for i, j, infeasible in infeasible_excluded_pairs(s, demands):
+                    assert infeasible, (users, seed, i, j)
+                    checked += 1
+        assert checked >= 700
+
+    def test_excluded_pairs_near_the_boundary(self, caplog):
+        # the mask's rule is relative (1e-12), the strict LP's tolerance
+        # absolute: where the structured ray is too weak to stand, the LP
+        # may accept a lone user's row that misses by up to about 1e-9 of
+        # its cap, which the mask rejects; on this set that happens once
+        accepted = []
+        checked = 0
+        for scaled, demands, _, _ in near_boundary_instances():
+            gammas = requested_thresholds(scaled, demands)
+            for i, j, infeasible in infeasible_excluded_pairs(scaled, demands):
+                checked += 1
+                if not infeasible:
+                    u = gammas[i] * scaled.noise_power / scaled.channel_gains[i, j]
+                    accepted.append(u / scaled.max_power[j] - 1.0)
+        assert checked >= 300
+        assert len(accepted) == 1 and 0.0 < accepted[0] <= 1.0000001e-9
+        assert "solving the LP" in caplog.text
+
+    def test_cut_is_exact_and_holds_every_candidate(self):
+        for seed in range(10):
+            inst, placement = desk_pipeline(seed)
+            s, demands = inst.scenario, inst.demands
+            cut = reachability_cut(s, demands)
+            excluded = (~reachable_sbs(s, demands)).astype(float)
+            # h = k - 1/2 exactly, k the excluded pairs an association holds
+            h = cut.constant + benders._grid_sum(cut.coef)
+            assert np.array_equal(h, benders._grid_sum(excluded) - 0.5)
+            assert cut.magnitude == 1.0
+            candidates = enumerate_candidates(s, demands, placement)
+            assert candidates
+            for cand in candidates:
+                x = Association.from_assignment(cand.assigned, s.sbs_count)
+                assert cut.value(x) <= 0.0
 
 
 class TestPenalty:
@@ -739,6 +832,60 @@ class TestUcwt:
         for epsilon in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ModelError):
                 ucwt(s, demands, placement, 0.5, epsilon=epsilon)
+
+    def test_stranded_user_raises_before_any_subproblem(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_subproblem(*args)
+
+        monkeypatch.setattr(benders, "solve_subproblem", counted)
+        wholly = small_scenario(
+            [[1.0, 0.9], [0.9, 0.8]], [3.0, 3.0], max_power=1e-4
+        )
+        cases = [(wholly, DemandMatrix([[1, 0], [0, 1]]),
+                  CachePlacement([[1, 1], [0, 0]]))]
+        for users in (6, 12):     # enumerated and searched masters
+            inst = scn.generate(scn.desk_scale(user_count=users), 0)
+            s = inst.scenario
+            placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+            gains = s.channel_gains.copy()
+            gains[-1] *= 1e-9          # the last user reaches no SBS
+            stranded = dataclasses.replace(
+                s, channel_gains=gains, user_positions=None
+            )
+            cases.append((stranded, inst.demands, placement))
+        for s, demands, placement in cases:
+            assert not reachable_sbs(s, demands).any(axis=1).all()
+            for alpha in (0.0, 0.5):
+                with pytest.raises(NoFeasibleAssociationError):
+                    ucwt(s, demands, placement, alpha)
+        assert calls == []
+
+    def test_never_solves_an_unreachable_pair(self, monkeypatch):
+        solved = []
+
+        def recorded(scenario, demands, x):
+            solved.append(x.assigned_sbs.copy())
+            return solve_subproblem(scenario, demands, x)
+
+        monkeypatch.setattr(benders, "solve_subproblem", recorded)
+        unreachable = 0
+        for users, seeds in ((6, range(10)), (9, range(10)), (10, (2,))):
+            for seed in seeds:
+                inst = scn.generate(scn.desk_scale(user_count=users), seed)
+                s, demands = inst.scenario, inst.demands
+                placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+                reach = reachable_sbs(s, demands)
+                unreachable += int((~reach).sum())
+                for alpha in (0.0, 0.5, 1.0):
+                    solved.clear()
+                    trace = ucwt(s, demands, placement, alpha).trace
+                    assert len(solved) == len(trace.iterations)
+                    for assigned in solved:
+                        assert reach[np.arange(users), assigned].all()
+        assert unreachable > 0
 
     def test_wholly_infeasible_instance_raises(self):
         s = small_scenario(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dscnopt import baselines, benders, scenario as scn
+from dscnopt import baselines, benders, cli, scenario as scn
 from dscnopt.cli import main
-from dscnopt.model import ModelError
+from dscnopt.model import Association, ModelError, PowerVector
 
 
 @pytest.fixture()
@@ -293,6 +293,25 @@ class TestSweepAlpha:
              "--grid", "0.5", "--out", str(tmp_path / "o.csv")],
         )
         assert_cap_usage_error(result)
+
+    def test_paper_scale_warns_once(self, runner, tmp_path, monkeypatch):
+        def nearest_sbs(s, demands, cache, alpha, epsilon=None):
+            assoc = Association.from_assignment(
+                s.channel_gains.argmax(axis=1), s.sbs_count
+            )
+            trace = benders.BendersTrace(converged=True)
+            return benders.UcwtResult(assoc, PowerVector(np.zeros(s.sbs_count)), trace)
+
+        monkeypatch.setattr(benders, "ucwt", nearest_sbs)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--paper-scale", "--algorithm", "ucwt", "--grid", "0.5",
+             "--replications", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        assert [r[1] for r in read_csv(str(out))[1:]] == ["0", "1"]
+        assert result.stderr.count(cli._PAPER_SCALE_WARNING) == 1
 
     @pytest.mark.parametrize("algorithm", ["oracle", "ucwt"])
     def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch, algorithm):

@@ -121,6 +121,19 @@ class TestEnumerateCandidates:
         with pytest.raises(EnumerationCapError):
             enumerate_candidates(s, demands, placement)
 
+    def test_cap_counts_the_reachable_product(self, monkeypatch):
+        inst = scn.generate(scn.desk_scale(), 0)
+        s, demands = inst.scenario, inst.demands
+        placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+        walked = int(np.prod(reachable_sbs(s, demands).sum(axis=1)))
+        assert walked < s.sbs_count**s.user_count
+        # B^U above the cap, the reachable product at it: the walk runs
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", walked)
+        assert enumerate_candidates(s, demands, placement)
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", walked - 1)
+        with pytest.raises(EnumerationCapError, match=f"^{walked} reachable "):
+            enumerate_candidates(s, demands, placement)
+
 
 class TestBruteForce:
     def test_matches_manual_minimum(self):
