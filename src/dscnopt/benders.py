@@ -14,7 +14,11 @@ cut of a ``ucwt`` run once, by outer sums of its per-user terms; no matrix
 of the associations is built. The search bounds each cut over the
 completions of a partial association by its fixed terms plus each free
 user's least coefficient; since 1/varrho dominates, this is the
-combinatorial cut bound of Codato & Fischetti (Oper. Res. 2006).
+combinatorial cut bound of Codato & Fischetti (Oper. Res. 2006). Both
+paths also take a conflict seed in the cut list, a boolean array of the
+user pairs that cannot be served together: the table writes +inf into
+each conflict's sub-grid, and the search prunes a child as soon as its
+user conflicts alone or with a user fixed before it.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -28,15 +32,17 @@ powers and their feasible/infeasible verdict from it, and ``reachable_sbs``
 gives the one verdict on which (user, SBS) pairs can serve at all: a user
 that misses its SINR threshold at an SBS even alone at full power.
 
-``ucwt`` seeds the master with one cut, ``reachability_cut``, that excludes
-every association holding such a pair, so no iteration is spent learning
-them one subproblem at a time and every association it solves is binary
-and reachable. It starts from the master's answer over that cut alone.
-Following Benders (1962), its upper bound is the best subproblem value
-seen so far, kept as a single incumbent, and its lower bound is the exact
-master's optimum. Every cut is kept: an exact master re-proposes an
-association whose cut it holds only once the gap has closed. The trace
-keeps the iteration cuts only, one per iteration, without the seeded cut.
+``ucwt`` seeds the master with ``conflict_seed``: every such pair, and
+every two users at two SBSs whose 2 x 2 least fixed point misses a cap
+(closed form). Each excludes all associations holding it, so no
+iteration is spent learning one- or two-user conflicts one subproblem
+at a time, and no association it solves holds one. It starts from the
+master's answer over the seed alone. Following Benders (1962), its upper
+bound is the best subproblem value seen so far, kept as a single
+incumbent, and its lower bound is the exact master's optimum. Every cut
+is kept: an exact master re-proposes an association whose cut it holds
+only once the gap has closed. The trace keeps the iteration cuts only,
+one per iteration, without the seed.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -81,6 +87,8 @@ _SWITCH_TOL = 1e-14
 # missed by this much relative to its norm, well above what the strict LP
 # check tolerates; closer calls are left to the LP
 _RAY_MARGIN = 10 * lpmod.STRICT_TOL
+# relative cap margin past which ``conflict_seed`` flags a two-user conflict
+_CONFLICT_MARGIN = 1e-8
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +99,13 @@ class MasterInfeasibleError(ModelError):
 
 class NoFeasibleAssociationError(ModelError):
     """The instance admits no power-feasible association at all."""
+
+
+class IterationBudgetError(ModelError):
+    """The iteration budget ran out before any proposal was power-feasible.
+
+    This is non-convergence, not a proof that the instance is infeasible.
+    """
 
 
 class SolverFault(ModelError):
@@ -474,16 +489,48 @@ def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     return best / scenario.noise_power >= gammas[:, None] * (1 - 1e-12)
 
 
-def reachability_cut(scenario: Scenario, demands: DemandMatrix) -> Cut:
-    """One feasibility cut excluding every association with an unreachable pair.
+def conflict_seed(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
+    """Boolean K[i, j, k, l]: users i at SBS j and k at SBS l cannot both be served.
 
-    sum of x_ij over the pairs ``reachable_sbs`` excludes <= 1/2, a
-    combinatorial cut (Codato & Fischetti, Oper. Res. 2006). It is exact in
-    floating point: at a binary association holding k excluded pairs
-    h = k - 1/2, and its magnitude is 1, so it cuts off exactly k >= 1.
+    The diagonal K[i, j, i, j] is ``~reachable_sbs``, the one-user
+    conflicts. Off it, users i != k at SBSs j != l conflict when the 2 x 2
+    system p_j >= u_i + c_i p_l, p_l >= u_k + c_k p_j (u the least power
+    alone, c the normalized cross gain) has its least fixed point
+    ((u_i + c_i u_k), (u_k + c_k u_i)) / (1 - c_i c_k) above a cap, or no
+    positive one (c_i c_k >= 1). Users at one SBS do not interfere, so
+    they conflict only through a singleton. Adding users only raises the
+    least fixed point of a standard interference function (Yates 1995), so
+    every association holding a conflict is infeasible: each entry is a
+    combinatorial Benders cut (Codato & Fischetti, Oper. Res. 2006).
+
+    A pair is flagged only past a relative margin of ``_CONFLICT_MARGIN``
+    (1e-8) on its caps. Where the structured ray is too weak to stand,
+    ``min_power_for``'s strict LP accepts a cap missed by a little over
+    1e-9 of it, so a 1e-9 margin would flag pairs that verdict accepts;
+    a missed conflict costs one Benders iteration, a wrong one an answer.
     """
-    unreachable = ~reachable_sbs(scenario, demands)
-    return Cut(constant=-0.5, coef=unreachable.astype(float), kind="feasibility")
+    gammas = requested_thresholds(scenario, demands)
+    g = scenario.channel_gains
+    U, B = g.shape
+    users = np.arange(U)
+    u = gammas[:, None] * scenario.noise_power / g
+    # c[i, j, l]: gamma_i g_il / g_ij, SBS l's interference on user i at j
+    c = gammas[:, None, None] * g[:, None, :] / g[:, :, None]
+    caps = scenario.max_power * (1.0 + _CONFLICT_MARGIN)
+    reach = reachable_sbs(scenario, demands)
+    K = np.zeros((U, B, U, B), dtype=bool)
+    K[users, :, users, :] = np.eye(B, dtype=bool) & ~reach[:, :, None]
+    for j in range(B):
+        for l in range(j + 1, B):
+            # rows: user i at j; columns: user k at l
+            cj, cl = c[:, j, l][:, None], c[:, l, j][None, :]
+            uj, ul = u[:, j][:, None], u[:, l][None, :]
+            det = 1.0 - cj * cl
+            clash = (uj + cj * ul > caps[j] * det) | (ul + cl * uj > caps[l] * det)
+            clash[users, users] = False
+            K[:, j, :, l] = clash
+            K[:, l, :, j] = clash.T
+    return K
 
 
 def min_power_for(
@@ -581,6 +628,9 @@ class _CutTable:
                 f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
             )
         for cut in cuts[self.absorbed:]:
+            if isinstance(cut, np.ndarray):
+                self._exclude(cut)
+                continue
             h = cut.constant + _grid_sum(cut.coef)
             if cut.kind == "feasibility":
                 self.value[h > 1e-9 * cut.magnitude] = np.inf
@@ -589,6 +639,23 @@ class _CutTable:
                     self.value, self.alpha * h + self.weighted_delay, out=self.value
                 )
         self.absorbed = len(cuts)
+
+    def _exclude(self, conflicts: np.ndarray) -> None:
+        """Set +inf on every association holding a conflict of a seed.
+
+        A conflict fixes one or two users, so its associations are one
+        sub-grid, written by basic slicing on a view of the table. A pair
+        holding a one-user conflict adds nothing and is skipped.
+        """
+        B = self.shape[1]
+        alone = np.einsum("ijij->ij", conflicts)
+        for i, j in np.argwhere(alone).tolist():
+            self.value.reshape(B**i, B, -1)[:, j] = np.inf
+        pairs = conflicts & ~(alone[:, :, None, None] | alone[None, None])
+        for i, j, k, l in np.argwhere(pairs).tolist():
+            if i < k:
+                grid = self.value.reshape(B**i, B, B ** (k - i - 1), B, -1)
+                grid[:, j, :, l] = np.inf
 
     def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
@@ -609,11 +676,19 @@ def _search_master(
     association it is least at its fixed users' terms plus each free
     user's smallest coefficient; the delay is bounded the same way. A
     child is pruned when a feasibility cut's bound exceeds the threshold
-    of ``_CutTable`` or its objective bound reaches the incumbent. A leaf
-    replaces the incumbent only if strictly better, so ties keep the
-    lexicographically first association, as enumeration does.
+    of ``_CutTable``, when a conflict seed in ``cuts`` excludes its user
+    alone or with a user fixed before it, or when its objective bound
+    reaches the incumbent. A leaf replaces the incumbent only if strictly
+    better, so ties keep the lexicographically first association, as
+    enumeration does.
     """
     U, B = dcoef.shape
+    users = np.arange(U)
+    conflict = np.zeros((U, B, U, B), dtype=bool)
+    for seed in (c for c in cuts if isinstance(c, np.ndarray)):
+        conflict |= seed
+    alone = np.einsum("ijij->ij", conflict)
+    cuts = [c for c in cuts if isinstance(c, Cut)]
     optimality = [c for c in cuts if c.kind == "optimality"]
     feasibility = [c for c in cuts if c.kind == "feasibility"]
     # rows: optimality cuts, then feasibility cuts, then the delay
@@ -625,7 +700,7 @@ def _search_master(
     tail[:, :U] = np.cumsum(coef.min(axis=2)[:, ::-1], axis=1)[:, ::-1]
     limit = np.array([1e-9 * c.magnitude for c in feasibility])[:, None]
     const = np.array([c.constant for c in rows] + [0.0])
-    last_first = np.arange(U)[::-1]
+    last_first = users[::-1]
     assigned = np.zeros(U, dtype=int)
     best_value, best_assigned = math.inf, None
 
@@ -640,6 +715,8 @@ def _search_master(
         nonlocal best_value, best_assigned
         h = fixed[:, None] + coef[:, d, :]          # per row, per SBS of user d
         bound = score(h + tail[:, d + 1, None])
+        blocked = alone[d] | conflict[d, :, users[:d], assigned[:d]].any(axis=0)
+        bound[blocked] = math.inf
         for j, least in enumerate(bound.tolist()):
             if least >= best_value:
                 continue
@@ -674,10 +751,12 @@ def solve_master(
 
     Small association spaces are enumerated wholesale, scoring each cut by
     outer sums of its per-user coefficients (no association matrix) and
-    keeping the lexicographically first optimum. ``table`` holds the master
-    objective at ``alpha`` over the cuts passed on earlier calls with the
-    same growing ``cuts`` list, so only the new cuts are scored; without
-    one, a fresh table scores them all. ``ucwt`` keeps one table per run,
+    keeping the lexicographically first optimum. ``cuts`` may also hold a
+    ``conflict_seed`` array, which excludes every association holding one
+    of its conflicts. ``table`` holds the master objective at ``alpha``
+    over the cuts passed on earlier calls with the same growing ``cuts``
+    list, so only the new cuts are scored; without one, a fresh table
+    scores them all. ``ucwt`` keeps one table per run,
     so each of its cuts is scored once. Raises ``ModelError`` if ``table``
     was built for another ``alpha``. Larger spaces are searched depth first
     (``_search_master``), which keeps the same tie rule. Both paths are
@@ -781,20 +860,23 @@ def ucwt(
 ) -> UcwtResult:
     """Iterative cut generation until the bound gap closes.
 
-    The master always holds ``reachability_cut`` first, so no proposal
-    puts a user at an SBS it cannot reach alone; if some user reaches no
-    SBS, ``NoFeasibleAssociationError`` is raised before any subproblem.
-    Starts from the master's answer over that cut alone (the least-delay
-    reachable association, the lexicographically first one at alpha = 1);
-    alternates subproblem and master solves for at most
+    The master always holds ``conflict_seed`` first, so no proposal puts
+    a user at an SBS it cannot reach alone or two users at a conflicting
+    pair of SBSs; if the seed excludes every association (e.g. some user
+    reaches no SBS), ``NoFeasibleAssociationError`` is raised before any
+    subproblem. Starts from the master's answer over the seed alone (the
+    least-delay conflict-free association, the lexicographically first one
+    at alpha = 1); alternates subproblem and master solves for at most
     ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept; ``trace.cuts``
-    holds the iteration cuts only, one per iteration. The incumbent is the
-    first bounded proposal of least alpha * M + (1 - alpha) * delay: its
-    value is the upper bound, the master's optimum the lower bound. An
-    exact master re-proposes an association whose cut it holds only once
-    the gap has closed. Without convergence the incumbent is returned all
-    the same, with ``trace.converged`` False. ``epsilon`` defaults to
-    1e-6 * (1 + |first finite upper bound|).
+    holds the iteration cuts only, one per iteration, and not the seed.
+    The incumbent is the first bounded proposal of least
+    alpha * M + (1 - alpha) * delay: its value is the upper bound, the
+    master's optimum the lower bound. An exact master re-proposes an
+    association whose cut it holds only once the gap has closed. Without
+    convergence the incumbent is returned all the same, with
+    ``trace.converged`` False; with no incumbent, ``IterationBudgetError``
+    (non-convergence, not infeasibility) is raised. ``epsilon`` defaults
+    to 1e-6 * (1 + |first finite upper bound|).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0, 1]")
@@ -808,14 +890,14 @@ def ucwt(
     else:
         table = None
 
-    # the master's cuts: the reachability cut, then one cut per iteration
-    cuts = [reachability_cut(scenario, demands)]
+    # the master's cuts: the conflict seed, then one cut per iteration
+    cuts = [conflict_seed(scenario, demands)]
     trace = BendersTrace(epsilon=epsilon)
     try:
         assoc = solve_master(scenario, demands, placement, cuts, alpha, table).assoc
     except MasterInfeasibleError:
         raise NoFeasibleAssociationError(
-            "some user reaches no SBS even alone at full power"
+            "one- and two-user conflicts exclude every association"
         ) from None
     # the incumbent: its value, 1-based iteration and association
     psi_upper, omega, best = math.inf, None, None
@@ -852,7 +934,7 @@ def ucwt(
         assoc = master.assoc
 
     if best is None:
-        raise NoFeasibleAssociationError(
+        raise IterationBudgetError(
             "no power-feasible association found within the iteration budget"
         )
     trace.omega = omega

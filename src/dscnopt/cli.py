@@ -240,6 +240,9 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
         raise click.UsageError(str(exc))
     except benders.SolverFault as exc:
         _exit_solver_fault(exc)
+    except benders.IterationBudgetError as exc:
+        click.echo(f"not converged: {exc}", err=True)
+        sys.exit(EXIT_NONCONVERGENCE)
     except ModelError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -293,7 +296,13 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                                  _f(sol.objective)))
             else:
                 for a in alphas:
-                    assoc, power, trace = _run("ucwt", inst, cache, a, epsilon)
+                    try:
+                        assoc, power, trace = _run("ucwt", inst, cache, a, epsilon)
+                    except benders.IterationBudgetError:
+                        # no incumbent: a row of empty cells
+                        nonconverged += 1
+                        rows.append((_f(a), rep, "", "", ""))
+                        continue
                     if not trace.converged:
                         nonconverged += 1
                     v = objective(s, inst.demands, cache, assoc, power, a)

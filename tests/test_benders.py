@@ -11,12 +11,13 @@ from scipy.optimize import brentq
 from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.benders import (
     Cut,
+    IterationBudgetError,
     NoFeasibleAssociationError,
     build_subproblem_primal,
+    conflict_seed,
     delay_coefficients,
     min_power_for,
     penalty_lambda,
-    reachability_cut,
     reachable_sbs,
     recover_power,
     rmp_penalty_value,
@@ -78,8 +79,8 @@ def mixed_case():
     return s, DemandMatrix([[1, 0], [0, 1]]), CachePlacement([[1, 1], [0, 0]])
 
 
-def desk_pipeline(seed):
-    inst = scn.generate(scn.desk_scale(), seed)
+def desk_pipeline(seed, **overrides):
+    inst = scn.generate(scn.desk_scale(**overrides), seed)
     pop = local_popularity(inst.scenario, inst.preferences)
     placement, _ = lpf_greedy(inst.scenario, pop)
     return inst, placement
@@ -483,8 +484,8 @@ class TestMaster:
                     s, demands, Association.from_assignment(assigned, 3)
                 )
                 cuts.append(cut)
-            reach = reachable_sbs(s, demands)
-            seeded = [reachability_cut(s, demands)] + cuts
+            K = conflict_seed(s, demands)
+            seeded = [K] + cuts
             for alpha in (0.0, 0.5, 1.0):
                 for pool in (cuts, seeded):
                     enum = solve_master(s, demands, placement, pool, alpha)
@@ -493,8 +494,8 @@ class TestMaster:
                         found = solve_master(s, demands, placement, pool, alpha)
                     assert found.value == enum.value
                     assert np.array_equal(found.assoc.x, enum.assoc.x)
-                # the seeded pool went last: its answer holds reachable pairs only
-                assert reach[np.arange(s.user_count), found.assoc.assigned_sbs].all()
+                # the seeded pool went last: its answer holds no conflict
+                assert not conflicts_held(K, found.assoc.assigned_sbs).any()
 
 
     def test_cut_table_matches_fresh_solve(self):
@@ -654,21 +655,116 @@ class TestReachability:
         assert len(accepted) == 1 and 0.0 < accepted[0] <= 1.0000001e-9
         assert "solving the LP" in caplog.text
 
-    def test_cut_is_exact_and_holds_every_candidate(self):
+
+def conflicts_held(K, assigned):
+    """A seed restricted to an assignment: [i, k] is K[i, a_i, k, a_k]."""
+    users = np.arange(len(assigned))
+    return K[users, assigned][:, users, assigned]
+
+
+def two_users(s, demands, i, k):
+    """The instance of users i and k alone, with every SBS kept."""
+    sub = dataclasses.replace(
+        s, user_count=2, channel_gains=s.channel_gains[[i, k]], user_positions=None
+    )
+    return sub, DemandMatrix(demands.theta[[i, k]])
+
+
+def two_user_pairs(s, demands, K):
+    """Per pair of users i < k at SBSs j != l: (j, l, flagged, both reachable).
+
+    Grouped by (i, k), yielded with the two-user instance of i and k.
+    """
+    reach = reachable_sbs(s, demands)
+    B = s.sbs_count
+    for i in range(s.user_count):
+        for k in range(i + 1, s.user_count):
+            sub, sub_demands = two_users(s, demands, i, k)
+            verdicts = [
+                (j, l, bool(K[i, j, k, l]), bool(reach[i, j] and reach[k, l]))
+                for j in range(B) for l in range(B) if j != l
+            ]
+            yield sub, sub_demands, verdicts
+
+
+class TestConflicts:
+    def test_seed_holds_every_candidate(self):
         for seed in range(10):
             inst, placement = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
-            cut = reachability_cut(s, demands)
-            excluded = (~reachable_sbs(s, demands)).astype(float)
-            # h = k - 1/2 exactly, k the excluded pairs an association holds
-            h = cut.constant + benders._grid_sum(cut.coef)
-            assert np.array_equal(h, benders._grid_sum(excluded) - 0.5)
-            assert cut.magnitude == 1.0
+            K = conflict_seed(s, demands)
+            U, B = s.user_count, s.sbs_count
+            assert K.shape == (U, B, U, B) and K.dtype == bool
+            assert np.array_equal(K, K.transpose(2, 3, 0, 1))
+            users = np.arange(U)
+            unreachable = ~reachable_sbs(s, demands)
+            alone = np.eye(B, dtype=bool) & unreachable[:, :, None]
+            assert np.array_equal(K[users, :, users, :], alone)
+            # users at one SBS conflict only through a singleton
+            same = K[:, np.arange(B), :, np.arange(B)]
+            same[:, users, users] = False
+            assert not same.any()
             candidates = enumerate_candidates(s, demands, placement)
             assert candidates
             for cand in candidates:
-                x = Association.from_assignment(cand.assigned, s.sbs_count)
-                assert cut.value(x) <= 0.0
+                assert not conflicts_held(K, cand.assigned).any()
+
+    def test_flagged_pairs_are_infeasible(self):
+        # forward: every flagged pair of reachable singletons, as the
+        # association of its two users alone, has no feasible powers;
+        # more users only raise the least fixed point (Yates 1995)
+        checked = 0
+        for users in (6, 9, 12):
+            for seed in range(40):
+                inst = scn.generate(scn.desk_scale(user_count=users), seed)
+                s, demands = inst.scenario, inst.demands
+                K = conflict_seed(s, demands)
+                for sub, sub_demands, verdicts in two_user_pairs(s, demands, K):
+                    for j, l, flagged, reachable in verdicts:
+                        if flagged and reachable:
+                            assoc = Association.from_assignment([j, l], s.sbs_count)
+                            assert min_power_for(sub, sub_demands, assoc) is None
+                            checked += 1
+        assert checked >= 8000
+
+    def test_unflagged_pairs_are_feasible(self):
+        # converse: every unflagged pair of reachable singletons is
+        # feasible by policy iteration on its two rows
+        checked = 0
+        for users in (6, 9, 12):
+            for seed in range(40):
+                inst = scn.generate(scn.desk_scale(user_count=users), seed)
+                s, demands = inst.scenario, inst.demands
+                K = conflict_seed(s, demands)
+                for sub, sub_demands, verdicts in two_user_pairs(s, demands, K):
+                    T = serving_time(sub, sub_demands, None, "relaxed")
+                    for j, l, flagged, reachable in verdicts:
+                        if reachable and not flagged:
+                            assigned = np.array([j, l])
+                            A, b = benders._sinr_rows(sub, sub_demands, assigned)
+                            answer = benders._policy_iteration(
+                                A, b, assigned, sub.max_power, T
+                            )
+                            assert answer is not None and answer.power is not None
+                            checked += 1
+        assert checked >= 8000
+
+    def test_flagged_pairs_near_the_boundary(self, caplog):
+        # a 1e-9 margin would flag two pairs here whose caps are missed by
+        # about 1.0000003e-9 and 1.0000010e-9, which the LP fallback of
+        # min_power_for accepts; the 1e-8 margin flags none of them
+        flagged = 0
+        for scaled, demands, _, _ in near_boundary_instances():
+            K = conflict_seed(scaled, demands)
+            for sub, sub_demands, verdicts in two_user_pairs(scaled, demands, K):
+                for j, l, conflict, _ in verdicts:
+                    if conflict:
+                        assoc = Association.from_assignment([j, l], scaled.sbs_count)
+                        assert min_power_for(sub, sub_demands, assoc) is None
+                        flagged += 1
+        assert flagged >= 2000
+        # the fallback does run on this set
+        assert "solving the LP" in caplog.text
 
 
 class TestPenalty:
@@ -734,13 +830,17 @@ class TestUcwt:
                 )
 
     def test_starts_from_cut_free_master(self):
+        # the master over the conflict seed alone; desk U=8 seed 31 is an
+        # instance whose first such proposal is still infeasible
         statuses = set()
-        for seed in range(4):
-            inst, placement = desk_pipeline(seed)
+        cases = [desk_pipeline(seed) for seed in range(4)]
+        cases.append(desk_pipeline(31, user_count=8))
+        for inst, placement in cases:
             s, demands = inst.scenario, inst.demands
             T = serving_time(s, demands, None, "relaxed")
+            seeded = [conflict_seed(s, demands)]
             for alpha in (0.0, 0.5, 1.0):
-                start = solve_master(s, demands, placement, [], alpha).assoc
+                start = solve_master(s, demands, placement, seeded, alpha).assoc
                 first = ucwt(s, demands, placement, alpha).trace.iterations[0]
                 power = min_power_for(s, demands, start)
                 if power is None:
@@ -792,10 +892,12 @@ class TestUcwt:
                     assert trace.omega == omega
 
     def test_iteration_budget_returns_incumbent_unconverged(self, monkeypatch):
-        # a budget of k iterations replays the first k of the full run
+        # a budget of k iterations replays the first k of the full run; desk
+        # U=8 seed 31 first proposes an association that is infeasible
         outcomes = set()
-        for seed in range(6):
-            inst, placement = desk_pipeline(seed)
+        cases = [desk_pipeline(seed) for seed in range(6)]
+        cases.append(desk_pipeline(31, user_count=8))
+        for inst, placement in cases:
             s, demands = inst.scenario, inst.demands
             for alpha in (0.0, 0.5, 1.0):
                 full = ucwt(s, demands, placement, alpha).trace.iterations
@@ -803,8 +905,10 @@ class TestUcwt:
                     monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", budget)
                     head = full[:budget]
                     if all(r.subproblem_status == "unbounded" for r in head):
-                        with pytest.raises(NoFeasibleAssociationError):
+                        # non-convergence, not a proof of infeasibility
+                        with pytest.raises(IterationBudgetError) as info:
                             ucwt(s, demands, placement, alpha)
+                        assert not isinstance(info.value, NoFeasibleAssociationError)
                         outcomes.add("no incumbent")
                     else:
                         trace = ucwt(s, demands, placement, alpha).trace
@@ -871,7 +975,7 @@ class TestUcwt:
             return solve_subproblem(scenario, demands, x)
 
         monkeypatch.setattr(benders, "solve_subproblem", recorded)
-        unreachable = 0
+        unreachable = pairs = 0
         for users, seeds in ((6, range(10)), (9, range(10)), (10, (2,))):
             for seed in seeds:
                 inst = scn.generate(scn.desk_scale(user_count=users), seed)
@@ -879,13 +983,16 @@ class TestUcwt:
                 placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
                 reach = reachable_sbs(s, demands)
                 unreachable += int((~reach).sum())
+                K = conflict_seed(s, demands)
+                pairs += int(K.sum()) - int((~reach).sum())
                 for alpha in (0.0, 0.5, 1.0):
                     solved.clear()
                     trace = ucwt(s, demands, placement, alpha).trace
                     assert len(solved) == len(trace.iterations)
                     for assigned in solved:
                         assert reach[np.arange(users), assigned].all()
-        assert unreachable > 0
+                        assert not conflicts_held(K, assigned).any()
+        assert unreachable > 0 and pairs > 0
 
     def test_wholly_infeasible_instance_raises(self):
         s = small_scenario(

@@ -161,6 +161,22 @@ class TestSolve:
         assert fields["converged"][0][1] == "0"
         assert fields["iterations"][0][1] == "2"
 
+    def test_budget_without_incumbent_exits_1(self, runner, tmp_path, monkeypatch):
+        # running out of iterations before a feasible proposal is
+        # non-convergence, not infeasibility
+        monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", 1)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["solve", "--instance", first_proposal_infeasible(tmp_path),
+             "--alpha", "0.5", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "not converged: no power-feasible association" in result.output
+        assert "infeasible" not in result.output
+        assert not out.exists()
+
     def test_infeasible_instance_exits_3(self, runner, tmp_path):
         # shrink every SBS's power budget until no association is feasible
         inst = scn.generate(scn.desk_scale(), 0)
@@ -190,6 +206,13 @@ class TestSolve:
         monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
         result = runner.invoke(main, ["solve", "--out", str(tmp_path / "o.csv")])
         assert_solver_fault(result)
+
+
+def first_proposal_infeasible(tmp_path):
+    """Desk U=8 seed 31: ucwt's first proposal at alpha 0 and 0.5 is infeasible."""
+    path = tmp_path / "inst.txt"
+    scn.save(scn.generate(scn.desk_scale(user_count=8), 31), str(path))
+    return str(path)
 
 
 def unconverged_ucwt(monkeypatch):
@@ -312,6 +335,24 @@ class TestSweepAlpha:
         assert result.exit_code == 0
         assert [r[1] for r in read_csv(str(out))[1:]] == ["0", "1"]
         assert result.stderr.count(cli._PAPER_SCALE_WARNING) == 1
+
+    def test_budget_without_incumbent_exits_1(self, runner, tmp_path, monkeypatch):
+        # alphas without an incumbent get empty cells, the others their
+        # unconverged incumbent; the sweep goes on and exits 1
+        monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", 1)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--instance", first_proposal_infeasible(tmp_path),
+             "--algorithm", "ucwt", "--grid", "0,0.5,1", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        rows = read_csv(str(out))[1:]
+        assert [r[:2] for r in rows] == [["0", "0"], ["0.5", "0"], ["1", "0"]]
+        assert rows[0][2:] == rows[1][2:] == ["", "", ""]
+        assert all(float(v) > 0.0 for v in rows[2][2:])
 
     @pytest.mark.parametrize("algorithm", ["oracle", "ucwt"])
     def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch, algorithm):
