@@ -8,17 +8,17 @@ association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
 LP: by vectorized enumeration of every binary association while there
 are at most ``_MASTER_ENUMERATION_LIMIT`` of them, and by a depth-first
-search over users above that. Enumeration keeps a running table of the
-master objective at the run's alpha over all associations and scores each
-cut of a ``ucwt`` run once, by outer sums of its per-user terms; no matrix
-of the associations is built. The search bounds each cut over the
+search over users above that. Both take a conflict seed in the cut
+list, a boolean array of the user pairs that cannot be served together.
+Enumeration keeps a running table of the master objective at the run's
+alpha over the associations that hold no seeded conflict only, built by
+extending conflict-free prefixes one user at a time, and scores each cut
+of a ``ucwt`` run once on those rows. The search bounds each cut over the
 completions of a partial association by its fixed terms plus each free
 user's least coefficient; since 1/varrho dominates, this is the
-combinatorial cut bound of Codato & Fischetti (Oper. Res. 2006). Both
-paths also take a conflict seed in the cut list, a boolean array of the
-user pairs that cannot be served together: the table writes +inf into
-each conflict's sub-grid, and the search prunes a child as soon as its
-user conflicts alone or with a user fixed before it.
+combinatorial cut bound of Codato & Fischetti (Oper. Res. 2006). It
+prunes a child as soon as its user conflicts alone or with a user fixed
+before it.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -39,7 +39,8 @@ iteration is spent learning one- or two-user conflicts one subproblem
 at a time, and no association it solves holds one. It starts from the
 master's answer over the seed alone. Following Benders (1962), its upper
 bound is the best subproblem value seen so far, kept as a single
-incumbent, and its lower bound is the exact master's optimum. Every cut
+incumbent with the powers of the subproblem that found it, and its lower
+bound is the exact master's optimum. Every cut
 is kept: an exact master re-proposes an association whose cut it holds
 only once the gap has closed. The trace keeps the iteration cuts only,
 one per iteration, without the seed.
@@ -171,12 +172,15 @@ def build_subproblem_primal(
 class Cut:
     """The affine map X -> h(X, mu, nu) as constant + sum coef_ij x_ij.
 
-    Optimality cuts constrain h <= eta, feasibility cuts h <= 0.
+    Optimality cuts constrain h <= eta, feasibility cuts h <= 0. A
+    subproblem's optimality cut also carries the minimum powers it was
+    read from, so ``ucwt`` need not solve its incumbent again.
     """
 
     constant: float
     coef: np.ndarray           # U x B; nu / varrho for a subproblem's cut
     kind: str                  # "optimality" | "feasibility"
+    power: Optional[np.ndarray] = None
 
     def value(self, x) -> float:
         """Evaluate h at a (possibly fractional) association matrix."""
@@ -568,13 +572,16 @@ def solve_subproblem(
         + ((scenario.noise_power * gammas[:, None] - 1.0 / rho) * nu).sum()
     )
     kind = "feasibility" if answer.power is None else "optimality"
-    return Cut(constant, nu / rho, kind), answer.energy
+    return Cut(constant, nu / rho, kind, answer.power), answer.energy
 
 
 def recover_power(
     scenario: Scenario, demands: DemandMatrix, assoc: Association
 ) -> PowerVector:
-    """Minimum-power vector for an association known to be feasible."""
+    """Minimum-power vector for an association known to be feasible.
+
+    ``ucwt`` does not call it: its incumbent keeps its subproblem's powers.
+    """
     power = min_power_for(scenario, demands, assoc)
     if power is None:
         raise ModelError("association admits no feasible power")
@@ -589,36 +596,40 @@ class MasterSolution:
     value: float
 
 
-def _grid_sum(coef: np.ndarray) -> np.ndarray:
-    """The B**U vector of sum_i coef[i, a_i] over all assignments a.
-
-    Lexicographic order, user 0 most significant. Built from the last user
-    to the first, so the long axis of each outer sum stays innermost.
-    """
-    h = np.zeros(1)
-    for row in coef[::-1]:
-        h = (row[:, None] + h).ravel()
-    return h
+def _seed_union(cuts: Sequence, U: int, B: int) -> np.ndarray:
+    """The union of the conflict seeds in ``cuts``, a (U, B, U, B) boolean array."""
+    conflict = np.zeros((U, B, U, B), dtype=bool)
+    for seed in (c for c in cuts if isinstance(c, np.ndarray)):
+        conflict |= seed
+    return conflict
 
 
 class _CutTable:
-    """The enumerated master's running objective over every binary association.
+    """The enumerated master's running objective over the conflict-free associations.
 
-    Built for one ``alpha``, it holds per association, in lexicographic
-    order, the master objective alpha * eta + (1 - alpha) * delay, eta being
-    the largest optimality cut absorbed so far and at least 0, or +inf where
-    a feasibility cut excludes the association. Each cut of a growing list
-    is scored once, by outer sums over users (``_grid_sum``). The objective
-    starts at the weighted delay, and an optimality cut h raises it to its
-    maximum with alpha * h + (1 - alpha) * delay: rounding is monotone and
-    alpha >= 0, so this equals weighting the largest h, bit for bit.
+    Built for one ``alpha``. Its rows are the assignments that hold no
+    conflict of the seeds in the cut list, in lexicographic order, built
+    from the union of the seeds by extending conflict-free prefixes one
+    user at a time; with no seed they are all B**U assignments. Per row it
+    holds the master objective alpha * eta + (1 - alpha) * delay, eta being
+    the largest optimality cut absorbed so far and at least 0, or +inf
+    where a feasibility cut excludes the row. Each cut of a growing list is
+    scored once, on the rows only, as its constant plus sum_i coef[i, a_i]
+    added from the last user to the first, the order of
+    ``_search_master``'s leaves. The objective starts at the weighted
+    delay, and an optimality cut h raises it to its maximum with
+    alpha * h + (1 - alpha) * delay: rounding is monotone and alpha >= 0,
+    so this equals weighting the largest h, bit for bit. A seed absorbed
+    after the rows exist filters them: the rows are built again from the
+    union of every seed and every cut is scored again, which gives each
+    kept row the same value. ``ucwt`` passes its one seed first.
     """
 
     def __init__(self, U: int, B: int, dcoef: np.ndarray, alpha: float):
         self.shape = (U, B)
+        self.dcoef = dcoef
         self.alpha = alpha
-        self.weighted_delay = (1.0 - alpha) * _grid_sum(dcoef)
-        self.value = self.weighted_delay.copy()
+        self.rows: Optional[np.ndarray] = None
         self.absorbed = 0
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
@@ -627,11 +638,12 @@ class _CutTable:
             raise ModelError(
                 f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
             )
-        for cut in cuts[self.absorbed:]:
-            if isinstance(cut, np.ndarray):
-                self._exclude(cut)
-                continue
-            h = cut.constant + _grid_sum(cut.coef)
+        new = cuts[self.absorbed:]
+        if self.rows is None or any(isinstance(c, np.ndarray) for c in new):
+            self._build(_seed_union(cuts, *self.shape))
+            new = [c for c in cuts if isinstance(c, Cut)]
+        for cut in new:
+            h = cut.constant + self._score(cut.coef)
             if cut.kind == "feasibility":
                 self.value[h > 1e-9 * cut.magnitude] = np.inf
             else:
@@ -640,30 +652,33 @@ class _CutTable:
                 )
         self.absorbed = len(cuts)
 
-    def _exclude(self, conflicts: np.ndarray) -> None:
-        """Set +inf on every association holding a conflict of a seed.
+    def _build(self, conflict: np.ndarray) -> None:
+        """The conflict-free rows, and the weighted delay as their objective."""
+        U, B = self.shape
+        alone = np.einsum("ijij->ij", conflict)
+        self.rows = np.zeros((1, 0), dtype=np.intp)
+        for d in range(U):
+            # [r, j]: user d at SBS j conflicts alone or with a user of row r
+            blocked = alone[d] | conflict[np.arange(d), self.rows, d].any(axis=1)
+            r, j = np.nonzero(~blocked)
+            self.rows = np.column_stack([self.rows[r], j])
+        # flat indices into a U x B coefficient matrix, last user first
+        self._flat = np.arange(U - 1, -1, -1) * B + self.rows[:, ::-1]
+        self.weighted_delay = (1.0 - self.alpha) * self._score(self.dcoef)
+        self.value = self.weighted_delay.copy()
 
-        A conflict fixes one or two users, so its associations are one
-        sub-grid, written by basic slicing on a view of the table. A pair
-        holding a one-user conflict adds nothing and is skipped.
-        """
-        B = self.shape[1]
-        alone = np.einsum("ijij->ij", conflicts)
-        for i, j in np.argwhere(alone).tolist():
-            self.value.reshape(B**i, B, -1)[:, j] = np.inf
-        pairs = conflicts & ~(alone[:, :, None, None] | alone[None, None])
-        for i, j, k, l in np.argwhere(pairs).tolist():
-            if i < k:
-                grid = self.value.reshape(B**i, B, B ** (k - i - 1), B, -1)
-                grid[:, j, :, l] = np.inf
+    def _score(self, coef: np.ndarray) -> np.ndarray:
+        """Per row, sum_i coef[i, a_i] added from the last user to the first."""
+        # cumsum adds in order; a sum over the axis would add pairwise
+        return coef.ravel()[self._flat].cumsum(axis=1)[:, -1]
 
     def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
-        k = int(np.argmin(self.value))
-        if self.value[k] == np.inf:
+        if self.value.min(initial=np.inf) == np.inf:
             raise MasterInfeasibleError("no feasible association exists")
-        U, B = self.shape
-        assoc = Association.from_assignment(np.unravel_index(k, (B,) * U), B)
+        k = int(np.argmin(self.value))
+        # the rows hold valid SBS indices by construction
+        assoc = Association._unchecked(self.rows[k], self.shape[1])
         return MasterSolution(assoc=assoc, value=float(self.value[k]))
 
 
@@ -684,9 +699,7 @@ def _search_master(
     """
     U, B = dcoef.shape
     users = np.arange(U)
-    conflict = np.zeros((U, B, U, B), dtype=bool)
-    for seed in (c for c in cuts if isinstance(c, np.ndarray)):
-        conflict |= seed
+    conflict = _seed_union(cuts, U, B)
     alone = np.einsum("ijij->ij", conflict)
     cuts = [c for c in cuts if isinstance(c, Cut)]
     optimality = [c for c in cuts if c.kind == "optimality"]
@@ -749,32 +762,28 @@ def solve_master(
 ) -> MasterSolution:
     """Exact master solve over binary associations.
 
-    Small association spaces are enumerated wholesale, scoring each cut by
-    outer sums of its per-user coefficients (no association matrix) and
-    keeping the lexicographically first optimum. ``cuts`` may also hold a
+    Small association spaces are enumerated (``_CutTable``), keeping the
+    lexicographically first optimum. ``cuts`` may also hold a
     ``conflict_seed`` array, which excludes every association holding one
-    of its conflicts. ``table`` holds the master objective at ``alpha``
-    over the cuts passed on earlier calls with the same growing ``cuts``
-    list, so only the new cuts are scored; without one, a fresh table
-    scores them all. ``ucwt`` keeps one table per run,
-    so each of its cuts is scored once. Raises ``ModelError`` if ``table``
-    was built for another ``alpha``. Larger spaces are searched depth first
-    (``_search_master``), which keeps the same tie rule. Both paths are
-    deterministic.
+    of its conflicts: the table holds only the associations that hold none,
+    and scores each cut on them alone. ``table`` holds the master objective
+    at ``alpha`` over the cuts passed on earlier calls with the same growing
+    ``cuts`` list, so only the new cuts are scored; without one, a fresh
+    table scores them all. ``ucwt`` keeps one table per run, so each of its
+    cuts is scored once. Raises ``ModelError`` if ``table`` was built for
+    another ``alpha``. Larger spaces, counted as all B**U associations, are
+    searched depth first (``_search_master``) from the table's delay
+    coefficients, with the same tie rule. Both paths are deterministic.
     """
     U, B = scenario.user_count, scenario.sbs_count
-    if B**U > _MASTER_ENUMERATION_LIMIT:
-        return _search_master(
-            delay_coefficients(scenario, demands, placement), cuts, alpha
-        )
     if table is None:
-        table = _CutTable(
-            U, B, delay_coefficients(scenario, demands, placement), alpha
-        )
+        table = _CutTable(U, B, delay_coefficients(scenario, demands, placement), alpha)
     elif table.alpha != alpha:
         raise ModelError(
             f"cut table built for alpha={table.alpha}, solved at alpha={alpha}"
         )
+    if B**U > _MASTER_ENUMERATION_LIMIT:
+        return _search_master(table.dcoef, cuts, alpha)
     table.absorb(cuts)
     return table.solve()
 
@@ -871,7 +880,8 @@ def ucwt(
     holds the iteration cuts only, one per iteration, and not the seed.
     The incumbent is the first bounded proposal of least
     alpha * M + (1 - alpha) * delay: its value is the upper bound, the
-    master's optimum the lower bound. An exact master re-proposes an
+    master's optimum the lower bound, and the powers returned are those
+    its subproblem found, not solved again. An exact master re-proposes an
     association whose cut it holds only once the gap has closed. Without
     convergence the incumbent is returned all the same, with
     ``trace.converged`` False; with no incumbent, ``IterationBudgetError``
@@ -884,11 +894,9 @@ def ucwt(
         raise ModelError("epsilon must be a finite positive number")
     dcoef = delay_coefficients(scenario, demands, placement)
 
-    U, B = scenario.user_count, scenario.sbs_count
-    if B**U <= _MASTER_ENUMERATION_LIMIT:
-        table = _CutTable(U, B, dcoef, alpha)
-    else:
-        table = None
+    # one table per run; above the enumeration limit the search reads only
+    # its delay coefficients
+    table = _CutTable(scenario.user_count, scenario.sbs_count, dcoef, alpha)
 
     # the master's cuts: the conflict seed, then one cut per iteration
     cuts = [conflict_seed(scenario, demands)]
@@ -899,7 +907,7 @@ def ucwt(
         raise NoFeasibleAssociationError(
             "one- and two-user conflicts exclude every association"
         ) from None
-    # the incumbent: its value, 1-based iteration and association
+    # the incumbent: its value, 1-based iteration, association and powers
     psi_upper, omega, best = math.inf, None, None
 
     for t in range(1, DEFAULT_MAX_ITERS + 1):
@@ -909,7 +917,7 @@ def ucwt(
         if math.isfinite(M):
             value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
             if value < psi_upper:
-                psi_upper, omega, best = value, t, assoc
+                psi_upper, omega, best, power = value, t, assoc, cut.power
             if trace.epsilon is None:
                 trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
         try:
@@ -938,7 +946,7 @@ def ucwt(
             "no power-feasible association found within the iteration budget"
         )
     trace.omega = omega
-    power = recover_power(scenario, demands, best)
+    power = PowerVector(power)
     trace.final_objective = objective(
         scenario, demands, placement, best, power, alpha
     ).weighted

@@ -285,6 +285,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
     infeasible = nonconverged = 0
     seeds = range(seed, seed + replications)
     for rep, inst in enumerate(_load_instances(instance, seeds, paper_scale)):
+        start = len(rows)
         _, cache = _pipeline(inst)
         s = inst.scenario
         try:
@@ -312,8 +313,13 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
             raise click.UsageError(str(exc))
         except benders.SolverFault as exc:
             _exit_solver_fault(exc)
-        except (benders.NoFeasibleAssociationError, oracle.InstanceInfeasibleError):
+        except (benders.NoFeasibleAssociationError,
+                oracle.InstanceInfeasibleError) as exc:
+            # every alpha still without a row gets one of empty cells
             infeasible += 1
+            click.echo(f"infeasible: replication {rep} (seed {seed + rep}): {exc}",
+                       err=True)
+            rows += [(_f(a), rep, "", "", "") for a in alphas[len(rows) - start:]]
     _write_csv(
         out,
         ("alpha", "replication", "energy_joules", "delay_seconds", "weighted"),

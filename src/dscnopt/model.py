@@ -171,6 +171,14 @@ class Association:
             raise ModelError(f"SBS indices must lie in [0, {sbs_count})")
         return cls(np.eye(sbs_count, dtype=np.int8)[assigned])
 
+    @classmethod
+    def _unchecked(cls, assigned: np.ndarray, sbs_count: int) -> "Association":
+        """``from_assignment`` without its checks, for indices valid by construction."""
+        assoc = object.__new__(cls)
+        object.__setattr__(assoc, "x", np.eye(sbs_count, dtype=np.int8)[assigned])
+        assoc.x.setflags(write=False)
+        return assoc
+
     @property
     def assigned_sbs(self) -> np.ndarray:
         return np.argmax(self.x, axis=1)

@@ -451,6 +451,31 @@ class TestStructuredPower:
             min_power_for(s, demands, Association([[1, 0], [0, 1]]))
 
 
+def outer_sum_grid(coef):
+    """The B**U vector of sum_i coef[i, a_i] over all assignments a.
+
+    Lexicographic order, user 0 most significant, built by outer sums from
+    the last user to the first: the reference the cut table must match.
+    """
+    h = np.zeros(1)
+    for row in coef[::-1]:
+        h = (row[:, None] + h).ravel()
+    return h
+
+
+def outer_sum_table(dcoef, cuts, alpha):
+    """The master objective over all B**U assignments, scored by outer sums."""
+    weighted_delay = (1.0 - alpha) * outer_sum_grid(dcoef)
+    value = weighted_delay.copy()
+    for cut in cuts:
+        h = cut.constant + outer_sum_grid(cut.coef)
+        if cut.kind == "feasibility":
+            value[h > 1e-9 * cut.magnitude] = np.inf
+        else:
+            np.maximum(value, alpha * h + weighted_delay, out=value)
+    return value
+
+
 class TestMaster:
     def test_no_cuts_minimizes_delay(self):
         s, demands, placement = easy_case()
@@ -499,38 +524,91 @@ class TestMaster:
 
 
     def test_cut_table_matches_fresh_solve(self):
-        # replay the cuts of ucwt runs one at a time through one running table
+        # replay the cuts of ucwt runs one at a time through one running table,
+        # alone and behind the one-user conflicts, with the two-user ones late
         cases = [mixed_case()]
         for seed in range(4):
             inst, placement = desk_pipeline(seed)
             cases.append((inst.scenario, inst.demands, placement))
         for s, demands, placement in cases:
             cuts = ucwt(s, demands, placement, 0.5).trace.cuts
+            K = conflict_seed(s, demands)
+            alone = K & np.eye(s.user_count * s.sbs_count, dtype=bool).reshape(K.shape)
+            half = len(cuts) // 2
+            seeded = [alone] + cuts[:half] + [K & ~alone] + cuts[half:]
             dcoef = delay_coefficients(s, demands, placement)
-            for alpha in (0.0, 0.5, 1.0):
-                table = benders._CutTable(s.user_count, s.sbs_count, dcoef, alpha)
-                for k in range(1, len(cuts) + 1):
-                    kept = solve_master(s, demands, placement, cuts[:k], alpha, table)
-                    fresh = solve_master(s, demands, placement, cuts[:k], alpha)
-                    assert kept.value == fresh.value
-                    assert np.array_equal(kept.assoc.x, fresh.assoc.x)
-                value = table.value.copy()
-                table.absorb(cuts)
-                assert table.absorbed == len(cuts)
-                assert np.array_equal(table.value, value)
-                with pytest.raises(ModelError):
-                    table.absorb(cuts[:-1])
-                # a table holds the objective at one alpha only
-                with pytest.raises(ModelError):
-                    solve_master(s, demands, placement, cuts, 0.25, table)
+            for pool in (cuts, seeded):
+                for alpha in (0.0, 0.5, 1.0):
+                    table = benders._CutTable(s.user_count, s.sbs_count, dcoef, alpha)
+                    for k in range(1, len(pool) + 1):
+                        head = pool[:k]
+                        kept = solve_master(s, demands, placement, head, alpha, table)
+                        fresh = solve_master(s, demands, placement, head, alpha)
+                        assert kept.value == fresh.value
+                        assert np.array_equal(kept.assoc.x, fresh.assoc.x)
+                    value = table.value.copy()
+                    table.absorb(pool)
+                    assert table.absorbed == len(pool)
+                    assert np.array_equal(table.value, value)
+                    with pytest.raises(ModelError):
+                        table.absorb(pool[:-1])
+                    # a table holds the objective at one alpha only
+                    with pytest.raises(ModelError):
+                        solve_master(s, demands, placement, pool, 0.25, table)
+            # the late seed filtered the rows: none holds a conflict
+            assert not any(conflicts_held(K, row).any() for row in table.rows)
+
+    def test_table_rows_are_the_conflict_free_assignments(self):
+        for U in (6, 9):
+            every = list(iter_assignments(U, 3))
+            for seed in range(10):
+                inst, placement = desk_pipeline(seed, user_count=U)
+                s, demands = inst.scenario, inst.demands
+                K = conflict_seed(s, demands)
+                dcoef = delay_coefficients(s, demands, placement)
+                empty = np.zeros_like(K)
+                for seed_pool, allowed in (
+                    ([K], [a for a in every if not conflicts_held(K, a).any()]),
+                    ([empty], every),
+                    ([], every),
+                ):
+                    table = benders._CutTable(U, 3, dcoef, 0.5)
+                    table.absorb(seed_pool)
+                    assert table.rows.shape == (len(allowed), U)
+                    assert np.array_equal(table.rows, np.reshape(allowed, (-1, U)))
 
     @pytest.mark.parametrize("U, B", [(1, 3), (3, 1), (1, 1), (6, 3), (15, 2)])
-    def test_grid_sum_matches_enumeration(self, U, B):
-        coef = np.random.default_rng(10 * U + B).uniform(0.5, 2.0, (U, B))
-        h = benders._grid_sum(coef)
-        expected = [coef[np.arange(U), a].sum() for a in iter_assignments(U, B)]
-        assert h.shape == (B**U,)
-        np.testing.assert_allclose(h, expected, rtol=1e-12, atol=0)
+    def test_table_matches_outer_sums(self, U, B):
+        # without a seed the rows are every assignment, valued bit for bit
+        # as the outer sums over the whole grid value them
+        rng = np.random.default_rng(10 * U + B)
+        dcoef = rng.uniform(0.5, 2.0, (U, B))
+        cuts = [
+            Cut(float(rng.normal()), rng.uniform(0.0, 2.0, (U, B)), "optimality")
+            for _ in range(3)
+        ]
+        coef = rng.normal(size=(U, B))
+        cuts.append(Cut(-float(np.median(outer_sum_grid(coef))), coef, "feasibility"))
+        for alpha in (0.0, 0.5, 1.0):
+            table = benders._CutTable(U, B, dcoef, alpha)
+            table.absorb(cuts)
+            assert table.rows.tolist() == [list(a) for a in iter_assignments(U, B)]
+            assert np.array_equal(table.value, outer_sum_table(dcoef, cuts, alpha))
+
+    def test_seeded_table_matches_outer_sums(self):
+        for U in (6, 9):
+            for seed in range(4):
+                inst, placement = desk_pipeline(seed, user_count=U)
+                s, demands = inst.scenario, inst.demands
+                B = s.sbs_count
+                cuts = ucwt(s, demands, placement, 0.5).trace.cuts
+                dcoef = delay_coefficients(s, demands, placement)
+                for alpha in (0.0, 0.5, 1.0):
+                    table = benders._CutTable(U, B, dcoef, alpha)
+                    table.absorb([conflict_seed(s, demands)] + cuts)
+                    grid = outer_sum_table(dcoef, cuts, alpha)
+                    at = np.ravel_multi_index(table.rows.T, (B,) * U)
+                    assert np.array_equal(table.value, grid[at])
 
     def test_master_matches_brute_force_on_random_cuts(self, monkeypatch):
         def eta_for(x, cuts):
@@ -807,6 +885,27 @@ class TestUcwt:
         assert result.trace.final_objective == pytest.approx(
             oracle.objective, rel=1e-6
         )
+
+    def test_solves_each_association_once(self, monkeypatch):
+        # the incumbent keeps the powers of the subproblem that found it
+        calls = []
+        min_power = benders._min_power
+
+        def counted(*args):
+            calls.append(args)
+            return min_power(*args)
+
+        monkeypatch.setattr(benders, "_min_power", counted)
+        for U in (6, 8, 9):
+            for seed in range(3):
+                inst, placement = desk_pipeline(seed, user_count=U)
+                s, demands = inst.scenario, inst.demands
+                for alpha in (0.0, 0.5, 1.0):
+                    calls.clear()
+                    result = ucwt(s, demands, placement, alpha)
+                    assert len(calls) == len(result.trace.iterations)
+                    again = recover_power(s, demands, result.assoc)
+                    assert result.power.p.tobytes() == again.p.tobytes()
 
     def test_bounds_are_monotone(self):
         inst, placement = desk_pipeline(2)

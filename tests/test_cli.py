@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dscnopt import baselines, benders, cli, scenario as scn
+from dscnopt import baselines, benders, cli, oracle, scenario as scn
 from dscnopt.cli import main
 from dscnopt.model import Association, ModelError, PowerVector
 
@@ -353,6 +353,47 @@ class TestSweepAlpha:
         assert [r[:2] for r in rows] == [["0", "0"], ["0.5", "0"], ["1", "0"]]
         assert rows[0][2:] == rows[1][2:] == ["", "", ""]
         assert all(float(v) > 0.0 for v in rows[2][2:])
+
+    @pytest.mark.parametrize("algorithm", ["oracle", "ucwt"])
+    def test_infeasible_replication_writes_empty_cells(
+        self, runner, tmp_path, monkeypatch, algorithm
+    ):
+        # replication 1 (seed 1) is called infeasible, by ucwt from alpha 0.5 on
+        stranded = scn.generate(scn.desk_scale(), 1).scenario.channel_gains
+        solve_ucwt, sweep = benders.ucwt, oracle.brute_force_sweep
+
+        def ucwt_on_seed(s, demands, cache, alpha, epsilon=None):
+            if np.array_equal(s.channel_gains, stranded) and alpha > 0.0:
+                raise benders.NoFeasibleAssociationError("no association")
+            return solve_ucwt(s, demands, cache, alpha, epsilon)
+
+        def sweep_on_seed(s, demands, cache, alphas):
+            if np.array_equal(s.channel_gains, stranded):
+                raise oracle.InstanceInfeasibleError("no association")
+            return sweep(s, demands, cache, alphas)
+
+        monkeypatch.setattr(benders, "ucwt", ucwt_on_seed)
+        monkeypatch.setattr(oracle, "brute_force_sweep", sweep_on_seed)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--algorithm", algorithm, "--grid", "0,0.5,1",
+             "--replications", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        rows = read_csv(str(out))[1:]
+        assert [r[:2] for r in rows] == [
+            [a, rep] for rep in "012" for a in ("0", "0.5", "1")
+        ]
+        empty = {(rep, a) for rep, a in (("1", "0.5"), ("1", "1"))}
+        if algorithm == "oracle":
+            empty.add(("1", "0"))
+        for row in rows:
+            blank = (row[1], row[0]) in empty
+            assert all((v == "") == blank for v in row[2:])
+        assert result.stderr.splitlines() == [
+            "infeasible: replication 1 (seed 1): no association"
+        ]
 
     @pytest.mark.parametrize("algorithm", ["oracle", "ucwt"])
     def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch, algorithm):
