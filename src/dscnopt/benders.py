@@ -6,19 +6,18 @@ an optimality cut from the multipliers of a feasible association and a
 feasibility cut from the Farkas ray of an infeasible one. The master picks the
 association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
-LP: by vectorized enumeration of every binary association while there
-are at most ``_MASTER_ENUMERATION_LIMIT`` of them, and by a depth-first
-search over users above that. Both take a conflict seed in the cut
-list, a boolean array of the user pairs that cannot be served together.
-Enumeration keeps a running table of the master objective at the run's
-alpha over the associations that hold no seeded conflict only, built by
-extending conflict-free prefixes one user at a time, and scores each cut
-of a ``ucwt`` run once on those rows. The search bounds each cut over the
-completions of a partial association by its fixed terms plus each free
-user's least coefficient; since 1/varrho dominates, this is the
-combinatorial cut bound of Codato & Fischetti (Oper. Res. 2006). It
-prunes a child as soon as its user conflicts alone or with a user fixed
-before it.
+LP. Its table (``_CutTable``) is given a conflict seed once, a boolean
+array of the user pairs that cannot be served together, and lists the
+associations that hold no seeded conflict by extending conflict-free
+prefixes one user at a time. While no prefix level passes
+``_MASTER_ENUMERATION_LIMIT`` rows, the master is enumerated: the table
+keeps a running objective at the run's alpha over those rows and scores
+each cut of a ``ucwt`` run once on them. Otherwise a depth-first search
+over users bounds each cut over the completions of a partial
+association by its fixed terms plus each free user's least coefficient;
+since 1/varrho dominates, this is the combinatorial cut bound of Codato
+& Fischetti (Oper. Res. 2006). It prunes a child as soon as its user
+conflicts alone or with a user fixed before it.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -32,7 +31,7 @@ powers and their feasible/infeasible verdict from it, and ``reachable_sbs``
 gives the one verdict on which (user, SBS) pairs can serve at all: a user
 that misses its SINR threshold at an SBS even alone at full power.
 
-``ucwt`` seeds the master with ``conflict_seed``: every such pair, and
+``ucwt`` gives the master ``conflict_seed``: every such pair, and
 every two users at two SBSs whose 2 x 2 least fixed point misses a cap
 (closed form). Each excludes all associations holding it, so no
 iteration is spent learning one- or two-user conflicts one subproblem
@@ -42,8 +41,8 @@ bound is the best subproblem value seen so far, kept as a single
 incumbent with the powers of the subproblem that found it, and its lower
 bound is the exact master's optimum. Every cut
 is kept: an exact master re-proposes an association whose cut it holds
-only once the gap has closed. The trace keeps the iteration cuts only,
-one per iteration, without the seed.
+only once the gap has closed. The trace's cut list is the master's, one
+cut per iteration.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -77,8 +76,9 @@ from .model import (
 )
 
 DEFAULT_MAX_ITERS = 500
-# up to this many binary associations the master is solved by vectorized
-# enumeration; above it, by a depth-first search with cut bounds
+# while no prefix level of the conflict-free associations holds more rows
+# than this, the master is solved by vectorized enumeration; otherwise by a
+# depth-first search with cut bounds. With no seed, that is B**U rows.
 _MASTER_ENUMERATION_LIMIT = 20_000
 # policy iteration: steps before giving up to the LP, and the relative gain
 # in a user's power requirement that moves its SBS's binding row to it
@@ -596,41 +596,59 @@ class MasterSolution:
     value: float
 
 
-def _seed_union(cuts: Sequence, U: int, B: int) -> np.ndarray:
-    """The union of the conflict seeds in ``cuts``, a (U, B, U, B) boolean array."""
-    conflict = np.zeros((U, B, U, B), dtype=bool)
-    for seed in (c for c in cuts if isinstance(c, np.ndarray)):
-        conflict |= seed
-    return conflict
-
-
 class _CutTable:
     """The enumerated master's running objective over the conflict-free associations.
 
-    Built for one ``alpha``. Its rows are the assignments that hold no
-    conflict of the seeds in the cut list, in lexicographic order, built
-    from the union of the seeds by extending conflict-free prefixes one
-    user at a time; with no seed they are all B**U assignments. Per row it
-    holds the master objective alpha * eta + (1 - alpha) * delay, eta being
-    the largest optimality cut absorbed so far and at least 0, or +inf
-    where a feasibility cut excludes the row. Each cut of a growing list is
-    scored once, on the rows only, as its constant plus sum_i coef[i, a_i]
-    added from the last user to the first, the order of
-    ``_search_master``'s leaves. The objective starts at the weighted
-    delay, and an optimality cut h raises it to its maximum with
-    alpha * h + (1 - alpha) * delay: rounding is monotone and alpha >= 0,
-    so this equals weighting the largest h, bit for bit. A seed absorbed
-    after the rows exist filters them: the rows are built again from the
-    union of every seed and every cut is scored again, which gives each
-    kept row the same value. ``ucwt`` passes its one seed first.
+    Built for one ``alpha`` and one conflict seed, given once:
+    ``conflict_seed``'s (U, B, U, B) boolean array, or None for no
+    conflicts. Its rows, built at once, are the assignments that hold no
+    seeded conflict, in lexicographic order, made by extending
+    conflict-free prefixes one user at a time; with no seed they are all
+    B**U assignments. The build stops as soon as a prefix level would hold
+    more than ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None:
+    ``solve_master`` then searches (``_search_master``), reading the delay
+    coefficients, alpha and the seed from the table. With no seed, level d
+    holds B**(d + 1) rows, so that happens exactly when B**U passes the
+    limit. Per row the table holds the master objective
+    alpha * eta + (1 - alpha) * delay, eta being the largest optimality
+    cut absorbed so far and at least 0, or +inf where a feasibility cut
+    excludes the row. Each cut of a growing list is scored once, on the
+    rows only, as its constant plus sum_i coef[i, a_i] added from the last
+    user to the first, the order of ``_search_master``'s leaves. The
+    objective starts at the weighted delay, and an optimality cut h raises
+    it to its maximum with alpha * h + (1 - alpha) * delay: rounding is
+    monotone and alpha >= 0, so this equals weighting the largest h, bit
+    for bit.
     """
 
-    def __init__(self, U: int, B: int, dcoef: np.ndarray, alpha: float):
+    def __init__(
+        self, U: int, B: int, dcoef: np.ndarray, alpha: float,
+        conflict: Optional[np.ndarray] = None,
+    ):
         self.shape = (U, B)
         self.dcoef = dcoef
         self.alpha = alpha
-        self.rows: Optional[np.ndarray] = None
+        self.conflict = np.zeros((U, B, U, B), bool) if conflict is None else conflict
+        self.alone = np.einsum("ijij->ij", self.conflict)
         self.absorbed = 0
+        self.rows = self._build()
+        if self.rows is not None:
+            # flat indices into a U x B coefficient matrix, last user first
+            self._flat = np.arange(U - 1, -1, -1) * B + self.rows[:, ::-1]
+            self.weighted_delay = (1.0 - alpha) * self._score(dcoef)
+            self.value = self.weighted_delay.copy()
+
+    def _build(self) -> Optional[np.ndarray]:
+        """The conflict-free rows, or None once a prefix level passes the limit."""
+        rows = np.zeros((1, 0), dtype=np.intp)
+        for d in range(self.shape[0]):
+            # [r, j]: user d at SBS j conflicts alone or with a user of row r
+            blocked = self.alone[d] | self.conflict[np.arange(d), rows, d].any(axis=1)
+            r, j = np.nonzero(~blocked)
+            if len(r) > _MASTER_ENUMERATION_LIMIT:
+                return None
+            rows = np.column_stack([rows[r], j])
+        return rows
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
         """Score the cuts appended to ``cuts`` since the last call."""
@@ -638,11 +656,7 @@ class _CutTable:
             raise ModelError(
                 f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
             )
-        new = cuts[self.absorbed:]
-        if self.rows is None or any(isinstance(c, np.ndarray) for c in new):
-            self._build(_seed_union(cuts, *self.shape))
-            new = [c for c in cuts if isinstance(c, Cut)]
-        for cut in new:
+        for cut in cuts[self.absorbed:]:
             h = cut.constant + self._score(cut.coef)
             if cut.kind == "feasibility":
                 self.value[h > 1e-9 * cut.magnitude] = np.inf
@@ -651,21 +665,6 @@ class _CutTable:
                     self.value, self.alpha * h + self.weighted_delay, out=self.value
                 )
         self.absorbed = len(cuts)
-
-    def _build(self, conflict: np.ndarray) -> None:
-        """The conflict-free rows, and the weighted delay as their objective."""
-        U, B = self.shape
-        alone = np.einsum("ijij->ij", conflict)
-        self.rows = np.zeros((1, 0), dtype=np.intp)
-        for d in range(U):
-            # [r, j]: user d at SBS j conflicts alone or with a user of row r
-            blocked = alone[d] | conflict[np.arange(d), self.rows, d].any(axis=1)
-            r, j = np.nonzero(~blocked)
-            self.rows = np.column_stack([self.rows[r], j])
-        # flat indices into a U x B coefficient matrix, last user first
-        self._flat = np.arange(U - 1, -1, -1) * B + self.rows[:, ::-1]
-        self.weighted_delay = (1.0 - self.alpha) * self._score(self.dcoef)
-        self.value = self.weighted_delay.copy()
 
     def _score(self, coef: np.ndarray) -> np.ndarray:
         """Per row, sum_i coef[i, a_i] added from the last user to the first."""
@@ -682,32 +681,29 @@ class _CutTable:
         return MasterSolution(assoc=assoc, value=float(self.value[k]))
 
 
-def _search_master(
-    dcoef: np.ndarray, cuts: Sequence[Cut], alpha: float
-) -> MasterSolution:
+def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     """Exact master by depth-first search over users 0..U-1, SBSs in index order.
 
-    Each cut is affine in x, so over the completions of a partial
-    association it is least at its fixed users' terms plus each free
-    user's smallest coefficient; the delay is bounded the same way. A
-    child is pruned when a feasibility cut's bound exceeds the threshold
-    of ``_CutTable``, when a conflict seed in ``cuts`` excludes its user
-    alone or with a user fixed before it, or when its objective bound
-    reaches the incumbent. A leaf replaces the incumbent only if strictly
-    better, so ties keep the lexicographically first association, as
-    enumeration does.
+    It reads the delay coefficients, alpha and the conflict seed from a
+    ``table`` whose build gave up (``rows`` None). Each cut is affine in
+    x, so over the completions of a partial association it is least at
+    its fixed users' terms plus each free user's smallest coefficient; the
+    delay is bounded the same way. A child is pruned when a feasibility
+    cut's bound exceeds the threshold of ``_CutTable``, when the seed
+    excludes its user alone or with a user fixed before it, or when its
+    objective bound reaches the incumbent. A leaf replaces the incumbent
+    only if strictly better, so ties keep the lexicographically first
+    association, as enumeration does.
     """
-    U, B = dcoef.shape
+    conflict, alone = table.conflict, table.alone
+    U, B = table.dcoef.shape
     users = np.arange(U)
-    conflict = _seed_union(cuts, U, B)
-    alone = np.einsum("ijij->ij", conflict)
-    cuts = [c for c in cuts if isinstance(c, Cut)]
     optimality = [c for c in cuts if c.kind == "optimality"]
     feasibility = [c for c in cuts if c.kind == "feasibility"]
     # rows: optimality cuts, then feasibility cuts, then the delay
     rows = optimality + feasibility
     k_opt, k_delay = len(optimality), len(rows)
-    coef = np.stack([c.coef for c in rows] + [dcoef])
+    coef = np.stack([c.coef for c in rows] + [table.dcoef])
     # tail[:, d]: least sum of each row's terms over the users d..U-1
     tail = np.zeros((len(rows) + 1, U + 1))
     tail[:, :U] = np.cumsum(coef.min(axis=2)[:, ::-1], axis=1)[:, ::-1]
@@ -720,7 +716,7 @@ def _search_master(
     def score(low: np.ndarray) -> np.ndarray:
         """Per column of row values, the objective (inf if cut off)."""
         eta = low[:k_opt].max(axis=0, initial=0.0)
-        value = alpha * eta + (1.0 - alpha) * low[k_delay]
+        value = table.alpha * eta + (1.0 - table.alpha) * low[k_delay]
         value[(low[k_opt:k_delay] > limit).any(axis=0)] = math.inf
         return value
 
@@ -762,28 +758,28 @@ def solve_master(
 ) -> MasterSolution:
     """Exact master solve over binary associations.
 
-    Small association spaces are enumerated (``_CutTable``), keeping the
-    lexicographically first optimum. ``cuts`` may also hold a
-    ``conflict_seed`` array, which excludes every association holding one
-    of its conflicts: the table holds only the associations that hold none,
-    and scores each cut on them alone. ``table`` holds the master objective
-    at ``alpha`` over the cuts passed on earlier calls with the same growing
-    ``cuts`` list, so only the new cuts are scored; without one, a fresh
-    table scores them all. ``ucwt`` keeps one table per run, so each of its
-    cuts is scored once. Raises ``ModelError`` if ``table`` was built for
-    another ``alpha``. Larger spaces, counted as all B**U associations, are
-    searched depth first (``_search_master``) from the table's delay
-    coefficients, with the same tie rule. Both paths are deterministic.
+    ``table`` (a ``_CutTable``) carries the conflict seed, which excludes
+    every association holding one of its conflicts, and the master
+    objective at ``alpha`` over the cuts passed on earlier calls with the
+    same growing ``cuts`` list, so only the new cuts are scored. Without
+    one, a fresh table with no seed scores them all. ``ucwt`` keeps one
+    table per run, so each of its cuts is scored once. Raises
+    ``ModelError`` if ``table`` was built for another ``alpha``. Where the
+    table holds its conflict-free rows, they are enumerated, keeping the
+    lexicographically first optimum; where its build gave up
+    (``rows`` None), the master is searched depth first
+    (``_search_master``) with the same tie rule. Both paths are
+    deterministic.
     """
-    U, B = scenario.user_count, scenario.sbs_count
     if table is None:
-        table = _CutTable(U, B, delay_coefficients(scenario, demands, placement), alpha)
+        dcoef = delay_coefficients(scenario, demands, placement)
+        table = _CutTable(scenario.user_count, scenario.sbs_count, dcoef, alpha)
     elif table.alpha != alpha:
         raise ModelError(
             f"cut table built for alpha={table.alpha}, solved at alpha={alpha}"
         )
-    if B**U > _MASTER_ENUMERATION_LIMIT:
-        return _search_master(table.dcoef, cuts, alpha)
+    if table.rows is None:
+        return _search_master(table, cuts)
     table.absorb(cuts)
     return table.solve()
 
@@ -869,15 +865,15 @@ def ucwt(
 ) -> UcwtResult:
     """Iterative cut generation until the bound gap closes.
 
-    The master always holds ``conflict_seed`` first, so no proposal puts
-    a user at an SBS it cannot reach alone or two users at a conflicting
-    pair of SBSs; if the seed excludes every association (e.g. some user
-    reaches no SBS), ``NoFeasibleAssociationError`` is raised before any
-    subproblem. Starts from the master's answer over the seed alone (the
-    least-delay conflict-free association, the lexicographically first one
-    at alpha = 1); alternates subproblem and master solves for at most
-    ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept; ``trace.cuts``
-    holds the iteration cuts only, one per iteration, and not the seed.
+    The master's table is built once over ``conflict_seed``, so no
+    proposal puts a user at an SBS it cannot reach alone or two users at a
+    conflicting pair of SBSs; if the seed excludes every association (e.g.
+    some user reaches no SBS), ``NoFeasibleAssociationError`` is raised
+    before any subproblem. Starts from the master's answer with no cut
+    (the least-delay conflict-free association, the lexicographically
+    first one at alpha = 1); alternates subproblem and master solves for
+    at most ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept;
+    ``trace.cuts`` is the master's cut list, one cut per iteration.
     The incumbent is the first bounded proposal of least
     alpha * M + (1 - alpha) * delay: its value is the upper bound, the
     master's optimum the lower bound, and the powers returned are those
@@ -894,13 +890,12 @@ def ucwt(
         raise ModelError("epsilon must be a finite positive number")
     dcoef = delay_coefficients(scenario, demands, placement)
 
-    # one table per run; above the enumeration limit the search reads only
-    # its delay coefficients
-    table = _CutTable(scenario.user_count, scenario.sbs_count, dcoef, alpha)
-
-    # the master's cuts: the conflict seed, then one cut per iteration
-    cuts = [conflict_seed(scenario, demands)]
+    # one table per run, over the conflict seed; the search reads it too
+    seed = conflict_seed(scenario, demands)
+    table = _CutTable(scenario.user_count, scenario.sbs_count, dcoef, alpha, seed)
+    # the master's cuts: one per iteration
     trace = BendersTrace(epsilon=epsilon)
+    cuts = trace.cuts
     try:
         assoc = solve_master(scenario, demands, placement, cuts, alpha, table).assoc
     except MasterInfeasibleError:
@@ -913,7 +908,6 @@ def ucwt(
     for t in range(1, DEFAULT_MAX_ITERS + 1):
         cut, M = solve_subproblem(scenario, demands, assoc)
         cuts.append(cut)
-        trace.cuts.append(cut)
         if math.isfinite(M):
             value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
             if value < psi_upper:

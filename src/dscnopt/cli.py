@@ -62,6 +62,8 @@ def _load_instances(
     The preset is built once, so paper scale warns once per command.
     """
     if instance is not None:
+        if paper_scale:
+            raise click.UsageError("--instance and --paper-scale are exclusive")
         try:
             return [scn.load(instance)] * len(seeds)
         except (OSError, scn.ParseError) as exc:

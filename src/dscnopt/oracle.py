@@ -88,13 +88,16 @@ def enumerate_candidates(
             f"{cap}; use a smaller instance"
         )
     out: List[Candidate] = []
-    for assigned in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
-        assoc = Association.from_assignment(assigned, B)
+    for walk in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
+        # reachable SBS indices are valid by construction; an index array,
+        # since a tuple would index np.eye by dimension
+        assigned = np.array(walk)
+        assoc = Association._unchecked(assigned, B)
         power = min_power_for(scenario, demands, assoc)
         if power is None:
             continue
         value = objective(scenario, demands, placement, assoc, power)
-        out.append(Candidate(np.array(assigned), power, value.energy, value.delay))
+        out.append(Candidate(assigned, power, value.energy, value.delay))
     return out
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from dscnopt import benders, lp as lpmod, scenario as scn
@@ -45,6 +46,14 @@ from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
 
 from test_lp import verify_farkas
+
+
+DEFAULT_LIMIT = benders._MASTER_ENUMERATION_LIMIT
+# the default enumeration limit, and 0, under which every master is searched
+ENUMERATION_LIMITS = [
+    pytest.param(DEFAULT_LIMIT, id="default-limit"),
+    pytest.param(0, id="limit-0"),
+]
 
 
 def small_scenario(gains, thresholds, max_power=1.0):
@@ -476,6 +485,35 @@ def outer_sum_table(dcoef, cuts, alpha):
     return value
 
 
+@st.composite
+def random_masters(draw):
+    """(U, B, delay coefficients, symmetric conflict seed, cuts), U <= 6, B <= 3.
+
+    Integral data, drawn at times, makes exact ties common.
+    """
+    U, B = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integral = draw(st.booleans())
+
+    def numbers(*shape):
+        x = rng.normal(size=shape)
+        return np.round(2 * x) if integral else x
+
+    dcoef = np.abs(numbers(U, B)) + 0.5
+    K = rng.random((U, B, U, B)) < draw(st.sampled_from([0.0, 0.05, 0.2]))
+    K |= K.transpose(2, 3, 0, 1)
+    cuts = [
+        Cut(float(numbers()), numbers(U, B), "optimality")
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        # a cut that a random association meets, by a random margin
+        coef = numbers(U, B)
+        met = coef[np.arange(U), rng.integers(0, B, U)].sum()
+        cuts.append(Cut(float(-abs(numbers()) - met), coef, "feasibility"))
+    return U, B, dcoef, K, cuts
+
+
 class TestMaster:
     def test_no_cuts_minimizes_delay(self):
         s, demands, placement = easy_case()
@@ -510,52 +548,56 @@ class TestMaster:
                 )
                 cuts.append(cut)
             K = conflict_seed(s, demands)
-            seeded = [K] + cuts
+            dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
-                for pool in (cuts, seeded):
-                    enum = solve_master(s, demands, placement, pool, alpha)
+                for conflict in (None, K):
+                    table = benders._CutTable(6, 3, dcoef, alpha, conflict)
+                    enum = solve_master(s, demands, placement, cuts, alpha, table)
                     with monkeypatch.context() as m:
                         m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                        found = solve_master(s, demands, placement, pool, alpha)
+                        table = benders._CutTable(6, 3, dcoef, alpha, conflict)
+                        assert table.rows is None
+                        found = solve_master(s, demands, placement, cuts, alpha, table)
                     assert found.value == enum.value
                     assert np.array_equal(found.assoc.x, enum.assoc.x)
-                # the seeded pool went last: its answer holds no conflict
+                # the seeded table went last: its answer holds no conflict
                 assert not conflicts_held(K, found.assoc.assigned_sbs).any()
 
 
     def test_cut_table_matches_fresh_solve(self):
         # replay the cuts of ucwt runs one at a time through one running table,
-        # alone and behind the one-user conflicts, with the two-user ones late
+        # with no seed and with the conflict seed
         cases = [mixed_case()]
         for seed in range(4):
             inst, placement = desk_pipeline(seed)
             cases.append((inst.scenario, inst.demands, placement))
         for s, demands, placement in cases:
+            U, B = s.user_count, s.sbs_count
             cuts = ucwt(s, demands, placement, 0.5).trace.cuts
             K = conflict_seed(s, demands)
-            alone = K & np.eye(s.user_count * s.sbs_count, dtype=bool).reshape(K.shape)
-            half = len(cuts) // 2
-            seeded = [alone] + cuts[:half] + [K & ~alone] + cuts[half:]
             dcoef = delay_coefficients(s, demands, placement)
-            for pool in (cuts, seeded):
+            for conflict in (None, K):
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(s.user_count, s.sbs_count, dcoef, alpha)
-                    for k in range(1, len(pool) + 1):
-                        head = pool[:k]
+                    table = benders._CutTable(U, B, dcoef, alpha, conflict)
+                    for k in range(1, len(cuts) + 1):
+                        head = cuts[:k]
                         kept = solve_master(s, demands, placement, head, alpha, table)
-                        fresh = solve_master(s, demands, placement, head, alpha)
+                        fresh = solve_master(
+                            s, demands, placement, head, alpha,
+                            benders._CutTable(U, B, dcoef, alpha, conflict),
+                        )
                         assert kept.value == fresh.value
                         assert np.array_equal(kept.assoc.x, fresh.assoc.x)
                     value = table.value.copy()
-                    table.absorb(pool)
-                    assert table.absorbed == len(pool)
+                    table.absorb(cuts)
+                    assert table.absorbed == len(cuts)
                     assert np.array_equal(table.value, value)
                     with pytest.raises(ModelError):
-                        table.absorb(pool[:-1])
+                        table.absorb(cuts[:-1])
                     # a table holds the objective at one alpha only
                     with pytest.raises(ModelError):
-                        solve_master(s, demands, placement, pool, 0.25, table)
-            # the late seed filtered the rows: none holds a conflict
+                        solve_master(s, demands, placement, cuts, 0.25, table)
+            # the seeded table went last: none of its rows holds a conflict
             assert not any(conflicts_held(K, row).any() for row in table.rows)
 
     def test_table_rows_are_the_conflict_free_assignments(self):
@@ -567,20 +609,21 @@ class TestMaster:
                 K = conflict_seed(s, demands)
                 dcoef = delay_coefficients(s, demands, placement)
                 empty = np.zeros_like(K)
-                for seed_pool, allowed in (
-                    ([K], [a for a in every if not conflicts_held(K, a).any()]),
-                    ([empty], every),
-                    ([], every),
+                for conflict, allowed in (
+                    (K, [a for a in every if not conflicts_held(K, a).any()]),
+                    (empty, every),
+                    (None, every),
                 ):
-                    table = benders._CutTable(U, 3, dcoef, 0.5)
-                    table.absorb(seed_pool)
+                    table = benders._CutTable(U, 3, dcoef, 0.5, conflict)
                     assert table.rows.shape == (len(allowed), U)
                     assert np.array_equal(table.rows, np.reshape(allowed, (-1, U)))
 
     @pytest.mark.parametrize("U, B", [(1, 3), (3, 1), (1, 1), (6, 3), (15, 2)])
-    def test_table_matches_outer_sums(self, U, B):
+    def test_table_matches_outer_sums(self, monkeypatch, U, B):
         # without a seed the rows are every assignment, valued bit for bit
-        # as the outer sums over the whole grid value them
+        # as the outer sums over the whole grid value them; 2**15 rows pass
+        # the default limit, so the limit is raised to hold them all
+        monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", B**U)
         rng = np.random.default_rng(10 * U + B)
         dcoef = rng.uniform(0.5, 2.0, (U, B))
         cuts = [
@@ -604,11 +647,84 @@ class TestMaster:
                 cuts = ucwt(s, demands, placement, 0.5).trace.cuts
                 dcoef = delay_coefficients(s, demands, placement)
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(U, B, dcoef, alpha)
-                    table.absorb([conflict_seed(s, demands)] + cuts)
+                    table = benders._CutTable(
+                        U, B, dcoef, alpha, conflict_seed(s, demands)
+                    )
+                    table.absorb(cuts)
                     grid = outer_sum_table(dcoef, cuts, alpha)
                     at = np.ravel_multi_index(table.rows.T, (B,) * U)
                     assert np.array_equal(table.value, grid[at])
+
+    def test_seeded_tables_enumerate_past_the_old_limit(self):
+        # B**U passes the limit, but the conflict-free rows fit the table
+        for B, U in ((3, 10), (3, 12), (3, 16), (5, 12)):
+            assert B**U > DEFAULT_LIMIT
+            for seed in range(3):
+                inst, placement = desk_pipeline(seed, sbs_count=B, user_count=U)
+                s, demands = inst.scenario, inst.demands
+                K = conflict_seed(s, demands)
+                dcoef = delay_coefficients(s, demands, placement)
+                rows = benders._CutTable(U, B, dcoef, 0.5, K).rows
+                assert rows is not None and len(rows) > 0
+                # sorted, distinct and conflict-free
+                assert np.array_equal(np.unique(rows, axis=0), rows)
+                assert not any(conflicts_held(K, row).any() for row in rows)
+                if U == 10:
+                    every = np.array(list(iter_assignments(U, B)))
+                    i, k = np.arange(U)[:, None], np.arange(U)[None, :]
+                    # [n, i, k]: K[i, a_i, k, a_k] for assignment n
+                    held = K[i, every[:, :, None], k, every[:, None, :]]
+                    held = held.any(axis=(1, 2))
+                    assert np.array_equal(rows, every[~held])
+
+    def test_build_gives_up_past_the_limit(self, monkeypatch):
+        # an unseeded table with B**U past the limit
+        inst, placement = desk_pipeline(0, user_count=10)
+        dcoef = delay_coefficients(inst.scenario, inst.demands, placement)
+        assert benders._CutTable(10, 3, dcoef, 0.5).rows is None
+        # paper seed 0: a prefix level of its conflict-free rows passes it
+        paper = scn.generate(scn.paper_scale(), 0)
+        s, demands = paper.scenario, paper.demands
+        placement, _ = lpf_greedy(s, local_popularity(s, paper.preferences))
+        dcoef = delay_coefficients(s, demands, placement)
+        K = conflict_seed(s, demands)
+        U, B = s.user_count, s.sbs_count
+        assert benders._CutTable(U, B, dcoef, 0.5, K).rows is None
+        # a peak level past a limit of 2 gives up, though one row is left:
+        # user 1 reaches SBS 0 only, and not beside user 0 at SBS 1 or 2
+        K = np.zeros((2, 3, 2, 3), dtype=bool)
+        K[1, 1, 1, 1] = K[1, 2, 1, 2] = True
+        K[0, 1:, 1, 0] = K[1, 0, 0, 1:] = True
+        dcoef = np.ones((2, 3))
+        monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 2)
+        assert benders._CutTable(2, 3, dcoef, 0.5, K).rows is None
+        monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 3)
+        assert benders._CutTable(2, 3, dcoef, 0.5, K).rows.tolist() == [[0, 0]]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(problem=random_masters(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_table_and_search_agree_on_random_masters(self, problem, alpha):
+        U, B, dcoef, K, cuts = problem
+        table = benders._CutTable(U, B, dcoef, alpha, K)
+        allowed = [a for a in iter_assignments(U, B) if not conflicts_held(K, a).any()]
+        assert table.rows.tolist() == [a.tolist() for a in allowed]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
+            searched = benders._CutTable(U, B, dcoef, alpha, K)
+        # limit 0 leaves rows only where no user 0 placement is conflict-free
+        assert searched.rows is None or not allowed
+        answers = []
+        for t in (table, searched):
+            try:
+                # given a table, the master reads nothing from the instance
+                answers.append(solve_master(None, None, None, cuts, alpha, t))
+            except benders.MasterInfeasibleError:
+                answers.append(None)
+        enum, found = answers
+        assert (enum is None) == (found is None)
+        if enum is not None:
+            assert found.value.hex() == enum.value.hex()
+            assert np.array_equal(found.assoc.x, enum.assoc.x)
 
     def test_master_matches_brute_force_on_random_cuts(self, monkeypatch):
         def eta_for(x, cuts):
@@ -937,9 +1053,11 @@ class TestUcwt:
         for inst, placement in cases:
             s, demands = inst.scenario, inst.demands
             T = serving_time(s, demands, None, "relaxed")
-            seeded = [conflict_seed(s, demands)]
+            K = conflict_seed(s, demands)
+            dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
-                start = solve_master(s, demands, placement, seeded, alpha).assoc
+                table = benders._CutTable(s.user_count, s.sbs_count, dcoef, alpha, K)
+                start = solve_master(s, demands, placement, [], alpha, table).assoc
                 first = ucwt(s, demands, placement, alpha).trace.iterations[0]
                 power = min_power_for(s, demands, start)
                 if power is None:
@@ -951,14 +1069,17 @@ class TestUcwt:
                 statuses.add(first.subproblem_status)
         assert statuses == {"bounded", "unbounded"}
 
-    def test_matches_oracle_above_enumeration_limit(self):
-        # desk B=3, U=10: 59,049 associations, so the master is searched
+    @pytest.mark.parametrize("limit", ENUMERATION_LIMITS)
+    def test_matches_oracle_above_enumeration_limit(self, monkeypatch, limit):
+        # desk B=3, U=10: 59,049 associations, but the few conflict-free
+        # ones fit the table at the default limit; limit 0 searches
+        monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", limit)
         alphas = (0.0, 0.5, 1.0)
         for seed in (0, 1):
             inst = scn.generate(scn.desk_scale(user_count=10), seed)
             s, demands = inst.scenario, inst.demands
             placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
-            assert s.sbs_count**s.user_count > benders._MASTER_ENUMERATION_LIMIT
+            assert s.sbs_count**s.user_count > DEFAULT_LIMIT
             swept = dict(brute_force_sweep(s, demands, placement, alphas))
             for alpha in alphas:
                 result = ucwt(s, demands, placement, alpha)
@@ -1049,7 +1170,7 @@ class TestUcwt:
         )
         cases = [(wholly, DemandMatrix([[1, 0], [0, 1]]),
                   CachePlacement([[1, 1], [0, 0]]))]
-        for users in (6, 12):     # enumerated and searched masters
+        for users in (6, 12):     # B**U below and above the limit
             inst = scn.generate(scn.desk_scale(user_count=users), 0)
             s = inst.scenario
             placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
@@ -1066,7 +1187,9 @@ class TestUcwt:
                     ucwt(s, demands, placement, alpha)
         assert calls == []
 
-    def test_never_solves_an_unreachable_pair(self, monkeypatch):
+    @pytest.mark.parametrize("limit", ENUMERATION_LIMITS)
+    def test_never_solves_an_unreachable_pair(self, monkeypatch, limit):
+        monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", limit)
         solved = []
 
         def recorded(scenario, demands, x):

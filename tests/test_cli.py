@@ -89,6 +89,18 @@ class TestSolve:
         runner.invoke(main, ["solve", "--seed", "2", "--out", str(out2)])
         assert read_csv(str(out)) == read_csv(str(out2))
 
+    def test_instance_with_paper_scale_exits_2(self, runner, tmp_path):
+        inst_path = tmp_path / "inst.txt"
+        runner.invoke(main, ["generate", "--seed", "2", "--out", str(inst_path)])
+        out = tmp_path / "res.csv"
+        result = runner.invoke(
+            main,
+            ["solve", "--instance", str(inst_path), "--paper-scale", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "--instance and --paper-scale are exclusive" in result.output
+        assert not out.exists()
+
     def test_baseline_algorithms_run(self, runner, tmp_path):
         # seed 3 admits a feasible association for both heuristics
         for alg in ("doa", "ema"):
@@ -316,6 +328,19 @@ class TestSweepAlpha:
              "--grid", "0.5", "--out", str(tmp_path / "o.csv")],
         )
         assert_cap_usage_error(result)
+
+    def test_instance_with_paper_scale_exits_2(self, runner, tmp_path):
+        inst_path = tmp_path / "inst.txt"
+        runner.invoke(main, ["generate", "--seed", "2", "--out", str(inst_path)])
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--instance", str(inst_path), "--paper-scale",
+             "--grid", "0.5", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "--instance and --paper-scale are exclusive" in result.output
+        assert not out.exists()
 
     def test_paper_scale_warns_once(self, runner, tmp_path, monkeypatch):
         def nearest_sbs(s, demands, cache, alpha, epsilon=None):

@@ -98,7 +98,7 @@ class TestEnumerateCandidates:
                 assoc = Association.from_assignment(assigned, s.sbs_count)
                 assert min_power_for(s, demands, assoc) is None
 
-    def test_walks_reachable_feasible_associations_in_order(self):
+    def test_walks_reachable_feasible_associations_in_order(self, monkeypatch):
         inst = scn.generate(scn.desk_scale(), 0)
         s, demands = inst.scenario, inst.demands
         placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
@@ -112,8 +112,18 @@ class TestEnumerateCandidates:
                 s, demands, Association.from_assignment(assigned, s.sbs_count)
             ) is not None
         ]
+        # the walked indices are valid by construction: none is checked again
+        calls = []
+        checked = Association.from_assignment
+
+        def counted(assigned, sbs_count):
+            calls.append(assigned)
+            return checked(assigned, sbs_count)
+
+        monkeypatch.setattr(Association, "from_assignment", counted)
         got = [c.assigned.tolist() for c in enumerate_candidates(s, demands, placement)]
         assert got == expected
+        assert calls == []
 
     def test_cap_enforced(self, monkeypatch):
         s, demands, placement = all_feasible_case()
