@@ -6,26 +6,30 @@ an optimality cut from the multipliers of a feasible association and a
 feasibility cut from the Farkas ray of an infeasible one. The master picks the
 association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
-LP. Its table (``_CutTable``) is given a conflict seed once, a boolean
-array of the user pairs that cannot be served together, and lists the
-associations that hold no seeded conflict by extending conflict-free
-prefixes one user at a time. While no prefix level passes
-``_MASTER_ENUMERATION_LIMIT`` rows, the master is enumerated: the table
-keeps a running objective at the run's alpha over those rows and scores
-each cut of a ``ucwt`` run once on them. Otherwise a depth-first search
-over users bounds each cut over the completions of a partial
-association by its fixed terms plus each free user's least coefficient;
-since 1/varrho dominates, this is the combinatorial cut bound of Codato
-& Fischetti (Oper. Res. 2006). It prunes a child as soon as its user
-conflicts alone or with a user fixed before it.
+LP, and reads a feasibility cut as a no-good: no association may hold
+every (user, SBS) pair of its support, the combinatorial Benders cut of
+Codato & Fischetti (Oper. Res. 2006). Its table (``_CutTable``) is given
+a conflict seed once, a boolean array of the user pairs that cannot be
+served together, and lists the associations that hold no seeded conflict
+by extending conflict-free prefixes one user at a time. While no prefix
+level passes ``_MASTER_ENUMERATION_LIMIT`` rows, the master is
+enumerated: the table keeps a running objective at the run's alpha over
+those rows and scores each cut of a ``ucwt`` run once on them.
+Otherwise a depth-first search over users bounds each optimality cut
+over the completions of a partial association by its fixed terms plus
+each free user's least coefficient, and prunes a child as soon as its
+user conflicts alone or with a user fixed before it, or completes a
+no-good.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
 least fixed point. ``_min_power`` finds it by policy iteration over one
 binding user per SBS, which needs only B x B linear solves, and reads the
 optimality duals, or a Farkas ray cut down to an irreducible infeasible
-subsystem, from the same solves. Every answer is verified; one that fails
-is answered by the strict minimum-power LP instead. ``min_power_for``, the
+subsystem, from the same solves. Every float answer is verified; one that
+fails is answered again by the same policy iteration in exact rational
+arithmetic on the same float rows, so the verdict is exact. No solver
+path runs the simplex of ``lp``. ``min_power_for``, the
 subproblem, power recovery, the baselines and the oracle all take their
 powers and their feasible/infeasible verdict from it, and ``reachable_sbs``
 gives the one verdict on which (user, SBS) pairs can serve at all: a user
@@ -80,13 +84,13 @@ DEFAULT_MAX_ITERS = 500
 # than this, the master is solved by vectorized enumeration; otherwise by a
 # depth-first search with cut bounds. With no seed, that is B**U rows.
 _MASTER_ENUMERATION_LIMIT = 20_000
-# policy iteration: steps before giving up to the LP, and the relative gain
-# in a user's power requirement that moves its SBS's binding row to it
+# policy iteration: steps before giving up, and the relative gain in a
+# user's power requirement that moves its SBS's binding row to it in float64
 _POLICY_STEPS = 50
 _SWITCH_TOL = 1e-14
-# a structured infeasibility ray stands only if it proves some row or cap
-# missed by this much relative to its norm, well above what the strict LP
-# check tolerates; closer calls are left to the LP
+# a float infeasibility ray stands only if it proves some row or cap missed
+# by this much relative to its norm, well above the strict check's
+# tolerance; closer calls are re-solved in exact arithmetic
 _RAY_MARGIN = 10 * lpmod.STRICT_TOL
 # relative cap margin past which ``conflict_seed`` flags a two-user conflict
 _CONFLICT_MARGIN = 1e-8
@@ -110,7 +114,10 @@ class IterationBudgetError(ModelError):
 
 
 class SolverFault(ModelError):
-    """An internal failure: no path yields a certificate for a subproblem."""
+    """An internal failure: exact policy iteration gave no certificate.
+
+    A guard: it ran out of steps, or no ray could be read off.
+    """
 
 
 def varrho(scenario: Scenario, demands: DemandMatrix) -> float:
@@ -172,9 +179,14 @@ def build_subproblem_primal(
 class Cut:
     """The affine map X -> h(X, mu, nu) as constant + sum coef_ij x_ij.
 
-    Optimality cuts constrain h <= eta, feasibility cuts h <= 0. A
-    subproblem's optimality cut also carries the minimum powers it was
-    read from, so ``ucwt`` need not solve its incumbent again.
+    An optimality cut constrains h <= eta. A feasibility cut is read as a
+    no-good: its support, the (user, SBS) pairs where ``coef`` is nonzero,
+    holds the rows of an infeasible subsystem, so the master excludes
+    every association that holds all of those pairs (Codato & Fischetti,
+    Oper. Res. 2006), however small h is there; ``value`` and
+    ``magnitude`` serve checks of the affine form h <= 0. A subproblem's
+    optimality cut also carries the minimum powers it was read from, so
+    ``ucwt`` need not solve its incumbent again.
     """
 
     constant: float
@@ -189,19 +201,8 @@ class Cut:
 
     @property
     def magnitude(self) -> float:
-        """Scale of the cut's data, used for relative feasibility thresholds."""
+        """Scale of the cut's data, for relative checks of its affine value."""
         return max(1.0, abs(self.constant), float(np.abs(self.coef).max()))
-
-
-def _cleaned(mu: np.ndarray, nu: np.ndarray):
-    """Clip dual vectors to >= 0 and drop entries that are relative noise."""
-    mu = np.asarray(mu, dtype=float).clip(min=0.0)
-    nu = np.asarray(nu, dtype=float).clip(min=0.0)
-    scale = max(mu.max(initial=0.0), nu.max(initial=0.0))
-    if scale > 0.0:
-        mu[mu < scale * 1e-12] = 0.0
-        nu[nu < scale * 1e-12] = 0.0
-    return mu, nu
 
 
 def _sinr_rows(
@@ -214,28 +215,6 @@ def _sinr_rows(
     A = -gammas[:, None] * g
     A[users, assigned] = g[users, assigned]
     return A, gammas * scenario.noise_power
-
-
-def _min_power_lp(
-    A: np.ndarray, b: np.ndarray, T: np.ndarray, pmax: np.ndarray
-) -> Tuple[lpmod.LinearProgram, lpmod.LpResult, bool]:
-    """The strict minimum-energy LP of a binary association, solved.
-
-    min T p subject to the SINR rows ``A p >= b`` and the per-SBS power
-    caps, solved at ``STRICT_TOL``. The association is feasible only if the
-    solver reports an optimum that also passes the strict vertex check:
-    near the boundary the solver may accept a vertex that misses a
-    constraint by a visible margin.
-    """
-    problem = lpmod.LinearProgram(
-        "min", T, A, b, [lpmod.GE] * len(b), upper=pmax.copy()
-    )
-    result = lpmod.solve_lp(problem, feas_tol=lpmod.STRICT_TOL)
-    feasible = (
-        result.status == "optimal"
-        and lpmod.solution_violation(problem, result.x) <= lpmod.STRICT_TOL
-    )
-    return problem, result, feasible
 
 
 @dataclass(frozen=True)
@@ -260,8 +239,8 @@ def _ray(
 ) -> _PowerAnswer:
     # rays are scale-free: normalize so the certified violation at this
     # association is exactly 1, keeping the resulting cut well scaled
-    violation = float(nu @ b - mu @ pmax)
-    if violation > 0.0:
+    violation = nu @ b - mu @ pmax
+    if violation > 0:
         mu, nu = mu / violation, nu / violation
     return _PowerAnswer(None, mu, nu)
 
@@ -271,21 +250,27 @@ class _InterferenceSystem:
 
     User i served by SBS a(i) needs p_a(i) >= u_i + sum_l C[i, l] p_l with
     u_i = gamma_i N / g_i,a(i) and C[i, l] = gamma_i g_il / g_i,a(i) off its
-    own SBS (0 on it). A set ``S`` of users holding one user per SBS gives
+    own SBS (0 on it). A set ``S`` of users, at most one per SBS, gives
     the square system (I - F_S) p = u_S over the SBSs serving them; row i
-    of ``A`` divided by g_i,a(i) holds row i of I - C.
+    of ``A`` divided by g_i,a(i) holds row i of I - C. ``b`` and ``pmax``
+    are kept for the rays. Arithmetic is in float64, factors are LAPACK
+    LU factors, and a binding row moves only on a relative gain past
+    ``_SWITCH_TOL``.
     """
+
+    switch_gain = 1.0 + _SWITCH_TOL
 
     def __init__(
         self, A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray
     ):
         users = np.arange(len(b))
+        self.b, self.pmax = b, pmax
         self.assigned = assigned
         self.cap = pmax[assigned]          # per user, the cap of its SBS
         self.own = A[users, assigned]
         self.normalized = A / self.own[:, None]
         self.C = -self.normalized
-        self.C[users, assigned] = 0.0
+        self.C[users, assigned] = 0
         self.u = b / self.own
 
     def factor(self, S: np.ndarray):
@@ -293,8 +278,12 @@ class _InterferenceSystem:
         lu, piv, info = dgetrf(self.normalized[S][:, self.assigned[S]])
         return None if info != 0 else (lu, piv)
 
+    def solve(self, factors, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """x of (I - F_S) x = rhs, or of its transpose if ``trans``."""
+        return dgetrs(*factors, rhs, trans=trans)[0]
+
     def least_powers(self, S: np.ndarray):
-        """(LU factors, p) of (I - F_S) p = u_S; p is None when no p > 0 solves it.
+        """(factors, p) of (I - F_S) p = u_S; p is None when no p > 0 solves it.
 
         For F_S >= 0 and u_S > 0 a positive solution exists exactly when
         the spectral radius of F_S is below 1, and it is then the least
@@ -303,8 +292,8 @@ class _InterferenceSystem:
         factors = self.factor(S)
         if factors is None:
             return None, None
-        p = dgetrs(*factors, self.u[S])[0]
-        return factors, (p if p.min() > 0.0 else None)
+        p = self.solve(factors, self.u[S])
+        return factors, (p if p.min() > 0 else None)
 
     def most_demanding(self, r: np.ndarray) -> np.ndarray:
         """Per serving SBS in ascending order, its user of largest ``r``.
@@ -318,9 +307,49 @@ class _InterferenceSystem:
         return order[first]
 
 
+class _ExactSystem(_InterferenceSystem):
+    """The same system over the exact rational values of its float rows.
+
+    A, b, p_max and T become ``fractions.Fraction``s in object arrays.
+    Factors are exact inverses, by Gauss-Jordan elimination, and a binding
+    row moves on any strict gain, so policy iteration and the deletion
+    filter give the exact verdict on the float rows.
+    """
+
+    switch_gain = 1
+
+    def __init__(
+        self, A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray,
+        T: np.ndarray,
+    ):
+        # imported here: only an unverified answer needs it, and loading it
+        # would raise the peak memory of every run
+        from fractions import Fraction
+
+        exact = np.frompyfunc(Fraction, 1, 1)
+        super().__init__(exact(A), exact(b), assigned, exact(pmax))
+        self.T = exact(T)
+
+    def factor(self, S: np.ndarray) -> Optional[np.ndarray]:
+        """The exact inverse of I - F_S, or None if it is singular."""
+        k = len(S)
+        G = np.hstack([self.normalized[S][:, self.assigned[S]], np.eye(k, dtype=object)])
+        for c in range(k):
+            nonzero = np.flatnonzero(G[c:, c])
+            if nonzero.size == 0:
+                return None
+            G[[c, c + nonzero[0]]] = G[[c + nonzero[0], c]]
+            G[c] = G[c] / G[c, c]
+            others = np.arange(k) != c
+            G[others] -= np.outer(G[others, c], G[c])
+        return G[:, k:]
+
+    def solve(self, factors, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        return (factors.T if trans else factors) @ rhs
+
+
 def _policy_iteration(
-    A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray,
-    T: np.ndarray,
+    system: _InterferenceSystem, T: np.ndarray
 ) -> Optional[_PowerAnswer]:
     """Least powers of a binary association by policy iteration, with certificate.
 
@@ -332,45 +361,45 @@ def _policy_iteration(
     settle on it after finitely many steps, unless some step proves the
     association infeasible first: no positive solution (spectral radius
     >= 1) or a solution above a cap. Returns None if the steps run out.
+    It computes in the system's arithmetic, float64 or exact, with T in
+    the same.
     """
-    U, B = A.shape
-    system = _InterferenceSystem(A, b, assigned, pmax)
+    assigned = system.assigned
     sigma = system.most_demanding(system.u)
     for _ in range(_POLICY_STEPS):
         factors, p_sigma = system.least_powers(sigma)
         if p_sigma is None or (p_sigma > system.cap[sigma]).any():
-            return _irreducible_ray(system, sigma, factors, p_sigma, b, pmax)
+            return _irreducible_ray(system, sigma, factors, p_sigma)
         cols = assigned[sigma]
-        p = np.zeros(B)
+        p = np.zeros_like(system.pmax)
         p[cols] = p_sigma
         r = system.u + system.C @ p
         best = system.most_demanding(r)
-        switch = r[best] > r[sigma] * (1.0 + _SWITCH_TOL)
+        switch = r[best] > r[sigma] * system.switch_gain
         if not switch.any():
             # optimality duals: w = (I - F)^-T T on the serving SBSs, with
             # nu = w / g_own on the binding rows and mu = 0
-            w = dgetrs(*factors, T[cols], trans=1)[0]
-            nu = np.zeros(U)
+            w = system.solve(factors, T[cols], trans=1)
+            nu = np.zeros_like(system.b)
             nu[sigma] = w / system.own[sigma]
-            return _PowerAnswer(p, np.zeros(B), nu, float(T @ p))
+            return _PowerAnswer(p, np.zeros_like(system.pmax), nu, float(T @ p))
         sigma = np.where(switch, best, sigma)
     return None
 
 
 def _irreducible_ray(
     system: _InterferenceSystem, S: np.ndarray, factors, p: Optional[np.ndarray],
-    b: np.ndarray, pmax: np.ndarray,
 ) -> Optional[_PowerAnswer]:
     """Farkas ray of an irreducible infeasible subsystem within the users ``S``.
 
-    ``S`` holds one user per SBS and is infeasible; ``factors`` and ``p``
-    are what ``least_powers(S)`` returned for it. A deletion filter drops
-    its users in index order while the rest stays infeasible, which leaves
-    an irreducible infeasible subsystem (IIS): a cut from it excludes every
-    association holding those few pairs, where the full certificate would
-    exclude only those holding all of ``S``. The ray follows from one more
-    solve on the IIS. Returns None if no ray can be read off (a numerical
-    edge case).
+    ``S`` holds at most one user per SBS and is infeasible; ``factors``
+    and ``p`` are what ``least_powers(S)`` returned for it. A deletion
+    filter drops its users in index order while the rest stays
+    infeasible, which leaves an irreducible infeasible subsystem (IIS): a
+    cut from it excludes every association holding those few pairs, where
+    the full certificate would exclude only those holding all of ``S``.
+    The ray follows from one more solve on the IIS. Returns None if no ray
+    can be read off (a numerical edge case).
     """
     for i in np.sort(S):
         rest = S[S != i]
@@ -380,15 +409,15 @@ def _irreducible_ray(
         if q is None or (q > system.cap[rest]).any():
             S, factors, p = rest, rest_factors, q
     cols = system.assigned[S]
-    mu = np.zeros(len(pmax))
+    mu = np.zeros_like(system.pmax)
     if p is not None:
         # spectral radius below 1: the most exceeded cap j, with
         # w = (I - F)^-T e_j and mu = e_j
         k = int(np.argmax(p / system.cap[S]))
-        e = np.zeros(len(S))
-        e[k] = 1.0
-        w = dgetrs(*factors, e, trans=1)[0]
-        mu[cols[k]] = 1.0
+        e = np.zeros_like(p)
+        e[k] = 1
+        w = system.solve(factors, e, trans=1)
+        mu[cols[k]] = 1
     else:
         # spectral radius at least 1 and every proper subset feasible:
         # w = (1, w') with (I - F')^T w' = F[first, rest] keeps the other
@@ -397,10 +426,10 @@ def _irreducible_ray(
         if factors is None:
             return None
         head = system.C[S[0], cols[1:]]
-        w = np.concatenate([[1.0], dgetrs(*factors, head, trans=1)[0]])
-    nu = np.zeros(len(b))
-    nu[S] = w.clip(min=0.0) / system.own[S]
-    return _ray(mu, nu, b, pmax)
+        w = np.concatenate([[1], system.solve(factors, head, trans=1)])
+    nu = np.zeros_like(system.b)
+    nu[S] = w.clip(min=0) / system.own[S]
+    return _ray(mu, nu, system.b, system.pmax)
 
 
 def _verified(
@@ -415,7 +444,7 @@ def _verified(
     p in [0, p_max], nu'(b - A p) + mu'(p - p_max) >= gain, where gain
     charges any positive part of A'nu - mu at p_max. The gain must exceed
     ``_RAY_MARGIN`` times the rows' and caps' weight, so that some row or
-    cap misses by more than the strict LP check lets pass.
+    cap misses by more than the strict check at ``STRICT_TOL`` lets pass.
     """
     mu, nu = answer.mu, answer.nu
     if mu.min() < 0.0 or nu.min() < 0.0:
@@ -441,41 +470,36 @@ def _min_power(
 ) -> _PowerAnswer:
     """Minimum powers of a binary association with their verified certificate.
 
-    Policy iteration on the interference system answers; if its answer
-    fails ``_verified``, the strict LP answers instead, and that fallback
-    is logged. Raises ``SolverFault`` when neither gives a certificate.
+    Policy iteration on the interference system answers in float64. An
+    answer that fails ``_verified`` is logged and answered again by the
+    same algorithm in exact arithmetic on the same float rows: from a
+    float ray's support if that is exactly infeasible, else from the
+    start. The exact answer is rounded to floats, with energy T p.
+    Raises ``SolverFault`` when the exact run gives no certificate.
     """
     A, b = _sinr_rows(scenario, demands, assigned)
     T = serving_time(scenario, demands, None, "relaxed")
     pmax = scenario.max_power
-    answer = _policy_iteration(A, b, assigned, pmax, T)
+    answer = _policy_iteration(_InterferenceSystem(A, b, assigned, pmax), T)
     if answer is not None and _verified(A, b, pmax, T, answer):
         return answer
     logger.warning(
-        "structured power control unverified for assignment %s; solving the LP",
+        "structured power control unverified for assignment %s; re-solving exactly",
         assigned.tolist(),
     )
-    problem, result, feasible = _min_power_lp(A, b, T, pmax)
-    if feasible:
-        # the duals come from the dual LP, max b'nu - pmax'mu subject to
-        # A'nu - mu <= T, whose points are dual feasible by construction;
-        # near the boundary the strict LP's own row duals may not be. Should
-        # it find no optimum, its feasible point still gives a valid cut.
-        U, B = A.shape
-        dual = lpmod.solve_lp(lpmod.LinearProgram(
-            "max", np.concatenate([b, -pmax]), np.hstack([A.T, -np.eye(B)]), T,
-            [lpmod.LE] * B,
-        ))
-        mu, nu = _cleaned(dual.x[U:], dual.x[:U])
-        power = result.x.clip(min=0.0)
-        return _PowerAnswer(power, mu, nu, float(T @ power))
-    if result.status != "infeasible":
-        # rejected only by the strict vertex check: force a certificate
-        result = lpmod.solve_lp(problem, feas_tol=0.0)
-    if result.status != "infeasible":
-        raise SolverFault("power subproblem infeasible but no certificate is available")
-    mu, nu = _cleaned(-result.farkas_upper, result.farkas)
-    return _ray(mu, nu, b, pmax)
+    exact = _ExactSystem(A, b, assigned, pmax, T)
+    found = None
+    if answer is not None and answer.power is None:
+        S = np.flatnonzero(answer.nu)
+        factors, p = exact.least_powers(S)
+        if p is None or (p > exact.cap[S]).any():
+            found = _irreducible_ray(exact, S, factors, p)
+    found = found or _policy_iteration(exact, exact.T)
+    if found is None:
+        raise SolverFault("exact power control gave no certificate")
+    power = None if found.power is None else found.power.astype(float)
+    energy = math.inf if power is None else float(T @ power)
+    return _PowerAnswer(power, found.mu.astype(float), found.nu.astype(float), energy)
 
 
 def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
@@ -484,9 +508,9 @@ def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     Interference only raises a user's power requirement, so an association
     holding an excluded pair has no feasible powers: the user's least power
     u_i exceeds the cap, and a 1e-12 relative slack keeps a pair on that
-    boundary. The rule is relative, the strict LP's tolerance absolute: a
-    pair within about 1e-9 of its cap can be excluded here while the LP
-    fallback of ``_min_power`` accepts an association holding it.
+    boundary. ``_min_power``'s verdict is exact on the float rows, so it
+    rejects every association holding an excluded pair; the slack only
+    keeps a few pairs it rejects too.
     """
     gammas = requested_thresholds(scenario, demands)
     best = scenario.channel_gains * scenario.max_power[None, :]
@@ -508,10 +532,9 @@ def conflict_seed(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     combinatorial Benders cut (Codato & Fischetti, Oper. Res. 2006).
 
     A pair is flagged only past a relative margin of ``_CONFLICT_MARGIN``
-    (1e-8) on its caps. Where the structured ray is too weak to stand,
-    ``min_power_for``'s strict LP accepts a cap missed by a little over
-    1e-9 of it, so a 1e-9 margin would flag pairs that verdict accepts;
-    a missed conflict costs one Benders iteration, a wrong one an answer.
+    (1e-8) on its caps, so that the rounding of this closed form cannot
+    flag a pair that ``min_power_for``'s exact verdict accepts; a missed
+    conflict costs one Benders iteration, a wrong one an answer.
     """
     gammas = requested_thresholds(scenario, demands)
     g = scenario.channel_gains
@@ -611,10 +634,11 @@ class _CutTable:
     holds B**(d + 1) rows, so that happens exactly when B**U passes the
     limit. Per row the table holds the master objective
     alpha * eta + (1 - alpha) * delay, eta being the largest optimality
-    cut absorbed so far and at least 0, or +inf where a feasibility cut
-    excludes the row. Each cut of a growing list is scored once, on the
-    rows only, as its constant plus sum_i coef[i, a_i] added from the last
-    user to the first, the order of ``_search_master``'s leaves. The
+    cut absorbed so far and at least 0, or +inf where the row holds every
+    pair of a feasibility cut's support. Each optimality cut of a growing
+    list is scored once, on the rows only, as its constant plus
+    sum_i coef[i, a_i] added from the last user to the first, the order
+    of ``_search_master``'s bounds. The
     objective starts at the weighted delay, and an optimality cut h raises
     it to its maximum with alpha * h + (1 - alpha) * delay: rounding is
     monotone and alpha >= 0, so this equals weighting the largest h, bit
@@ -657,10 +681,11 @@ class _CutTable:
                 f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
             )
         for cut in cuts[self.absorbed:]:
-            h = cut.constant + self._score(cut.coef)
             if cut.kind == "feasibility":
-                self.value[h > 1e-9 * cut.magnitude] = np.inf
+                users, sbs = np.nonzero(cut.coef)
+                self.value[(self.rows[:, users] == sbs).all(axis=1)] = np.inf
             else:
+                h = cut.constant + self._score(cut.coef)
                 np.maximum(
                     self.value, self.alpha * h + self.weighted_delay, out=self.value
                 )
@@ -685,66 +710,64 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     """Exact master by depth-first search over users 0..U-1, SBSs in index order.
 
     It reads the delay coefficients, alpha and the conflict seed from a
-    ``table`` whose build gave up (``rows`` None). Each cut is affine in
-    x, so over the completions of a partial association it is least at
-    its fixed users' terms plus each free user's smallest coefficient; the
-    delay is bounded the same way. A child is pruned when a feasibility
-    cut's bound exceeds the threshold of ``_CutTable``, when the seed
-    excludes its user alone or with a user fixed before it, or when its
-    objective bound reaches the incumbent. A leaf replaces the incumbent
-    only if strictly better, so ties keep the lexicographically first
-    association, as enumeration does.
+    ``table`` whose build gave up (``rows`` None). Each optimality cut is
+    affine in x, so over the completions of a partial association it is
+    least at its fixed users' terms plus each free user's least
+    coefficient; the delay is bounded the same way. Each bound adds its
+    terms in the order ``_CutTable`` adds a row's, so, rounding being
+    monotone, no leaf scores below the bound of a child above it, and a
+    leaf's bound is its score, bit for bit. A child is pruned when the
+    seed excludes its user alone or with a user fixed before it, when it
+    completes the support of a feasibility cut (the pairs held are counted
+    per cut along the path), or when its bound reaches the incumbent. A
+    leaf replaces the incumbent only if strictly better, so ties keep the
+    lexicographically first association, as enumeration does.
     """
     conflict, alone = table.conflict, table.alone
     U, B = table.dcoef.shape
     users = np.arange(U)
     optimality = [c for c in cuts if c.kind == "optimality"]
-    feasibility = [c for c in cuts if c.kind == "feasibility"]
-    # rows: optimality cuts, then feasibility cuts, then the delay
-    rows = optimality + feasibility
-    k_opt, k_delay = len(optimality), len(rows)
-    coef = np.stack([c.coef for c in rows] + [table.dcoef])
-    # tail[:, d]: least sum of each row's terms over the users d..U-1
-    tail = np.zeros((len(rows) + 1, U + 1))
+    # rows: optimality cuts, then the delay
+    k_delay = len(optimality)
+    coef = np.stack([c.coef for c in optimality] + [table.dcoef])
+    const = np.array([c.constant for c in optimality] + [0.0])[:, None]
+    # tail[:, d]: least sum of each row's terms over the users d..U-1,
+    # added from the last user, as a leaf adds them
+    tail = np.zeros((k_delay + 1, U + 1))
     tail[:, :U] = np.cumsum(coef.min(axis=2)[:, ::-1], axis=1)[:, ::-1]
-    limit = np.array([1e-9 * c.magnitude for c in feasibility])[:, None]
-    const = np.array([c.constant for c in rows] + [0.0])
-    last_first = users[::-1]
+    # per feasibility cut, its support pairs as 0/1 and their number
+    supports = [c.coef != 0 for c in cuts if c.kind == "feasibility"]
+    pairs = np.array(supports, dtype=np.intp).reshape(-1, U, B)
+    size = pairs.sum(axis=(1, 2))[:, None]
     assigned = np.zeros(U, dtype=int)
     best_value, best_assigned = math.inf, None
 
-    def score(low: np.ndarray) -> np.ndarray:
-        """Per column of row values, the objective (inf if cut off)."""
-        eta = low[:k_opt].max(axis=0, initial=0.0)
-        value = table.alpha * eta + (1.0 - table.alpha) * low[k_delay]
-        value[(low[k_opt:k_delay] > limit).any(axis=0)] = math.inf
-        return value
-
-    def visit(d: int, fixed: np.ndarray) -> None:
+    def visit(d: int, held: np.ndarray) -> None:
         nonlocal best_value, best_assigned
-        h = fixed[:, None] + coef[:, d, :]          # per row, per SBS of user d
-        bound = score(h + tail[:, d + 1, None])
+        # per row, per SBS of user d: the tail, then the users d..0
+        low = tail[:, d + 1, None] + coef[:, d, :]
+        for i in range(d - 1, -1, -1):
+            low += coef[:, i, assigned[i], None]
+        low += const
+        eta = low[:k_delay].max(axis=0, initial=0.0)
+        bound = table.alpha * eta + (1.0 - table.alpha) * low[k_delay]
+        held = held[:, None] + pairs[:, d, :]       # per cut, per SBS of user d
         blocked = alone[d] | conflict[d, :, users[:d], assigned[:d]].any(axis=0)
-        bound[blocked] = math.inf
+        bound[blocked | (held == size).any(axis=0)] = math.inf
         for j, least in enumerate(bound.tolist()):
             if least >= best_value:
                 continue
             assigned[d] = j
             if d + 1 < U:
-                visit(d + 1, h[:, j])
-                continue
-            # re-summed in the enumeration's order, last user first, so that
-            # a leaf scores exactly as it does in ``_CutTable``
-            terms = coef[:, last_first, assigned[last_first]]
-            (value,) = score(const[:, None] + terms.cumsum(axis=1)[:, -1:])
-            if value < best_value:
-                best_value, best_assigned = value, assigned.copy()
+                visit(d + 1, held[:, j])
+            else:
+                best_value, best_assigned = least, assigned.copy()
 
-    visit(0, const)
+    visit(0, np.zeros(len(pairs), dtype=np.intp))
     if best_assigned is None:
         raise MasterInfeasibleError("no feasible association exists")
     return MasterSolution(
-        assoc=Association.from_assignment(best_assigned, B), value=float(best_value)
+        assoc=Association.from_assignment(best_assigned, B), value=best_value
     )
 
 
@@ -758,7 +781,9 @@ def solve_master(
 ) -> MasterSolution:
     """Exact master solve over binary associations.
 
-    ``table`` (a ``_CutTable``) carries the conflict seed, which excludes
+    Optimality cuts bound the energy; a feasibility cut excludes every
+    association that holds all the pairs of its support, with no
+    threshold on its affine value. ``table`` (a ``_CutTable``) carries the conflict seed, which excludes
     every association holding one of its conflicts, and the master
     objective at ``alpha`` over the cuts passed on earlier calls with the
     same growing ``cuts`` list, so only the new cuts are scored. Without
@@ -768,8 +793,8 @@ def solve_master(
     table holds its conflict-free rows, they are enumerated, keeping the
     lexicographically first optimum; where its build gave up
     (``rows`` None), the master is searched depth first
-    (``_search_master``) with the same tie rule. Both paths are
-    deterministic.
+    (``_search_master``) with the same tie rule and the same value, bit
+    for bit. Both paths are deterministic.
     """
     if table is None:
         dcoef = delay_coefficients(scenario, demands, placement)

@@ -7,10 +7,12 @@ this project are tiny (tens of variables), so no factorization reuse or
 sparsity is attempted. Every variable lies in 0 <= x <= upper, the only
 bounds the power problems need, so no variable is split.
 
-Unbounded verdicts carry a feasible point and an improving extreme ray,
-which is what Benders feasibility cuts are built from. Infeasible verdicts
-carry a Farkas certificate expressed as row multipliers (plus multipliers
-for finite upper bounds), i.e. a dual ray proving the constraints empty.
+Unbounded verdicts carry a feasible point and an improving extreme ray.
+Infeasible verdicts carry a Farkas certificate expressed as row multipliers
+(plus multipliers for finite upper bounds), i.e. a dual ray proving the
+constraints empty. No solver path calls it: the minimum-power LP of
+``benders.build_subproblem_primal`` and the tests use it as an independent
+reference.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ every binary association in which each user joins an SBS it can reach
 alone (no other association can be power-feasible), each one gets its
 exact minimum powers and feasible/infeasible verdict from
 ``benders.min_power_for`` (the verified least fixed point of the SINR
-rows, or the strict LP when that fails its checks), and the weighted
-objective is compared directly.
+rows, found again in exact arithmetic when the float answer fails its
+checks), and the weighted objective is compared directly.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,16 +286,49 @@ def strict_lp(s, demands, assigned, users=None):
     return problem, result, feasible
 
 
+def check_farkas(problem, answer, tol):
+    """Assert that a ray answer passes the Farkas inequalities of ``problem``.
+
+    On the equilibrated rows, with the ray scaled to unit size, so that
+    the tolerances of ``verify_farkas`` are relative ones.
+    """
+    A, b, mu, nu = problem.A, problem.b, answer.mu, answer.nu
+    norm = np.abs(A).max(axis=1)
+    scaled = lpmod.LinearProgram(
+        "min", problem.c, A / norm[:, None], b / norm, problem.row_senses,
+        upper=problem.upper,
+    )
+    size = max((nu * norm).max(), mu.max())
+    verify_farkas(
+        scaled,
+        lpmod.LpResult("infeasible", farkas=nu * norm / size, farkas_upper=-mu / size),
+        tol=tol,
+    )
+
+
+def exact_farkas_gain(problem, answer):
+    """nu'b - mu'u - (A'nu - mu)^+ u in exact arithmetic, u the upper bounds.
+
+    Over every p in [0, u] with A p >= b, nu'(b - A p) + mu'(p - u) <= 0
+    for nu, mu >= 0, and it is at least this value, so a positive value
+    proves the rows infeasible in the box.
+    """
+    exact = np.frompyfunc(Fraction, 1, 1)
+    A, b, u = exact(problem.A), exact(problem.b), exact(problem.upper)
+    nu, mu = exact(answer.nu), exact(answer.mu)
+    assert min(nu.min(), mu.min()) >= 0
+    return nu @ b - mu @ u - np.maximum(nu @ A - mu, 0) @ u
+
+
 def check_answer(s, demands, assigned, answer, minimal=None, tol=1e-7):
     """Check a ``_min_power`` answer against the strict LP built here.
 
     Asserts that the verdicts and powers match, that optimality duals are
     dual feasible, and that a ray passes the Farkas inequalities at
-    ``tol``. ``minimal`` is None for an answer of the LP fallback; for a
-    structured answer it caches, by the (user, SBS) pairs of a ray's
-    support, whether dropping any one of its users leaves a feasible
-    system, which is asserted, as is b'nu - pmax'mu = T p for its
-    optimality duals. Returns the verdict.
+    ``tol``. ``minimal`` is None to skip the minimality checks; else it
+    caches, by the (user, SBS) pairs of a ray's support, whether dropping
+    any one of its users leaves a feasible system, which is asserted, as
+    is b'nu - pmax'mu = T p for its optimality duals. Returns the verdict.
     """
     problem, result, feasible = strict_lp(s, demands, assigned)
     assert (answer.power is not None) == feasible, assigned
@@ -309,19 +343,7 @@ def check_answer(s, demands, assigned, answer, minimal=None, tol=1e-7):
             energy = float(T @ answer.power)
             assert float(nu @ b - mu @ s.max_power) == pytest.approx(energy, rel=1e-9)
         return True
-    # on the equilibrated rows, with the ray scaled to unit size, so that
-    # the tolerances of verify_farkas are relative ones
-    norm = np.abs(A).max(axis=1)
-    scaled = lpmod.LinearProgram(
-        "min", T, A / norm[:, None], b / norm, problem.row_senses,
-        upper=problem.upper,
-    )
-    size = max((nu * norm).max(), mu.max())
-    verify_farkas(
-        scaled,
-        lpmod.LpResult("infeasible", farkas=nu * norm / size, farkas_upper=-mu / size),
-        tol=tol,
-    )
+    check_farkas(problem, answer, tol)
     if minimal is not None:
         support = np.flatnonzero(nu)
         key = tuple((int(i), int(assigned[i])) for i in support)
@@ -395,7 +417,7 @@ class TestStructuredPower:
                 for assigned in iter_assignments(s.user_count, s.sbs_count):
                     answer = benders._min_power(s, demands, assigned)
                     verdicts[check_answer(s, demands, assigned, answer, minimal)] += 1
-        assert not caplog.records          # no LP fallback
+        assert not caplog.records          # no exact re-run
         assert verdicts[True] >= 50 and verdicts[False] >= 5000
 
     def test_near_boundary_thresholds(self, caplog):
@@ -406,16 +428,23 @@ class TestStructuredPower:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
                 answer = benders._min_power(scaled, demands, assigned)
-            # inside the cap the structured answer stands; just
-            # outside, the LP may judge by its tolerance, and rays
-            # left to it need not be minimal
-            assert offset > 0.0 or not caplog.records
-            check_answer(scaled, demands, assigned, answer,
-                         None if caplog.records else {}, tol=1e-13)
+            if offset < 0.0:
+                # inside the cap the structured answer stands
+                assert not caplog.records
+                check_answer(scaled, demands, assigned, answer, {}, tol=1e-13)
+            else:
+                # outside it no powers exist, whatever the LP's tolerance
+                # accepts: the rounded ray proves it in exact arithmetic,
+                # and its relative gain is about the offset, so it passes
+                # verify_farkas at a tolerance below that
+                assert answer.power is None
+                problem = strict_lp(scaled, demands, assigned)[0]
+                assert exact_farkas_gain(problem, answer) > 0
+                check_farkas(problem, answer, 1e-4 * offset)
             checked += 1
         assert checked == 40
 
-    def test_fallback_answers_by_lp_and_logs(self, monkeypatch, caplog):
+    def test_fallback_answers_exactly_and_logs(self, monkeypatch, caplog):
         inst = scn.generate(scn.desk_scale(), 0)
         for s, demands in (mixed_case()[:2], (inst.scenario, inst.demands)):
             T = serving_time(s, demands, None, "relaxed")
@@ -452,12 +481,25 @@ class TestStructuredPower:
                         assert h <= energy + 1e-9 * max(1.0, energy)
 
     def test_no_certificate_is_a_solver_fault(self, monkeypatch):
+        # the exact re-run finds every square system singular: no answer
         s, demands, _ = mixed_case()
-        zero = lpmod.LpResult("optimal", x=np.zeros(2), objective=0.0)
         monkeypatch.setattr(benders, "_verified", lambda *args: False)
-        monkeypatch.setattr(lpmod, "solve_lp", lambda *args, **kwargs: zero)
-        with pytest.raises(benders.SolverFault):
-            min_power_for(s, demands, Association([[1, 0], [0, 1]]))
+        monkeypatch.setattr(benders._ExactSystem, "factor", lambda *args: None)
+        for assoc in ([[1, 0], [0, 1]], [[1, 0], [1, 0]]):
+            with pytest.raises(benders.SolverFault):
+                min_power_for(s, demands, Association(assoc))
+
+    def test_paper_scale_ray_is_exact_and_small(self, caplog):
+        # paper seed 0, every user at its nearest SBS: the float ray is too
+        # weak for _RAY_MARGIN, and the exact re-run reads a small IIS
+        inst = scn.generate(scn.paper_scale(), 0)
+        s, demands = inst.scenario, inst.demands
+        assigned = s.channel_gains.argmax(axis=1)
+        with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
+            answer = benders._min_power(s, demands, assigned)
+        assert "re-solving exactly" in caplog.text
+        assert answer.power is None
+        assert 1 <= np.count_nonzero(answer.nu) <= 4
 
 
 def outer_sum_grid(coef):
@@ -477,12 +519,22 @@ def outer_sum_table(dcoef, cuts, alpha):
     weighted_delay = (1.0 - alpha) * outer_sum_grid(dcoef)
     value = weighted_delay.copy()
     for cut in cuts:
-        h = cut.constant + outer_sum_grid(cut.coef)
         if cut.kind == "feasibility":
-            value[h > 1e-9 * cut.magnitude] = np.inf
+            # the associations that hold every pair of its support
+            support = (cut.coef != 0).astype(float)
+            value[outer_sum_grid(support) == support.sum()] = np.inf
         else:
+            h = cut.constant + outer_sum_grid(cut.coef)
             np.maximum(value, alpha * h + weighted_delay, out=value)
     return value
+
+
+def random_support(rng, U, B):
+    """Non-negative coefficients on the pairs of a random association at some users."""
+    coef = np.zeros((U, B))
+    users = np.flatnonzero(rng.random(U) < 0.5)
+    coef[users, rng.integers(0, B, len(users))] = rng.uniform(0.5, 2.0, len(users))
+    return coef
 
 
 @st.composite
@@ -507,10 +559,8 @@ def random_masters(draw):
         for _ in range(draw(st.integers(0, 4)))
     ]
     for _ in range(draw(st.integers(0, 3))):
-        # a cut that a random association meets, by a random margin
-        coef = numbers(U, B)
-        met = coef[np.arange(U), rng.integers(0, B, U)].sum()
-        cuts.append(Cut(float(-abs(numbers()) - met), coef, "feasibility"))
+        # a cut whose support is some pairs of a random association
+        cuts.append(Cut(float(numbers()), random_support(rng, U, B), "feasibility"))
     return U, B, dcoef, K, cuts
 
 
@@ -630,8 +680,7 @@ class TestMaster:
             Cut(float(rng.normal()), rng.uniform(0.0, 2.0, (U, B)), "optimality")
             for _ in range(3)
         ]
-        coef = rng.normal(size=(U, B))
-        cuts.append(Cut(-float(np.median(outer_sum_grid(coef))), coef, "feasibility"))
+        cuts.append(Cut(-float(rng.normal()), random_support(rng, U, B), "feasibility"))
         for alpha in (0.0, 0.5, 1.0):
             table = benders._CutTable(U, B, dcoef, alpha)
             table.absorb(cuts)
@@ -728,13 +777,13 @@ class TestMaster:
 
     def test_master_matches_brute_force_on_random_cuts(self, monkeypatch):
         def eta_for(x, cuts):
-            # least eta at a binary x, or None if a feasibility cut fails
+            # least eta at a binary x, or None if it holds every pair of a
+            # feasibility cut's support
             eta = 0.0
             for cut in cuts:
-                h = cut.value(x)
                 if cut.kind == "optimality":
-                    eta = max(eta, h)
-                elif h > 1e-9 * cut.magnitude:
+                    eta = max(eta, cut.value(x))
+                elif np.all(x[cut.coef != 0] == 1):
                     return None
             return eta
 
@@ -748,10 +797,7 @@ class TestMaster:
                 for _ in range(6)
             ]
             for _ in range(2):
-                # a feasibility cut that keeps a random association feasible
-                coef = rng.normal(size=(U, B))
-                kept = coef[np.arange(U), rng.integers(0, B, U)].sum()
-                cuts.append(Cut(-float(kept) - 0.5, coef, "feasibility"))
+                cuts.append(Cut(-0.5, random_support(rng, U, B), "feasibility"))
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
                 values = []
@@ -770,6 +816,41 @@ class TestMaster:
                     x = sol.assoc.x
                     value = alpha * eta_for(x, cuts) + (1 - alpha) * (dcoef * x).sum()
                     assert value == pytest.approx(sol.value, rel=1e-12, abs=1e-12)
+
+    def test_weak_feasibility_cut_excludes_its_association(self, monkeypatch):
+        # a cut shaped like a subproblem's: its affine value at its own
+        # association is 0.5, far below 1e-9 of its magnitude, yet that
+        # association holds every pair of its support
+        inst, placement = desk_pipeline(0)
+        s, demands = inst.scenario, inst.demands
+        U, B = s.user_count, s.sbs_count
+        target = solve_master(s, demands, placement, [], alpha=0.0).assoc
+        coef = np.where(target.x[:3] == 1, 1e12, 0.0)
+        cut = Cut(0.5 - 3e12, np.vstack([coef, np.zeros((U - 3, B))]), "feasibility")
+        assert cut.value(target) <= 1e-9 * cut.magnitude
+        for limit in (B**U, 0):
+            monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", limit)
+            held = solve_master(s, demands, placement, [cut], alpha=0.0).assoc.x
+            assert not np.array_equal(held[:3], target.x[:3])
+
+    def test_search_matches_table_at_a_near_tie(self, monkeypatch):
+        # desk B=7, U=14, seed 0, alpha 1/2: on these prefixes of ucwt's
+        # cuts the least value is held by three associations and a bound
+        # that rounded above its leaves once hid the first of them
+        inst, placement = desk_pipeline(0, sbs_count=7, user_count=14)
+        s, demands = inst.scenario, inst.demands
+        cuts = ucwt(s, demands, placement, 0.5).trace.cuts
+        K = conflict_seed(s, demands)
+        dcoef = delay_coefficients(s, demands, placement)
+        for k in (267, 268):
+            table = benders._CutTable(14, 7, dcoef, 0.5, K)
+            enum = solve_master(s, demands, placement, cuts[:k], 0.5, table)
+            with monkeypatch.context() as m:
+                m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
+                table = benders._CutTable(14, 7, dcoef, 0.5, K)
+            found = solve_master(s, demands, placement, cuts[:k], 0.5, table)
+            assert found.value.hex() == enum.value.hex() == "0x1.baff865298a4ap+12"
+            assert np.array_equal(found.assoc.x, enum.assoc.x)
 
     def test_equal_coefficients_keep_lexicographic_first(self, monkeypatch):
         inst, placement = desk_pipeline(0)
@@ -832,22 +913,16 @@ class TestReachability:
         assert checked >= 700
 
     def test_excluded_pairs_near_the_boundary(self, caplog):
-        # the mask's rule is relative (1e-12), the strict LP's tolerance
-        # absolute: where the structured ray is too weak to stand, the LP
-        # may accept a lone user's row that misses by up to about 1e-9 of
-        # its cap, which the mask rejects; on this set that happens once
-        accepted = []
+        # where the structured ray is too weak to stand, the exact re-run
+        # rejects a lone user's row that misses its cap by 1e-9, as the
+        # mask's 1e-12 slack does
         checked = 0
         for scaled, demands, _, _ in near_boundary_instances():
-            gammas = requested_thresholds(scaled, demands)
             for i, j, infeasible in infeasible_excluded_pairs(scaled, demands):
+                assert infeasible, (i, j)
                 checked += 1
-                if not infeasible:
-                    u = gammas[i] * scaled.noise_power / scaled.channel_gains[i, j]
-                    accepted.append(u / scaled.max_power[j] - 1.0)
         assert checked >= 300
-        assert len(accepted) == 1 and 0.0 < accepted[0] <= 1.0000001e-9
-        assert "solving the LP" in caplog.text
+        assert "re-solving exactly" in caplog.text
 
 
 def conflicts_held(K, assigned):
@@ -936,17 +1011,17 @@ class TestConflicts:
                         if reachable and not flagged:
                             assigned = np.array([j, l])
                             A, b = benders._sinr_rows(sub, sub_demands, assigned)
-                            answer = benders._policy_iteration(
-                                A, b, assigned, sub.max_power, T
+                            system = benders._InterferenceSystem(
+                                A, b, assigned, sub.max_power
                             )
+                            answer = benders._policy_iteration(system, T)
                             assert answer is not None and answer.power is not None
                             checked += 1
         assert checked >= 8000
 
     def test_flagged_pairs_near_the_boundary(self, caplog):
-        # a 1e-9 margin would flag two pairs here whose caps are missed by
-        # about 1.0000003e-9 and 1.0000010e-9, which the LP fallback of
-        # min_power_for accepts; the 1e-8 margin flags none of them
+        # every pair the 1e-8 margin flags here is infeasible by the
+        # verdict of min_power_for
         flagged = 0
         for scaled, demands, _, _ in near_boundary_instances():
             K = conflict_seed(scaled, demands)
@@ -957,8 +1032,8 @@ class TestConflicts:
                         assert min_power_for(sub, sub_demands, assoc) is None
                         flagged += 1
         assert flagged >= 2000
-        # the fallback does run on this set
-        assert "solving the LP" in caplog.text
+        # the exact re-run does run on this set
+        assert "re-solving exactly" in caplog.text
 
 
 class TestPenalty:
@@ -1215,6 +1290,21 @@ class TestUcwt:
                         assert reach[np.arange(users), assigned].all()
                         assert not conflicts_held(K, assigned).any()
         assert unreachable > 0 and pairs > 0
+
+    def test_near_boundary_runs_end_in_an_answer_or_a_proof(self):
+        # an exact verdict and no-good feasibility cuts: every run converges
+        # or proves that no association is feasible, none spends its budget
+        placements = [desk_pipeline(seed)[1] for seed in range(5)]
+        outcomes = []
+        for n, (scaled, demands, _, _) in enumerate(near_boundary_instances()):
+            # eight instances per desk seed, in seed order
+            for alpha in (0.0, 0.5, 1.0):
+                try:
+                    trace = ucwt(scaled, demands, placements[n // 8], alpha).trace
+                    outcomes.append(trace.converged)
+                except NoFeasibleAssociationError:
+                    outcomes.append("infeasible")
+        assert len(outcomes) == 120 and False not in outcomes
 
     def test_wholly_infeasible_instance_raises(self):
         s = small_scenario(

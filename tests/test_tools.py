@@ -12,7 +12,7 @@ from dscnopt.popularity import local_popularity
 ROOT = Path(__file__).resolve().parent.parent
 
 # solve_lp call sites in src/: a metric heading to 0, so it may only fall
-MAX_SOLVE_LP_SITES = 3
+MAX_SOLVE_LP_SITES = 0
 
 
 def test_src_size_caps_solve_lp_call_sites():
