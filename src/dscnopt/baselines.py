@@ -31,6 +31,10 @@ class NoReachableSbsError(ModelError):
     """Some user cannot meet its SINR requirement at any SBS even alone."""
 
 
+class RepairFailedError(ModelError):
+    """The repair gave up: no answer, but no proof that the instance is infeasible."""
+
+
 @dataclass(frozen=True)
 class BaselineResult:
     assoc: Association
@@ -59,7 +63,8 @@ def _repaired(
     Each round solves the current association; if it is infeasible, the
     hardest user (requested threshold over best gain, descending) that has
     a costlier reachable SBS moves to the cheapest of those, until a round
-    is feasible, no user can move, or the round budget runs out.
+    is feasible, no user can move, or the round budget runs out; then it
+    raises ``RepairFailedError``.
     """
     gammas = requested_thresholds(scenario, demands)
     order = np.argsort(-gammas / scenario.channel_gains.max(axis=1), kind="stable")
@@ -76,7 +81,7 @@ def _repaired(
                 break
         else:
             break
-    raise ModelError("infeasibility repair failed: no feasible association found")
+    raise RepairFailedError("infeasibility repair failed: no feasible association found")
 
 
 def doa(

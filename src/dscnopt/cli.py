@@ -5,9 +5,9 @@ policy comparisons, association algorithm comparisons, and instance
 generation. All outputs are deterministic given (instance, seed, flags);
 floats are written with 9 significant digits.
 
-Exit codes: 0 success, 1 solver non-convergence, 2 usage error (including
-an oracle request above the enumeration cap), 3 infeasible instance, 4
-internal solver fault.
+Exit codes: 0 success, 1 solver non-convergence or a doa/ema repair that
+gave up, 2 usage error (including an oracle request above the enumeration
+cap), 3 infeasible instance, 4 internal solver fault.
 """
 
 from __future__ import annotations
@@ -244,6 +244,10 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
         _exit_solver_fault(exc)
     except benders.IterationBudgetError as exc:
         click.echo(f"not converged: {exc}", err=True)
+        sys.exit(EXIT_NONCONVERGENCE)
+    except baselines.RepairFailedError as exc:
+        # a heuristic that gives up proves nothing about the instance
+        click.echo(f"no answer: {exc}", err=True)
         sys.exit(EXIT_NONCONVERGENCE)
     except ModelError as exc:
         click.echo(f"infeasible: {exc}", err=True)

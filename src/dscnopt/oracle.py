@@ -1,12 +1,24 @@
 """Ground-truth solver: exhaustive enumeration over binary associations.
 
-Deliberately simple so it can be trusted: a Cartesian product walks
-every binary association in which each user joins an SBS it can reach
-alone (no other association can be power-feasible), each one gets its
-exact minimum powers and feasible/infeasible verdict from
-``benders.min_power_for`` (the verified least fixed point of the SINR
-rows, found again in exact arithmetic when the float answer fails its
-checks), and the weighted objective is compared directly.
+Deliberately simple so it can be trusted: a depth-first walk over users
+0..U-1 visits, in lexicographic order, every binary association in which
+each user joins an SBS it can reach alone (no other association can be
+power-feasible). Each association it reaches gets its exact minimum
+powers and feasible/infeasible verdict from ``benders._min_power`` (the
+verified least fixed point of the SINR rows, found again in exact
+arithmetic when the float answer fails its checks), and the weighted
+objective is compared directly.
+
+An infeasible association's Farkas ray is cut down to an irreducible
+infeasible subsystem: its nonzero multipliers sit on a few (user, SBS)
+pairs, and its rows and caps depend on those pairs alone. The same
+certificate therefore proves every association that holds them
+infeasible, as interference only raises the least fixed point (Yates
+1995). The walk keeps each such set of pairs as a no-good, the
+combinatorial Benders cut of Codato & Fischetti (Oper. Res. 2006), and
+skips every association that holds one without solving it. It learns
+only from its own solves: the master's conflict seed is not used here, so
+the oracle stays an independent check on it.
 """
 
 from __future__ import annotations
@@ -14,10 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import benders
+# ``min_power_for`` is unused here but stays importable: the benchmark tracer wraps it
 from .benders import min_power_for, reachable_sbs
 from .model import (
     Association,
@@ -74,10 +88,22 @@ def enumerate_candidates(
     each user's reachable SBSs. Raises ``EnumerationCapError`` when more
     than ``DEFAULT_ENUMERATION_CAP`` associations would be walked (the
     product of each user's reachable-SBS count, not B^U).
+
+    The walk fixes users in index order, each trying its reachable SBSs
+    in index order. Each no-good it learns from an infeasible association
+    is filed under its last pair, the one of highest user index: a child
+    that completes it, with every other pair already fixed, is skipped
+    with its whole subtree, and the walk jumps back to that last user as
+    soon as it learns one. A skipped association holds the support of a
+    ray that ``_min_power`` returned at the association it was learned
+    from. Only the rows and caps of that support enter the ray, so the
+    same certificate proves the skipped association infeasible: verified
+    in float with a margin that no powers passing the strict row check can
+    meet, or exact on the float rows.
     """
     U, B = scenario.user_count, scenario.sbs_count
     # single-user reachability is a necessary condition (interference only
-    # hurts), so only the product of each user's reachable SBSs is solved
+    # hurts), so only the product of each user's reachable SBSs is walked
     reach = reachable_sbs(scenario, demands)
     walked = math.prod(int(n) for n in reach.sum(axis=1))
     cap = DEFAULT_ENUMERATION_CAP
@@ -87,17 +113,42 @@ def enumerate_candidates(
             f"{shown} reachable associations (of {B}^{U}) exceed the cap of "
             f"{cap}; use a smaller instance"
         )
+    options = [np.flatnonzero(row).tolist() for row in reach]
+    # (user, SBS) -> the other pairs of each no-good whose last pair it is
+    nogoods: Dict[Tuple[int, int], List[List[Tuple[int, int]]]] = {}
+    assigned = [0] * U
+    tried = [0] * U          # per user, how many of its options were tried
     out: List[Candidate] = []
-    for walk in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
+    d = 0 if walked else -1  # a user with no reachable SBS leaves nothing to walk
+    while d >= 0:
+        if tried[d] == len(options[d]):
+            tried[d] = 0
+            d -= 1
+            continue
+        j = assigned[d] = options[d][tried[d]]
+        tried[d] += 1
+        if any(all(assigned[k] == l for k, l in rest)
+               for rest in nogoods.get((d, j), ())):
+            continue
+        if d < U - 1:
+            d += 1
+            continue
         # reachable SBS indices are valid by construction; an index array,
         # since a tuple would index np.eye by dimension
-        assigned = np.array(walk)
-        assoc = Association._unchecked(assigned, B)
-        power = min_power_for(scenario, demands, assoc)
-        if power is None:
+        leaf = np.array(assigned)
+        # looked up on the module at each call, so a replaced attribute runs
+        answer = benders._min_power(scenario, demands, leaf)
+        if answer.power is None:
+            *others, last = np.flatnonzero(answer.nu).tolist()
+            nogoods.setdefault((last, assigned[last]), []).append(
+                [(k, assigned[k]) for k in others])
+            tried[last + 1:] = [0] * (U - 1 - last)
+            d = last
             continue
-        value = objective(scenario, demands, placement, assoc, power)
-        out.append(Candidate(assigned, power, value.energy, value.delay))
+        power = PowerVector(answer.power)
+        value = objective(scenario, demands, placement,
+                          Association._unchecked(leaf, B), power)
+        out.append(Candidate(leaf, power, value.energy, value.delay))
     return out
 
 

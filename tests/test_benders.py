@@ -1,6 +1,7 @@
 """Decomposition machinery: cuts, the power subproblem, master, full loop."""
 
 import dataclasses
+import functools
 import logging
 import math
 from fractions import Fraction
@@ -376,13 +377,16 @@ def uncapped_least_powers(s, demands, assigned):
     raise AssertionError("Yates iteration did not settle")
 
 
+@functools.lru_cache(maxsize=None)
 def near_boundary_instances():
     """(scenario, demands, assignment, offset) a hair inside or outside the cap.
 
     Desk seeds 0-4, two feasible assignments each: all thresholds are
     scaled so that the assignment's least powers exceed the cap of the SBS
-    that reaches it first by ``offset`` of that cap.
+    that reaches it first by ``offset`` of that cap. The 40 instances take
+    a root search each, so they are built once, on first use, as a tuple.
     """
+    instances = []
     for seed in range(5):
         inst = scn.generate(scn.desk_scale(), seed)
         s, demands = inst.scenario, inst.demands
@@ -403,7 +407,8 @@ def near_boundary_instances():
                 t = brentq(lambda t: excess(t) - offset, 1.0, t_hi,
                            xtol=1e-16, rtol=1e-15)
                 scaled = dataclasses.replace(s, sinr_thresholds=t * s.sinr_thresholds)
-                yield scaled, demands, assigned, offset
+                instances.append((scaled, demands, assigned, offset))
+    return tuple(instances)
 
 
 class TestStructuredPower:

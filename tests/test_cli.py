@@ -205,6 +205,19 @@ class TestSolve:
         )
         assert result.exit_code == 3
 
+    def test_repair_failure_exits_1(self, runner, tmp_path):
+        # desk seed 0 is feasible (ucwt and ema answer it), but doa's
+        # repair gives up: no answer, and no proof of infeasibility
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main, ["solve", "--seed", "0", "--algorithm", "doa", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "no answer: infeasibility repair failed" in result.output
+        assert "infeasible:" not in result.output
+        assert not out.exists()
+
     def test_oracle_over_enumeration_cap_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -1,9 +1,11 @@
 """Exhaustive-enumeration solver: ordering, pruning, tie-breaking."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from dscnopt import oracle, scenario as scn
+from dscnopt import benders, oracle, scenario as scn
 from dscnopt.baselines import min_power_for, reachable_sbs
 from dscnopt.model import (
     Association,
@@ -11,6 +13,7 @@ from dscnopt.model import (
     DemandMatrix,
     ModelError,
     Scenario,
+    objective,
     serving_time,
 )
 from dscnopt.benders import delay_coefficients
@@ -143,6 +146,94 @@ class TestEnumerateCandidates:
         monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", walked - 1)
         with pytest.raises(EnumerationCapError, match=f"^{walked} reachable "):
             enumerate_candidates(s, demands, placement)
+
+
+def desk_case(user_count, seed):
+    inst = scn.generate(scn.desk_scale(user_count=user_count), seed)
+    s, demands = inst.scenario, inst.demands
+    placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+    return s, demands, placement
+
+
+def plain_walk(s, demands, placement):
+    """The walk without no-goods: every reachable association is solved.
+
+    Candidates as (assigned, powers, energy, delay), floats as ``float.hex``.
+    """
+    reach = reachable_sbs(s, demands)
+    out = []
+    for walk in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
+        assigned = np.array(walk)
+        assoc = Association.from_assignment(assigned, s.sbs_count)
+        power = min_power_for(s, demands, assoc)
+        if power is not None:
+            value = objective(s, demands, placement, assoc, power)
+            out.append((walk, [float(p).hex() for p in power.p],
+                        value.energy.hex(), value.delay.hex()))
+    return out
+
+
+def walked(cands):
+    return [(tuple(c.assigned.tolist()), [float(p).hex() for p in c.power.p],
+             c.energy.hex(), c.delay.hex()) for c in cands]
+
+
+def recorded_solves(monkeypatch):
+    """Patch ``benders._min_power`` to log (assigned, answer) of every call."""
+    solves = []
+    solve = benders._min_power
+
+    def recorded(scenario, demands, assigned):
+        answer = solve(scenario, demands, assigned)
+        solves.append((tuple(assigned.tolist()), answer))
+        return answer
+
+    monkeypatch.setattr(benders, "_min_power", recorded)
+    return solves
+
+
+class TestLearnedNoGoods:
+    @pytest.mark.parametrize("user_count, seeds", [
+        (4, range(40)),
+        (6, range(40)),
+        (9, range(40)),
+        # the oracle-enum benchmark's core instances
+        (9, range(1_000_000, 1_000_003)),
+    ], ids=["U4", "U6", "U9", "U9-core"])
+    def test_same_candidates_as_the_plain_walk(self, user_count, seeds):
+        for seed in seeds:
+            s, demands, placement = desk_case(user_count, seed)
+            assert (walked(enumerate_candidates(s, demands, placement))
+                    == plain_walk(s, demands, placement)), seed
+
+    def test_solves_fewer_associations_than_it_walks(self, monkeypatch):
+        s, demands, placement = desk_case(9, 0)
+        reachable = int(np.prod(reachable_sbs(s, demands).sum(axis=1)))
+        solves = recorded_solves(monkeypatch)
+        assert enumerate_candidates(s, demands, placement)
+        assert 0 < len(solves) < reachable
+
+    def test_every_skipped_association_holds_a_learned_no_good(self, monkeypatch):
+        # desk U=9 seed 2 learns a no-good of three pairs
+        s, demands, placement = desk_case(9, 2)
+        solves = recorded_solves(monkeypatch)
+        monkeypatch.setattr(benders, "conflict_seed", None)   # not used
+        enumerate_candidates(s, demands, placement)
+        nogoods = [
+            [(int(i), assigned[i]) for i in np.flatnonzero(answer.nu)]
+            for assigned, answer in solves if answer.power is None
+        ]
+        assert 3 in {len(pairs) for pairs in nogoods}
+        solved = {assigned for assigned, _ in solves}
+        assert len(solved) == len(solves)              # none solved twice
+        reach = reachable_sbs(s, demands)
+        skipped = 0
+        for walk in itertools.product(*(np.flatnonzero(r).tolist() for r in reach)):
+            if walk not in solved:
+                skipped += 1
+                assert any(all(walk[i] == j for i, j in pairs)
+                           for pairs in nogoods), walk
+        assert skipped > 0
 
 
 class TestBruteForce:

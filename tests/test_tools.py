@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dscnopt import benders, scenario as scn
+from dscnopt import benders, oracle, scenario as scn
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
 
@@ -63,3 +63,23 @@ def test_tracer_wraps_the_benders_loop(monkeypatch):
     assert "benders.recover_power" not in names
     assert all(span.parent == 0 for span in tracer.spans[1:]
                if span.name.startswith("benders."))
+
+
+def test_tracer_wraps_the_oracle_sweep(monkeypatch):
+    inst = scn.generate(scn.desk_scale(), 0)
+    s, demands = inst.scenario, inst.demands
+    placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+    tracer = load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        wrapped = list(tracer._patched)
+        swept = oracle.brute_force_sweep(s, demands, placement, [0.0, 0.5, 1.0])
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original for owner, attr, original in wrapped)
+    assert len(swept) == 3
+    names = [span.name for span in tracer.spans]
+    assert names.count("oracle.sweep") == 1
+    assert names.count("oracle.enumerate") == 1
+    enumerate_span = tracer.spans[names.index("oracle.enumerate")]
+    assert enumerate_span.parent == names.index("oracle.sweep")
