@@ -15,6 +15,7 @@ from .model import (
     CachePlacement,
     DemandMatrix,
     FeasibilityReport,
+    InfeasibleInstanceError,
     ModelError,
     ObjectiveValue,
     PowerVector,
@@ -60,6 +61,7 @@ __all__ = [
     "DemandMatrix",
     "FeasibilityReport",
     "GenerationConfig",
+    "InfeasibleInstanceError",
     "Instance",
     "ModelError",
     "ObjectiveValue",

@@ -17,6 +17,7 @@ from .model import (
     Association,
     CachePlacement,
     DemandMatrix,
+    InfeasibleInstanceError,
     ModelError,
     PowerVector,
     Scenario,
@@ -25,10 +26,6 @@ from .model import (
 )
 
 _REPAIR_ROUNDS = 50
-
-
-class NoReachableSbsError(ModelError):
-    """Some user cannot meet its SINR requirement at any SBS even alone."""
 
 
 class RepairFailedError(ModelError):
@@ -42,12 +39,12 @@ class BaselineResult:
 
 
 def _reach_or_raise(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
-    """``reachable_sbs``; raises ``NoReachableSbsError`` if a user has none."""
+    """``reachable_sbs``; raises ``InfeasibleInstanceError`` if a user has none."""
     reach = reachable_sbs(scenario, demands)
     stranded = ~reach.any(axis=1)
     if stranded.any():
         bad = int(np.argmax(stranded))
-        raise NoReachableSbsError(f"user {bad} has no reachable SBS")
+        raise InfeasibleInstanceError(f"user {bad} has no reachable SBS")
     return reach
 
 

@@ -43,7 +43,12 @@ at a time, and no association it solves holds one. It starts from the
 master's answer over the seed alone. Following Benders (1962), its upper
 bound is the best subproblem value seen so far, kept as a single
 incumbent with the powers of the subproblem that found it, and its lower
-bound is the exact master's optimum. Every cut
+bound is the exact master's optimum. When the seed and the feasibility
+cuts exclude every association, the master raises
+``model.InfeasibleInstanceError``, the one proof of an infeasible
+instance that every solver gives; a spent budget with no incumbent is
+``IterationBudgetError``, and an exact run without a certificate is
+``SolverFault``, a ``RuntimeError`` and not a ``ModelError``. Every cut
 is kept: an exact master re-proposes an association whose cut it holds
 only once the gap has closed. The trace's cut list is the master's, one
 cut per iteration.
@@ -69,6 +74,7 @@ from .model import (
     Association,
     CachePlacement,
     DemandMatrix,
+    InfeasibleInstanceError,
     ModelError,
     PowerVector,
     Scenario,
@@ -97,13 +103,7 @@ _CONFLICT_MARGIN = 1e-8
 
 logger = logging.getLogger(__name__)
 
-
-class MasterInfeasibleError(ModelError):
-    """All associations are excluded by feasibility cuts."""
-
-
-class NoFeasibleAssociationError(ModelError):
-    """The instance admits no power-feasible association at all."""
+_EXCLUDED = "conflicts and feasibility cuts exclude every association"
 
 
 class IterationBudgetError(ModelError):
@@ -113,10 +113,12 @@ class IterationBudgetError(ModelError):
     """
 
 
-class SolverFault(ModelError):
+class SolverFault(RuntimeError):
     """An internal failure: exact policy iteration gave no certificate.
 
-    A guard: it ran out of steps, or no ray could be read off.
+    A guard: it ran out of steps, or no ray could be read off. Not a
+    ``ModelError``: no handler of bad inputs or of an infeasible instance
+    catches it.
     """
 
 
@@ -699,7 +701,7 @@ class _CutTable:
     def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
         if self.value.min(initial=np.inf) == np.inf:
-            raise MasterInfeasibleError("no feasible association exists")
+            raise InfeasibleInstanceError(_EXCLUDED)
         k = int(np.argmin(self.value))
         # the rows hold valid SBS indices by construction
         assoc = Association._unchecked(self.rows[k], self.shape[1])
@@ -765,7 +767,7 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
 
     visit(0, np.zeros(len(pairs), dtype=np.intp))
     if best_assigned is None:
-        raise MasterInfeasibleError("no feasible association exists")
+        raise InfeasibleInstanceError(_EXCLUDED)
     return MasterSolution(
         assoc=Association.from_assignment(best_assigned, B), value=best_value
     )
@@ -892,11 +894,12 @@ def ucwt(
 
     The master's table is built once over ``conflict_seed``, so no
     proposal puts a user at an SBS it cannot reach alone or two users at a
-    conflicting pair of SBSs; if the seed excludes every association (e.g.
-    some user reaches no SBS), ``NoFeasibleAssociationError`` is raised
-    before any subproblem. Starts from the master's answer with no cut
-    (the least-delay conflict-free association, the lexicographically
-    first one at alpha = 1); alternates subproblem and master solves for
+    conflicting pair of SBSs. The master raises ``InfeasibleInstanceError``
+    when the seed excludes every association (e.g. some user reaches no
+    SBS), before any subproblem, or when feasibility cuts exclude the
+    rest. Starts from the master's answer with no cut (the least-delay
+    conflict-free association, the lexicographically first one at
+    alpha = 1); alternates subproblem and master solves for
     at most ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept;
     ``trace.cuts`` is the master's cut list, one cut per iteration.
     The incumbent is the first bounded proposal of least
@@ -921,12 +924,7 @@ def ucwt(
     # the master's cuts: one per iteration
     trace = BendersTrace(epsilon=epsilon)
     cuts = trace.cuts
-    try:
-        assoc = solve_master(scenario, demands, placement, cuts, alpha, table).assoc
-    except MasterInfeasibleError:
-        raise NoFeasibleAssociationError(
-            "one- and two-user conflicts exclude every association"
-        ) from None
+    assoc = solve_master(scenario, demands, placement, cuts, alpha, table).assoc
     # the incumbent: its value, 1-based iteration, association and powers
     psi_upper, omega, best = math.inf, None, None
 
@@ -939,12 +937,7 @@ def ucwt(
                 psi_upper, omega, best, power = value, t, assoc, cut.power
             if trace.epsilon is None:
                 trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
-        try:
-            master = solve_master(scenario, demands, placement, cuts, alpha, table)
-        except MasterInfeasibleError:
-            raise NoFeasibleAssociationError(
-                "feasibility cuts exclude every association"
-            ) from None
+        master = solve_master(scenario, demands, placement, cuts, alpha, table)
         trace.iterations.append(
             IterationRecord(
                 t=t,

@@ -8,6 +8,13 @@ floats are written with 9 significant digits.
 Exit codes: 0 success, 1 solver non-convergence or a doa/ema repair that
 gave up, 2 usage error (including an oracle request above the enumeration
 cap), 3 infeasible instance, 4 internal solver fault.
+
+Each command handles only the outcomes it turns into rows or exit codes:
+``InfeasibleInstanceError`` (exit 3, padded sweep rows or empty cells),
+and ``IterationBudgetError`` or ``RepairFailedError`` (exit 1 or empty
+cells). Every command maps the rest in one place (``_Command``): an
+``EnumerationCapError`` is a usage error, and a ``SolverFault`` or any
+other ``ModelError`` is a solver fault, never an infeasible instance.
 """
 
 from __future__ import annotations
@@ -16,13 +23,18 @@ import csv
 import dataclasses
 import math
 import sys
-from typing import Iterable, List, NoReturn, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import click
 import numpy as np
 
 from . import baselines, benders, oracle, placement as plc, scenario as scn
-from .model import ModelError, objective, total_transmission_time
+from .model import (
+    InfeasibleInstanceError,
+    ModelError,
+    objective,
+    total_transmission_time,
+)
 from .popularity import local_popularity
 
 EXIT_NONCONVERGENCE = 1
@@ -90,20 +102,19 @@ def sampled_backhaul_delay(
 
     The wireless part is deterministic; each cache miss redraws its
     backhaul delay from an exponential with the SBS's configured mean.
+    The draws come sample by sample, each over its misses in user order,
+    and are added in that order.
     """
     s = inst.scenario
-    files = inst.demands.requested_file
     assigned = assoc.assigned_sbs
-    base = total_transmission_time(s, inst.demands)
-    total = 0.0
-    for _ in range(samples):
-        draw = base
-        for i in range(s.user_count):
-            j = int(assigned[i])
-            if not cache.y[j, int(files[i])]:
-                draw += float(rng.exponential(s.backhaul_mean[j]))
-        total += draw
-    return total / samples
+    miss = cache.y[assigned, inst.demands.requested_file] == 0
+    draws = rng.exponential(np.tile(s.backhaul_mean[assigned[miss]], samples))
+    table = np.column_stack([
+        np.full(samples, total_transmission_time(s, inst.demands)),
+        draws.reshape(samples, -1),
+    ])
+    # cumsum adds in order; a sum over an axis would add pairwise
+    return float(table.cumsum(axis=1)[:, -1].cumsum()[-1]) / samples
 
 
 def _parse_grid(raw: str, name: str) -> List[float]:
@@ -114,11 +125,6 @@ def _parse_grid(raw: str, name: str) -> List[float]:
     if not values:
         raise click.UsageError(f"{name} must be non-empty")
     return values
-
-
-def _exit_solver_fault(exc: Exception) -> NoReturn:
-    click.echo(f"solver fault: {exc}", err=True)
-    sys.exit(EXIT_SOLVER_FAULT)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -158,24 +164,40 @@ def _run(
 def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float):
     """(association, powers) of one comparison run, or None for no answer.
 
-    No answer is any ``ModelError`` (an infeasible instance or a doa/ema
-    repair failure) or a non-converged ucwt run; the caller writes empty
-    cells for it. A solver fault exits with its own code.
+    No answer is an infeasible instance, a spent ucwt budget, a doa/ema
+    repair that gave up, or a non-converged ucwt run; the caller writes
+    empty cells for it.
     """
     try:
         assoc, power, trace = _run(algorithm, inst, cache, alpha)
-    except benders.SolverFault as exc:
-        _exit_solver_fault(exc)
-    except ModelError:
+    except (InfeasibleInstanceError, benders.IterationBudgetError,
+            baselines.RepairFailedError):
         return None
     if trace is not None and not trace.converged:
         return None
     return assoc, power
 
 
+class _Command(click.Command):
+    """A subcommand that maps the failures it does not handle to exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except oracle.EnumerationCapError as exc:
+            raise click.UsageError(str(exc), ctx)
+        except (benders.SolverFault, ModelError) as exc:
+            click.echo(f"solver fault: {exc}", err=True)
+            sys.exit(EXIT_SOLVER_FAULT)
+
+
 @click.group()
 def main() -> None:
     """Energy-delay optimization experiments for cached small cell networks."""
+
+
+# every subcommand below is a ``_Command``
+main.command_class = _Command
 
 
 @main.command()
@@ -238,10 +260,9 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     _, cache = _pipeline(inst)
     try:
         rows, code, trace = _solve_rows(inst, cache, algorithm, alpha, epsilon)
-    except oracle.EnumerationCapError as exc:
-        raise click.UsageError(str(exc))
-    except benders.SolverFault as exc:
-        _exit_solver_fault(exc)
+    except InfeasibleInstanceError as exc:
+        click.echo(f"infeasible: {exc}", err=True)
+        sys.exit(EXIT_INFEASIBLE)
     except benders.IterationBudgetError as exc:
         click.echo(f"not converged: {exc}", err=True)
         sys.exit(EXIT_NONCONVERGENCE)
@@ -249,9 +270,6 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
         # a heuristic that gives up proves nothing about the instance
         click.echo(f"no answer: {exc}", err=True)
         sys.exit(EXIT_NONCONVERGENCE)
-    except ModelError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
     _write_csv(out, ("field", "index", "value"), rows)
     if trace is not None:
         trace_path = trace_out or out + ".trace.csv"
@@ -315,12 +333,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                     v = objective(s, inst.demands, cache, assoc, power, a)
                     rows.append((_f(a), rep, _f(v.energy), _f(v.delay),
                                  _f(v.weighted)))
-        except oracle.EnumerationCapError as exc:
-            raise click.UsageError(str(exc))
-        except benders.SolverFault as exc:
-            _exit_solver_fault(exc)
-        except (benders.NoFeasibleAssociationError,
-                oracle.InstanceInfeasibleError) as exc:
+        except InfeasibleInstanceError as exc:
             # every alpha still without a row gets one of empty cells
             infeasible += 1
             click.echo(f"infeasible: replication {rep} (seed {seed + rep}): {exc}",

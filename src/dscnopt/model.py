@@ -35,6 +35,10 @@ class ModelError(ValueError):
     """Raised on invalid model inputs (bad shapes, violated invariants)."""
 
 
+class InfeasibleInstanceError(ModelError):
+    """Proof that no association of the instance admits feasible powers."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable network instance: geometry, physics constants and weights.
@@ -165,11 +169,12 @@ class Association:
 
     @classmethod
     def from_assignment(cls, assigned_sbs, sbs_count: int) -> "Association":
-        assigned = np.asarray(assigned_sbs, dtype=int)
+        assigned = np.asarray(assigned_sbs)
         # a Python scan is cheaper than array compares on short assignments
-        if not all(0 <= j < sbs_count for j in assigned.ravel().tolist()):
-            raise ModelError(f"SBS indices must lie in [0, {sbs_count})")
-        return cls(np.eye(sbs_count, dtype=np.int8)[assigned])
+        if not all(float(j).is_integer() and 0 <= j < sbs_count
+                   for j in assigned.ravel().tolist()):
+            raise ModelError(f"SBS indices must be integers in [0, {sbs_count})")
+        return cls(np.eye(sbs_count, dtype=np.int8)[assigned.astype(int)])
 
     @classmethod
     def _unchecked(cls, assigned: np.ndarray, sbs_count: int) -> "Association":
@@ -195,6 +200,8 @@ class PowerVector:
         object.__setattr__(self, "p", p)
         if p.ndim != 1:
             raise ModelError("p must be a vector")
+        if not np.isfinite(p).all():
+            raise ModelError("powers must be finite")
         if np.any(p < 0):
             raise ModelError("powers must be nonnegative")
 
@@ -338,8 +345,7 @@ def check_feasible(
             False, f"power bound violated at SBS {j}: {p.p[j]} > {scenario.max_power[j]}"
         )
     gammas = requested_thresholds(scenario, demands)
-    for i in range(scenario.user_count):
-        j = int(assoc.assigned_sbs[i])
+    for i, j in enumerate(assoc.assigned_sbs.tolist()):
         s = sinr(scenario, p, i, j)
         if s < gammas[i] * (1 - tol) - tol:
             return FeasibilityReport(

@@ -37,6 +37,7 @@ from .model import (
     Association,
     CachePlacement,
     DemandMatrix,
+    InfeasibleInstanceError,
     ModelError,
     PowerVector,
     Scenario,
@@ -48,10 +49,6 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 class EnumerationCapError(ModelError):
     """The association space exceeds the configured enumeration cap."""
-
-
-class InstanceInfeasibleError(ModelError):
-    """No association admits a feasible power vector."""
 
 
 @dataclass(frozen=True)
@@ -187,10 +184,13 @@ def brute_force_sweep(
     placement: CachePlacement,
     alphas: Sequence[float],
 ) -> List[Tuple[float, OracleSolution]]:
-    """One enumeration reused across a whole alpha grid, each alpha in [0, 1]."""
+    """One enumeration reused across a whole alpha grid, each alpha in [0, 1].
+
+    Raises ``InfeasibleInstanceError`` when no association is power-feasible.
+    """
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ModelError("alpha must lie in [0, 1]")
     candidates = enumerate_candidates(scenario, demands, placement)
     if not candidates:
-        raise InstanceInfeasibleError("every association is power-infeasible")
+        raise InfeasibleInstanceError("every association is power-infeasible")
     return [(a, _pick(candidates, a, scenario.sbs_count)) for a in alphas]

@@ -5,7 +5,6 @@ import pytest
 
 from dscnopt import baselines, scenario as scn
 from dscnopt.baselines import (
-    NoReachableSbsError,
     doa,
     ema,
     min_power_for,
@@ -16,6 +15,7 @@ from dscnopt.model import (
     Association,
     CachePlacement,
     DemandMatrix,
+    InfeasibleInstanceError,
     ModelError,
     Scenario,
     check_feasible,
@@ -92,9 +92,9 @@ class TestReachability:
         s = make_scenario([[1e-9, 1e-9], [0.01, 0.8]], [1.0, 2.0])
         demands = DemandMatrix([[1, 0], [0, 1]])
         placement = CachePlacement([[1, 0], [0, 1]])
-        with pytest.raises(NoReachableSbsError):
+        with pytest.raises(InfeasibleInstanceError):
             doa(s, demands, placement)
-        with pytest.raises(NoReachableSbsError):
+        with pytest.raises(InfeasibleInstanceError):
             ema(s, demands, placement)
 
 

@@ -15,7 +15,6 @@ from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.benders import (
     Cut,
     IterationBudgetError,
-    NoFeasibleAssociationError,
     build_subproblem_primal,
     conflict_seed,
     delay_coefficients,
@@ -33,6 +32,7 @@ from dscnopt.model import (
     Association,
     CachePlacement,
     DemandMatrix,
+    InfeasibleInstanceError,
     ModelError,
     Scenario,
     requested_thresholds,
@@ -588,7 +588,7 @@ class TestMaster:
         s, demands, placement = easy_case()
         # a synthetic cut violated by every association
         cut = Cut(constant=1.0, coef=np.zeros((2, 2)), kind="feasibility")
-        with pytest.raises(benders.MasterInfeasibleError):
+        with pytest.raises(InfeasibleInstanceError):
             solve_master(s, demands, placement, [cut], alpha=0.5)
 
     def test_enumeration_and_search_agree(self, monkeypatch):
@@ -772,7 +772,7 @@ class TestMaster:
             try:
                 # given a table, the master reads nothing from the instance
                 answers.append(solve_master(None, None, None, cuts, alpha, t))
-            except benders.MasterInfeasibleError:
+            except InfeasibleInstanceError:
                 answers.append(None)
         enum, found = answers
         assert (enum is None) == (found is None)
@@ -1208,7 +1208,7 @@ class TestUcwt:
                         # non-convergence, not a proof of infeasibility
                         with pytest.raises(IterationBudgetError) as info:
                             ucwt(s, demands, placement, alpha)
-                        assert not isinstance(info.value, NoFeasibleAssociationError)
+                        assert not isinstance(info.value, InfeasibleInstanceError)
                         outcomes.add("no incumbent")
                     else:
                         trace = ucwt(s, demands, placement, alpha).trace
@@ -1263,7 +1263,7 @@ class TestUcwt:
         for s, demands, placement in cases:
             assert not reachable_sbs(s, demands).any(axis=1).all()
             for alpha in (0.0, 0.5):
-                with pytest.raises(NoFeasibleAssociationError):
+                with pytest.raises(InfeasibleInstanceError):
                     ucwt(s, demands, placement, alpha)
         assert calls == []
 
@@ -1307,7 +1307,7 @@ class TestUcwt:
                 try:
                     trace = ucwt(scaled, demands, placements[n // 8], alpha).trace
                     outcomes.append(trace.converged)
-                except NoFeasibleAssociationError:
+                except InfeasibleInstanceError:
                     outcomes.append("infeasible")
         assert len(outcomes) == 120 and False not in outcomes
 
@@ -1317,5 +1317,5 @@ class TestUcwt:
         )
         demands = DemandMatrix([[1, 0], [0, 1]])
         placement = CachePlacement([[1, 1], [0, 0]])
-        with pytest.raises(NoFeasibleAssociationError):
+        with pytest.raises(InfeasibleInstanceError):
             ucwt(s, demands, placement, 0.5)

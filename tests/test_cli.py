@@ -1,6 +1,7 @@
 """End-to-end command-line tests via click's test runner."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from click.testing import CliRunner
 
 from dscnopt import baselines, benders, cli, oracle, scenario as scn
 from dscnopt.cli import main
-from dscnopt.model import Association, ModelError, PowerVector
+from dscnopt.model import (
+    Association, InfeasibleInstanceError, ModelError, PowerVector,
+    total_transmission_time,
+)
 
 
 @pytest.fixture()
@@ -205,6 +209,21 @@ class TestSolve:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("algorithm", ["ucwt", "oracle", "doa", "ema"])
+    def test_stranded_user_exits_3(self, runner, tmp_path, algorithm):
+        # every algorithm proves the instance infeasible with the same error
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["solve", "--instance", stranded_instance(tmp_path),
+             "--algorithm", algorithm, "--out", str(out)],
+        )
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "infeasible: " in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_repair_failure_exits_1(self, runner, tmp_path):
         # desk seed 0 is feasible (ucwt and ema answer it), but doa's
         # repair gives up: no answer, and no proof of infeasibility
@@ -237,6 +256,23 @@ def first_proposal_infeasible(tmp_path):
     """Desk U=8 seed 31: ucwt's first proposal at alpha 0 and 0.5 is infeasible."""
     path = tmp_path / "inst.txt"
     scn.save(scn.generate(scn.desk_scale(user_count=8), 31), str(path))
+    return str(path)
+
+
+def stranded_instance(tmp_path):
+    """Desk seed 0 with its last user moved 10 km away, out of every SBS's reach."""
+    inst = scn.generate(scn.desk_scale(), 0)
+    s = inst.scenario
+    users = s.user_positions.copy()
+    users[-1] += 1e4
+    dist = np.linalg.norm(users[:, None, :] - s.sbs_positions[None, :, :], axis=2)
+    far = dataclasses.replace(
+        s, user_positions=users, channel_gains=dist ** -s.pathloss_exponent
+    )
+    reach = benders.reachable_sbs(far, inst.demands)
+    assert reach[:-1].any(axis=1).all() and not reach[-1].any()
+    path = tmp_path / "stranded.txt"
+    scn.save(dataclasses.replace(inst, scenario=far), str(path))
     return str(path)
 
 
@@ -402,12 +438,12 @@ class TestSweepAlpha:
 
         def ucwt_on_seed(s, demands, cache, alpha, epsilon=None):
             if np.array_equal(s.channel_gains, stranded) and alpha > 0.0:
-                raise benders.NoFeasibleAssociationError("no association")
+                raise InfeasibleInstanceError("no association")
             return solve_ucwt(s, demands, cache, alpha, epsilon)
 
         def sweep_on_seed(s, demands, cache, alphas):
             if np.array_equal(s.channel_gains, stranded):
-                raise oracle.InstanceInfeasibleError("no association")
+                raise InfeasibleInstanceError("no association")
             return sweep(s, demands, cache, alphas)
 
         monkeypatch.setattr(benders, "ucwt", ucwt_on_seed)
@@ -492,7 +528,7 @@ class TestCompareCaching:
 
     def test_model_error_writes_empty_cells(self, runner, tmp_path, monkeypatch):
         def give_up(*args):
-            raise ModelError("ucwt: no answer")
+            raise InfeasibleInstanceError("ucwt: no answer")
 
         monkeypatch.setattr(benders, "ucwt", give_up)
         out = tmp_path / "o.csv"
@@ -562,7 +598,7 @@ class TestCompareAlgorithms:
 
     def test_repair_failure_writes_empty_row(self, runner, tmp_path, monkeypatch):
         def give_up(*args):
-            raise ModelError("doa: repair found no feasible association")
+            raise baselines.RepairFailedError("doa: repair found no feasible association")
 
         monkeypatch.setattr(baselines, "doa", give_up)
         out = tmp_path / "o.csv"
@@ -577,6 +613,40 @@ class TestCompareAlgorithms:
         assert rows["doa"] == ["users", "4", "0", "doa", "", "", ""]
         assert all(cell != "" for cell in rows["ucwt"])
 
+    def test_sampled_backhaul_matches_the_per_miss_loop(self):
+        def per_miss_loop(inst, cache, assoc, rng, samples):
+            s = inst.scenario
+            files = inst.demands.requested_file
+            assigned = assoc.assigned_sbs
+            base = total_transmission_time(s, inst.demands)
+            total = 0.0
+            for _ in range(samples):
+                draw = base
+                for i in range(s.user_count):
+                    j = int(assigned[i])
+                    if not cache.y[j, int(files[i])]:
+                        draw += float(rng.exponential(s.backhaul_mean[j]))
+                total += draw
+            return total / samples
+
+        checked = set()
+        for fraction in (0.0, 0.25, 1.0):
+            for seed in range(3):
+                inst = scn.generate(scn.desk_scale(cache_fraction=fraction), seed)
+                _, cache = cli._pipeline(inst)
+                s = inst.scenario
+                for j in range(s.sbs_count):
+                    assoc = Association.from_assignment(
+                        (np.arange(s.user_count) + j) % s.sbs_count, s.sbs_count)
+                    rngs = [np.random.default_rng((seed, j)) for _ in range(2)]
+                    want = per_miss_loop(inst, cache, assoc, rngs[0], 7)
+                    got = cli.sampled_backhaul_delay(inst, cache, assoc, rngs[1], 7)
+                    assert got.hex() == want.hex()
+                    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                    checked.add(got == total_transmission_time(s, inst.demands))
+        # some associations miss nothing, the others draw
+        assert checked == {True, False}
+
     def test_unconverged_ucwt_writes_empty_row(self, runner, tmp_path, monkeypatch):
         unconverged_ucwt(monkeypatch)
         out = tmp_path / "o.csv"
@@ -589,3 +659,29 @@ class TestCompareAlgorithms:
         rows = {r[3]: r for r in read_csv(str(out))[1:]}
         assert rows["ucwt"] == ["users", "4", "0", "ucwt", "", "", ""]
         assert all(cell != "" for cell in rows["ema"])
+
+
+class TestFailureTaxonomy:
+    def test_solver_fault_is_not_a_model_error(self):
+        assert not issubclass(benders.SolverFault, ModelError)
+
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["sweep-alpha", "--algorithm", "ucwt", "--grid", "0.5"],
+        ["compare-caching", "--seeds", "1", "--capacity-grid", "0.5"],
+        ["compare-algorithms", "--seeds", "1", "--grid", "4"],
+    ], ids=lambda command: command[0])
+    def test_stray_model_error_exits_4(self, runner, tmp_path, monkeypatch, command):
+        # a model error that no command expects is a fault, not infeasibility
+        def stray(*args):
+            raise ModelError("cut list shrank from 3 to 2 cuts")
+
+        monkeypatch.setattr(benders, "ucwt", stray)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, command + ["--out", str(out)])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "solver fault: cut list shrank from 3 to 2 cuts" in result.output
+        assert "infeasible" not in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()

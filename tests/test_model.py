@@ -100,6 +100,15 @@ class TestStructuredTypes:
         with pytest.raises(ModelError):
             Association.from_assignment(assigned, 3)
 
+    @pytest.mark.parametrize("assigned", [[0.7, 1.9], [0.0, np.nan], [np.inf, 0]])
+    def test_from_assignment_rejects_non_integral_index(self, assigned):
+        # 0.7 and 1.9 would truncate to the valid indices 0 and 1
+        with pytest.raises(ModelError, match="integers"):
+            Association.from_assignment(assigned, 2)
+
+    def test_from_assignment_accepts_integral_floats(self):
+        assert Association.from_assignment([1.0, 0.0], 2).assigned_sbs.tolist() == [1, 0]
+
     @pytest.mark.parametrize("cls", [DemandMatrix, Association, CachePlacement])
     @pytest.mark.parametrize(
         "matrix",
@@ -117,6 +126,14 @@ class TestStructuredTypes:
         assert not PowerVector([0.5, 1.1]).check_bounds(s)
         with pytest.raises(ModelError):
             PowerVector([-0.1, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_power_vector_rejects_non_finite(self, bad):
+        # a NaN fails every comparison, so check_feasible would call it feasible
+        with pytest.raises(ModelError, match="finite"):
+            PowerVector([bad, 0.5])
+        with pytest.raises(ModelError, match="finite"):
+            PowerVector([bad, bad])
 
     def test_cache_placement_capacity(self):
         s = tiny_scenario()

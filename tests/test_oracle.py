@@ -11,6 +11,7 @@ from dscnopt.model import (
     Association,
     CachePlacement,
     DemandMatrix,
+    InfeasibleInstanceError,
     ModelError,
     Scenario,
     objective,
@@ -19,7 +20,6 @@ from dscnopt.model import (
 from dscnopt.benders import delay_coefficients
 from dscnopt.oracle import (
     EnumerationCapError,
-    InstanceInfeasibleError,
     brute_force,
     brute_force_sweep,
     enumerate_candidates,
@@ -265,7 +265,7 @@ class TestBruteForce:
     def test_infeasible_instance_raises(self):
         s = make_scenario([[1.0, 0.9], [0.9, 0.8]], [3.0, 3.0], max_power=1e-4)
         demands = DemandMatrix([[1, 0], [0, 1]])
-        with pytest.raises(InstanceInfeasibleError):
+        with pytest.raises(InfeasibleInstanceError):
             brute_force(s, demands, CachePlacement([[1, 1], [0, 0]]), 0.5)
 
     def test_tie_breaks_lexicographically(self):
