@@ -11,15 +11,18 @@ every (user, SBS) pair of its support, the combinatorial Benders cut of
 Codato & Fischetti (Oper. Res. 2006). Its table (``_CutTable``) is given
 a conflict seed once, a boolean array of the user pairs that cannot be
 served together, and lists the associations that hold no seeded conflict
-by extending conflict-free prefixes one user at a time. While no prefix
-level passes ``_MASTER_ENUMERATION_LIMIT`` rows, the master is
-enumerated: the table keeps a running objective at the run's alpha over
-those rows and scores each cut of a ``ucwt`` run once on them.
-Otherwise a depth-first search over users bounds each optimality cut
-over the completions of a partial association by its fixed terms plus
-each free user's least coefficient, and prunes a child as soon as its
-user conflicts alone or with a user fixed before it, or completes a
-no-good.
+by extending conflict-free prefixes one user at a time. It is also given
+an energy floor once, per (user, SBS) pair the energy of that user's
+least power alone there, and counts it as one more lower bound on the
+energy: per SBS the largest term among its users, summed over the SBSs.
+While no prefix level passes ``_MASTER_ENUMERATION_LIMIT`` rows, the
+master is enumerated: the table keeps a running objective at the run's
+alpha over those rows, scores the floor once and each cut of a ``ucwt``
+run once on them. Otherwise a depth-first search over users bounds each
+optimality cut over the completions of a partial association by its
+fixed terms plus each free user's least coefficient, and the floor by
+the fixed users' terms, and prunes a child as soon as its user conflicts
+alone or with a user fixed before it, or completes a no-good.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -39,8 +42,12 @@ that misses its SINR threshold at an SBS even alone at full power.
 every two users at two SBSs whose 2 x 2 least fixed point misses a cap
 (closed form). Each excludes all associations holding it, so no
 iteration is spent learning one- or two-user conflicts one subproblem
-at a time, and no association it solves holds one. It starts from the
-master's answer over the seed alone. Following Benders (1962), its upper
+at a time, and no association it solves holds one. It also gives the
+master ``energy_floor``, a valid a-priori bound in the manner of
+logic-based Benders (Hooker & Ottosson, Math. Prog. 2003) that is exact
+at a single-SBS association, so an association's energy bound does not
+wait for a cut of its own. It starts from the master's answer over the
+seed and the floor alone. Following Benders (1962), its upper
 bound is the best subproblem value seen so far, kept as a single
 incumbent with the powers of the subproblem that found it, and its lower
 bound is the exact master's optimum. When the seed and the feasibility
@@ -562,6 +569,23 @@ def conflict_seed(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     return K
 
 
+def energy_floor(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
+    """(U, B) energy floor terms T_j u_ij, with u_ij = gamma_i N / g_ij.
+
+    u_ij is user i's least power alone at SBS j. Adding users only raises
+    the least fixed point of a standard interference function (Yates
+    1995), so SBS j transmits at least the largest u_ij among its users,
+    and every association's minimum energy is at least the sum over SBSs
+    of T_j times that largest u_ij (0 for an SBS that serves no one). At a
+    single-SBS association there is no interference and the floor is its
+    energy. ``u`` is divided as ``_InterferenceSystem.u`` divides it, so
+    there the two agree bit for bit.
+    """
+    gammas = requested_thresholds(scenario, demands)
+    T = serving_time(scenario, demands, None, "relaxed")
+    return T * (gammas[:, None] * scenario.noise_power / scenario.channel_gains)
+
+
 def min_power_for(
     scenario: Scenario, demands: DemandMatrix, assoc: Association
 ) -> Optional[PowerVector]:
@@ -624,9 +648,10 @@ class MasterSolution:
 class _CutTable:
     """The enumerated master's running objective over the conflict-free associations.
 
-    Built for one ``alpha`` and one conflict seed, given once:
-    ``conflict_seed``'s (U, B, U, B) boolean array, or None for no
-    conflicts. Its rows, built at once, are the assignments that hold no
+    Built for one ``alpha``, one conflict seed and one energy floor, each
+    given once: ``conflict_seed``'s (U, B, U, B) boolean array, or None for
+    no conflicts, and ``energy_floor``'s (U, B) terms, or None for no
+    floor. Its rows, built at once, are the assignments that hold no
     seeded conflict, in lexicographic order, made by extending
     conflict-free prefixes one user at a time; with no seed they are all
     B**U assignments. The build stops as soon as a prefix level would hold
@@ -635,34 +660,37 @@ class _CutTable:
     coefficients, alpha and the seed from the table. With no seed, level d
     holds B**(d + 1) rows, so that happens exactly when B**U passes the
     limit. Per row the table holds the master objective
-    alpha * eta + (1 - alpha) * delay, eta being the largest optimality
-    cut absorbed so far and at least 0, or +inf where the row holds every
-    pair of a feasibility cut's support. Each optimality cut of a growing
-    list is scored once, on the rows only, as its constant plus
-    sum_i coef[i, a_i] added from the last user to the first, the order
-    of ``_search_master``'s bounds. The
-    objective starts at the weighted delay, and an optimality cut h raises
+    alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
+    and the optimality cuts absorbed so far, or +inf where the row holds
+    every pair of a feasibility cut's support. The floor is scored once,
+    at the build: per SBS the largest term among its users, 0 if it
+    serves none, added over the SBSs in index order. Each optimality cut
+    of a growing list is scored once, on the rows only, as its constant
+    plus sum_i coef[i, a_i] added from the last user to the first; both
+    orders are those of ``_search_master``'s bounds. The objective starts
+    at alpha * floor + (1 - alpha) * delay, and an optimality cut h raises
     it to its maximum with alpha * h + (1 - alpha) * delay: rounding is
-    monotone and alpha >= 0, so this equals weighting the largest h, bit
-    for bit.
+    monotone and alpha >= 0, so this equals weighting the largest of them,
+    bit for bit.
     """
 
     def __init__(
         self, U: int, B: int, dcoef: np.ndarray, alpha: float,
-        conflict: Optional[np.ndarray] = None,
+        conflict: Optional[np.ndarray] = None, floor: Optional[np.ndarray] = None,
     ):
         self.shape = (U, B)
         self.dcoef = dcoef
         self.alpha = alpha
         self.conflict = np.zeros((U, B, U, B), bool) if conflict is None else conflict
         self.alone = np.einsum("ijij->ij", self.conflict)
+        self.floor = np.zeros((U, B)) if floor is None else floor
         self.absorbed = 0
         self.rows = self._build()
         if self.rows is not None:
             # flat indices into a U x B coefficient matrix, last user first
             self._flat = np.arange(U - 1, -1, -1) * B + self.rows[:, ::-1]
             self.weighted_delay = (1.0 - alpha) * self._score(dcoef)
-            self.value = self.weighted_delay.copy()
+            self.value = alpha * self._score_floor() + self.weighted_delay
 
     def _build(self) -> Optional[np.ndarray]:
         """The conflict-free rows, or None once a prefix level passes the limit."""
@@ -698,6 +726,16 @@ class _CutTable:
         # cumsum adds in order; a sum over the axis would add pairwise
         return coef.ravel()[self._flat].cumsum(axis=1)[:, -1]
 
+    def _score_floor(self) -> np.ndarray:
+        """Per row, the sum over SBSs of the largest floor term among its users."""
+        U, B = self.shape
+        terms = self.floor[np.arange(U), self.rows]
+        total = np.zeros(len(self.rows))
+        for j in range(B):
+            # SBSs in index order, the order in which the search's cumsum adds
+            total += np.where(self.rows == j, terms, 0.0).max(axis=1)
+        return total
+
     def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
         if self.value.min(initial=np.inf) == np.inf:
@@ -711,19 +749,22 @@ class _CutTable:
 def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     """Exact master by depth-first search over users 0..U-1, SBSs in index order.
 
-    It reads the delay coefficients, alpha and the conflict seed from a
-    ``table`` whose build gave up (``rows`` None). Each optimality cut is
-    affine in x, so over the completions of a partial association it is
-    least at its fixed users' terms plus each free user's least
-    coefficient; the delay is bounded the same way. Each bound adds its
-    terms in the order ``_CutTable`` adds a row's, so, rounding being
-    monotone, no leaf scores below the bound of a child above it, and a
-    leaf's bound is its score, bit for bit. A child is pruned when the
-    seed excludes its user alone or with a user fixed before it, when it
-    completes the support of a feasibility cut (the pairs held are counted
-    per cut along the path), or when its bound reaches the incumbent. A
-    leaf replaces the incumbent only if strictly better, so ties keep the
-    lexicographically first association, as enumeration does.
+    It reads the delay coefficients, alpha, the conflict seed and the
+    energy floor from a ``table`` whose build gave up (``rows`` None).
+    Each optimality cut is affine in x, so over the completions of a
+    partial association it is least at its fixed users' terms plus each
+    free user's least coefficient; the delay is bounded the same way. The
+    floor is bounded by a per-SBS running maximum of the fixed users'
+    terms, carried along the path: free users can only raise it. Each
+    bound adds its terms in the order ``_CutTable`` adds a row's, so,
+    rounding being monotone, no leaf scores below the bound of a child
+    above it, and a leaf's bound is its score, bit for bit. A child is
+    pruned when the seed excludes its user alone or with a user fixed
+    before it, when it completes the support of a feasibility cut (the
+    pairs held are counted per cut along the path), or when its bound
+    reaches the incumbent. A leaf replaces the incumbent only if strictly
+    better, so ties keep the lexicographically first association, as
+    enumeration does.
     """
     conflict, alone = table.conflict, table.alone
     U, B = table.dcoef.shape
@@ -744,14 +785,19 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     assigned = np.zeros(U, dtype=int)
     best_value, best_assigned = math.inf, None
 
-    def visit(d: int, held: np.ndarray) -> None:
+    def visit(d: int, held: np.ndarray, peak: np.ndarray) -> None:
         nonlocal best_value, best_assigned
         # per row, per SBS of user d: the tail, then the users d..0
         low = tail[:, d + 1, None] + coef[:, d, :]
         for i in range(d - 1, -1, -1):
             low += coef[:, i, assigned[i], None]
         low += const
-        eta = low[:k_delay].max(axis=0, initial=0.0)
+        # [j]: the per-SBS peak floor terms with user d at SBS j
+        peaks = np.tile(peak, (B, 1))
+        np.fill_diagonal(peaks, np.maximum(peak, table.floor[d]))
+        eta = np.maximum(
+            low[:k_delay].max(axis=0, initial=0.0), peaks.cumsum(axis=1)[:, -1]
+        )
         bound = table.alpha * eta + (1.0 - table.alpha) * low[k_delay]
         held = held[:, None] + pairs[:, d, :]       # per cut, per SBS of user d
         blocked = alone[d] | conflict[d, :, users[:d], assigned[:d]].any(axis=0)
@@ -761,11 +807,11 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
                 continue
             assigned[d] = j
             if d + 1 < U:
-                visit(d + 1, held[:, j])
+                visit(d + 1, held[:, j], peaks[j])
             else:
                 best_value, best_assigned = least, assigned.copy()
 
-    visit(0, np.zeros(len(pairs), dtype=np.intp))
+    visit(0, np.zeros(len(pairs), dtype=np.intp), np.zeros(B))
     if best_assigned is None:
         raise InfeasibleInstanceError(_EXCLUDED)
     return MasterSolution(
@@ -785,12 +831,14 @@ def solve_master(
 
     Optimality cuts bound the energy; a feasibility cut excludes every
     association that holds all the pairs of its support, with no
-    threshold on its affine value. ``table`` (a ``_CutTable``) carries the conflict seed, which excludes
-    every association holding one of its conflicts, and the master
-    objective at ``alpha`` over the cuts passed on earlier calls with the
-    same growing ``cuts`` list, so only the new cuts are scored. Without
-    one, a fresh table with no seed scores them all. ``ucwt`` keeps one
-    table per run, so each of its cuts is scored once. Raises
+    threshold on its affine value. ``table`` (a ``_CutTable``) carries the
+    conflict seed, which excludes every association holding one of its
+    conflicts, the energy floor, one more lower bound on the energy, and
+    the master objective at ``alpha`` over the cuts passed on earlier
+    calls with the same growing ``cuts`` list, so only the new cuts are
+    scored. Without one, a fresh table with no seed and no floor scores
+    them all, so the master is defined by the cuts alone. ``ucwt`` keeps
+    one table per run, so each of its cuts is scored once. Raises
     ``ModelError`` if ``table`` was built for another ``alpha``. Where the
     table holds its conflict-free rows, they are enumerated, keeping the
     lexicographically first optimum; where its build gave up
@@ -894,13 +942,16 @@ def ucwt(
 
     The master's table is built once over ``conflict_seed``, so no
     proposal puts a user at an SBS it cannot reach alone or two users at a
-    conflicting pair of SBSs. The master raises ``InfeasibleInstanceError``
-    when the seed excludes every association (e.g. some user reaches no
-    SBS), before any subproblem, or when feasibility cuts exclude the
-    rest. Starts from the master's answer with no cut (the least-delay
-    conflict-free association, the lexicographically first one at
-    alpha = 1); alternates subproblem and master solves for
-    at most ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept;
+    conflicting pair of SBSs, and over ``energy_floor``, so the master's
+    lower bound on each association's energy is the floor before any cut
+    raises it. The master raises ``InfeasibleInstanceError`` when the
+    seed excludes every association (e.g. some user reaches no SBS),
+    before any subproblem, or when feasibility cuts exclude the rest.
+    Starts from the master's answer with no cut (the conflict-free
+    association of least alpha * floor + (1 - alpha) * delay); where its
+    energy is its floor, as at a single-SBS association, the bounds meet
+    at once. Alternates subproblem and master solves for at most
+    ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept;
     ``trace.cuts`` is the master's cut list, one cut per iteration.
     The incumbent is the first bounded proposal of least
     alpha * M + (1 - alpha) * delay: its value is the upper bound, the
@@ -918,9 +969,12 @@ def ucwt(
         raise ModelError("epsilon must be a finite positive number")
     dcoef = delay_coefficients(scenario, demands, placement)
 
-    # one table per run, over the conflict seed; the search reads it too
-    seed = conflict_seed(scenario, demands)
-    table = _CutTable(scenario.user_count, scenario.sbs_count, dcoef, alpha, seed)
+    # one table per run, over the conflict seed and the energy floor; the
+    # search reads them too
+    table = _CutTable(
+        scenario.user_count, scenario.sbs_count, dcoef, alpha,
+        conflict_seed(scenario, demands), energy_floor(scenario, demands),
+    )
     # the master's cuts: one per iteration
     trace = BendersTrace(epsilon=epsilon)
     cuts = trace.cuts

@@ -420,6 +420,11 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
         values = [4.0, 5.0, 6.0] if sweep == "users" else [0.1, 0.25, 0.5]
     else:
         values = _parse_grid(grid, "--grid")
+    for value in values:
+        if sweep == "users" and (value < 1 or not value.is_integer()):
+            raise click.UsageError("user counts must be positive integers")
+        if sweep == "capacity" and not 0.0 <= value <= 1.0:
+            raise click.UsageError("capacity fractions must lie in [0, 1]")
     rows = []
     header = ["sweep", "value", "seed", "algorithm", "energy_joules",
               "delay_seconds"]
@@ -427,12 +432,8 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
         header.append("sampled_delay_seconds")
     for value in values:
         if sweep == "users":
-            if value < 1 or not value.is_integer():
-                raise click.UsageError("user counts must be positive integers")
             config = scn.desk_scale(user_count=int(value))
         else:
-            if not 0.0 <= value <= 1.0:
-                raise click.UsageError("capacity fractions must lie in [0, 1]")
             config = scn.desk_scale(cache_fraction=value)
         for r in range(seeds):
             inst = scn.generate(config, seed + r)

@@ -544,9 +544,10 @@ def random_support(rng, U, B):
 
 @st.composite
 def random_masters(draw):
-    """(U, B, delay coefficients, symmetric conflict seed, cuts), U <= 6, B <= 3.
+    """(U, B, delay coefficients, symmetric conflict seed, cuts, floor), U <= 6, B <= 3.
 
-    Integral data, drawn at times, makes exact ties common.
+    The floor is non-negative (U, B) terms, or None. Integral data, drawn at
+    times, makes exact ties common.
     """
     U, B = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -566,7 +567,8 @@ def random_masters(draw):
     for _ in range(draw(st.integers(0, 3))):
         # a cut whose support is some pairs of a random association
         cuts.append(Cut(float(numbers()), random_support(rng, U, B), "feasibility"))
-    return U, B, dcoef, K, cuts
+    floor = np.abs(numbers(U, B)) if draw(st.booleans()) else None
+    return U, B, dcoef, K, cuts, floor
 
 
 class TestMaster:
@@ -758,13 +760,13 @@ class TestMaster:
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(problem=random_masters(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
     def test_table_and_search_agree_on_random_masters(self, problem, alpha):
-        U, B, dcoef, K, cuts = problem
-        table = benders._CutTable(U, B, dcoef, alpha, K)
+        U, B, dcoef, K, cuts, floor = problem
+        table = benders._CutTable(U, B, dcoef, alpha, K, floor)
         allowed = [a for a in iter_assignments(U, B) if not conflicts_held(K, a).any()]
         assert table.rows.tolist() == [a.tolist() for a in allowed]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-            searched = benders._CutTable(U, B, dcoef, alpha, K)
+            searched = benders._CutTable(U, B, dcoef, alpha, K, floor)
         # limit 0 leaves rows only where no user 0 placement is conflict-free
         assert searched.rows is None or not allowed
         answers = []
@@ -839,14 +841,22 @@ class TestMaster:
             assert not np.array_equal(held[:3], target.x[:3])
 
     def test_search_matches_table_at_a_near_tie(self, monkeypatch):
-        # desk B=7, U=14, seed 0, alpha 1/2: on these prefixes of ucwt's
-        # cuts the least value is held by three associations and a bound
-        # that rounded above its leaves once hid the first of them
+        # desk B=7, U=14, seed 0, alpha 1/2: on these prefixes of the cuts of
+        # a Benders loop over a seeded table without the energy floor, the
+        # least value is held by three associations and a bound that
+        # rounded above its leaves once hid the first of them. ucwt's own
+        # master holds the floor and converges in one iteration here, so
+        # the loop is run in the test
         inst, placement = desk_pipeline(0, sbs_count=7, user_count=14)
         s, demands = inst.scenario, inst.demands
-        cuts = ucwt(s, demands, placement, 0.5).trace.cuts
         K = conflict_seed(s, demands)
         dcoef = delay_coefficients(s, demands, placement)
+        floor_free = benders._CutTable(14, 7, dcoef, 0.5, K)
+        cuts = []
+        assoc = solve_master(s, demands, placement, cuts, 0.5, floor_free).assoc
+        while len(cuts) < 268:
+            cuts.append(solve_subproblem(s, demands, assoc)[0])
+            assoc = solve_master(s, demands, placement, cuts, 0.5, floor_free).assoc
         for k in (267, 268):
             table = benders._CutTable(14, 7, dcoef, 0.5, K)
             enum = solve_master(s, demands, placement, cuts[:k], 0.5, table)
@@ -856,6 +866,38 @@ class TestMaster:
             found = solve_master(s, demands, placement, cuts[:k], 0.5, table)
             assert found.value.hex() == enum.value.hex() == "0x1.baff865298a4ap+12"
             assert np.array_equal(found.assoc.x, enum.assoc.x)
+
+    def test_energy_floor_is_a_valid_cut(self):
+        # every reachable association's floor, as the table scores it, is at
+        # most its minimum energy (+inf when infeasible); where one SBS
+        # serves every user there is no interference, and they are equal
+        single = 0
+        for U in (4, 6, 9):
+            for seed in range(10):
+                inst, _ = desk_pipeline(seed, user_count=U)
+                s, demands = inst.scenario, inst.demands
+                B = s.sbs_count
+                F = benders.energy_floor(s, demands)
+                users = np.arange(U)
+                # the one-user conflicts only: the rows are the reachable
+                # associations, and at alpha 1 with no delay a row's value
+                # is its floor
+                K = np.zeros((U, B, U, B), dtype=bool)
+                K[users, :, users, :] = (
+                    np.eye(B, dtype=bool) & ~reachable_sbs(s, demands)[:, :, None]
+                )
+                table = benders._CutTable(U, B, np.zeros((U, B)), 1.0, K, F)
+                for assigned, floor in zip(table.rows, table.value.tolist()):
+                    expected = 0.0
+                    for j in range(B):
+                        expected += F[assigned == j, j].max(initial=0.0)
+                    assert floor == expected
+                    energy = benders._min_power(s, demands, assigned).energy
+                    assert floor <= energy
+                    if (assigned == assigned[0]).all():
+                        assert floor.hex() == energy.hex()
+                        single += 1
+        assert single > 0
 
     def test_equal_coefficients_keep_lexicographic_first(self, monkeypatch):
         inst, placement = desk_pipeline(0)
@@ -1125,8 +1167,9 @@ class TestUcwt:
                 )
 
     def test_starts_from_cut_free_master(self):
-        # the master over the conflict seed alone; desk U=8 seed 31 is an
-        # instance whose first such proposal is still infeasible
+        # the master over the conflict seed and the energy floor; desk U=8
+        # seed 31 is an instance whose first such proposal is still
+        # infeasible at alpha 0, where the floor has no weight
         statuses = set()
         cases = [desk_pipeline(seed) for seed in range(4)]
         cases.append(desk_pipeline(31, user_count=8))
@@ -1136,7 +1179,10 @@ class TestUcwt:
             K = conflict_seed(s, demands)
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
-                table = benders._CutTable(s.user_count, s.sbs_count, dcoef, alpha, K)
+                table = benders._CutTable(
+                    s.user_count, s.sbs_count, dcoef, alpha, K,
+                    benders.energy_floor(s, demands),
+                )
                 start = solve_master(s, demands, placement, [], alpha, table).assoc
                 first = ucwt(s, demands, placement, alpha).trace.iterations[0]
                 power = min_power_for(s, demands, start)
@@ -1168,6 +1214,36 @@ class TestUcwt:
                     swept[alpha].objective, rel=1e-6, abs=1e-9
                 )
 
+    def test_searched_master_holds_the_energy_floor(self, monkeypatch):
+        # desk B=5, U=16, seed 0 takes several iterations at alpha > 0; at
+        # limit 0 every master is searched over the floor, and the run is
+        # the enumerated one
+        inst, placement = desk_pipeline(0, sbs_count=5, user_count=16)
+        s, demands = inst.scenario, inst.demands
+        floor = benders.energy_floor(s, demands)
+        search = benders._search_master
+        floors = []
+
+        def recorded(table, cuts):
+            floors.append(table.floor)
+            return search(table, cuts)
+
+        for alpha in (0.5, 1.0):
+            enumerated = ucwt(s, demands, placement, alpha)
+            floors.clear()
+            with monkeypatch.context() as m:
+                m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
+                m.setattr(benders, "_search_master", recorded)
+                searched = ucwt(s, demands, placement, alpha)
+            assert len(enumerated.trace.iterations) > 1
+            assert len(floors) == len(searched.trace.iterations) + 1
+            assert all(f is not None and np.array_equal(f, floor) for f in floors)
+            assert (searched.trace.final_objective.hex()
+                    == enumerated.trace.final_objective.hex())
+            assert np.array_equal(searched.assoc.x, enumerated.assoc.x)
+            assert searched.power.p.tobytes() == enumerated.power.p.tobytes()
+            assert searched.trace.iterations == enumerated.trace.iterations
+
     def test_trace_keeps_one_cut_per_iteration_and_one_incumbent(self):
         # every cut is new, and the incumbent moves only on a strict drop
         for seed in range(10):
@@ -1193,10 +1269,17 @@ class TestUcwt:
 
     def test_iteration_budget_returns_incumbent_unconverged(self, monkeypatch):
         # a budget of k iterations replays the first k of the full run; desk
-        # U=8 seed 31 first proposes an association that is infeasible
+        # U=8 seed 31 first proposes an association that is infeasible. With
+        # the energy floor a desk run at alpha > 0 takes one iteration, so
+        # the same instance with noise and power caps 40 dB lower, where
+        # energy is too small to steer the first proposal, gives a run at
+        # alpha 1/2 that finds its incumbent on the second of three
         outcomes = set()
         cases = [desk_pipeline(seed) for seed in range(6)]
         cases.append(desk_pipeline(31, user_count=8))
+        cases.append(desk_pipeline(
+            31, user_count=8, noise_density_dbm_hz=-132.0, max_power_dbm=-14.0
+        ))
         for inst, placement in cases:
             s, demands = inst.scenario, inst.demands
             for alpha in (0.0, 0.5, 1.0):

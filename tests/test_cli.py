@@ -165,12 +165,16 @@ class TestSolve:
         assert "Traceback" not in result.output
 
     def test_iteration_budget_exits_1(self, runner, tmp_path, monkeypatch):
-        # desk seed 3 at alpha 1 proposes a feasible association first and
-        # needs more than two iterations to close the gap
+        # desk B=5, U=16, seed 0 at alpha 1 proposes a feasible association
+        # first and needs more than two iterations to close the gap; with
+        # the energy floor every desk B=3 run at alpha 1 takes one
         monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", 2)
+        path = tmp_path / "inst.txt"
+        scn.save(scn.generate(scn.desk_scale(sbs_count=5, user_count=16), 0), str(path))
         out = tmp_path / "o.csv"
         result = runner.invoke(
-            main, ["solve", "--seed", "3", "--alpha", "1", "--out", str(out)]
+            main,
+            ["solve", "--instance", str(path), "--alpha", "1", "--out", str(out)],
         )
         assert result.exit_code == 1
         fields = long_fields(read_csv(str(out)))
@@ -253,9 +257,18 @@ class TestSolve:
 
 
 def first_proposal_infeasible(tmp_path):
-    """Desk U=8 seed 31: ucwt's first proposal at alpha 0 and 0.5 is infeasible."""
+    """Desk U=8 seed 31, noise and power caps 40 dB lower: ucwt's first
+    proposal at alpha 0 and 0.5 is infeasible, at alpha 1 feasible.
+
+    At the desk's own levels the energy floor steers the alpha 0.5 master
+    to a feasible first proposal. 40 dB lower, energy is 10^-4 of it, so
+    that proposal is the least-delay one, as at alpha 0.
+    """
     path = tmp_path / "inst.txt"
-    scn.save(scn.generate(scn.desk_scale(user_count=8), 31), str(path))
+    config = scn.desk_scale(
+        user_count=8, noise_density_dbm_hz=-132.0, max_power_dbm=-14.0
+    )
+    scn.save(scn.generate(config, 31), str(path))
     return str(path)
 
 
@@ -586,6 +599,33 @@ class TestCompareAlgorithms:
         )
         assert result.exit_code == 2
         assert "user counts must be positive integers" in result.output
+
+    @pytest.mark.parametrize("sweep, grid, message", [
+        ("users", "4,5,0", "user counts must be positive integers"),
+        ("capacity", "0.1,1.5", "capacity fractions must lie in [0, 1]"),
+    ])
+    def test_bad_grid_value_exits_2_before_any_solve(
+        self, runner, tmp_path, monkeypatch, sweep, grid, message
+    ):
+        # the bad value comes after good ones, and no solver runs for those
+        solves = []
+        run = cli._run
+
+        def counted(*args, **kwargs):
+            solves.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_run", counted)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["compare-algorithms", "--seeds", "2", "--sweep", sweep, "--grid", grid,
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert solves == []
+        assert not out.exists()
 
     def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
