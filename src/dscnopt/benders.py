@@ -143,15 +143,6 @@ def varrho(scenario: Scenario, demands: DemandMatrix) -> float:
     return float(1.0 / (gammas.max() * worst))
 
 
-def _as_x_matrix(x, scenario: Scenario) -> np.ndarray:
-    if isinstance(x, Association):
-        return np.asarray(x.x, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (scenario.user_count, scenario.sbs_count):
-        raise ModelError("association matrix has wrong shape")
-    return x
-
-
 def build_subproblem_primal(
     scenario: Scenario,
     demands: DemandMatrix,
@@ -159,14 +150,17 @@ def build_subproblem_primal(
 ) -> lpmod.LinearProgram:
     """Minimum-energy power LP at a fixed association, over every pair.
 
+    ``x`` is an ``Association`` or a (U, B) matrix, possibly fractional.
     Every (user, SBS) pair carries a relaxed SINR row; rows for
     non-assigned pairs are slack for any feasible power by construction
     of ``varrho``. No solver uses it: it is the reference that
     ``solve_subproblem``'s energies are checked against.
     """
     rho = varrho(scenario, demands)
-    X = _as_x_matrix(x, scenario)
-    U, B = X.shape
+    X = np.asarray(x.x if isinstance(x, Association) else x, dtype=float)
+    U, B = scenario.user_count, scenario.sbs_count
+    if X.shape != (U, B):
+        raise ModelError("association matrix has wrong shape")
     g = scenario.channel_gains
     gammas = requested_thresholds(scenario, demands)
     T = serving_time(scenario, demands, None, "relaxed")
@@ -595,22 +589,18 @@ def min_power_for(
 
 
 def solve_subproblem(
-    scenario: Scenario, demands: DemandMatrix, x
+    scenario: Scenario, demands: DemandMatrix, assoc: Association
 ) -> Tuple[Cut, float]:
-    """Benders cut and minimum relaxed energy M at a fixed binary association.
+    """Benders cut and minimum relaxed energy M at a fixed association.
 
     A feasible association gives an optimality cut and its energy M, an
     infeasible one a feasibility cut and M = +inf. The answer comes from
     ``_min_power``, as ``min_power_for``'s does, so every path gives one
     verdict. With its multipliers nu extended by zeros to the unassigned
     pairs, h(X) = -p_max mu + sum_ij nu_ij (N gamma_i - (1 - x_ij) / varrho).
-    Raises ``ModelError`` on a fractional ``x``.
     """
     U, B = scenario.user_count, scenario.sbs_count
-    X = _as_x_matrix(x, scenario)
-    if not (np.all((X == 0.0) | (X == 1.0)) and np.all(X.sum(axis=1) == 1.0)):
-        raise ModelError("the power subproblem needs a binary association")
-    assigned = np.argmax(X, axis=1)
+    assigned = assoc.assigned_sbs
     answer = _min_power(scenario, demands, assigned)
     rho = varrho(scenario, demands)
     nu = np.zeros((U, B))
@@ -675,10 +665,10 @@ class _CutTable:
     """
 
     def __init__(
-        self, U: int, B: int, dcoef: np.ndarray, alpha: float,
+        self, dcoef: np.ndarray, alpha: float,
         conflict: Optional[np.ndarray] = None, floor: Optional[np.ndarray] = None,
     ):
-        self.shape = (U, B)
+        self.shape = U, B = dcoef.shape
         self.dcoef = dcoef
         self.alpha = alpha
         self.conflict = np.zeros((U, B, U, B), bool) if conflict is None else conflict
@@ -848,7 +838,7 @@ def solve_master(
     """
     if table is None:
         dcoef = delay_coefficients(scenario, demands, placement)
-        table = _CutTable(scenario.user_count, scenario.sbs_count, dcoef, alpha)
+        table = _CutTable(dcoef, alpha)
     elif table.alpha != alpha:
         raise ModelError(
             f"cut table built for alpha={table.alpha}, solved at alpha={alpha}"
@@ -972,8 +962,7 @@ def ucwt(
     # one table per run, over the conflict seed and the energy floor; the
     # search reads them too
     table = _CutTable(
-        scenario.user_count, scenario.sbs_count, dcoef, alpha,
-        conflict_seed(scenario, demands), energy_floor(scenario, demands),
+        dcoef, alpha, conflict_seed(scenario, demands), energy_floor(scenario, demands)
     )
     # the master's cuts: one per iteration
     trace = BendersTrace(epsilon=epsilon)

@@ -201,7 +201,7 @@ main.command_class = _Command
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--paper-scale", is_flag=True, help="Use the full-size preset.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def generate(seed: int, paper_scale: bool, out: str) -> None:
@@ -236,7 +236,7 @@ def _solve_rows(inst, cache, algorithm, alpha, epsilon):
 
 @main.command()
 @click.option("--instance", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--paper-scale", is_flag=True)
 @click.option(
     "--algorithm",
@@ -280,7 +280,7 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
 
 @main.command("sweep-alpha")
 @click.option("--instance", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--paper-scale", is_flag=True)
 @click.option(
     "--algorithm",
@@ -294,7 +294,7 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     show_default=True,
     help="Comma-separated alpha values in [0, 1].",
 )
-@click.option("--replications", type=int, default=1, show_default=True)
+@click.option("--replications", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsilon, out):
@@ -303,8 +303,6 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
     for a in alphas:
         _check_alpha(a)
     _check_epsilon(epsilon)
-    if replications < 1:
-        raise click.UsageError("replications must be positive")
     rows = []
     infeasible = nonconverged = 0
     seeds = range(seed, seed + replications)
@@ -351,9 +349,9 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
 
 
 @main.command("compare-caching")
-@click.option("--seeds", type=int, default=10, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True,
               help="Number of seeded instances per grid point.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Base seed; instance r uses seed + r.")
 @click.option("--paper-scale", is_flag=True)
 @click.option("--capacity-grid", default="0.1,0.25,0.5,1.0", show_default=True,
@@ -367,8 +365,6 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise click.UsageError("capacity fractions must lie in [0, 1]")
-    if seeds < 1:
-        raise click.UsageError("seeds must be positive")
     base = _config(paper_scale)
     rows = []
     for frac in fractions:
@@ -400,8 +396,8 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
 
 
 @main.command("compare-algorithms")
-@click.option("--seeds", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sweep", type=click.Choice(["users", "capacity"]),
               default="users", show_default=True)
 @click.option("--grid", default=None,
@@ -409,13 +405,11 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 @click.option("--sample-backhaul", is_flag=True,
               help="Report Monte Carlo mean delay with exponential backhaul draws.")
-@click.option("--samples", type=int, default=200, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples, out):
     """Compare ucwt/doa/ema energy and delay across a swept parameter."""
     _check_alpha(alpha)
-    if seeds < 1 or samples < 1:
-        raise click.UsageError("seeds and samples must be positive")
     if grid is None:
         values = [4.0, 5.0, 6.0] if sweep == "users" else [0.1, 0.25, 0.5]
     else:

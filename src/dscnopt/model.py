@@ -205,8 +205,8 @@ class PowerVector:
         if np.any(p < 0):
             raise ModelError("powers must be nonnegative")
 
-    def check_bounds(self, scenario: Scenario, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.p <= scenario.max_power + tol))
+    def check_bounds(self, scenario: Scenario) -> bool:
+        return bool(np.all(self.p <= scenario.max_power + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -328,12 +328,12 @@ def check_feasible(
     demands: DemandMatrix,
     assoc: Association,
     p: PowerVector,
-    tol: float = 1e-7,
 ) -> FeasibilityReport:
     """Verify power bounds, association structure and per-user SINR requirements.
 
     Returns a report naming the first violated constraint instead of raising.
     """
+    tol = 1e-7
     if assoc.x.shape != (scenario.user_count, scenario.sbs_count):
         return FeasibilityReport(False, "association shape mismatch")
     if p.p.shape != (scenario.sbs_count,):

@@ -15,7 +15,8 @@ import numpy as np
 from .model import CachePlacement, ModelError, Scenario
 from .popularity import PopularityTable
 
-DEFAULT_GRID_BYTES = 100_000.0   # 0.1 MB DP quantization cell
+# 0.1 MB: the DP's capacity cell; generated file sizes lie on it
+DEFAULT_GRID_BYTES = 100_000.0
 MAX_DP_CELLS = 50_000_000
 
 
@@ -57,12 +58,12 @@ def knapsack_exact(
     sizes: Sequence[float],
     values: Sequence[float],
     capacity: float,
-    grid: float = DEFAULT_GRID_BYTES,
 ) -> Tuple[np.ndarray, float]:
     """Exact 0-1 knapsack by dynamic programming over a quantized capacity grid.
 
-    Sizes are divided by ``grid`` and must land on integers (within 1e-9);
-    the result is then a true optimum. Returns (selection mask, value).
+    Sizes are divided by ``DEFAULT_GRID_BYTES`` and must land on integers
+    (within 1e-9); the result is then a true optimum. Returns (selection
+    mask, value).
     """
     sizes = np.asarray(sizes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -70,16 +71,14 @@ def knapsack_exact(
         raise ModelError("item sizes must be strictly positive")
     if np.any(values < 0):
         raise ModelError("item values must be nonnegative")
-    units = sizes / grid
+    units = sizes / DEFAULT_GRID_BYTES
     w = np.rint(units).astype(int)
     if not np.allclose(units, w, atol=1e-9):
         raise ModelError("item sizes must be multiples of the DP grid")
-    cap = int(np.floor(capacity / grid + 1e-9))
+    cap = int(np.floor(capacity / DEFAULT_GRID_BYTES + 1e-9))
     n = sizes.size
     if n * (cap + 1) > MAX_DP_CELLS:
-        raise KnapsackError(
-            f"DP table of {n * (cap + 1)} cells too large; use a coarser grid"
-        )
+        raise KnapsackError(f"DP table of {n * (cap + 1)} cells too large")
     best = np.zeros(cap + 1)
     take = np.zeros((n, cap + 1), dtype=bool)
     for item in range(n):

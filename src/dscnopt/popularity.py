@@ -20,39 +20,28 @@ DEFAULT_VARIANCE_RANGE = (5.0**2, 50.0**2)
 
 @dataclass(frozen=True)
 class PreferenceMatrix:
-    """Per-user file preference distribution rho and request weights."""
+    """Per-user file preference distribution rho."""
 
     rho: np.ndarray           # U x F, rows sum to 1
-    request_prob: np.ndarray  # length U, nonnegative weights
 
     def __post_init__(self):
         rho = _frozen(self.rho)
-        w = _frozen(self.request_prob)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "request_prob", w)
         if rho.ndim != 2 or np.any(rho < 0):
             raise ModelError("rho must be a nonnegative matrix")
         if not np.allclose(rho.sum(axis=1), 1.0, atol=1e-9):
             raise ModelError("preference rows must sum to 1")
-        if w.shape != (rho.shape[0],) or np.any(w < 0):
-            raise ModelError("request_prob must be a nonnegative length-U vector")
 
 
 @dataclass(frozen=True)
 class PopularityTable:
-    """Per-SBS local popularity psi and central-zone membership."""
+    """Per-SBS local popularity psi."""
 
     psi: np.ndarray                  # B x F, rows sum to 1
-    zone_membership: Tuple[np.ndarray, ...]  # per SBS, sorted user indices
 
     def __post_init__(self):
         psi = _frozen(self.psi)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(
-            self,
-            "zone_membership",
-            tuple(np.array(z, dtype=int) for z in self.zone_membership),
-        )
         if psi.ndim != 2 or np.any(psi < 0):
             raise ModelError("psi must be a nonnegative matrix")
         if not np.allclose(psi.sum(axis=1), 1.0, atol=1e-9):
@@ -77,7 +66,7 @@ def sample_preferences(
     idx = np.arange(1, F + 1, dtype=float)
     rho = np.exp(-((idx[None, :] - means[:, None]) ** 2) / (2.0 * variances[:, None]))
     rho /= rho.sum(axis=1, keepdims=True)
-    return PreferenceMatrix(rho, np.full(U, 1.0 / U))
+    return PreferenceMatrix(rho)
 
 
 def zone_members(scenario: Scenario) -> List[np.ndarray]:
@@ -99,16 +88,16 @@ def local_popularity(scenario: Scenario, prefs: PreferenceMatrix) -> PopularityT
     Each member contributes with equal weight; an SBS with an empty
     central zone falls back to a uniform row.
     """
-    zones = zone_members(scenario)
     F = scenario.file_count
     psi = np.empty((scenario.sbs_count, F))
-    for j, members in enumerate(zones):
+    for j, members in enumerate(zone_members(scenario)):
         if members.size == 0:
             psi[j] = 1.0 / F
         else:
-            w = prefs.request_prob[members]
+            # weighted by 1/U, not a plain mean: the two round differently
+            w = np.full(members.size, 1.0 / scenario.user_count)
             psi[j] = (w[:, None] * prefs.rho[members]).sum(axis=0) / w.sum()
-    return PopularityTable(psi, tuple(zones))
+    return PopularityTable(psi)
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:

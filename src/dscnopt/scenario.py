@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import DemandMatrix, ModelError, Scenario
+from .placement import DEFAULT_GRID_BYTES
 from .popularity import (
     DEFAULT_VARIANCE_RANGE,
     PreferenceMatrix,
@@ -29,7 +30,6 @@ from .popularity import (
     sample_preferences,
 )
 
-SIZE_GRID_BYTES = 100_000.0   # 0.1 MB; matches the knapsack DP default grid
 MB = 1_000_000.0
 FORMAT_HEADER = "dscnopt-instance v1"
 
@@ -180,11 +180,11 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
 
     lo, hi = config.file_size_range_mb
     cells = rng.integers(
-        int(round(lo * MB / SIZE_GRID_BYTES)),
-        int(round(hi * MB / SIZE_GRID_BYTES)) + 1,
+        int(round(lo * MB / DEFAULT_GRID_BYTES)),
+        int(round(hi * MB / DEFAULT_GRID_BYTES)) + 1,
         size=F,
     )
-    sizes = cells.astype(float) * SIZE_GRID_BYTES
+    sizes = cells.astype(float) * DEFAULT_GRID_BYTES
     thresholds = rng.uniform(*config.sinr_threshold_range, size=F)
     backhaul = rng.uniform(*config.backhaul_mean_range_s, size=B)
     bandwidth = config.bandwidth_khz * 1e3
@@ -362,8 +362,7 @@ def loads(text: str) -> Instance:
     )
     try:
         scenario = Scenario(channel_gains=dist ** (-sc["pathloss_exponent"]), **sc)
-        U = scenario.user_count
-        prefs = PreferenceMatrix(parts["preferences"]["rho"], np.full(U, 1.0 / U))
+        prefs = PreferenceMatrix(parts["preferences"]["rho"])
         demands = DemandMatrix(parts["demands"]["theta"])
     except ModelError as exc:
         raise ParseError(f"invalid instance: {exc}") from exc

@@ -217,16 +217,6 @@ class TestSolveSubproblem:
                         assert h <= energy + 1e-6 * max(1.0, energy)
 
 
-    def test_fractional_association_is_rejected(self):
-        inst, _ = desk_pipeline(0)
-        s, demands = inst.scenario, inst.demands
-        U, B = s.user_count, s.sbs_count
-        rng = np.random.default_rng(0)
-        for x in (rng.dirichlet(np.ones(B), size=U), np.zeros((U, B))):
-            with pytest.raises(ModelError):
-                solve_subproblem(s, demands, x)
-
-
 class TestRecoverPower:
     def test_matches_min_power(self):
         s, demands, _ = easy_case()
@@ -608,11 +598,11 @@ class TestMaster:
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
                 for conflict in (None, K):
-                    table = benders._CutTable(6, 3, dcoef, alpha, conflict)
+                    table = benders._CutTable(dcoef, alpha, conflict)
                     enum = solve_master(s, demands, placement, cuts, alpha, table)
                     with monkeypatch.context() as m:
                         m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                        table = benders._CutTable(6, 3, dcoef, alpha, conflict)
+                        table = benders._CutTable(dcoef, alpha, conflict)
                         assert table.rows is None
                         found = solve_master(s, demands, placement, cuts, alpha, table)
                     assert found.value == enum.value
@@ -629,19 +619,18 @@ class TestMaster:
             inst, placement = desk_pipeline(seed)
             cases.append((inst.scenario, inst.demands, placement))
         for s, demands, placement in cases:
-            U, B = s.user_count, s.sbs_count
             cuts = ucwt(s, demands, placement, 0.5).trace.cuts
             K = conflict_seed(s, demands)
             dcoef = delay_coefficients(s, demands, placement)
             for conflict in (None, K):
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(U, B, dcoef, alpha, conflict)
+                    table = benders._CutTable(dcoef, alpha, conflict)
                     for k in range(1, len(cuts) + 1):
                         head = cuts[:k]
                         kept = solve_master(s, demands, placement, head, alpha, table)
                         fresh = solve_master(
                             s, demands, placement, head, alpha,
-                            benders._CutTable(U, B, dcoef, alpha, conflict),
+                            benders._CutTable(dcoef, alpha, conflict),
                         )
                         assert kept.value == fresh.value
                         assert np.array_equal(kept.assoc.x, fresh.assoc.x)
@@ -671,7 +660,7 @@ class TestMaster:
                     (empty, every),
                     (None, every),
                 ):
-                    table = benders._CutTable(U, 3, dcoef, 0.5, conflict)
+                    table = benders._CutTable(dcoef, 0.5, conflict)
                     assert table.rows.shape == (len(allowed), U)
                     assert np.array_equal(table.rows, np.reshape(allowed, (-1, U)))
 
@@ -689,7 +678,7 @@ class TestMaster:
         ]
         cuts.append(Cut(-float(rng.normal()), random_support(rng, U, B), "feasibility"))
         for alpha in (0.0, 0.5, 1.0):
-            table = benders._CutTable(U, B, dcoef, alpha)
+            table = benders._CutTable(dcoef, alpha)
             table.absorb(cuts)
             assert table.rows.tolist() == [list(a) for a in iter_assignments(U, B)]
             assert np.array_equal(table.value, outer_sum_table(dcoef, cuts, alpha))
@@ -703,9 +692,7 @@ class TestMaster:
                 cuts = ucwt(s, demands, placement, 0.5).trace.cuts
                 dcoef = delay_coefficients(s, demands, placement)
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(
-                        U, B, dcoef, alpha, conflict_seed(s, demands)
-                    )
+                    table = benders._CutTable(dcoef, alpha, conflict_seed(s, demands))
                     table.absorb(cuts)
                     grid = outer_sum_table(dcoef, cuts, alpha)
                     at = np.ravel_multi_index(table.rows.T, (B,) * U)
@@ -720,7 +707,7 @@ class TestMaster:
                 s, demands = inst.scenario, inst.demands
                 K = conflict_seed(s, demands)
                 dcoef = delay_coefficients(s, demands, placement)
-                rows = benders._CutTable(U, B, dcoef, 0.5, K).rows
+                rows = benders._CutTable(dcoef, 0.5, K).rows
                 assert rows is not None and len(rows) > 0
                 # sorted, distinct and conflict-free
                 assert np.array_equal(np.unique(rows, axis=0), rows)
@@ -737,15 +724,14 @@ class TestMaster:
         # an unseeded table with B**U past the limit
         inst, placement = desk_pipeline(0, user_count=10)
         dcoef = delay_coefficients(inst.scenario, inst.demands, placement)
-        assert benders._CutTable(10, 3, dcoef, 0.5).rows is None
+        assert benders._CutTable(dcoef, 0.5).rows is None
         # paper seed 0: a prefix level of its conflict-free rows passes it
         paper = scn.generate(scn.paper_scale(), 0)
         s, demands = paper.scenario, paper.demands
         placement, _ = lpf_greedy(s, local_popularity(s, paper.preferences))
         dcoef = delay_coefficients(s, demands, placement)
         K = conflict_seed(s, demands)
-        U, B = s.user_count, s.sbs_count
-        assert benders._CutTable(U, B, dcoef, 0.5, K).rows is None
+        assert benders._CutTable(dcoef, 0.5, K).rows is None
         # a peak level past a limit of 2 gives up, though one row is left:
         # user 1 reaches SBS 0 only, and not beside user 0 at SBS 1 or 2
         K = np.zeros((2, 3, 2, 3), dtype=bool)
@@ -753,20 +739,20 @@ class TestMaster:
         K[0, 1:, 1, 0] = K[1, 0, 0, 1:] = True
         dcoef = np.ones((2, 3))
         monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 2)
-        assert benders._CutTable(2, 3, dcoef, 0.5, K).rows is None
+        assert benders._CutTable(dcoef, 0.5, K).rows is None
         monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 3)
-        assert benders._CutTable(2, 3, dcoef, 0.5, K).rows.tolist() == [[0, 0]]
+        assert benders._CutTable(dcoef, 0.5, K).rows.tolist() == [[0, 0]]
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(problem=random_masters(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
     def test_table_and_search_agree_on_random_masters(self, problem, alpha):
         U, B, dcoef, K, cuts, floor = problem
-        table = benders._CutTable(U, B, dcoef, alpha, K, floor)
+        table = benders._CutTable(dcoef, alpha, K, floor)
         allowed = [a for a in iter_assignments(U, B) if not conflicts_held(K, a).any()]
         assert table.rows.tolist() == [a.tolist() for a in allowed]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-            searched = benders._CutTable(U, B, dcoef, alpha, K, floor)
+            searched = benders._CutTable(dcoef, alpha, K, floor)
         # limit 0 leaves rows only where no user 0 placement is conflict-free
         assert searched.rows is None or not allowed
         answers = []
@@ -851,18 +837,18 @@ class TestMaster:
         s, demands = inst.scenario, inst.demands
         K = conflict_seed(s, demands)
         dcoef = delay_coefficients(s, demands, placement)
-        floor_free = benders._CutTable(14, 7, dcoef, 0.5, K)
+        floor_free = benders._CutTable(dcoef, 0.5, K)
         cuts = []
         assoc = solve_master(s, demands, placement, cuts, 0.5, floor_free).assoc
         while len(cuts) < 268:
             cuts.append(solve_subproblem(s, demands, assoc)[0])
             assoc = solve_master(s, demands, placement, cuts, 0.5, floor_free).assoc
         for k in (267, 268):
-            table = benders._CutTable(14, 7, dcoef, 0.5, K)
+            table = benders._CutTable(dcoef, 0.5, K)
             enum = solve_master(s, demands, placement, cuts[:k], 0.5, table)
             with monkeypatch.context() as m:
                 m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                table = benders._CutTable(14, 7, dcoef, 0.5, K)
+                table = benders._CutTable(dcoef, 0.5, K)
             found = solve_master(s, demands, placement, cuts[:k], 0.5, table)
             assert found.value.hex() == enum.value.hex() == "0x1.baff865298a4ap+12"
             assert np.array_equal(found.assoc.x, enum.assoc.x)
@@ -886,7 +872,7 @@ class TestMaster:
                 K[users, :, users, :] = (
                     np.eye(B, dtype=bool) & ~reachable_sbs(s, demands)[:, :, None]
                 )
-                table = benders._CutTable(U, B, np.zeros((U, B)), 1.0, K, F)
+                table = benders._CutTable(np.zeros((U, B)), 1.0, K, F)
                 for assigned, floor in zip(table.rows, table.value.tolist()):
                     expected = 0.0
                     for j in range(B):
@@ -1180,8 +1166,7 @@ class TestUcwt:
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
                 table = benders._CutTable(
-                    s.user_count, s.sbs_count, dcoef, alpha, K,
-                    benders.energy_floor(s, demands),
+                    dcoef, alpha, K, benders.energy_floor(s, demands)
                 )
                 start = solve_master(s, demands, placement, [], alpha, table).assoc
                 first = ucwt(s, demands, placement, alpha).trace.iterations[0]

@@ -726,3 +726,25 @@ class TestFailureTaxonomy:
         assert "infeasible" not in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["generate", "--seed", "-1"],
+        ["solve", "--seed", "-1"],
+        ["sweep-alpha", "--seed", "-1"],
+        ["sweep-alpha", "--replications", "0"],
+        ["compare-caching", "--seed", "-1"],
+        ["compare-caching", "--seeds", "0"],
+        ["compare-algorithms", "--seed", "-1"],
+        ["compare-algorithms", "--seeds", "0"],
+        ["compare-algorithms", "--samples", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_count_or_seed_exits_2(self, runner, tmp_path, args):
+        # a negative seed is a usage error, not a numpy traceback with the
+        # non-convergence code
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{args[1]}'" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()

@@ -113,7 +113,7 @@ class TestHitRatio:
         placement = CachePlacement([[1, 0], [0, 1]])
         from dscnopt.popularity import PopularityTable
 
-        table = PopularityTable(pop_psi, (np.array([0]), np.array([1])))
+        table = PopularityTable(pop_psi)
         per_sbs, mean = hit_ratio(placement, table)
         assert per_sbs == pytest.approx([0.6, 0.9])
         assert mean == pytest.approx(0.75)

@@ -50,9 +50,9 @@ def positioned_scenario():
 class TestPreferenceMatrix:
     def test_rows_must_normalize(self):
         with pytest.raises(ModelError):
-            PreferenceMatrix(np.array([[0.5, 0.4]]), np.array([1.0]))
+            PreferenceMatrix(np.array([[0.5, 0.4]]))
         with pytest.raises(ModelError):
-            PreferenceMatrix(np.array([[1.2, -0.2]]), np.array([1.0]))
+            PreferenceMatrix(np.array([[1.2, -0.2]]))
 
     def test_sampled_preferences_are_distributions(self, desk_instance):
         prefs = desk_instance.preferences
@@ -92,7 +92,7 @@ class TestZonesAndPopularity:
                 [0.4, 0.3, 0.3],
             ]
         )
-        prefs = PreferenceMatrix(rho, np.full(4, 0.25))
+        prefs = PreferenceMatrix(rho)
         pop = local_popularity(s, prefs)
         assert pop.psi[0] == pytest.approx([0.5, 0.5, 0.0])
         # empty zone falls back to uniform
@@ -101,7 +101,7 @@ class TestZonesAndPopularity:
 
     def test_popularity_rows_validated(self):
         with pytest.raises(ModelError):
-            PopularityTable(np.array([[0.7, 0.7]]), (np.array([0]),))
+            PopularityTable(np.array([[0.7, 0.7]]))
 
 
 class TestLargestRemainder:
@@ -132,7 +132,7 @@ class TestSampleDemands:
         rho = np.eye(4, 3, dtype=float)
         rho[3] = [1 / 3, 1 / 3, 1 / 3]
         rho[0] = [1.0, 0.0, 0.0]
-        prefs = PreferenceMatrix(rho, np.full(4, 0.25))
+        prefs = PreferenceMatrix(rho)
         pop = local_popularity(s, prefs)
         demands = sample_demands(s, pop, prefs, 0)
         # zone-0 users (0, 1) split between files 0 and 1 per psi = [.5, .5, 0]

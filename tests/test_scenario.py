@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dscnopt import scenario as scn
+from dscnopt.placement import DEFAULT_GRID_BYTES
 from dscnopt.scenario import (
     ConfigError,
     GenerationConfig,
@@ -87,7 +88,7 @@ class TestGeneration:
 
     def test_file_sizes_on_dp_grid(self):
         inst = scn.generate(desk_scale(), 4)
-        units = inst.scenario.file_sizes / scn.SIZE_GRID_BYTES
+        units = inst.scenario.file_sizes / DEFAULT_GRID_BYTES
         assert np.allclose(units, np.rint(units))
 
     def test_capacity_is_fraction_of_catalog(self):
