@@ -46,11 +46,15 @@ at a time, and no association it solves holds one. It also gives the
 master ``energy_floor``, a valid a-priori bound in the manner of
 logic-based Benders (Hooker & Ottosson, Math. Prog. 2003) that is exact
 at a single-SBS association, so an association's energy bound does not
-wait for a cut of its own. It starts from the master's answer over the
-seed and the floor alone. Following Benders (1962), its upper
-bound is the best subproblem value seen so far, kept as a single
-incumbent with the powers of the subproblem that found it, and its lower
-bound is the exact master's optimum. When the seed and the feasibility
+wait for a cut of its own. The seed, the floor, their conflict-free rows
+and a memo of subproblem answers form an ``InstanceMaster``: none of it
+depends on the placement or on alpha, so a caller that solves one
+instance more than once builds it once and passes it to each ``ucwt``
+call, whose answers stay those of independent calls. It starts from the
+master's answer over the seed and the floor alone. Following Benders
+(1962), its upper bound is the best subproblem value seen so far, kept
+as a single incumbent with the powers of the subproblem that found it,
+and its lower bound is the exact master's optimum. When the seed and the feasibility
 cuts exclude every association, the master raises
 ``model.InfeasibleInstanceError``, the one proof of an infeasible
 instance that every solver gives; a spent budget with no incumbent is
@@ -71,7 +75,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -90,6 +94,7 @@ from .model import (
     requested_thresholds,
     serving_time,
     total_transmission_time,
+    _frozen,
 )
 
 DEFAULT_MAX_ITERS = 500
@@ -189,13 +194,20 @@ class Cut:
     Oper. Res. 2006), however small h is there; ``value`` and
     ``magnitude`` serve checks of the affine form h <= 0. A subproblem's
     optimality cut also carries the minimum powers it was read from, so
-    ``ucwt`` need not solve its incumbent again.
+    ``ucwt`` need not solve its incumbent again. Both arrays are stored as
+    read-only copies.
     """
 
     constant: float
     coef: np.ndarray           # U x B; nu / varrho for a subproblem's cut
     kind: str                  # "optimality" | "feasibility"
     power: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        # a cut that an ``InstanceMaster`` memoized sits in several runs' traces
+        object.__setattr__(self, "coef", _frozen(self.coef))
+        if self.power is not None:
+            object.__setattr__(self, "power", _frozen(self.power))
 
     def value(self, x) -> float:
         """Evaluate h at a (possibly fractional) association matrix."""
@@ -635,52 +647,39 @@ class MasterSolution:
     value: float
 
 
-class _CutTable:
-    """The enumerated master's running objective over the conflict-free associations.
+class _ConflictFree:
+    """The conflict-free associations of one conflict seed, with the floor's score.
 
-    Built for one ``alpha``, one conflict seed and one energy floor, each
-    given once: ``conflict_seed``'s (U, B, U, B) boolean array, or None for
+    Given once: ``conflict_seed``'s (U, B, U, B) boolean array, or None for
     no conflicts, and ``energy_floor``'s (U, B) terms, or None for no
     floor. Its rows, built at once, are the assignments that hold no
     seeded conflict, in lexicographic order, made by extending
     conflict-free prefixes one user at a time; with no seed they are all
     B**U assignments. The build stops as soon as a prefix level would hold
-    more than ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None:
-    ``solve_master`` then searches (``_search_master``), reading the delay
-    coefficients, alpha and the seed from the table. With no seed, level d
+    more than ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None,
+    which sends the master to ``_search_master``. With no seed, level d
     holds B**(d + 1) rows, so that happens exactly when B**U passes the
-    limit. Per row the table holds the master objective
-    alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
-    and the optimality cuts absorbed so far, or +inf where the row holds
-    every pair of a feasibility cut's support. The floor is scored once,
-    at the build: per SBS the largest term among its users, 0 if it
-    serves none, added over the SBSs in index order. Each optimality cut
-    of a growing list is scored once, on the rows only, as its constant
-    plus sum_i coef[i, a_i] added from the last user to the first; both
-    orders are those of ``_search_master``'s bounds. The objective starts
-    at alpha * floor + (1 - alpha) * delay, and an optimality cut h raises
-    it to its maximum with alpha * h + (1 - alpha) * delay: rounding is
-    monotone and alpha >= 0, so this equals weighting the largest of them,
-    bit for bit.
+    limit. The floor is scored once, at the build: per row, per SBS the
+    largest term among its users, 0 if it serves none, added over the SBSs
+    in index order. ``score`` adds a coefficient matrix over the rows from
+    the last user to the first. Both orders are those of
+    ``_search_master``'s bounds. None of it depends on the placement or
+    on alpha.
     """
 
     def __init__(
-        self, dcoef: np.ndarray, alpha: float,
+        self, shape: Tuple[int, int],
         conflict: Optional[np.ndarray] = None, floor: Optional[np.ndarray] = None,
     ):
-        self.shape = U, B = dcoef.shape
-        self.dcoef = dcoef
-        self.alpha = alpha
+        self.shape = U, B = shape
         self.conflict = np.zeros((U, B, U, B), bool) if conflict is None else conflict
         self.alone = np.einsum("ijij->ij", self.conflict)
         self.floor = np.zeros((U, B)) if floor is None else floor
-        self.absorbed = 0
         self.rows = self._build()
         if self.rows is not None:
             # flat indices into a U x B coefficient matrix, last user first
             self._flat = np.arange(U - 1, -1, -1) * B + self.rows[:, ::-1]
-            self.weighted_delay = (1.0 - alpha) * self._score(dcoef)
-            self.value = alpha * self._score_floor() + self.weighted_delay
+            self.floor_score = self._score_floor()
 
     def _build(self) -> Optional[np.ndarray]:
         """The conflict-free rows, or None once a prefix level passes the limit."""
@@ -694,24 +693,7 @@ class _CutTable:
             rows = np.column_stack([rows[r], j])
         return rows
 
-    def absorb(self, cuts: Sequence[Cut]) -> None:
-        """Score the cuts appended to ``cuts`` since the last call."""
-        if len(cuts) < self.absorbed:
-            raise ModelError(
-                f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
-            )
-        for cut in cuts[self.absorbed:]:
-            if cut.kind == "feasibility":
-                users, sbs = np.nonzero(cut.coef)
-                self.value[(self.rows[:, users] == sbs).all(axis=1)] = np.inf
-            else:
-                h = cut.constant + self._score(cut.coef)
-                np.maximum(
-                    self.value, self.alpha * h + self.weighted_delay, out=self.value
-                )
-        self.absorbed = len(cuts)
-
-    def _score(self, coef: np.ndarray) -> np.ndarray:
+    def score(self, coef: np.ndarray) -> np.ndarray:
         """Per row, sum_i coef[i, a_i] added from the last user to the first."""
         # cumsum adds in order; a sum over the axis would add pairwise
         return coef.ravel()[self._flat].cumsum(axis=1)[:, -1]
@@ -726,13 +708,91 @@ class _CutTable:
             total += np.where(self.rows == j, terms, 0.0).max(axis=1)
         return total
 
+
+class InstanceMaster(_ConflictFree):
+    """The instance-level half of ``ucwt``'s master, built once per instance.
+
+    It holds the master's ``conflict_seed`` and ``energy_floor``, their
+    conflict-free rows (``_ConflictFree``), and ``answers``: per
+    association (its ``x`` bytes), the ``(Cut, M)`` that
+    ``solve_subproblem`` returned for it. None of it depends on the cache
+    placement or on alpha, so ``ucwt`` runs over one instance at any
+    placement and alpha can share it. Each run still builds its own delay
+    column, value array and cut list, so its answer and trace are those of
+    an independent run; only the work is shared. It is tied to the
+    ``scenario`` and ``demands`` objects it was built from.
+    """
+
+    def __init__(self, scenario: Scenario, demands: DemandMatrix):
+        super().__init__(
+            (scenario.user_count, scenario.sbs_count),
+            conflict_seed(scenario, demands), energy_floor(scenario, demands),
+        )
+        self.scenario, self.demands = scenario, demands
+        self.answers: Dict[bytes, Tuple[Cut, float]] = {}
+
+
+class _CutTable:
+    """The enumerated master's running objective over the conflict-free associations.
+
+    Built for one ``alpha`` over a ``_ConflictFree`` ``master``, or, with
+    none, over a fresh one of the ``conflict`` seed and the energy
+    ``floor`` (either may be None). Where the master's build gave up
+    (``rows`` None), ``solve_master`` searches (``_search_master``),
+    reading the delay coefficients, alpha, the seed and the floor from the
+    table. Per row the table holds the master objective
+    alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
+    and the optimality cuts absorbed so far, or +inf where the row holds
+    every pair of a feasibility cut's support. Each optimality cut of a
+    growing list is scored once, on the rows only, by the master's
+    ``score``. The objective starts at alpha * floor + (1 - alpha) * delay,
+    and an optimality cut h raises it to its maximum with
+    alpha * h + (1 - alpha) * delay: rounding is monotone and alpha >= 0,
+    so this equals weighting the largest of them, bit for bit.
+    """
+
+    def __init__(
+        self, dcoef: np.ndarray, alpha: float,
+        conflict: Optional[np.ndarray] = None, floor: Optional[np.ndarray] = None,
+        master: Optional[_ConflictFree] = None,
+    ):
+        if master is None:
+            master = _ConflictFree(dcoef.shape, conflict, floor)
+        self.master = master
+        # the search reads these from the table
+        self.conflict, self.alone = master.conflict, master.alone
+        self.floor, self.rows = master.floor, master.rows
+        self.dcoef = dcoef
+        self.alpha = alpha
+        self.absorbed = 0
+        if self.rows is not None:
+            self.weighted_delay = (1.0 - alpha) * master.score(dcoef)
+            self.value = alpha * master.floor_score + self.weighted_delay
+
+    def absorb(self, cuts: Sequence[Cut]) -> None:
+        """Score the cuts appended to ``cuts`` since the last call."""
+        if len(cuts) < self.absorbed:
+            raise ModelError(
+                f"cut list shrank from {self.absorbed} to {len(cuts)} cuts"
+            )
+        for cut in cuts[self.absorbed:]:
+            if cut.kind == "feasibility":
+                users, sbs = np.nonzero(cut.coef)
+                self.value[(self.rows[:, users] == sbs).all(axis=1)] = np.inf
+            else:
+                h = cut.constant + self.master.score(cut.coef)
+                np.maximum(
+                    self.value, self.alpha * h + self.weighted_delay, out=self.value
+                )
+        self.absorbed = len(cuts)
+
     def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
         if self.value.min(initial=np.inf) == np.inf:
             raise InfeasibleInstanceError(_EXCLUDED)
         k = int(np.argmin(self.value))
         # the rows hold valid SBS indices by construction
-        assoc = Association._unchecked(self.rows[k], self.shape[1])
+        assoc = Association._unchecked(self.rows[k], self.dcoef.shape[1])
         return MasterSolution(assoc=assoc, value=float(self.value[k]))
 
 
@@ -901,6 +961,8 @@ class BendersTrace:
     omega: Optional[int] = None
     final_objective: Optional[float] = None
     cuts: List[Cut] = field(default_factory=list)
+    # subproblem answers taken from the master's memo, not solved again
+    reused: int = 0
 
     def csv_rows(self) -> List[str]:
         """One row per iteration; the master optimum N is the lower bound."""
@@ -927,16 +989,22 @@ def ucwt(
     placement: CachePlacement,
     alpha: float,
     epsilon: Optional[float] = None,
+    master: Optional[InstanceMaster] = None,
 ) -> UcwtResult:
     """Iterative cut generation until the bound gap closes.
 
-    The master's table is built once over ``conflict_seed``, so no
+    The run's table is built over ``master``, an ``InstanceMaster`` of
+    this very ``scenario`` and ``demands`` (checked by identity, else
+    ``ModelError``), or over a fresh one when given none. So no
     proposal puts a user at an SBS it cannot reach alone or two users at a
-    conflicting pair of SBSs, and over ``energy_floor``, so the master's
-    lower bound on each association's energy is the floor before any cut
-    raises it. The master raises ``InfeasibleInstanceError`` when the
-    seed excludes every association (e.g. some user reaches no SBS),
-    before any subproblem, or when feasibility cuts exclude the rest.
+    conflicting pair of SBSs, and the master's lower bound on each
+    association's energy is ``energy_floor`` before any cut raises it. A
+    subproblem is solved only for an association the master has no answer
+    for; ``trace.reused`` counts the answers taken from its memo. Sharing
+    one master across runs changes no answer and no trace row. The master
+    raises ``InfeasibleInstanceError`` when the seed excludes every
+    association (e.g. some user reaches no SBS), before any subproblem, or
+    when feasibility cuts exclude the rest.
     Starts from the master's answer with no cut (the conflict-free
     association of least alpha * floor + (1 - alpha) * delay); where its
     energy is its floor, as at a single-SBS association, the bounds meet
@@ -957,13 +1025,14 @@ def ucwt(
         raise ModelError("alpha must lie in [0, 1]")
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise ModelError("epsilon must be a finite positive number")
+    if master is None:
+        master = InstanceMaster(scenario, demands)
+    elif master.scenario is not scenario or master.demands is not demands:
+        raise ModelError("the master was built for another scenario or demands")
     dcoef = delay_coefficients(scenario, demands, placement)
 
-    # one table per run, over the conflict seed and the energy floor; the
-    # search reads them too
-    table = _CutTable(
-        dcoef, alpha, conflict_seed(scenario, demands), energy_floor(scenario, demands)
-    )
+    # one table per run; the search reads it too
+    table = _CutTable(dcoef, alpha, master=master)
     # the master's cuts: one per iteration
     trace = BendersTrace(epsilon=epsilon)
     cuts = trace.cuts
@@ -972,7 +1041,12 @@ def ucwt(
     psi_upper, omega, best = math.inf, None, None
 
     for t in range(1, DEFAULT_MAX_ITERS + 1):
-        cut, M = solve_subproblem(scenario, demands, assoc)
+        key = assoc.x.tobytes()
+        if key in master.answers:
+            trace.reused += 1
+        else:
+            master.answers[key] = solve_subproblem(scenario, demands, assoc)
+        cut, M = master.answers[key]
         cuts.append(cut)
         if math.isfinite(M):
             value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
@@ -980,21 +1054,21 @@ def ucwt(
                 psi_upper, omega, best, power = value, t, assoc, cut.power
             if trace.epsilon is None:
                 trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
-        master = solve_master(scenario, demands, placement, cuts, alpha, table)
+        solution = solve_master(scenario, demands, placement, cuts, alpha, table)
         trace.iterations.append(
             IterationRecord(
                 t=t,
-                psi_lower=master.value,
+                psi_lower=solution.value,
                 psi_upper=psi_upper,
                 subproblem_status="bounded" if math.isfinite(M) else "unbounded",
                 M=M,
                 omega=omega,
             )
         )
-        if trace.epsilon is not None and psi_upper - master.value <= trace.epsilon:
+        if trace.epsilon is not None and psi_upper - solution.value <= trace.epsilon:
             trace.converged = True
             break
-        assoc = master.assoc
+        assoc = solution.assoc
 
     if best is None:
         raise IterationBudgetError(

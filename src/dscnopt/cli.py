@@ -91,6 +91,18 @@ def _pipeline(inst: scn.Instance):
     return pop, cache
 
 
+def _with_capacity(s, fraction: float):
+    """``s`` with the per-SBS cache capacity ``scn.generate`` gives ``fraction``.
+
+    Generation draws nothing from the cache fraction, so this is the
+    scenario generated at ``fraction`` from the same seed. Only placement
+    reads the capacity.
+    """
+    return dataclasses.replace(
+        s, cache_capacity=np.full(s.sbs_count, fraction * s.file_sizes.sum())
+    )
+
+
 def sampled_backhaul_delay(
     inst: scn.Instance,
     cache,
@@ -144,15 +156,18 @@ def _run(
     cache,
     alpha: float,
     epsilon: Optional[float] = None,
+    master: Optional[benders.InstanceMaster] = None,
 ):
     """One solve: (association, powers, ucwt's trace or None).
 
-    Each solver is looked up on its module at call time, so a replaced
-    module attribute is the one that runs.
+    ``master``, ucwt's ``InstanceMaster`` of ``inst``, is shared by the
+    caller's solves of one instance. Each solver is looked up on its
+    module at call time, so a replaced module attribute is the one that
+    runs.
     """
     s, d = inst.scenario, inst.demands
     if algorithm == "ucwt":
-        res = benders.ucwt(s, d, cache, alpha, epsilon)
+        res = benders.ucwt(s, d, cache, alpha, epsilon, master=master)
         return res.assoc, res.power, res.trace
     if algorithm == "oracle":
         res = oracle.brute_force(s, d, cache, alpha)
@@ -161,7 +176,7 @@ def _run(
     return res.assoc, res.power, None
 
 
-def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float):
+def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float, master=None):
     """(association, powers) of one comparison run, or None for no answer.
 
     No answer is an infeasible instance, a spent ucwt budget, a doa/ema
@@ -169,7 +184,7 @@ def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float):
     empty cells for it.
     """
     try:
-        assoc, power, trace = _run(algorithm, inst, cache, alpha)
+        assoc, power, trace = _run(algorithm, inst, cache, alpha, master=master)
     except (InfeasibleInstanceError, benders.IterationBudgetError,
             baselines.RepairFailedError):
         return None
@@ -318,9 +333,11 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                     rows.append((_f(a), rep, _f(sol.energy), _f(sol.delay),
                                  _f(sol.objective)))
             else:
+                master = benders.InstanceMaster(s, inst.demands)
                 for a in alphas:
                     try:
-                        assoc, power, trace = _run("ucwt", inst, cache, a, epsilon)
+                        assoc, power, trace = _run("ucwt", inst, cache, a, epsilon,
+                                                   master)
                     except benders.IterationBudgetError:
                         # no incumbent: a row of empty cells
                         nonconverged += 1
@@ -365,14 +382,16 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise click.UsageError("capacity fractions must lie in [0, 1]")
-    base = _config(paper_scale)
+    config = _config(paper_scale)
     rows = []
-    for frac in fractions:
-        config = dataclasses.replace(base, cache_fraction=frac)
-        for r in range(seeds):
-            inst = scn.generate(config, seed + r)
-            s = inst.scenario
-            pop = local_popularity(s, inst.preferences)
+    for r in range(seeds):
+        # one instance and one ucwt master per seed: the fraction changes
+        # only the cache capacity
+        inst = scn.generate(config, seed + r)
+        pop = local_popularity(inst.scenario, inst.preferences)
+        master = benders.InstanceMaster(inst.scenario, inst.demands)
+        for frac in fractions:
+            s = _with_capacity(inst.scenario, frac)
             policies = {
                 "lpf": plc.lpf_greedy(s, pop)[0],
                 "gpc": plc.gpc_placement(s),
@@ -380,7 +399,7 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
             }
             for name, cache in policies.items():
                 _, mean_hit = plc.hit_ratio(cache, pop)
-                answer = _answer("ucwt", inst, cache, alpha)
+                answer = _answer("ucwt", inst, cache, alpha, master)
                 energy = delay = ""
                 if answer is not None:
                     v = objective(s, inst.demands, cache, *answer)
@@ -424,17 +443,22 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
               "delay_seconds"]
     if sample_backhaul:
         header.append("sampled_delay_seconds")
-    for value in values:
-        if sweep == "users":
-            config = scn.desk_scale(user_count=int(value))
-        else:
-            config = scn.desk_scale(cache_fraction=value)
-        for r in range(seeds):
-            inst = scn.generate(config, seed + r)
-            _, cache = _pipeline(inst)
+    master = None
+    for r in range(seeds):
+        if sweep == "capacity":
+            # one instance and one ucwt master per seed, as in compare-caching
+            inst = scn.generate(scn.desk_scale(), seed + r)
+            pop = local_popularity(inst.scenario, inst.preferences)
+            master = benders.InstanceMaster(inst.scenario, inst.demands)
+        for value in values:
+            if sweep == "users":
+                inst = scn.generate(scn.desk_scale(user_count=int(value)), seed + r)
+                _, cache = _pipeline(inst)
+            else:
+                cache, _ = plc.lpf_greedy(_with_capacity(inst.scenario, value), pop)
             for alg_tag, name in enumerate(("ucwt", "doa", "ema")):
                 row = [sweep, _f(value), seed + r, name]
-                answer = _answer(name, inst, cache, alpha)
+                answer = _answer(name, inst, cache, alpha, master)
                 if answer is None:
                     rows.append(row + [""] * (len(header) - len(row)))
                     continue

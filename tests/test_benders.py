@@ -44,7 +44,7 @@ from dscnopt.oracle import (
     enumerate_candidates,
     iter_assignments,
 )
-from dscnopt.placement import lpf_greedy
+from dscnopt.placement import gpc_placement, lpf_greedy, rc_placement
 from dscnopt.popularity import local_popularity
 
 from test_lp import verify_farkas
@@ -190,6 +190,18 @@ class TestSolveSubproblem:
             assoc = Association.from_assignment(assigned, 2)
             if min_power_for(s, demands, assoc) is not None:
                 assert cut.value(assoc) <= 1e-7
+
+    def test_cut_arrays_are_read_only_copies(self):
+        # a memoized cut sits in the traces of several runs
+        s, demands, _ = easy_case()
+        cut, _ = solve_subproblem(s, demands, Association([[1, 0], [0, 1]]))
+        for arr in (cut.coef, cut.power):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        coef = np.ones((2, 2))
+        cut = Cut(0.0, coef, "feasibility")
+        coef[0, 0] = 2.0
+        assert cut.coef[0, 0] == 1.0 and cut.power is None
 
     def test_cut_validity_on_generated_instances(self):
         for seed in range(3):
@@ -1387,3 +1399,96 @@ class TestUcwt:
         placement = CachePlacement([[1, 1], [0, 0]])
         with pytest.raises(InfeasibleInstanceError):
             ucwt(s, demands, placement, 0.5)
+
+
+def same_run(a, b):
+    """Two ucwt results agree bit for bit: answer, powers and every trace row."""
+    def rows(trace):
+        return [(r.t, r.psi_lower.hex(), r.psi_upper.hex(), r.subproblem_status,
+                 r.M.hex(), r.omega) for r in trace.iterations]
+
+    return (a.trace.final_objective.hex() == b.trace.final_objective.hex()
+            and [p.hex() for p in a.power.p.tolist()]
+            == [p.hex() for p in b.power.p.tolist()]
+            and np.array_equal(a.assoc.x, b.assoc.x)
+            and rows(a.trace) == rows(b.trace)
+            and a.trace.csv_rows() == b.trace.csv_rows()
+            and (a.trace.converged, a.trace.omega) == (b.trace.converged, b.trace.omega))
+
+
+class TestInstanceMaster:
+    def test_shared_master_answers_as_independent_runs(self):
+        # one master per instance over the placements of compare-caching
+        # and three alphas, in sequence
+        for seed in range(4):
+            inst = scn.generate(scn.desk_scale(), seed)
+            s, demands = inst.scenario, inst.demands
+            master = benders.InstanceMaster(s, demands)
+            reused = 0
+            for fraction in (0.1, 0.25, 0.5, 1.0):
+                at = scn.generate(scn.desk_scale(cache_fraction=fraction), seed).scenario
+                pop = local_popularity(at, inst.preferences)
+                for cache in (lpf_greedy(at, pop)[0], gpc_placement(at),
+                              rc_placement(at, seed)):
+                    for alpha in (0.0, 0.5, 1.0):
+                        shared = ucwt(s, demands, cache, alpha, master=master)
+                        alone = ucwt(s, demands, cache, alpha)
+                        assert same_run(shared, alone)
+                        assert alone.trace.reused == 0
+                        reused += shared.trace.reused
+            # fewer subproblem solves than the 36 runs
+            assert reused > 0
+            assert len(master.answers) < 36
+
+    def test_master_of_other_objects_raises(self):
+        # the check is by identity: equal copies are other objects
+        inst, placement = desk_pipeline(0)
+        s, demands = inst.scenario, inst.demands
+        master = benders.InstanceMaster(s, demands)
+        for other_s, other_d in ((dataclasses.replace(s), demands),
+                                 (s, dataclasses.replace(demands))):
+            with pytest.raises(ModelError, match="another scenario or demands"):
+                ucwt(other_s, other_d, placement, 0.5, master=master)
+        ucwt(s, demands, placement, 0.5, master=master)
+
+    def test_no_hidden_cache_across_calls(self, monkeypatch):
+        calls = []
+        seed_of = benders.conflict_seed
+
+        def counted(*args):
+            calls.append(args)
+            return seed_of(*args)
+
+        monkeypatch.setattr(benders, "conflict_seed", counted)
+        inst, placement = desk_pipeline(1)
+        s, demands = inst.scenario, inst.demands
+        first = ucwt(s, demands, placement, 0.5)
+        second = ucwt(s, demands, placement, 0.5)
+        assert len(calls) == 2
+        assert first.trace.reused == second.trace.reused == 0
+        master = benders.InstanceMaster(s, demands)
+        ucwt(s, demands, placement, 0.5, master=master)
+        assert len(calls) == 3
+
+    def test_reused_counts_memo_answers(self, monkeypatch):
+        solved = []
+        subproblem = benders.solve_subproblem
+
+        def counted(*args):
+            solved.append(args)
+            return subproblem(*args)
+
+        monkeypatch.setattr(benders, "solve_subproblem", counted)
+        for seed in range(3):
+            inst, placement = desk_pipeline(seed)
+            s, demands = inst.scenario, inst.demands
+            master = benders.InstanceMaster(s, demands)
+            solved.clear()
+            first = ucwt(s, demands, placement, 0.5, master=master)
+            assert first.trace.reused == 0
+            assert len(solved) == len(first.trace.iterations)
+            second = ucwt(s, demands, placement, 1.0, master=master)
+            assert second.trace.reused >= 1
+            assert (len(solved) == len(master.answers)
+                    == len(first.trace.iterations) + len(second.trace.iterations)
+                    - second.trace.reused)

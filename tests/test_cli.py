@@ -405,7 +405,7 @@ class TestSweepAlpha:
         assert not out.exists()
 
     def test_paper_scale_warns_once(self, runner, tmp_path, monkeypatch):
-        def nearest_sbs(s, demands, cache, alpha, epsilon=None):
+        def nearest_sbs(s, demands, cache, alpha, epsilon=None, master=None):
             assoc = Association.from_assignment(
                 s.channel_gains.argmax(axis=1), s.sbs_count
             )
@@ -449,7 +449,7 @@ class TestSweepAlpha:
         stranded = scn.generate(scn.desk_scale(), 1).scenario.channel_gains
         solve_ucwt, sweep = benders.ucwt, oracle.brute_force_sweep
 
-        def ucwt_on_seed(s, demands, cache, alpha, epsilon=None):
+        def ucwt_on_seed(s, demands, cache, alpha, epsilon=None, master=None):
             if np.array_equal(s.channel_gains, stranded) and alpha > 0.0:
                 raise InfeasibleInstanceError("no association")
             return solve_ucwt(s, demands, cache, alpha, epsilon)
@@ -517,6 +517,18 @@ class TestCompareCaching:
             for s in ("0", "1", "2"):
                 assert table[(policy, "1", s)] == pytest.approx(1.0)
 
+    def test_capacity_fraction_changes_only_the_capacity(self):
+        # compare-caching and the capacity sweep generate each seed once and
+        # give each fraction the capacity that generation at it would give
+        assert scn.desk_scale().cache_fraction == 0.4
+        for seed in range(20):
+            inst = scn.generate(scn.desk_scale(), seed)
+            for fraction in (0.1, 0.25, 0.5, 1.0):
+                at = scn.generate(scn.desk_scale(cache_fraction=fraction), seed)
+                replaced = dataclasses.replace(
+                    inst, scenario=cli._with_capacity(inst.scenario, fraction))
+                assert scn.dumps(replaced) == scn.dumps(at)
+
     def test_solver_fault_exits_4(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(benders, "_min_power", raise_solver_fault)
         result = runner.invoke(
@@ -540,7 +552,7 @@ class TestCompareCaching:
         assert all(r[3] != "" and r[4:] == ["", ""] for r in rows)
 
     def test_model_error_writes_empty_cells(self, runner, tmp_path, monkeypatch):
-        def give_up(*args):
+        def give_up(*args, master=None):
             raise InfeasibleInstanceError("ucwt: no answer")
 
         monkeypatch.setattr(benders, "ucwt", give_up)
@@ -714,7 +726,7 @@ class TestFailureTaxonomy:
     ], ids=lambda command: command[0])
     def test_stray_model_error_exits_4(self, runner, tmp_path, monkeypatch, command):
         # a model error that no command expects is a fault, not infeasibility
-        def stray(*args):
+        def stray(*args, master=None):
             raise ModelError("cut list shrank from 3 to 2 cuts")
 
         monkeypatch.setattr(benders, "ucwt", stray)
