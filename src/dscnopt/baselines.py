@@ -3,7 +3,8 @@
 Each user starts at its best reachable SBS by the algorithm's per-user
 cost, and the minimum-power vector for that association is recovered. A
 start whose joint power problem is infeasible is repaired by moving the
-hardest users to their next-cheapest reachable SBSs.
+hardest users to their next-cheapest reachable SBSs. Each call builds the
+instance's SINR rows (``benders._SinrRows``) once for all its solves.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benders import min_power_for, reachable_sbs
+from .benders import _SinrRows, min_power_for, reachable_sbs
 from .model import (
     Association,
     CachePlacement,
@@ -22,7 +23,6 @@ from .model import (
     PowerVector,
     Scenario,
     delay_coefficients,
-    requested_thresholds,
 )
 
 _REPAIR_ROUNDS = 50
@@ -63,11 +63,11 @@ def _repaired(
     is feasible, no user can move, or the round budget runs out; then it
     raises ``RepairFailedError``.
     """
-    gammas = requested_thresholds(scenario, demands)
-    order = np.argsort(-gammas / scenario.channel_gains.max(axis=1), kind="stable")
+    rows = _SinrRows(scenario, demands)
+    order = np.argsort(-rows.gamma / scenario.channel_gains.max(axis=1), kind="stable")
     for _ in range(_REPAIR_ROUNDS):
         assoc = Association.from_assignment(assigned, scenario.sbs_count)
-        power = min_power_for(scenario, demands, assoc)
+        power = min_power_for(scenario, demands, assoc, rows)
         if power is not None:
             return BaselineResult(assoc, power)
         for i in order:

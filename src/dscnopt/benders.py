@@ -27,20 +27,24 @@ alone or with a user fixed before it, or completes a no-good.
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
 least fixed point. ``_min_power`` finds it by policy iteration over one
-binding user per SBS, which needs only B x B linear solves, and reads the
-optimality duals, or a Farkas ray cut down to an irreducible infeasible
-subsystem, from the same solves. Every float answer is verified; one that
-fails is answered again by the same policy iteration in exact rational
-arithmetic on the same float rows, so the verdict is exact. No solver
-path runs the simplex of ``lp``. ``min_power_for``, the
-subproblem, power recovery, the baselines and the oracle all take their
-powers and their feasible/infeasible verdict from it, and ``reachable_sbs``
-gives the one verdict on which (user, SBS) pairs can serve at all: a user
-that misses its SINR threshold at an SBS even alone at full power.
+binding user per SBS, which needs only B x B linear solves (a 1 x 1 one
+without LAPACK), and reads the optimality duals, or a Farkas ray cut down
+to an irreducible infeasible subsystem, from the same solves. Its rows
+come from ``_SinrRows``, a table of every (user, SBS) pair's row built
+once per instance (per oracle enumeration, per ``InstanceMaster`` and
+per doa/ema call), so an association only gathers its users' rows.
+Every float answer is verified; one that fails is answered again by the
+same policy iteration in exact rational arithmetic on the same float
+rows, so the verdict is exact. No solver path runs the simplex of
+``lp``. ``min_power_for``, the subproblem, power recovery, the baselines
+and the oracle all take their powers and their feasible/infeasible
+verdict from it, and ``reachable_sbs`` gives the one verdict on which
+(user, SBS) pairs can serve at all: a user that misses its SINR
+threshold at an SBS even alone at full power.
 
-``ucwt`` gives the master ``conflict_seed``: every such pair, and
-every two users at two SBSs whose 2 x 2 least fixed point misses a cap
-(closed form). Each excludes all associations holding it, so no
+``ucwt`` gives the master ``conflict_seed``, read off the same table:
+every such pair, and every two users at two SBSs whose 2 x 2 least
+fixed point misses a cap (closed form). Each excludes all associations holding it, so no
 iteration is spent learning one- or two-user conflicts one subproblem
 at a time, and no association it solves holds one. It also gives the
 master ``energy_floor``, a valid a-priori bound in the manner of
@@ -75,6 +79,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,16 +225,63 @@ class Cut:
         return max(1.0, abs(self.constant), float(np.abs(self.coef).max()))
 
 
-def _sinr_rows(
-    scenario: Scenario, demands: DemandMatrix, assigned: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The assigned users' SINR requirements of a binary association as A p >= b."""
-    users = np.arange(scenario.user_count)
-    g = scenario.channel_gains
-    gammas = requested_thresholds(scenario, demands)
-    A = -gammas[:, None] * g
-    A[users, assigned] = g[users, assigned]
-    return A, gammas * scenario.noise_power
+class _SinrRows:
+    """An instance's SINR rows, one per (user, SBS) pair, built once per instance.
+
+    Pair (i, j), user i served by SBS j, is row i * B + j of each per-pair
+    array, as in ``build_subproblem_primal``. Its SINR requirement is
+    A p >= b_i: the row of A is -gamma_i g_i with g_ij in column j, and
+    b = gamma N. In fixed-point form it reads p_j >= u + C p, with
+    u = b_i / g_ij and the row of C gamma_i g_i / g_ij off column j (0 in
+    it); ``normalized`` is the row of A over g_ij, exactly 1 in column j,
+    so the row of I - C. ``magnitude`` is |A| and ``norm`` its row maxima,
+    the scales ``_verified`` reads; T, p_max and ``varrho`` complete what
+    every power solve, subproblem cut and master seed of the instance
+    reads. A binary association gathers its users' rows (``pairs``); each
+    array is the float expression a per-association build would compute,
+    so every answer is the same bit for bit. Tied to the ``scenario`` and
+    ``demands`` objects it was built from.
+    """
+
+    def __init__(self, scenario: Scenario, demands: DemandMatrix):
+        self.scenario, self.demands = scenario, demands
+        g = scenario.channel_gains
+        U, B = g.shape
+        self.first = np.arange(U) * B      # row of pair (i, 0)
+        self.gamma = requested_thresholds(scenario, demands)
+        self.b = self.gamma * scenario.noise_power
+        self.g = g.ravel()
+        self.u = (self.b[:, None] / g).ravel()
+        self.T = serving_time(scenario, demands, None, "relaxed")
+        self.pmax = scenario.max_power
+        self.A = np.repeat(-self.gamma[:, None] * g, B, axis=0)
+        # column j of row (i, j): the diagonal of user i's B x B block
+        self.A.reshape(U, B * B)[:, :: B + 1] = g
+        self.magnitude = np.abs(self.A)
+        self.norm = self.magnitude.max(axis=1)
+        self.normalized = self.A / self.g[:, None]
+        self.C = -self.normalized
+        self.C.reshape(U, B * B)[:, :: B + 1] = 0
+
+    @cached_property
+    def varrho(self) -> float:
+        """``varrho`` of the instance; only the subproblem's cuts read it."""
+        return varrho(self.scenario, self.demands)
+
+    def pairs(self, assigned: np.ndarray) -> np.ndarray:
+        """Rows of the pairs (i, assigned[i]), one per user."""
+        return self.first + assigned
+
+
+def _rows_for(
+    scenario: Scenario, demands: DemandMatrix, rows: Optional[_SinrRows]
+) -> _SinrRows:
+    """``rows`` if built from these very objects (else ``ModelError``), or new rows."""
+    if rows is None:
+        return _SinrRows(scenario, demands)
+    if rows.scenario is not scenario or rows.demands is not demands:
+        raise ModelError("the SINR rows were built for another scenario or demands")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -260,90 +312,108 @@ def _ray(
     return _PowerAnswer(None, mu, nu)
 
 
+# the factors of a 1 x 1 system: I - F_S is [[g_ij / g_ij]], exactly [[1.0]]
+_UNIT = object()
+
+
 class _InterferenceSystem:
     """The SINR rows of a binary association in fixed-point form.
 
-    User i served by SBS a(i) needs p_a(i) >= u_i + sum_l C[i, l] p_l with
-    u_i = gamma_i N / g_i,a(i) and C[i, l] = gamma_i g_il / g_i,a(i) off its
-    own SBS (0 on it). A set ``S`` of users, at most one per SBS, gives
-    the square system (I - F_S) p = u_S over the SBSs serving them; row i
-    of ``A`` divided by g_i,a(i) holds row i of I - C. ``b`` and ``pmax``
-    are kept for the rays. Arithmetic is in float64, factors are LAPACK
-    LU factors, and a binding row moves only on a relative gain past
+    User i served by SBS a(i) needs p_a(i) >= u_i + sum_l C[i, l] p_l,
+    its rows gathered from the instance's ``_SinrRows``. A set ``S`` of
+    users, at most one per SBS, gives the square system (I - F_S) p = u_S
+    over the SBSs serving them; ``normalized`` holds the rows of I - C.
+    ``b`` and ``pmax`` are kept for the rays. Arithmetic is in float64,
+    factors are LAPACK LU factors (a 1 x 1 system is solved as it
+    stands), and a binding row moves only on a relative gain past
     ``_SWITCH_TOL``.
     """
 
     switch_gain = 1.0 + _SWITCH_TOL
 
-    def __init__(
-        self, A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray
-    ):
-        users = np.arange(len(b))
-        self.b, self.pmax = b, pmax
+    def __init__(self, rows: _SinrRows, assigned: np.ndarray):
         self.assigned = assigned
-        self.cap = pmax[assigned]          # per user, the cap of its SBS
-        self.own = A[users, assigned]
-        self.normalized = A / self.own[:, None]
-        self.C = -self.normalized
-        self.C[users, assigned] = 0
-        self.u = b / self.own
+        # per serving SBS in ascending order, the users it does not serve
+        serving = np.array(sorted(set(assigned.tolist())))
+        self.others = assigned != serving[:, None]
+        self._gather(rows, assigned)
+        self.caps = self.cap.tolist()
+
+    def _gather(self, rows: _SinrRows, assigned: np.ndarray):
+        pairs = rows.pairs(assigned)
+        self.b, self.pmax, self.T = rows.b, rows.pmax, rows.T
+        self.cap = rows.pmax[assigned]     # per user, the cap of its SBS
+        self.own = rows.g[pairs]
+        self.normalized = rows.normalized[pairs]
+        self.C = rows.C[pairs]
+        self.u = rows.u[pairs]
 
     def factor(self, S: np.ndarray):
         """LU factors of I - F_S, or None if it is exactly singular."""
-        lu, piv, info = dgetrf(self.normalized[S][:, self.assigned[S]])
+        if len(S) == 1:
+            return _UNIT
+        lu, piv, info = dgetrf(self.normalized[S[:, None], self.assigned[S]])
         return None if info != 0 else (lu, piv)
 
     def solve(self, factors, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """x of (I - F_S) x = rhs, or of its transpose if ``trans``."""
+        if factors is _UNIT:
+            return rhs
         return dgetrs(*factors, rhs, trans=trans)[0]
 
     def least_powers(self, S: np.ndarray):
-        """(factors, p) of (I - F_S) p = u_S; p is None when no p > 0 solves it.
+        """(factors, p, within) for (I - F_S) p = u_S.
 
-        For F_S >= 0 and u_S > 0 a positive solution exists exactly when
-        the spectral radius of F_S is below 1, and it is then the least
-        p meeting the rows of S.
+        ``p`` is None when no p > 0 solves it, and ``within`` says that p
+        exists and meets the caps of S's SBSs. For F_S >= 0 and u_S > 0 a
+        positive solution exists exactly when the spectral radius of F_S
+        is below 1, and it is then the least p meeting the rows of S.
         """
         factors = self.factor(S)
         if factors is None:
-            return None, None
+            return None, None, False
         p = self.solve(factors, self.u[S])
-        return factors, (p if p.min() > 0 else None)
+        values = p.tolist()
+        if not all(x > 0 for x in values):
+            return factors, None, False
+        caps = self.caps
+        return factors, p, all(x <= caps[i] for x, i in zip(values, S.tolist()))
 
     def most_demanding(self, r: np.ndarray) -> np.ndarray:
         """Per serving SBS in ascending order, its user of largest ``r``.
 
-        Ties go to the lowest user index.
+        Ties go to the lowest user index: ``argmax`` keeps the first.
         """
-        order = np.lexsort((-r, self.assigned))
-        ranked = self.assigned[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        return order[first]
+        return np.where(self.others, -np.inf, r).argmax(axis=1)
 
 
 class _ExactSystem(_InterferenceSystem):
     """The same system over the exact rational values of its float rows.
 
-    A, b, p_max and T become ``fractions.Fraction``s in object arrays.
-    Factors are exact inverses, by Gauss-Jordan elimination, and a binding
-    row moves on any strict gain, so policy iteration and the deletion
-    filter give the exact verdict on the float rows.
+    A, b, p_max and T become ``fractions.Fraction``s in object arrays, and
+    the fixed-point form is derived from them exactly. Factors are exact
+    inverses, by Gauss-Jordan elimination, and a binding row moves on any
+    strict gain, so policy iteration and the deletion filter give the
+    exact verdict on the float rows.
     """
 
     switch_gain = 1
 
-    def __init__(
-        self, A: np.ndarray, b: np.ndarray, assigned: np.ndarray, pmax: np.ndarray,
-        T: np.ndarray,
-    ):
+    def _gather(self, rows: _SinrRows, assigned: np.ndarray):
         # imported here: only an unverified answer needs it, and loading it
         # would raise the peak memory of every run
         from fractions import Fraction
 
         exact = np.frompyfunc(Fraction, 1, 1)
-        super().__init__(exact(A), exact(b), assigned, exact(pmax))
-        self.T = exact(T)
+        users = np.arange(len(assigned))
+        A = exact(rows.A[rows.pairs(assigned)])
+        self.b, self.pmax, self.T = exact(rows.b), exact(rows.pmax), exact(rows.T)
+        self.cap = self.pmax[assigned]
+        self.own = A[users, assigned]
+        self.normalized = A / self.own[:, None]
+        self.C = -self.normalized
+        self.C[users, assigned] = 0
+        self.u = self.b / self.own
 
     def factor(self, S: np.ndarray) -> Optional[np.ndarray]:
         """The exact inverse of I - F_S, or None if it is singular."""
@@ -363,9 +433,7 @@ class _ExactSystem(_InterferenceSystem):
         return (factors.T if trans else factors) @ rhs
 
 
-def _policy_iteration(
-    system: _InterferenceSystem, T: np.ndarray
-) -> Optional[_PowerAnswer]:
+def _policy_iteration(system: _InterferenceSystem) -> Optional[_PowerAnswer]:
     """Least powers of a binary association by policy iteration, with certificate.
 
     The assigned rows form a standard interference function, so the least
@@ -376,14 +444,13 @@ def _policy_iteration(
     settle on it after finitely many steps, unless some step proves the
     association infeasible first: no positive solution (spectral radius
     >= 1) or a solution above a cap. Returns None if the steps run out.
-    It computes in the system's arithmetic, float64 or exact, with T in
-    the same.
+    It computes in the system's arithmetic, float64 or exact.
     """
-    assigned = system.assigned
+    assigned, T = system.assigned, system.T
     sigma = system.most_demanding(system.u)
     for _ in range(_POLICY_STEPS):
-        factors, p_sigma = system.least_powers(sigma)
-        if p_sigma is None or (p_sigma > system.cap[sigma]).any():
+        factors, p_sigma, within = system.least_powers(sigma)
+        if not within:
             return _irreducible_ray(system, sigma, factors, p_sigma)
         cols = assigned[sigma]
         p = np.zeros_like(system.pmax)
@@ -416,19 +483,23 @@ def _irreducible_ray(
     The ray follows from one more solve on the IIS. Returns None if no ray
     can be read off (a numerical edge case).
     """
-    for i in np.sort(S):
-        rest = S[S != i]
-        if rest.size == 0:
+    users = S.tolist()
+    for i in sorted(users):
+        rest = [k for k in users if k != i]
+        if not rest:
             continue
-        rest_factors, q = system.least_powers(rest)
-        if q is None or (q > system.cap[rest]).any():
-            S, factors, p = rest, rest_factors, q
+        rest_factors, q, within = system.least_powers(np.array(rest))
+        if not within:
+            users, factors, p = rest, rest_factors, q
+    S = np.array(users)
     cols = system.assigned[S]
     mu = np.zeros_like(system.pmax)
     if p is not None:
         # spectral radius below 1: the most exceeded cap j, with
         # w = (I - F)^-T e_j and mu = e_j
-        k = int(np.argmax(p / system.cap[S]))
+        caps = system.caps
+        excess = [x / caps[i] for x, i in zip(p.tolist(), users)]
+        k = excess.index(max(excess))
         e = np.zeros_like(p)
         e[k] = 1
         w = system.solve(factors, e, trans=1)
@@ -437,20 +508,17 @@ def _irreducible_ray(
         # spectral radius at least 1 and every proper subset feasible:
         # w = (1, w') with (I - F')^T w' = F[first, rest] keeps the other
         # SBSs' columns tight, and the first one's column is then <= 0
-        factors = system.factor(S[1:]) if S.size > 1 else None
+        factors = system.factor(S[1:]) if len(users) > 1 else None
         if factors is None:
             return None
-        head = system.C[S[0], cols[1:]]
+        head = system.C[users[0], cols[1:]]
         w = np.concatenate([[1], system.solve(factors, head, trans=1)])
     nu = np.zeros_like(system.b)
     nu[S] = w.clip(min=0) / system.own[S]
     return _ray(mu, nu, system.b, system.pmax)
 
 
-def _verified(
-    A: np.ndarray, b: np.ndarray, pmax: np.ndarray, T: np.ndarray,
-    answer: _PowerAnswer,
-) -> bool:
+def _verified(rows: _SinrRows, assigned: np.ndarray, answer: _PowerAnswer) -> bool:
     """Whether a structured answer passes the checks that let it stand.
 
     Powers pass the strict row check at ``STRICT_TOL`` and lie in
@@ -460,31 +528,32 @@ def _verified(
     charges any positive part of A'nu - mu at p_max. The gain must exceed
     ``_RAY_MARGIN`` times the rows' and caps' weight, so that some row or
     cap misses by more than the strict check at ``STRICT_TOL`` lets pass.
+    A, |A| and the row norms are the association's rows of ``rows``.
     """
     mu, nu = answer.mu, answer.nu
     if mu.min() < 0.0 or nu.min() < 0.0:
         return False
-    magnitude = np.abs(A)
-    row_norm = magnitude.max(axis=1)
+    b, pmax, T = rows.b, rows.pmax, rows.T
+    pairs = rows.pairs(assigned)
+    A = rows.A[pairs]
     columns = nu @ A - mu
     if answer.power is not None:
         p = answer.power
-        slack = (A @ p - b) / row_norm
+        slack = (A @ p - b) / rows.norm[pairs]
         return bool(
             p.min() >= 0.0
             and (p <= pmax).all()
             and slack.min() >= -lpmod.STRICT_TOL
-            and (columns - T <= 1e-9 * (nu @ magnitude + mu + T)).all()
+            and (columns - T <= 1e-9 * (nu @ rows.magnitude[pairs] + mu + T)).all()
         )
     gain = nu @ b - mu @ pmax - columns.clip(min=0.0) @ pmax
-    return bool(gain > _RAY_MARGIN * (nu @ row_norm + mu.sum()))
+    return bool(gain > _RAY_MARGIN * (nu @ rows.norm[pairs] + mu.sum()))
 
 
-def _min_power(
-    scenario: Scenario, demands: DemandMatrix, assigned: np.ndarray
-) -> _PowerAnswer:
+def _min_power(rows: _SinrRows, assigned: np.ndarray) -> _PowerAnswer:
     """Minimum powers of a binary association with their verified certificate.
 
+    ``rows`` are the instance's; the association only gathers its users'.
     Policy iteration on the interference system answers in float64. An
     answer that fails ``_verified`` is logged and answered again by the
     same algorithm in exact arithmetic on the same float rows: from a
@@ -492,28 +561,25 @@ def _min_power(
     start. The exact answer is rounded to floats, with energy T p.
     Raises ``SolverFault`` when the exact run gives no certificate.
     """
-    A, b = _sinr_rows(scenario, demands, assigned)
-    T = serving_time(scenario, demands, None, "relaxed")
-    pmax = scenario.max_power
-    answer = _policy_iteration(_InterferenceSystem(A, b, assigned, pmax), T)
-    if answer is not None and _verified(A, b, pmax, T, answer):
+    answer = _policy_iteration(_InterferenceSystem(rows, assigned))
+    if answer is not None and _verified(rows, assigned, answer):
         return answer
     logger.warning(
         "structured power control unverified for assignment %s; re-solving exactly",
         assigned.tolist(),
     )
-    exact = _ExactSystem(A, b, assigned, pmax, T)
+    exact = _ExactSystem(rows, assigned)
     found = None
     if answer is not None and answer.power is None:
         S = np.flatnonzero(answer.nu)
-        factors, p = exact.least_powers(S)
-        if p is None or (p > exact.cap[S]).any():
+        factors, p, within = exact.least_powers(S)
+        if not within:
             found = _irreducible_ray(exact, S, factors, p)
-    found = found or _policy_iteration(exact, exact.T)
+    found = found or _policy_iteration(exact)
     if found is None:
         raise SolverFault("exact power control gave no certificate")
     power = None if found.power is None else found.power.astype(float)
-    energy = math.inf if power is None else float(T @ power)
+    energy = math.inf if power is None else float(rows.T @ power)
     return _PowerAnswer(power, found.mu.astype(float), found.nu.astype(float), energy)
 
 
@@ -532,7 +598,7 @@ def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     return best / scenario.noise_power >= gammas[:, None] * (1 - 1e-12)
 
 
-def conflict_seed(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
+def conflict_seed(rows: _SinrRows) -> np.ndarray:
     """Boolean K[i, j, k, l]: users i at SBS j and k at SBS l cannot both be served.
 
     The diagonal K[i, j, i, j] is ``~reachable_sbs``, the one-user
@@ -549,17 +615,15 @@ def conflict_seed(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     A pair is flagged only past a relative margin of ``_CONFLICT_MARGIN``
     (1e-8) on its caps, so that the rounding of this closed form cannot
     flag a pair that ``min_power_for``'s exact verdict accepts; a missed
-    conflict costs one Benders iteration, a wrong one an answer.
+    conflict costs one Benders iteration, a wrong one an answer. u and c
+    are read from the instance's ``rows``.
     """
-    gammas = requested_thresholds(scenario, demands)
-    g = scenario.channel_gains
-    U, B = g.shape
+    U, B = rows.scenario.channel_gains.shape
     users = np.arange(U)
-    u = gammas[:, None] * scenario.noise_power / g
     # c[i, j, l]: gamma_i g_il / g_ij, SBS l's interference on user i at j
-    c = gammas[:, None, None] * g[:, None, :] / g[:, :, None]
-    caps = scenario.max_power * (1.0 + _CONFLICT_MARGIN)
-    reach = reachable_sbs(scenario, demands)
+    u, c = rows.u.reshape(U, B), rows.C.reshape(U, B, B)
+    caps = rows.pmax * (1.0 + _CONFLICT_MARGIN)
+    reach = reachable_sbs(rows.scenario, rows.demands)
     K = np.zeros((U, B, U, B), dtype=bool)
     K[users, :, users, :] = np.eye(B, dtype=bool) & ~reach[:, :, None]
     for j in range(B):
@@ -575,7 +639,7 @@ def conflict_seed(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     return K
 
 
-def energy_floor(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
+def energy_floor(rows: _SinrRows) -> np.ndarray:
     """(U, B) energy floor terms T_j u_ij, with u_ij = gamma_i N / g_ij.
 
     u_ij is user i's least power alone at SBS j. Adding users only raises
@@ -584,24 +648,28 @@ def energy_floor(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     and every association's minimum energy is at least the sum over SBSs
     of T_j times that largest u_ij (0 for an SBS that serves no one). At a
     single-SBS association there is no interference and the floor is its
-    energy. ``u`` is divided as ``_InterferenceSystem.u`` divides it, so
-    there the two agree bit for bit.
+    energy. T and u are the instance's ``rows``, which ``_min_power``
+    reads too, so there the two agree bit for bit.
     """
-    gammas = requested_thresholds(scenario, demands)
-    T = serving_time(scenario, demands, None, "relaxed")
-    return T * (gammas[:, None] * scenario.noise_power / scenario.channel_gains)
+    return rows.T * rows.u.reshape(rows.scenario.channel_gains.shape)
 
 
 def min_power_for(
-    scenario: Scenario, demands: DemandMatrix, assoc: Association
+    scenario: Scenario, demands: DemandMatrix, assoc: Association,
+    rows: Optional[_SinrRows] = None,
 ) -> Optional[PowerVector]:
-    """Minimum-energy powers for a fixed association, or None if infeasible."""
-    power = _min_power(scenario, demands, assoc.assigned_sbs).power
+    """Minimum-energy powers for a fixed association, or None if infeasible.
+
+    ``rows`` are the instance's ``_SinrRows``, built here when None.
+    """
+    rows = _rows_for(scenario, demands, rows)
+    power = _min_power(rows, assoc.assigned_sbs).power
     return None if power is None else PowerVector(power)
 
 
 def solve_subproblem(
-    scenario: Scenario, demands: DemandMatrix, assoc: Association
+    scenario: Scenario, demands: DemandMatrix, assoc: Association,
+    rows: Optional[_SinrRows] = None,
 ) -> Tuple[Cut, float]:
     """Benders cut and minimum relaxed energy M at a fixed association.
 
@@ -610,17 +678,18 @@ def solve_subproblem(
     ``_min_power``, as ``min_power_for``'s does, so every path gives one
     verdict. With its multipliers nu extended by zeros to the unassigned
     pairs, h(X) = -p_max mu + sum_ij nu_ij (N gamma_i - (1 - x_ij) / varrho).
+    gamma, p_max and varrho are read from ``rows``, the instance's
+    ``_SinrRows`` (built here when None).
     """
-    U, B = scenario.user_count, scenario.sbs_count
+    rows = _rows_for(scenario, demands, rows)
     assigned = assoc.assigned_sbs
-    answer = _min_power(scenario, demands, assigned)
-    rho = varrho(scenario, demands)
-    nu = np.zeros((U, B))
-    nu[np.arange(U), assigned] = answer.nu
-    gammas = requested_thresholds(scenario, demands)
+    answer = _min_power(rows, assigned)
+    rho = rows.varrho
+    nu = np.zeros(scenario.channel_gains.shape)
+    nu.ravel()[rows.pairs(assigned)] = answer.nu
     constant = float(
-        -(scenario.max_power @ answer.mu)
-        + ((scenario.noise_power * gammas[:, None] - 1.0 / rho) * nu).sum()
+        -(rows.pmax @ answer.mu)
+        + ((scenario.noise_power * rows.gamma[:, None] - 1.0 / rho) * nu).sum()
     )
     kind = "feasibility" if answer.power is None else "optimality"
     return Cut(constant, nu / rho, kind, answer.power), answer.energy
@@ -724,9 +793,10 @@ class InstanceMaster(_ConflictFree):
     """
 
     def __init__(self, scenario: Scenario, demands: DemandMatrix):
+        self.sinr = _SinrRows(scenario, demands)
         super().__init__(
             (scenario.user_count, scenario.sbs_count),
-            conflict_seed(scenario, demands), energy_floor(scenario, demands),
+            conflict_seed(self.sinr), energy_floor(self.sinr),
         )
         self.scenario, self.demands = scenario, demands
         self.answers: Dict[bytes, Tuple[Cut, float]] = {}
@@ -1045,7 +1115,7 @@ def ucwt(
         if key in master.answers:
             trace.reused += 1
         else:
-            master.answers[key] = solve_subproblem(scenario, demands, assoc)
+            master.answers[key] = solve_subproblem(scenario, demands, assoc, master.sinr)
         cut, M = master.answers[key]
         cuts.append(cut)
         if math.isfinite(M):

@@ -7,7 +7,8 @@ power-feasible). Each association it reaches gets its exact minimum
 powers and feasible/infeasible verdict from ``benders._min_power`` (the
 verified least fixed point of the SINR rows, found again in exact
 arithmetic when the float answer fails its checks), and the weighted
-objective is compared directly.
+objective is compared directly. One table of the instance's SINR rows,
+``benders._SinrRows``, serves every solve of an enumeration.
 
 An infeasible association's Farkas ray is cut down to an irreducible
 infeasible subsystem: its nonzero multipliers sit on a few (user, SBS)
@@ -111,6 +112,7 @@ def enumerate_candidates(
             f"{cap}; use a smaller instance"
         )
     options = [np.flatnonzero(row).tolist() for row in reach]
+    rows = benders._SinrRows(scenario, demands)
     # (user, SBS) -> the other pairs of each no-good whose last pair it is
     nogoods: Dict[Tuple[int, int], List[List[Tuple[int, int]]]] = {}
     assigned = [0] * U
@@ -134,7 +136,7 @@ def enumerate_candidates(
         # since a tuple would index np.eye by dimension
         leaf = np.array(assigned)
         # looked up on the module at each call, so a replaced attribute runs
-        answer = benders._min_power(scenario, demands, leaf)
+        answer = benders._min_power(rows, leaf)
         if answer.power is None:
             *others, last = np.flatnonzero(answer.nu).tolist()
             nogoods.setdefault((last, assigned[last]), []).append(
@@ -160,7 +162,8 @@ def _pick(
             best, chosen = value, cand
     assert chosen is not None
     return OracleSolution(
-        assoc=Association.from_assignment(chosen.assigned, sbs_count),
+        # the walk's leaves hold reachable SBS indices by construction
+        assoc=Association._unchecked(chosen.assigned, sbs_count),
         power=chosen.power,
         energy=chosen.energy,
         delay=chosen.delay,

@@ -185,7 +185,7 @@ class TestRepair:
     def test_failed_repair_solves_each_association_once(self, monkeypatch, baseline):
         tried = []
 
-        def infeasible(scenario, demands, assoc):
+        def infeasible(scenario, demands, assoc, rows=None):
             tried.append(tuple(assoc.assigned_sbs.tolist()))
             return None
 
@@ -200,9 +200,9 @@ class TestRepair:
         # the split start is infeasible; the repair's answer is the last try
         tried = []
 
-        def recorded(scenario, demands, assoc):
+        def recorded(scenario, demands, assoc, rows=None):
             tried.append(tuple(assoc.assigned_sbs.tolist()))
-            return min_power_for(scenario, demands, assoc)
+            return min_power_for(scenario, demands, assoc, rows)
 
         monkeypatch.setattr(baselines, "min_power_for", recorded)
         s = make_scenario([[1.0, 0.9], [0.9, 0.8]], [3.0, 3.0])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import hashlib
+import itertools
 import logging
 import math
 from fractions import Fraction
@@ -15,6 +17,7 @@ from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.benders import (
     Cut,
     IterationBudgetError,
+    _SinrRows,
     build_subproblem_primal,
     conflict_seed,
     delay_coefficients,
@@ -392,9 +395,10 @@ def near_boundary_instances():
     for seed in range(5):
         inst = scn.generate(scn.desk_scale(), seed)
         s, demands = inst.scenario, inst.demands
+        rows = _SinrRows(s, demands)
         feasible = [
             a for a in iter_assignments(s.user_count, s.sbs_count)
-            if benders._min_power(s, demands, a).power is not None
+            if benders._min_power(rows, a).power is not None
         ]
         for assigned in feasible[:2]:
             def excess(t):
@@ -413,16 +417,57 @@ def near_boundary_instances():
     return tuple(instances)
 
 
+# SHA-256 fingerprints of ``_min_power`` on every reachable association of
+# desk seeds 0-4 at U in {4, 6} (323 answers), and on every second one of
+# them with ``_verified`` failing, so on the exact re-run (162 answers);
+# recorded from the per-association build of the SINR rows, before the
+# per-instance ``_SinrRows`` replaced it
+MIN_POWER_DIGEST = "b083bf7f04751ac0b242d3d31529248d68c518599cc6109b77d8b97ca1aa76ed"
+EXACT_DIGEST = "b8182c4efdc003ec3b0c0261da916e32d919049bb439e2267e8181ffb8b22fd5"
+
+
+def desk_reachable_answers(every=1):
+    """(assignment, ``_min_power`` answer) for each ``every``-th reachable one."""
+    for U in (4, 6):
+        for seed in range(5):
+            inst = scn.generate(scn.desk_scale(user_count=U), seed)
+            s, demands = inst.scenario, inst.demands
+            rows = _SinrRows(s, demands)
+            options = [np.flatnonzero(r).tolist() for r in reachable_sbs(s, demands)]
+            for assigned in list(itertools.product(*options))[::every]:
+                yield assigned, benders._min_power(rows, np.array(assigned))
+
+
+def power_fingerprint(answers):
+    """SHA-256 over float.hex of each answer's power, mu, nu and energy."""
+    digest = hashlib.sha256()
+
+    def hexes(v):
+        return ",".join(map(float.hex, v.tolist()))
+
+    for assigned, a in answers:
+        power = "none" if a.power is None else hexes(a.power)
+        line = f"{assigned}|{power}|{hexes(a.mu)}|{hexes(a.nu)}|{a.energy.hex()}\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
 class TestStructuredPower:
+    def test_answers_match_recorded_fingerprints(self, monkeypatch):
+        assert power_fingerprint(desk_reachable_answers()) == MIN_POWER_DIGEST
+        monkeypatch.setattr(benders, "_verified", lambda *args: False)
+        assert power_fingerprint(desk_reachable_answers(every=2)) == EXACT_DIGEST
+
     def test_matches_strict_lp_on_every_association(self, caplog):
         verdicts = {True: 0, False: 0}
         with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
             for seed in range(10):
                 inst = scn.generate(scn.desk_scale(), seed)
                 s, demands = inst.scenario, inst.demands
+                rows = _SinrRows(s, demands)
                 minimal = {}
                 for assigned in iter_assignments(s.user_count, s.sbs_count):
-                    answer = benders._min_power(s, demands, assigned)
+                    answer = benders._min_power(rows, assigned)
                     verdicts[check_answer(s, demands, assigned, answer, minimal)] += 1
         assert not caplog.records          # no exact re-run
         assert verdicts[True] >= 50 and verdicts[False] >= 5000
@@ -434,7 +479,7 @@ class TestStructuredPower:
             assert abs((p / scaled.max_power).max() - 1.0 - offset) < 1e-13
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
-                answer = benders._min_power(scaled, demands, assigned)
+                answer = benders._min_power(_SinrRows(scaled, demands), assigned)
             if offset < 0.0:
                 # inside the cap the structured answer stands
                 assert not caplog.records
@@ -503,7 +548,7 @@ class TestStructuredPower:
         s, demands = inst.scenario, inst.demands
         assigned = s.channel_gains.argmax(axis=1)
         with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
-            answer = benders._min_power(s, demands, assigned)
+            answer = benders._min_power(_SinrRows(s, demands), assigned)
         assert "re-solving exactly" in caplog.text
         assert answer.power is None
         assert 1 <= np.count_nonzero(answer.nu) <= 4
@@ -606,7 +651,7 @@ class TestMaster:
                     s, demands, Association.from_assignment(assigned, 3)
                 )
                 cuts.append(cut)
-            K = conflict_seed(s, demands)
+            K = conflict_seed(_SinrRows(s, demands))
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
                 for conflict in (None, K):
@@ -632,7 +677,7 @@ class TestMaster:
             cases.append((inst.scenario, inst.demands, placement))
         for s, demands, placement in cases:
             cuts = ucwt(s, demands, placement, 0.5).trace.cuts
-            K = conflict_seed(s, demands)
+            K = conflict_seed(_SinrRows(s, demands))
             dcoef = delay_coefficients(s, demands, placement)
             for conflict in (None, K):
                 for alpha in (0.0, 0.5, 1.0):
@@ -664,7 +709,7 @@ class TestMaster:
             for seed in range(10):
                 inst, placement = desk_pipeline(seed, user_count=U)
                 s, demands = inst.scenario, inst.demands
-                K = conflict_seed(s, demands)
+                K = conflict_seed(_SinrRows(s, demands))
                 dcoef = delay_coefficients(s, demands, placement)
                 empty = np.zeros_like(K)
                 for conflict, allowed in (
@@ -704,7 +749,9 @@ class TestMaster:
                 cuts = ucwt(s, demands, placement, 0.5).trace.cuts
                 dcoef = delay_coefficients(s, demands, placement)
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(dcoef, alpha, conflict_seed(s, demands))
+                    table = benders._CutTable(
+                        dcoef, alpha, conflict_seed(_SinrRows(s, demands))
+                    )
                     table.absorb(cuts)
                     grid = outer_sum_table(dcoef, cuts, alpha)
                     at = np.ravel_multi_index(table.rows.T, (B,) * U)
@@ -717,7 +764,7 @@ class TestMaster:
             for seed in range(3):
                 inst, placement = desk_pipeline(seed, sbs_count=B, user_count=U)
                 s, demands = inst.scenario, inst.demands
-                K = conflict_seed(s, demands)
+                K = conflict_seed(_SinrRows(s, demands))
                 dcoef = delay_coefficients(s, demands, placement)
                 rows = benders._CutTable(dcoef, 0.5, K).rows
                 assert rows is not None and len(rows) > 0
@@ -742,7 +789,7 @@ class TestMaster:
         s, demands = paper.scenario, paper.demands
         placement, _ = lpf_greedy(s, local_popularity(s, paper.preferences))
         dcoef = delay_coefficients(s, demands, placement)
-        K = conflict_seed(s, demands)
+        K = conflict_seed(_SinrRows(s, demands))
         assert benders._CutTable(dcoef, 0.5, K).rows is None
         # a peak level past a limit of 2 gives up, though one row is left:
         # user 1 reaches SBS 0 only, and not beside user 0 at SBS 1 or 2
@@ -847,7 +894,7 @@ class TestMaster:
         # the loop is run in the test
         inst, placement = desk_pipeline(0, sbs_count=7, user_count=14)
         s, demands = inst.scenario, inst.demands
-        K = conflict_seed(s, demands)
+        K = conflict_seed(_SinrRows(s, demands))
         dcoef = delay_coefficients(s, demands, placement)
         floor_free = benders._CutTable(dcoef, 0.5, K)
         cuts = []
@@ -875,7 +922,8 @@ class TestMaster:
                 inst, _ = desk_pipeline(seed, user_count=U)
                 s, demands = inst.scenario, inst.demands
                 B = s.sbs_count
-                F = benders.energy_floor(s, demands)
+                sinr = _SinrRows(s, demands)
+                F = benders.energy_floor(sinr)
                 users = np.arange(U)
                 # the one-user conflicts only: the rows are the reachable
                 # associations, and at alpha 1 with no delay a row's value
@@ -890,7 +938,7 @@ class TestMaster:
                     for j in range(B):
                         expected += F[assigned == j, j].max(initial=0.0)
                     assert floor == expected
-                    energy = benders._min_power(s, demands, assigned).energy
+                    energy = benders._min_power(sinr, assigned).energy
                     assert floor <= energy
                     if (assigned == assigned[0]).all():
                         assert floor.hex() == energy.hex()
@@ -1006,7 +1054,7 @@ class TestConflicts:
         for seed in range(10):
             inst, placement = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
-            K = conflict_seed(s, demands)
+            K = conflict_seed(_SinrRows(s, demands))
             U, B = s.user_count, s.sbs_count
             assert K.shape == (U, B, U, B) and K.dtype == bool
             assert np.array_equal(K, K.transpose(2, 3, 0, 1))
@@ -1032,7 +1080,7 @@ class TestConflicts:
             for seed in range(40):
                 inst = scn.generate(scn.desk_scale(user_count=users), seed)
                 s, demands = inst.scenario, inst.demands
-                K = conflict_seed(s, demands)
+                K = conflict_seed(_SinrRows(s, demands))
                 for sub, sub_demands, verdicts in two_user_pairs(s, demands, K):
                     for j, l, flagged, reachable in verdicts:
                         if flagged and reachable:
@@ -1049,17 +1097,14 @@ class TestConflicts:
             for seed in range(40):
                 inst = scn.generate(scn.desk_scale(user_count=users), seed)
                 s, demands = inst.scenario, inst.demands
-                K = conflict_seed(s, demands)
+                K = conflict_seed(_SinrRows(s, demands))
                 for sub, sub_demands, verdicts in two_user_pairs(s, demands, K):
-                    T = serving_time(sub, sub_demands, None, "relaxed")
+                    rows = _SinrRows(sub, sub_demands)
                     for j, l, flagged, reachable in verdicts:
                         if reachable and not flagged:
                             assigned = np.array([j, l])
-                            A, b = benders._sinr_rows(sub, sub_demands, assigned)
-                            system = benders._InterferenceSystem(
-                                A, b, assigned, sub.max_power
-                            )
-                            answer = benders._policy_iteration(system, T)
+                            system = benders._InterferenceSystem(rows, assigned)
+                            answer = benders._policy_iteration(system)
                             assert answer is not None and answer.power is not None
                             checked += 1
         assert checked >= 8000
@@ -1069,7 +1114,7 @@ class TestConflicts:
         # verdict of min_power_for
         flagged = 0
         for scaled, demands, _, _ in near_boundary_instances():
-            K = conflict_seed(scaled, demands)
+            K = conflict_seed(_SinrRows(scaled, demands))
             for sub, sub_demands, verdicts in two_user_pairs(scaled, demands, K):
                 for j, l, conflict, _ in verdicts:
                     if conflict:
@@ -1174,11 +1219,11 @@ class TestUcwt:
         for inst, placement in cases:
             s, demands = inst.scenario, inst.demands
             T = serving_time(s, demands, None, "relaxed")
-            K = conflict_seed(s, demands)
+            K = conflict_seed(_SinrRows(s, demands))
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
                 table = benders._CutTable(
-                    dcoef, alpha, K, benders.energy_floor(s, demands)
+                    dcoef, alpha, K, benders.energy_floor(_SinrRows(s, demands))
                 )
                 start = solve_master(s, demands, placement, [], alpha, table).assoc
                 first = ucwt(s, demands, placement, alpha).trace.iterations[0]
@@ -1217,7 +1262,7 @@ class TestUcwt:
         # the enumerated one
         inst, placement = desk_pipeline(0, sbs_count=5, user_count=16)
         s, demands = inst.scenario, inst.demands
-        floor = benders.energy_floor(s, demands)
+        floor = benders.energy_floor(_SinrRows(s, demands))
         search = benders._search_master
         floors = []
 
@@ -1352,9 +1397,9 @@ class TestUcwt:
         monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", limit)
         solved = []
 
-        def recorded(scenario, demands, x):
+        def recorded(scenario, demands, x, rows=None):
             solved.append(x.assigned_sbs.copy())
-            return solve_subproblem(scenario, demands, x)
+            return solve_subproblem(scenario, demands, x, rows)
 
         monkeypatch.setattr(benders, "solve_subproblem", recorded)
         unreachable = pairs = 0
@@ -1365,7 +1410,7 @@ class TestUcwt:
                 placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
                 reach = reachable_sbs(s, demands)
                 unreachable += int((~reach).sum())
-                K = conflict_seed(s, demands)
+                K = conflict_seed(_SinrRows(s, demands))
                 pairs += int(K.sum()) - int((~reach).sum())
                 for alpha in (0.0, 0.5, 1.0):
                     solved.clear()
@@ -1450,6 +1495,24 @@ class TestInstanceMaster:
             with pytest.raises(ModelError, match="another scenario or demands"):
                 ucwt(other_s, other_d, placement, 0.5, master=master)
         ucwt(s, demands, placement, 0.5, master=master)
+
+    def test_rows_of_other_objects_raise(self):
+        # a table is tied to its objects by identity, as a master is
+        inst, _ = desk_pipeline(0)
+        s, demands = inst.scenario, inst.demands
+        rows = _SinrRows(s, demands)
+        for assigned in ([0] * s.user_count, s.channel_gains.argmax(axis=1)):
+            assoc = Association.from_assignment(assigned, s.sbs_count)
+            for other_s, other_d in ((dataclasses.replace(s), demands),
+                                     (s, dataclasses.replace(demands))):
+                for solve in (min_power_for, solve_subproblem):
+                    with pytest.raises(ModelError, match="another scenario or demands"):
+                        solve(other_s, other_d, assoc, rows)
+            shared = solve_subproblem(s, demands, assoc, rows)
+            own = solve_subproblem(s, demands, assoc)
+            assert shared[0].coef.tobytes() == own[0].coef.tobytes()
+            assert shared[0].constant.hex() == own[0].constant.hex()
+            assert shared[1].hex() == own[1].hex()
 
     def test_no_hidden_cache_across_calls(self, monkeypatch):
         calls = []

@@ -183,8 +183,8 @@ def recorded_solves(monkeypatch):
     solves = []
     solve = benders._min_power
 
-    def recorded(scenario, demands, assigned):
-        answer = solve(scenario, demands, assigned)
+    def recorded(rows, assigned):
+        answer = solve(rows, assigned)
         solves.append((tuple(assigned.tolist()), answer))
         return answer
 

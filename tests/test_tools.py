@@ -1,8 +1,10 @@
 """The repository's own tools, run as a user runs them."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 from dscnopt import benders, oracle, scenario as scn
@@ -15,16 +17,44 @@ ROOT = Path(__file__).resolve().parent.parent
 MAX_SOLVE_LP_SITES = 0
 
 
-def test_src_size_caps_solve_lp_call_sites():
+def src_size_rows():
+    """``tools/src_size.py``'s rows after the header, split into fields."""
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "src_size.py")],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    total = run.stdout.splitlines()[-1].split()
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["module", "lines", "code", "solve_lp", "settable"]
+    return [row.split() for row in rows]
+
+
+def test_src_size_caps_solve_lp_call_sites():
+    total = src_size_rows()[-1]
     assert total[0] == "total"
-    lines, code, sites = map(int, total[1:])
+    lines, code, sites, _ = map(int, total[1:])
     assert 0 < code <= lines
     assert sites <= MAX_SOLVE_LP_SITES
+
+
+def test_src_size_counts_settable_values():
+    *modules, total = src_size_rows()
+    assert int(total[4]) == sum(int(row[4]) for row in modules) > 0
+    spec = importlib.util.spec_from_file_location("src_size", ROOT / "tools" / "src_size.py")
+    src_size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_size)
+    sample = ast.parse(textwrap.dedent("""
+        @dataclass(frozen=True)
+        class Point:
+            x: float
+            y: float = 0.0
+            norm: float = field(init=False)
+
+        class Grid:
+            def cell(self, i, *rest, j=0, **named):
+                return lambda k: k
+    """))
+    # x and y; i, rest, j and named; k
+    assert src_size._settable_values(sample) == 2 + 4 + 1
 
 
 def load_tracing(monkeypatch):

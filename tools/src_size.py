@@ -2,10 +2,13 @@
 
 Usage: python tools/src_size.py [SRC_DIR]   (default: src/ next to tools/)
 
-For each module under SRC_DIR it prints the physical line count and the
+For each module under SRC_DIR it prints the physical line count, the
 code-only count, which leaves out blank lines, comment-only lines and the
-lines of module, class and function docstrings. The last line gives the
-totals and the number of ``solve_lp(...)`` call sites. Stdlib only.
+lines of module, class and function docstrings, the number of
+``solve_lp(...)`` call sites and the number of settable values: every
+parameter of a ``def`` or ``lambda`` other than ``self``/``cls`` (``*args``
+and ``**kwargs`` count one each), plus every init field of a dataclass.
+The last line gives the totals. Stdlib only.
 """
 
 from __future__ import annotations
@@ -35,18 +38,50 @@ def _docstring_lines(tree: ast.AST) -> Set[int]:
     return lines
 
 
+def _name(func: ast.expr) -> str:
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
 def _solve_lp_calls(tree: ast.AST) -> int:
-    def name(func: ast.expr) -> str:
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return func.id if isinstance(func, ast.Name) else ""
-
     return sum(1 for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and name(node.func) == "solve_lp")
+               if isinstance(node, ast.Call) and _name(node.func) == "solve_lp")
 
 
-def measure(path: Path) -> Tuple[int, int, int]:
-    """(lines, code-only lines, solve_lp call sites) of one Python file."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if _name(func) == "dataclass":
+            return True
+    return False
+
+
+def _init_field(stmt: ast.stmt) -> bool:
+    """An annotated class-body field unless it is ``field(init=False)``."""
+    if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+        return False
+    value = stmt.value
+    return not (isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords))
+
+
+def _settable_values(tree: ast.AST) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            count += sum(p.arg not in ("self", "cls") for p in params)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(_init_field(stmt) for stmt in node.body)
+    return count
+
+
+def measure(path: Path) -> Tuple[int, int, int, int]:
+    """(lines, code-only lines, solve_lp call sites, settable values) of one file."""
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text, filename=str(path))
     code: Set[int] = set()
@@ -54,7 +89,12 @@ def measure(path: Path) -> Tuple[int, int, int]:
         if tok.type not in _NON_CODE:
             code.update(range(tok.start[0], tok.end[0] + 1))
     code -= _docstring_lines(tree)
-    return len(text.splitlines()), len(code), _solve_lp_calls(tree)
+    return len(text.splitlines()), len(code), _solve_lp_calls(tree), _settable_values(tree)
+
+
+def _row(name: str, counts) -> str:
+    lines, code, sites, settable = counts
+    return f"{name:<32} {lines:>6} {code:>6} {sites:>8} {settable:>8}"
 
 
 def main(argv: list) -> int:
@@ -64,14 +104,13 @@ def main(argv: list) -> int:
     if not files:
         print(f"no Python files under {root}", file=sys.stderr)
         return 2
-    totals = [0, 0, 0]
-    print(f"{'module':<32} {'lines':>6} {'code':>6} {'solve_lp':>8}")
+    totals = [0, 0, 0, 0]
+    print(f"{'module':<32} {'lines':>6} {'code':>6} {'solve_lp':>8} {'settable':>8}")
     for path in files:
         counts = measure(path)
         totals = [t + c for t, c in zip(totals, counts)]
-        name = str(path.relative_to(root))
-        print(f"{name:<32} {counts[0]:>6} {counts[1]:>6} {counts[2]:>8}")
-    print(f"{'total':<32} {totals[0]:>6} {totals[1]:>6} {totals[2]:>8}")
+        print(_row(str(path.relative_to(root)), counts))
+    print(_row("total", totals))
     return 0
 
 
