@@ -337,12 +337,11 @@ class _InterferenceSystem:
         serving = np.array(sorted(set(assigned.tolist())))
         self.others = assigned != serving[:, None]
         self._gather(rows, assigned)
-        self.caps = self.cap.tolist()
 
     def _gather(self, rows: _SinrRows, assigned: np.ndarray):
         pairs = rows.pairs(assigned)
         self.b, self.pmax, self.T = rows.b, rows.pmax, rows.T
-        self.cap = rows.pmax[assigned]     # per user, the cap of its SBS
+        self.caps = rows.pmax[assigned].tolist()   # per user, the cap of its SBS
         self.own = rows.g[pairs]
         self.normalized = rows.normalized[pairs]
         self.C = rows.C[pairs]
@@ -408,7 +407,7 @@ class _ExactSystem(_InterferenceSystem):
         users = np.arange(len(assigned))
         A = exact(rows.A[rows.pairs(assigned)])
         self.b, self.pmax, self.T = exact(rows.b), exact(rows.pmax), exact(rows.T)
-        self.cap = self.pmax[assigned]
+        self.caps = self.pmax[assigned].tolist()
         self.own = A[users, assigned]
         self.normalized = A / self.own[:, None]
         self.C = -self.normalized
