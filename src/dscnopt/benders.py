@@ -780,10 +780,12 @@ class _ConflictFree:
 class InstanceMaster(_ConflictFree):
     """The instance-level half of ``ucwt``'s master, built once per instance.
 
-    It holds the master's ``conflict_seed`` and ``energy_floor``, their
-    conflict-free rows (``_ConflictFree``), and ``answers``: per
-    association (its ``x`` bytes), the ``(Cut, M)`` that
-    ``solve_subproblem`` returned for it. None of it depends on the cache
+    It holds ``sinr``, the instance's ``_SinrRows``, which every
+    subproblem of a run reads; the master's ``conflict_seed`` and
+    ``energy_floor``, read off them; their conflict-free rows
+    (``_ConflictFree``); and ``answers``: per association (its ``x``
+    bytes), the ``(Cut, M)`` that ``solve_subproblem`` returned for it.
+    None of it depends on the cache
     placement or on alpha, so ``ucwt`` runs over one instance at any
     placement and alpha can share it. Each run still builds its own delay
     column, value array and cut list, so its answer and trace are those of
