@@ -44,9 +44,10 @@ threshold at an SBS even alone at full power.
 
 ``ucwt`` gives the master ``conflict_seed``, read off the same table:
 every such pair, and every two users at two SBSs whose 2 x 2 least
-fixed point misses a cap (closed form). Each excludes all associations holding it, so no
-iteration is spent learning one- or two-user conflicts one subproblem
-at a time, and no association it solves holds one. It also gives the
+fixed point misses a cap (closed form). Each excludes all associations
+holding it, so no iteration is spent learning one- or two-user
+conflicts one subproblem at a time, and no association it solves holds
+one. It also gives the
 master ``energy_floor``, a valid a-priori bound in the manner of
 logic-based Benders (Hooker & Ottosson, Math. Prog. 2003) that is exact
 at a single-SBS association, so an association's energy bound does not
