@@ -8,11 +8,15 @@ once at scenario construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 BITS_PER_BYTE = 8.0
+# np.isclose(total, 1.0, atol=1e-9) and np.allclose alike: |total - 1| within
+# that atol plus the default rtol of 1e-5 times 1
+_UNIT_SUM_TOL = 1e-9 + 1e-5
 
 
 def _frozen(a) -> np.ndarray:
@@ -67,6 +71,8 @@ class Scenario:
     sbs_positions: Optional[np.ndarray] = None   # (B, 2) meters
     user_positions: Optional[np.ndarray] = None  # (U, 2) meters
     rate_requirements: np.ndarray = field(init=False)  # bit/s, per file
+    # user x SBS distances in meters, None without both position arrays
+    distances: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B, U, F = self.sbs_count, self.user_count, self.file_count
@@ -95,16 +101,16 @@ class Scenario:
                 object.__setattr__(self, name, pos)
                 if pos.shape != (n, 2):
                     raise ModelError(f"{name} must have shape ({n}, 2)")
-        values = [getattr(self, f.name) for f in fields(self) if f.init]
-        flat = np.concatenate([np.ravel(v) for v in values if v is not None])
-        if not np.isfinite(flat).all():
+        values = [v for v in _scenario_inputs(self) if v is not None]
+        # axis=None flattens each value, scalars included
+        if not np.isfinite(np.concatenate(values, axis=None)).all():
             raise ModelError("every scenario value must be finite")
 
-        if np.any(self.max_power <= 0) or np.any(self.file_sizes <= 0):
+        if (self.max_power <= 0).any() or (self.file_sizes <= 0).any():
             raise ModelError("powers and file sizes must be strictly positive")
-        if np.any(self.sinr_thresholds <= 0) or np.any(g <= 0):
+        if (self.sinr_thresholds <= 0).any() or (g <= 0).any():
             raise ModelError("SINR thresholds and gains must be strictly positive")
-        if np.any(self.cache_capacity < 0) or np.any(self.backhaul_mean < 0):
+        if (self.cache_capacity < 0).any() or (self.backhaul_mean < 0).any():
             raise ModelError("capacities and backhaul means must be nonnegative")
         if self.noise_power <= 0 or self.bandwidth <= 0:
             raise ModelError("noise power and bandwidth must be strictly positive")
@@ -114,27 +120,44 @@ class Scenario:
             raise ModelError("alpha must lie in [0, 1]")
         if self.central_zone_radius <= 0:
             raise ModelError("central zone radius must be positive")
-        if np.any(self.load_coefficients <= 0) or not np.isclose(
-            self.load_coefficients.sum(), 1.0, atol=1e-9
+        if (self.load_coefficients <= 0).any() or not (
+            abs(self.load_coefficients.sum() - 1.0) <= _UNIT_SUM_TOL
         ):
             raise ModelError("load coefficients must be positive and sum to 1")
 
+        dist = None
         if self.sbs_positions is not None and self.user_positions is not None:
-            dist = np.linalg.norm(
-                self.user_positions[:, None, :] - self.sbs_positions[None, :, :],
-                axis=2,
-            )
+            diff = self.user_positions[:, None, :] - self.sbs_positions[None, :, :]
+            # np.linalg.norm(diff, axis=2) computes this, behind its wrapper
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            dist.setflags(write=False)
+            if not dist.all():
+                i, j = np.argwhere(dist == 0.0)[0]
+                raise ModelError(
+                    f"user {i} is at distance 0 from SBS {j}, so its gain is infinite"
+                )
             expected = dist ** (-self.pathloss_exponent)
-            if not np.allclose(g, expected, rtol=1e-9):
+            # np.allclose(g, expected, rtol=1e-9): its default atol is 1e-8,
+            # and it rejects an infinite expected gain, which the bound alone
+            # would accept
+            if not (
+                (np.abs(g - expected) <= 1e-8 + 1e-9 * np.abs(expected)).all()
+                and np.isfinite(expected).all()
+            ):
                 raise ModelError(
                     "channel gains inconsistent with positions and pathloss exponent"
                 )
+        object.__setattr__(self, "distances", dist)
 
         object.__setattr__(
             self,
             "rate_requirements",
             _frozen(self.bandwidth * np.log2(1.0 + self.sinr_thresholds)),
         )
+
+
+# every init field of a Scenario, in declaration order
+_scenario_inputs = attrgetter(*(f.name for f in fields(Scenario) if f.init))
 
 
 @dataclass(frozen=True)
@@ -148,9 +171,9 @@ class DemandMatrix:
     def __post_init__(self):
         th = _frozen_binary(self.theta, "theta")
         object.__setattr__(self, "theta", th)
-        if np.any(th.sum(axis=1) != 1):
+        if (th.sum(axis=1) != 1).any():
             raise ModelError("each user must request exactly one file")
-        files = np.argmax(th, axis=1)
+        files = th.argmax(axis=1)
         files.setflags(write=False)
         object.__setattr__(self, "requested_file", files)
 

@@ -42,7 +42,8 @@ from .model import (
     ModelError,
     PowerVector,
     Scenario,
-    objective,
+    delay_coefficients,
+    serving_time,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -113,6 +114,11 @@ def enumerate_candidates(
         )
     options = [np.flatnonzero(row).tolist() for row in reach]
     rows = benders._SinrRows(scenario, demands)
+    # what ``objective`` reads besides the leaf, read once: each leaf is
+    # scored by its expressions, so energies and delays match it bit for bit
+    serving = serving_time(scenario, demands, None)
+    coefficients = delay_coefficients(scenario, demands, placement)
+    one_hot = np.eye(B, dtype=np.int8)
     # (user, SBS) -> the other pairs of each no-good whose last pair it is
     nogoods: Dict[Tuple[int, int], List[List[Tuple[int, int]]]] = {}
     assigned = [0] * U
@@ -145,9 +151,9 @@ def enumerate_candidates(
             d = last
             continue
         power = PowerVector(answer.power)
-        value = objective(scenario, demands, placement,
-                          Association._unchecked(leaf, B), power)
-        out.append(Candidate(leaf, power, value.energy, value.delay))
+        energy = float(power.p @ serving)
+        delay = float((coefficients * one_hot[leaf]).sum())
+        out.append(Candidate(leaf, power, energy, delay))
     return out
 
 

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import DemandMatrix, ModelError, Scenario, _frozen
+from .model import _UNIT_SUM_TOL, DemandMatrix, ModelError, Scenario, _frozen
 
 DEFAULT_VARIANCE_RANGE = (5.0**2, 50.0**2)
 
@@ -27,9 +27,9 @@ class PreferenceMatrix:
     def __post_init__(self):
         rho = _frozen(self.rho)
         object.__setattr__(self, "rho", rho)
-        if rho.ndim != 2 or np.any(rho < 0):
+        if rho.ndim != 2 or (rho < 0).any():
             raise ModelError("rho must be a nonnegative matrix")
-        if not np.allclose(rho.sum(axis=1), 1.0, atol=1e-9):
+        if not (abs(rho.sum(axis=1) - 1.0) <= _UNIT_SUM_TOL).all():
             raise ModelError("preference rows must sum to 1")
 
 
@@ -42,9 +42,9 @@ class PopularityTable:
     def __post_init__(self):
         psi = _frozen(self.psi)
         object.__setattr__(self, "psi", psi)
-        if psi.ndim != 2 or np.any(psi < 0):
+        if psi.ndim != 2 or (psi < 0).any():
             raise ModelError("psi must be a nonnegative matrix")
-        if not np.allclose(psi.sum(axis=1), 1.0, atol=1e-9):
+        if not (abs(psi.sum(axis=1) - 1.0) <= _UNIT_SUM_TOL).all():
             raise ModelError("popularity rows must sum to 1")
 
 
@@ -73,13 +73,8 @@ def zone_members(scenario: Scenario) -> List[np.ndarray]:
     """Users within the central-zone radius of each SBS (may overlap)."""
     if scenario.sbs_positions is None or scenario.user_positions is None:
         raise ModelError("zone membership requires positions")
-    dist = np.linalg.norm(
-        scenario.user_positions[:, None, :] - scenario.sbs_positions[None, :, :], axis=2
-    )
-    return [
-        np.nonzero(dist[:, j] <= scenario.central_zone_radius)[0]
-        for j in range(scenario.sbs_count)
-    ]
+    covered = scenario.distances.T <= scenario.central_zone_radius
+    return [row.nonzero()[0] for row in covered]
 
 
 def local_popularity(scenario: Scenario, prefs: PreferenceMatrix) -> PopularityTable:
@@ -88,27 +83,38 @@ def local_popularity(scenario: Scenario, prefs: PreferenceMatrix) -> PopularityT
     Each member contributes with equal weight; an SBS with an empty
     central zone falls back to a uniform row.
     """
-    F = scenario.file_count
+    F, weight = scenario.file_count, 1.0 / scenario.user_count
+    # weighted by 1/U, not a plain mean: the two round differently
+    weighted = weight * prefs.rho
     psi = np.empty((scenario.sbs_count, F))
     for j, members in enumerate(zone_members(scenario)):
         if members.size == 0:
             psi[j] = 1.0 / F
         else:
-            # weighted by 1/U, not a plain mean: the two round differently
-            w = np.full(members.size, 1.0 / scenario.user_count)
-            psi[j] = (w[:, None] * prefs.rho[members]).sum(axis=0) / w.sum()
+            # each member's row added in turn, then divided by the summed
+            # weights (numpy's pairwise sum, so not members.size * weight)
+            total = np.full(members.size, weight).sum()
+            psi[j] = weighted[members].sum(axis=0) / total
     return PopularityTable(psi)
 
 
-def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
-    """Integer quotas summing to ``total`` that track ``weights`` proportionally."""
+def _largest_remainder(weights: np.ndarray, total: int | np.ndarray) -> np.ndarray:
+    """Integer quotas summing to ``total`` that track ``weights`` proportionally.
+
+    A matrix of weights with a vector of totals gives one row of quotas per
+    row of weights.
+    """
+    total = np.asarray(total)[..., None]
     target = weights * total
     counts = np.floor(target).astype(int)
     remainder = target - counts
-    short = total - counts.sum()
-    # stable order: largest remainder first, lowest index breaking ties
-    order = np.lexsort((np.arange(weights.size), -remainder))
-    counts[order[:short]] += 1
+    short = total - counts.sum(axis=-1, keepdims=True)
+    # stable order: largest remainder first, lowest index breaking ties; the
+    # first ``short`` in it gain one, as the slice order[:short] would take
+    # them (a negative short counts from the end)
+    order = np.argsort(-remainder, axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)
+    counts += rank < np.where(short < 0, short + weights.shape[-1], short)
     return counts
 
 
@@ -124,30 +130,27 @@ def sample_demands(
     receive files by largest-remainder quotas on that cell's popularity
     row; users outside every zone draw from their own preference row.
     """
-    U, F = scenario.user_count, scenario.file_count
+    B, U, F = scenario.sbs_count, scenario.user_count, scenario.file_count
     rng = np.random.default_rng(seed)
     theta = np.zeros((U, F), dtype=np.int8)
     if scenario.user_positions is None or scenario.sbs_positions is None:
         raise ModelError("demand sampling requires positions")
-    dist = np.linalg.norm(
-        scenario.user_positions[:, None, :] - scenario.sbs_positions[None, :, :], axis=2
-    )
-    # nearest SBS whose central zone covers the user, else -1
+    dist = scenario.distances
+    # nearest SBS whose central zone covers the user, else -1; argmin keeps
+    # the lowest index among equally near SBSs
     covered = dist <= scenario.central_zone_radius
-    owner = np.full(U, -1, dtype=int)
-    for i in range(U):
-        js = np.nonzero(covered[i])[0]
-        if js.size:
-            owner[i] = js[np.argmin(dist[i, js])]
-    for j in range(scenario.sbs_count):
-        pool = np.nonzero(owner == j)[0]
-        if pool.size == 0:
-            continue
-        quotas = _largest_remainder(popularity.psi[j], pool.size)
-        shuffled = rng.permutation(pool)
-        files = np.repeat(np.arange(F), quotas)
-        theta[shuffled, files] = 1
-    outside = np.nonzero(owner == -1)[0]
-    for i in outside:
+    nearest = np.where(covered, dist, np.inf).argmin(axis=1)
+    owner = np.where(covered.any(axis=1), nearest, -1)
+    # users grouped by owner, -1 first, each group in index order
+    grouped = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner + 1, minlength=B + 1)
+    quotas = _largest_remainder(popularity.psi, sizes[1:])
+    ends = np.cumsum(sizes).tolist()
+    for j in range(B):
+        start, stop = ends[j], ends[j + 1]
+        if stop > start:
+            shuffled = rng.permutation(grouped[start:stop])
+            theta[shuffled, np.repeat(np.arange(F), quotas[j])] = 1
+    for i in grouped[:ends[0]].tolist():
         theta[i, rng.choice(F, p=prefs.rho[i])] = 1
     return DemandMatrix(theta)

@@ -14,6 +14,7 @@ byte-identical files and round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import List, Optional, Tuple
@@ -158,25 +159,31 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
     region = config.region_size_m
 
     sbs_pos = sbs_grid(B, region)
-    users = np.empty((U, 2))
-    for i in range(U):
+    sbs_xy = sbs_pos.tolist()
+    radius = config.user_cluster_radius_m
+    # Candidates are Python floats: min/max and the sums of squares make the
+    # IEEE operations of np.clip and np.linalg.norm on 2-element arrays, for
+    # a fraction of their call cost. The placed user's squared distances
+    # become its row of the distance matrix.
+    users, squares = [], []
+    for _ in range(U):
         for _ in range(10_000):
-            if config.user_cluster_radius_m is None:
-                cand = rng.uniform(0.0, region, size=2)
+            if radius is None:
+                x, y = rng.uniform(0.0, region, size=2).tolist()
             else:
-                center = sbs_pos[rng.integers(B)]
-                offset = rng.uniform(-config.user_cluster_radius_m,
-                                     config.user_cluster_radius_m, size=2)
-                cand = np.clip(center + offset, 0.0, region)
-            dmin = np.linalg.norm(sbs_pos - cand, axis=1).min()
-            if dmin >= config.min_user_sbs_distance_m:
-                users[i] = cand
+                cx, cy = sbs_xy[rng.integers(B)]
+                ox, oy = rng.uniform(-radius, radius, size=2).tolist()
+                x = min(max(cx + ox, 0.0), region)
+                y = min(max(cy + oy, 0.0), region)
+            sq = [(sx - x) * (sx - x) + (sy - y) * (sy - y) for sx, sy in sbs_xy]
+            if math.sqrt(min(sq)) >= config.min_user_sbs_distance_m:
+                users.append((x, y))
+                squares.append(sq)
                 break
         else:
             raise ConfigError("could not place a user outside the exclusion radius")
 
-    dist = np.linalg.norm(users[:, None, :] - sbs_pos[None, :, :], axis=2)
-    gains = dist ** (-config.pathloss_exponent)
+    gains = np.sqrt(squares) ** (-config.pathloss_exponent)
 
     lo, hi = config.file_size_range_mb
     cells = rng.integers(
@@ -208,7 +215,7 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
         load_coefficients=np.full(B, 1.0 / B),
         central_zone_radius=config.central_zone_radius_m,
         sbs_positions=sbs_pos,
-        user_positions=users,
+        user_positions=np.array(users),
     )
     prefs = sample_preferences(
         scenario, seed, variance_range=config.preference_variance_range
@@ -360,8 +367,11 @@ def loads(text: str) -> Instance:
     dist = np.linalg.norm(
         sc["user_positions"][:, None, :] - sc["sbs_positions"][None, :, :], axis=2
     )
+    # a user at zero distance from an SBS gets a finite stand-in gain, so
+    # that Scenario's own check names the pair
+    gains = np.where(dist > 0.0, dist, 1.0) ** (-sc["pathloss_exponent"])
     try:
-        scenario = Scenario(channel_gains=dist ** (-sc["pathloss_exponent"]), **sc)
+        scenario = Scenario(channel_gains=gains, **sc)
         prefs = PreferenceMatrix(parts["preferences"]["rho"])
         demands = DemandMatrix(parts["demands"]["theta"])
     except ModelError as exc:

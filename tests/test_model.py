@@ -1,5 +1,8 @@
 """Domain type invariants and physical formulas checked against hand math."""
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,24 @@ from dscnopt.model import (
     sinr,
     total_transmission_time,
 )
+
+
+# np.isclose's and np.allclose's bound about 1: atol 1e-9 plus the default
+# rtol 1e-5 times 1
+SUM_TOL = 1e-9 + 1e-5
+
+
+def unit_sum_edges():
+    """(total, within the bound) on each side of 1: the last double in, the next out."""
+    cases = []
+    for away in (2.0, 0.0):
+        s = 1.0 + SUM_TOL if away > 1.0 else 1.0 - SUM_TOL
+        while abs(s - 1.0) > SUM_TOL:
+            s = float(np.nextafter(s, 1.0))
+        while abs(float(np.nextafter(s, away)) - 1.0) <= SUM_TOL:
+            s = float(np.nextafter(s, away))
+        cases += [(s, True), (float(np.nextafter(s, away)), False)]
+    return cases
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -78,6 +99,111 @@ class TestScenarioValidation:
         s = tiny_scenario()
         with pytest.raises(ValueError):
             s.max_power[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sbs_count": 0}, "counts must be positive"),
+            ({"file_count": 0}, "counts must be positive"),
+            ({"max_power": [1.0]}, r"max_power must have shape \(2,\)"),
+            ({"cache_capacity": [1e6]}, r"cache_capacity must have shape \(2,\)"),
+            ({"backhaul_mean": [[0.5, 1.5]]}, r"backhaul_mean must have shape \(2,\)"),
+            ({"load_coefficients": [1.0]}, r"load_coefficients must have shape \(2,\)"),
+            ({"file_sizes": [1e6]}, r"file_sizes must have shape \(2,\)"),
+            ({"sinr_thresholds": [1.0, 2.0, 3.0]},
+             r"sinr_thresholds must have shape \(2,\)"),
+            ({"channel_gains": [1.0, 0.1]}, r"channel_gains must have shape \(2, 2\)"),
+            ({"sbs_positions": [[0.0, 0.0]]}, r"sbs_positions must have shape \(2, 2\)"),
+            ({"user_positions": [0.0, 1.0]}, r"user_positions must have shape \(2, 2\)"),
+            ({"noise_power": np.nan}, "every scenario value must be finite"),
+            ({"alpha": np.inf}, "every scenario value must be finite"),
+            ({"channel_gains": [[1.0, np.inf], [0.2, 0.8]]},
+             "every scenario value must be finite"),
+            ({"user_positions": [[np.nan, 0.0], [1.0, 1.0]]},
+             "every scenario value must be finite"),
+            ({"max_power": [0.0, 1.0]}, "powers and file sizes must be strictly positive"),
+            ({"file_sizes": [1e6, -1.0]}, "powers and file sizes must be strictly positive"),
+            ({"sinr_thresholds": [0.0, 1.0]},
+             "SINR thresholds and gains must be strictly positive"),
+            ({"channel_gains": [[1.0, -0.1], [0.2, 0.8]]},
+             "SINR thresholds and gains must be strictly positive"),
+            ({"cache_capacity": [-1.0, 1e6]},
+             "capacities and backhaul means must be nonnegative"),
+            ({"backhaul_mean": [0.5, -0.1]},
+             "capacities and backhaul means must be nonnegative"),
+            ({"noise_power": 0.0}, "noise power and bandwidth must be strictly positive"),
+            ({"bandwidth": -1.0}, "noise power and bandwidth must be strictly positive"),
+            ({"pathloss_exponent": 9.0}, r"pathloss exponent must lie in \[2, 5\]"),
+            ({"alpha": -0.1}, r"alpha must lie in \[0, 1\]"),
+            ({"central_zone_radius": 0.0}, "central zone radius must be positive"),
+            ({"load_coefficients": [0.0, 1.0]},
+             "load coefficients must be positive and sum to 1"),
+            ({"load_coefficients": [0.9, 0.2]},
+             "load coefficients must be positive and sum to 1"),
+            ({"sbs_positions": [[0.0, 0.0], [10.0, 0.0]],
+              "user_positions": [[1.0, 0.0], [9.0, 0.0]]},
+             "channel gains inconsistent with positions and pathloss exponent"),
+        ],
+    )
+    def test_every_check_names_its_violation(self, overrides, message):
+        with pytest.raises(ModelError, match=message):
+            tiny_scenario(**overrides)
+
+    def test_checks_run_in_order(self):
+        # a zero count is reported before a bad shape, a bad shape before a
+        # non-finite value, and that before a nonpositive power
+        with pytest.raises(ModelError, match="counts"):
+            tiny_scenario(sbs_count=0, max_power=[np.nan])
+        with pytest.raises(ModelError, match="max_power must have shape"):
+            tiny_scenario(max_power=[np.nan], noise_power=np.nan)
+        with pytest.raises(ModelError, match="finite"):
+            tiny_scenario(max_power=[-1.0, 1.0], noise_power=np.nan)
+        with pytest.raises(ModelError, match="powers and file sizes"):
+            tiny_scenario(max_power=[-1.0, 1.0], alpha=2.0)
+
+    @pytest.mark.parametrize("total, accepted", unit_sum_edges())
+    def test_load_coefficient_sum_at_the_isclose_bound(self, total, accepted):
+        load = np.array([0.5, total - 0.5])
+        # the premise: np.isclose at atol 1e-9 and its default rtol draws the line
+        assert bool(np.isclose(load.sum(), 1.0, atol=1e-9)) is accepted
+        if accepted:
+            tiny_scenario(load_coefficients=load)
+        else:
+            with pytest.raises(ModelError, match="sum to 1"):
+                tiny_scenario(load_coefficients=load)
+
+    # user 0 at 5 m from SBS 0, where the bound's 1e-8 dominates, or at
+    # 0.01 m, where its relative 1e-9 does
+    @pytest.mark.parametrize("user", [[3.0, 4.0], [0.006, 0.008]])
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    def test_gains_at_the_allclose_bound(self, user, factor, accepted):
+        sbs = np.array([[0.0, 0.0], [10.0, 0.0]])
+        users = np.array([user, [10.0, 5.0]])
+        dist = np.linalg.norm(users[:, None, :] - sbs[None, :, :], axis=2)
+        expected = dist ** -3.0
+        gains = expected.copy()
+        gains[0, 0] += factor * (1e-8 + 1e-9 * expected[0, 0])
+        assert bool(np.allclose(gains, expected, rtol=1e-9)) is accepted
+        build = functools.partial(
+            tiny_scenario, channel_gains=gains, sbs_positions=sbs, user_positions=users
+        )
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ModelError, match="channel gains inconsistent"):
+                build()
+
+    def test_user_on_an_sbs_names_the_pair(self):
+        sbs = [[0.0, 0.0], [10.0, 0.0]]
+        users = [[3.0, 4.0], [10.0, 0.0]]
+        # a finite gain for the coincident pair: every check before the
+        # positions passes, and no power of a zero distance may be taken
+        gains = [[1 / 125, 1 / 65**1.5], [1e-3, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="user 1 is at distance 0 from SBS 1"):
+                tiny_scenario(channel_gains=gains, sbs_positions=sbs,
+                              user_positions=users)
 
 
 class TestStructuredTypes:

@@ -91,6 +91,17 @@ class TestEnumerateCandidates:
                 float(dcoef[np.arange(2), cand.assigned].sum())
             )
 
+    def test_candidates_score_as_objective(self):
+        # bit for bit, as model.objective scores the same association
+        for seed in range(6):
+            inst = scn.generate(scn.desk_scale(), seed)
+            s, demands = inst.scenario, inst.demands
+            placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+            for cand in enumerate_candidates(s, demands, placement):
+                assoc = Association.from_assignment(cand.assigned, s.sbs_count)
+                value = objective(s, demands, placement, assoc, cand.power)
+                assert (cand.energy, cand.delay) == (value.energy, value.delay)
+
     def test_reachability_prescreen_matches_lp(self):
         # prescreen must only skip assignments the LP would reject anyway
         inst = scn.generate(scn.desk_scale(), 0)

@@ -14,6 +14,7 @@ from dscnopt.popularity import (
     zone_members,
 )
 from dscnopt import scenario as scn
+from test_model import unit_sum_edges
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,41 @@ class TestZonesAndPopularity:
             PopularityTable(np.array([[0.7, 0.7]]))
 
 
+class TestRowSums:
+    @pytest.mark.parametrize("cls, message", [
+        (PreferenceMatrix, "preference rows must sum to 1"),
+        (PopularityTable, "popularity rows must sum to 1"),
+    ])
+    @pytest.mark.parametrize("total, accepted", unit_sum_edges())
+    def test_rows_at_the_allclose_bound(self, cls, message, total, accepted):
+        rows = np.array([[0.25, 0.75], [0.5, total - 0.5]])
+        # the premise: np.allclose at atol 1e-9 draws the line
+        assert bool(np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)) is accepted
+        if accepted:
+            cls(rows)
+        else:
+            with pytest.raises(ModelError, match=message):
+                cls(rows)
+
+    @pytest.mark.parametrize("cls, message", [
+        (PreferenceMatrix, "preference rows must sum to 1"),
+        (PopularityTable, "popularity rows must sum to 1"),
+    ])
+    def test_nan_row_is_rejected(self, cls, message):
+        # NaN passes the sign check, so the row-sum check must catch it
+        with pytest.raises(ModelError, match=message):
+            cls(np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
+    @pytest.mark.parametrize("cls, message", [
+        (PreferenceMatrix, "rho must be a nonnegative matrix"),
+        (PopularityTable, "psi must be a nonnegative matrix"),
+    ])
+    @pytest.mark.parametrize("matrix", [[0.5, 0.5], [[1.5, -0.5]]])
+    def test_shape_and_sign_are_checked_first(self, cls, message, matrix):
+        with pytest.raises(ModelError, match=message):
+            cls(np.array(matrix))
+
+
 class TestLargestRemainder:
     def test_exact_split(self):
         assert _largest_remainder(np.array([0.5, 0.5]), 4).tolist() == [2, 2]
@@ -120,6 +156,30 @@ class TestLargestRemainder:
             counts = _largest_remainder(w, total)
             assert counts.sum() == total
             assert np.all(counts >= 0)
+
+    def test_rows_match_the_one_row_loop(self):
+        def one_row(weights, total):
+            # the one-row form that the matrix form replaced
+            target = weights * total
+            counts = np.floor(target).astype(int)
+            remainder = target - counts
+            short = total - counts.sum()
+            order = np.lexsort((np.arange(weights.size), -remainder))
+            counts[order[:short]] += 1
+            return counts
+
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            B, F = rng.integers(1, 6), rng.integers(1, 10)
+            weights = [
+                rng.dirichlet(np.ones(F), size=B),
+                rng.integers(0, 4, (B, F)) / 4.0,        # exact ties
+                rng.uniform(0.0, 2.0, (B, F)),           # short far below 0
+                rng.uniform(0.0, 0.5, (B, F)) / F,       # short above F
+            ][rng.integers(4)]
+            totals = rng.integers(0, 60, B)
+            expected = [one_row(w, int(n)) for w, n in zip(weights, totals)]
+            assert np.array_equal(_largest_remainder(weights, totals), expected)
 
 
 class TestSampleDemands:

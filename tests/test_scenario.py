@@ -1,12 +1,15 @@
 """Generation, configuration validation and serialization round-trips."""
 
+import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from dscnopt import scenario as scn
-from dscnopt.placement import DEFAULT_GRID_BYTES
+from dscnopt.placement import DEFAULT_GRID_BYTES, gpc_placement, lpf_greedy, rc_placement
+from dscnopt.popularity import local_popularity
 from dscnopt.scenario import (
     ConfigError,
     GenerationConfig,
@@ -66,6 +69,29 @@ class TestGrid:
         ]
 
 
+# SHA-256 over each instance's ``dumps`` text, ``float.hex`` of its local
+# popularity and the bytes of its lpf, gpc and rc placements: desk seeds 0-29
+# and 1,000,000-1,000,005 at U in {4, 5, 6, 8, 9, 12}, then paper seeds 0-1
+GENERATOR_DIGEST = "211648956c52261ede8a83d7ff0c0411c82907f640a2e1b8ad25dbc9901f416f"
+
+
+def generator_fingerprint():
+    digest = hashlib.sha256()
+    cases = [(desk_scale(user_count=U), seed)
+             for U in (4, 5, 6, 8, 9, 12)
+             for seed in [*range(30), *range(1_000_000, 1_000_006)]]
+    cases += [(paper_scale(), seed) for seed in (0, 1)]
+    for config, seed in cases:
+        inst = scn.generate(config, seed)
+        s = inst.scenario
+        pop = local_popularity(s, inst.preferences)
+        digest.update(scn.dumps(inst).encode())
+        digest.update(",".join(map(float.hex, pop.psi.ravel().tolist())).encode())
+        for placement in (lpf_greedy(s, pop)[0], gpc_placement(s), rc_placement(s, seed)):
+            digest.update(placement.y.tobytes())
+    return digest.hexdigest()
+
+
 class TestGeneration:
     def test_deterministic(self):
         a = scn.generate(desk_scale(), 9)
@@ -90,6 +116,15 @@ class TestGeneration:
         inst = scn.generate(desk_scale(), 4)
         units = inst.scenario.file_sizes / DEFAULT_GRID_BYTES
         assert np.allclose(units, np.rint(units))
+
+    def test_instances_match_recorded_fingerprint(self):
+        """Generated instances, popularity and placements are unchanged, bit for bit.
+
+        The digest was recorded before the set-up path was reworked for
+        speed. Making the generator's random streams independent (ROADMAP
+        item 6) changes every instance, and re-records it on purpose.
+        """
+        assert generator_fingerprint() == GENERATOR_DIGEST
 
     def test_capacity_is_fraction_of_catalog(self):
         cfg = desk_scale(cache_fraction=0.25)
@@ -155,6 +190,17 @@ class TestSerialization:
         text = scn.dumps(scn.generate(desk_scale(), 8))
         with pytest.raises(ParseError):
             scn.loads(mangle(text))
+
+    def test_user_on_an_sbs_is_a_parse_error(self):
+        inst = scn.generate(desk_scale(), 8)
+        lines = scn.dumps(inst).splitlines()
+        sbs_row = lines[lines.index("[matrix sbs_positions_m 3 2]") + 2]
+        # user 2 moved onto SBS 1
+        lines[lines.index("[matrix user_positions_m 6 2]") + 3] = sbs_row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="user 2 is at distance 0 from SBS 1"):
+                scn.loads("\n".join(lines) + "\n")
 
     def test_missing_section_raises(self):
         text = scn.dumps(scn.generate(desk_scale(), 8))

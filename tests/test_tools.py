@@ -7,7 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from dscnopt import benders, oracle, scenario as scn
+from dscnopt import benders, oracle, placement, popularity, scenario as scn
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
 
@@ -113,3 +113,28 @@ def test_tracer_wraps_the_oracle_sweep(monkeypatch):
     assert names.count("oracle.enumerate") == 1
     enumerate_span = tracer.spans[names.index("oracle.enumerate")]
     assert enumerate_span.parent == names.index("oracle.sweep")
+
+
+def test_tracer_wraps_the_instance_set_up(monkeypatch):
+    # scenario.generate_s, popularity.local_s and placement.*_s rest on these
+    tracer = load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        # through the modules, as the CLI and the benchmark call them
+        inst = scn.generate(scn.desk_scale(), 0)
+        s = inst.scenario
+        pop = popularity.local_popularity(s, inst.preferences)
+        placement.lpf_greedy(s, pop)
+        placement.gpc_placement(s)
+        placement.rc_placement(s, 0)
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    assert names.count("scenario.generate") == 1
+    generate = names.index("scenario.generate")
+    local = [span for span in tracer.spans if span.name == "popularity.local"]
+    # one inside generate, one called on its own
+    assert [span.parent for span in local] == [generate, -1]
+    for name in ("placement.lpf", "placement.gpc", "placement.rc"):
+        assert names.count(name) == 1
+        assert tracer.spans[names.index(name)].parent == -1
