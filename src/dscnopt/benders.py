@@ -8,13 +8,14 @@ association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
 LP, and reads a feasibility cut as a no-good: no association may hold
 every (user, SBS) pair of its support, the combinatorial Benders cut of
-Codato & Fischetti (Oper. Res. 2006). Its table (``_CutTable``) is given
-a conflict seed once, a boolean array of the user pairs that cannot be
-served together, and lists the associations that hold no seeded conflict
-by extending conflict-free prefixes one user at a time. It is also given
-an energy floor once, per (user, SBS) pair the energy of that user's
-least power alone there, and counts it as one more lower bound on the
-energy: per SBS the largest term among its users, summed over the SBSs.
+Codato & Fischetti (Oper. Res. 2006). Its table (``_CutTable``) is built
+over a ``_ConflictFree``, which is given a conflict seed once, a boolean
+array of the user pairs that cannot be served together, and lists the
+associations that hold no seeded conflict by extending conflict-free
+prefixes one user at a time. It is also given an energy floor once,
+per (user, SBS) pair the energy of that user's least power alone there,
+and counts it as one more lower bound on the energy: per SBS the
+largest term among its users, summed over the SBSs.
 While no prefix level passes ``_MASTER_ENUMERATION_LIMIT`` rows, the
 master is enumerated: the table keeps a running objective at the run's
 alpha over those rows, scores the floor once and each cut of a ``ucwt``
@@ -302,17 +303,6 @@ class _PowerAnswer:
     energy: float = math.inf
 
 
-def _ray(
-    mu: np.ndarray, nu: np.ndarray, b: np.ndarray, pmax: np.ndarray
-) -> _PowerAnswer:
-    # rays are scale-free: normalize so the certified violation at this
-    # association is exactly 1, keeping the resulting cut well scaled
-    violation = nu @ b - mu @ pmax
-    if violation > 0:
-        mu, nu = mu / violation, nu / violation
-    return _PowerAnswer(None, mu, nu)
-
-
 # the factors of a 1 x 1 system: I - F_S is [[g_ij / g_ij]], exactly [[1.0]]
 _UNIT = object()
 
@@ -515,7 +505,12 @@ def _irreducible_ray(
         w = np.concatenate([[1], system.solve(factors, head, trans=1)])
     nu = np.zeros_like(system.b)
     nu[S] = w.clip(min=0) / system.own[S]
-    return _ray(mu, nu, system.b, system.pmax)
+    # rays are scale-free: normalize so the certified violation at this
+    # association is exactly 1, keeping the resulting cut well scaled
+    violation = nu @ system.b - mu @ system.pmax
+    if violation > 0:
+        mu, nu = mu / violation, nu / violation
+    return _PowerAnswer(None, mu, nu)
 
 
 def _verified(rows: _SinrRows, assigned: np.ndarray, answer: _PowerAnswer) -> bool:
@@ -719,14 +714,15 @@ class MasterSolution:
 class _ConflictFree:
     """The conflict-free associations of one conflict seed, with the floor's score.
 
-    Given once: ``conflict_seed``'s (U, B, U, B) boolean array, or None for
-    no conflicts, and ``energy_floor``'s (U, B) terms, or None for no
-    floor. Its rows, built at once, are the assignments that hold no
-    seeded conflict, in lexicographic order, made by extending
-    conflict-free prefixes one user at a time; with no seed they are all
-    B**U assignments. The build stops as soon as a prefix level would hold
-    more than ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None,
-    which sends the master to ``_search_master``. With no seed, level d
+    Given once: a (U, B, U, B) boolean conflict array, such as
+    ``conflict_seed``'s, and (U, B) floor terms, such as ``energy_floor``'s;
+    an all-false seed and a zero floor stand for none. Its rows, built at
+    once, are the assignments that hold no seeded conflict, in
+    lexicographic order, made by extending conflict-free prefixes one user
+    at a time; with no conflict they are all B**U assignments. The build
+    stops as soon as a prefix level would hold more than
+    ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None, which
+    sends the master to ``_search_master``. With no conflict, level d
     holds B**(d + 1) rows, so that happens exactly when B**U passes the
     limit. The floor is scored once, at the build: per row, per SBS the
     largest term among its users, 0 if it serves none, added over the SBSs
@@ -736,14 +732,10 @@ class _ConflictFree:
     on alpha.
     """
 
-    def __init__(
-        self, shape: Tuple[int, int],
-        conflict: Optional[np.ndarray] = None, floor: Optional[np.ndarray] = None,
-    ):
-        self.shape = U, B = shape
-        self.conflict = np.zeros((U, B, U, B), bool) if conflict is None else conflict
-        self.alone = np.einsum("ijij->ij", self.conflict)
-        self.floor = np.zeros((U, B)) if floor is None else floor
+    def __init__(self, conflict: np.ndarray, floor: np.ndarray):
+        self.shape = U, B = floor.shape
+        self.conflict, self.floor = conflict, floor
+        self.alone = np.einsum("ijij->ij", conflict)
         self.rows = self._build()
         if self.rows is not None:
             # flat indices into a U x B coefficient matrix, last user first
@@ -796,10 +788,7 @@ class InstanceMaster(_ConflictFree):
 
     def __init__(self, scenario: Scenario, demands: DemandMatrix):
         self.sinr = _SinrRows(scenario, demands)
-        super().__init__(
-            (scenario.user_count, scenario.sbs_count),
-            conflict_seed(self.sinr), energy_floor(self.sinr),
-        )
+        super().__init__(conflict_seed(self.sinr), energy_floor(self.sinr))
         self.scenario, self.demands = scenario, demands
         self.answers: Dict[bytes, Tuple[Cut, float]] = {}
 
@@ -807,12 +796,11 @@ class InstanceMaster(_ConflictFree):
 class _CutTable:
     """The enumerated master's running objective over the conflict-free associations.
 
-    Built for one ``alpha`` over a ``_ConflictFree`` ``master``, or, with
-    none, over a fresh one of the ``conflict`` seed and the energy
-    ``floor`` (either may be None). Where the master's build gave up
-    (``rows`` None), ``solve_master`` searches (``_search_master``),
-    reading the delay coefficients, alpha, the seed and the floor from the
-    table. Per row the table holds the master objective
+    Built for one ``alpha`` over a ``_ConflictFree`` ``master``. Where the
+    master's build gave up (``rows`` None), ``solve_master`` searches
+    (``_search_master``), reading the delay coefficients and alpha from the
+    table and the seed and the floor from its master. Per row of the
+    master the table holds the master objective
     alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
     and the optimality cuts absorbed so far, or +inf where the row holds
     every pair of a feasibility cut's support. Each optimality cut of a
@@ -823,21 +811,12 @@ class _CutTable:
     so this equals weighting the largest of them, bit for bit.
     """
 
-    def __init__(
-        self, dcoef: np.ndarray, alpha: float,
-        conflict: Optional[np.ndarray] = None, floor: Optional[np.ndarray] = None,
-        master: Optional[_ConflictFree] = None,
-    ):
-        if master is None:
-            master = _ConflictFree(dcoef.shape, conflict, floor)
+    def __init__(self, dcoef: np.ndarray, alpha: float, master: _ConflictFree):
         self.master = master
-        # the search reads these from the table
-        self.conflict, self.alone = master.conflict, master.alone
-        self.floor, self.rows = master.floor, master.rows
         self.dcoef = dcoef
         self.alpha = alpha
         self.absorbed = 0
-        if self.rows is not None:
+        if master.rows is not None:
             self.weighted_delay = (1.0 - alpha) * master.score(dcoef)
             self.value = alpha * master.floor_score + self.weighted_delay
 
@@ -850,7 +829,7 @@ class _CutTable:
         for cut in cuts[self.absorbed:]:
             if cut.kind == "feasibility":
                 users, sbs = np.nonzero(cut.coef)
-                self.value[(self.rows[:, users] == sbs).all(axis=1)] = np.inf
+                self.value[(self.master.rows[:, users] == sbs).all(axis=1)] = np.inf
             else:
                 h = cut.constant + self.master.score(cut.coef)
                 np.maximum(
@@ -864,15 +843,16 @@ class _CutTable:
             raise InfeasibleInstanceError(_EXCLUDED)
         k = int(np.argmin(self.value))
         # the rows hold valid SBS indices by construction
-        assoc = Association._unchecked(self.rows[k], self.dcoef.shape[1])
+        assoc = Association._unchecked(self.master.rows[k], self.dcoef.shape[1])
         return MasterSolution(assoc=assoc, value=float(self.value[k]))
 
 
 def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     """Exact master by depth-first search over users 0..U-1, SBSs in index order.
 
-    It reads the delay coefficients, alpha, the conflict seed and the
-    energy floor from a ``table`` whose build gave up (``rows`` None).
+    It reads the delay coefficients and alpha from a ``table`` whose
+    master's build gave up (``rows`` None), and the conflict seed and the
+    energy floor from that master.
     Each optimality cut is affine in x, so over the completions of a
     partial association it is least at its fixed users' terms plus each
     free user's least coefficient; the delay is bounded the same way. The
@@ -888,7 +868,8 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     better, so ties keep the lexicographically first association, as
     enumeration does.
     """
-    conflict, alone = table.conflict, table.alone
+    master = table.master
+    conflict, alone, floor = master.conflict, master.alone, master.floor
     U, B = table.dcoef.shape
     users = np.arange(U)
     optimality = [c for c in cuts if c.kind == "optimality"]
@@ -916,7 +897,7 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
         low += const
         # [j]: the per-SBS peak floor terms with user d at SBS j
         peaks = np.tile(peak, (B, 1))
-        np.fill_diagonal(peaks, np.maximum(peak, table.floor[d]))
+        np.fill_diagonal(peaks, np.maximum(peak, floor[d]))
         eta = np.maximum(
             low[:k_delay].max(axis=0, initial=0.0), peaks.cumsum(axis=1)[:, -1]
         )
@@ -958,24 +939,26 @@ def solve_master(
     conflicts, the energy floor, one more lower bound on the energy, and
     the master objective at ``alpha`` over the cuts passed on earlier
     calls with the same growing ``cuts`` list, so only the new cuts are
-    scored. Without one, a fresh table with no seed and no floor scores
-    them all, so the master is defined by the cuts alone. ``ucwt`` keeps
-    one table per run, so each of its cuts is scored once. Raises
-    ``ModelError`` if ``table`` was built for another ``alpha``. Where the
-    table holds its conflict-free rows, they are enumerated, keeping the
-    lexicographically first optimum; where its build gave up
-    (``rows`` None), the master is searched depth first
+    scored. Without one, a fresh table over an empty seed and a zero
+    floor scores them all, so the master is defined by the cuts alone.
+    ``ucwt`` keeps one table per run, so each of its cuts is scored once.
+    Raises ``ModelError`` if ``table`` was built for another ``alpha``.
+    Where the table's master holds its conflict-free rows, they are
+    enumerated, keeping the lexicographically first optimum; where its
+    build gave up (``rows`` None), the master is searched depth first
     (``_search_master``) with the same tie rule and the same value, bit
     for bit. Both paths are deterministic.
     """
     if table is None:
         dcoef = delay_coefficients(scenario, demands, placement)
-        table = _CutTable(dcoef, alpha)
+        U, B = dcoef.shape
+        empty = _ConflictFree(np.zeros((U, B, U, B), bool), np.zeros((U, B)))
+        table = _CutTable(dcoef, alpha, empty)
     elif table.alpha != alpha:
         raise ModelError(
             f"cut table built for alpha={table.alpha}, solved at alpha={alpha}"
         )
-    if table.rows is None:
+    if table.master.rows is None:
         return _search_master(table, cuts)
     table.absorb(cuts)
     return table.solve()
@@ -1104,7 +1087,7 @@ def ucwt(
     dcoef = delay_coefficients(scenario, demands, placement)
 
     # one table per run; the search reads it too
-    table = _CutTable(dcoef, alpha, master=master)
+    table = _CutTable(dcoef, alpha, master)
     # the master's cuts: one per iteration
     trace = BendersTrace(epsilon=epsilon)
     cuts = trace.cuts

@@ -8,6 +8,7 @@ per-cell placement optimality.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -69,10 +70,18 @@ def knapsack_exact(
 
     Sizes are divided by ``DEFAULT_GRID_BYTES`` and must land on integers
     (within 1e-9); the result is then a true optimum. Returns (selection
-    mask, value).
+    mask, value). A capacity that is not finite and nonnegative, or sizes
+    and values that are not finite 1-D arrays of one length, raise
+    ``ModelError``.
     """
     sizes = np.asarray(sizes, dtype=float)
     values = np.asarray(values, dtype=float)
+    if not 0.0 <= capacity < math.inf:
+        raise ModelError("capacity must be finite and nonnegative")
+    if sizes.ndim != 1 or sizes.shape != values.shape:
+        raise ModelError("item sizes and values must be 1-D and of equal length")
+    if not (np.isfinite(sizes).all() and np.isfinite(values).all()):
+        raise ModelError("item sizes and values must be finite")
     if np.any(sizes <= 0):
         raise ModelError("item sizes must be strictly positive")
     if np.any(values < 0):

@@ -34,6 +34,15 @@ from .popularity import (
 MB = 1_000_000.0
 FORMAT_HEADER = "dscnopt-instance v1"
 
+# The published setting's fixed physics, the same in both presets: the
+# per-user bandwidth, the ranges of file sizes and of the SBSs' mean
+# backhaul delays, the stored alpha and the path-loss exponent.
+BANDWIDTH_KHZ = 200.0
+FILE_SIZE_RANGE_MB = (0.5, 50.0)
+BACKHAUL_MEAN_RANGE_S = (0.5, 2.0)
+ALPHA = 0.5
+PATHLOSS_EXPONENT = 3.0
+
 
 class ConfigError(ModelError):
     """Raised with the full list of config violations."""
@@ -49,21 +58,19 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Knobs for random instance generation; defaults follow the full-size preset."""
+    """Knobs for random instance generation; defaults follow the full-size preset.
+
+    The values that no preset varies are the module constants above.
+    """
 
     sbs_count: int = 25
     user_count: int = 150
     file_count: int = 600
     region_size_m: float = 250.0
     max_power_dbm: float = 23.0
-    bandwidth_khz: float = 200.0
     noise_density_dbm_hz: float = -174.0
-    file_size_range_mb: Tuple[float, float] = (0.5, 50.0)
     sinr_threshold_range: Tuple[float, float] = (1.5, 5.0)
     cache_fraction: float = 0.1          # of total catalog bytes, per SBS
-    backhaul_mean_range_s: Tuple[float, float] = (0.5, 2.0)
-    alpha: float = 0.5
-    pathloss_exponent: float = 3.0
     central_zone_radius_m: float = 25.0
     min_user_sbs_distance_m: float = 1.0
     user_cluster_radius_m: Optional[float] = None  # None: uniform over the region
@@ -79,23 +86,11 @@ class GenerationConfig:
             problems.append("file_count must be positive")
         if self.region_size_m <= 0:
             problems.append("region_size_m must be positive")
-        if self.bandwidth_khz <= 0:
-            problems.append("bandwidth_khz must be positive")
-        if not 2.0 <= self.pathloss_exponent <= 5.0:
-            problems.append("pathloss_exponent must lie in [2, 5]")
-        if not 0.0 <= self.alpha <= 1.0:
-            problems.append("alpha must lie in [0, 1]")
-        lo, hi = self.file_size_range_mb
-        if lo <= 0 or hi < lo:
-            problems.append("file_size_range_mb must be positive and ordered")
         lo, hi = self.sinr_threshold_range
         if lo <= 0 or hi < lo:
             problems.append("sinr_threshold_range must be positive and ordered")
         if not 0.0 <= self.cache_fraction <= 1.0:
             problems.append("cache_fraction must lie in [0, 1]")
-        lo, hi = self.backhaul_mean_range_s
-        if lo < 0 or hi < lo:
-            problems.append("backhaul_mean_range_s must be nonnegative and ordered")
         if self.min_user_sbs_distance_m <= 0:
             problems.append("min_user_sbs_distance_m must be positive")
         if self.central_zone_radius_m <= 0:
@@ -183,9 +178,9 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
         else:
             raise ConfigError("could not place a user outside the exclusion radius")
 
-    gains = np.sqrt(squares) ** (-config.pathloss_exponent)
+    gains = np.sqrt(squares) ** (-PATHLOSS_EXPONENT)
 
-    lo, hi = config.file_size_range_mb
+    lo, hi = FILE_SIZE_RANGE_MB
     cells = rng.integers(
         int(round(lo * MB / DEFAULT_GRID_BYTES)),
         int(round(hi * MB / DEFAULT_GRID_BYTES)) + 1,
@@ -193,8 +188,8 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
     )
     sizes = cells.astype(float) * DEFAULT_GRID_BYTES
     thresholds = rng.uniform(*config.sinr_threshold_range, size=F)
-    backhaul = rng.uniform(*config.backhaul_mean_range_s, size=B)
-    bandwidth = config.bandwidth_khz * 1e3
+    backhaul = rng.uniform(*BACKHAUL_MEAN_RANGE_S, size=B)
+    bandwidth = BANDWIDTH_KHZ * 1e3
     noise = dbm_to_watts(config.noise_density_dbm_hz) * bandwidth
     capacity = np.full(B, config.cache_fraction * sizes.sum())
 
@@ -209,9 +204,9 @@ def generate(config: GenerationConfig, seed: int) -> Instance:
         sinr_thresholds=thresholds,
         bandwidth=bandwidth,
         noise_power=noise,
-        pathloss_exponent=config.pathloss_exponent,
+        pathloss_exponent=PATHLOSS_EXPONENT,
         channel_gains=gains,
-        alpha=config.alpha,
+        alpha=ALPHA,
         load_coefficients=np.full(B, 1.0 / B),
         central_zone_radius=config.central_zone_radius_m,
         sbs_positions=sbs_pos,

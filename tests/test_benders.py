@@ -581,6 +581,19 @@ def outer_sum_table(dcoef, cuts, alpha):
     return value
 
 
+def cut_table(dcoef, alpha, K=None, floor=None):
+    """A ``_CutTable`` at ``alpha`` over a new ``_ConflictFree(K, floor)``.
+
+    None stands for no conflict (all false) and for no floor (zeros).
+    """
+    U, B = dcoef.shape
+    if K is None:
+        K = np.zeros((U, B, U, B), dtype=bool)
+    if floor is None:
+        floor = np.zeros((U, B))
+    return benders._CutTable(dcoef, alpha, benders._ConflictFree(K, floor))
+
+
 def random_support(rng, U, B):
     """Non-negative coefficients on the pairs of a random association at some users."""
     coef = np.zeros((U, B))
@@ -655,12 +668,12 @@ class TestMaster:
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
                 for conflict in (None, K):
-                    table = benders._CutTable(dcoef, alpha, conflict)
+                    table = cut_table(dcoef, alpha, conflict)
                     enum = solve_master(s, demands, placement, cuts, alpha, table)
                     with monkeypatch.context() as m:
                         m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                        table = benders._CutTable(dcoef, alpha, conflict)
-                        assert table.rows is None
+                        table = cut_table(dcoef, alpha, conflict)
+                        assert table.master.rows is None
                         found = solve_master(s, demands, placement, cuts, alpha, table)
                     assert found.value == enum.value
                     assert np.array_equal(found.assoc.x, enum.assoc.x)
@@ -681,13 +694,13 @@ class TestMaster:
             dcoef = delay_coefficients(s, demands, placement)
             for conflict in (None, K):
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(dcoef, alpha, conflict)
+                    table = cut_table(dcoef, alpha, conflict)
                     for k in range(1, len(cuts) + 1):
                         head = cuts[:k]
                         kept = solve_master(s, demands, placement, head, alpha, table)
                         fresh = solve_master(
                             s, demands, placement, head, alpha,
-                            benders._CutTable(dcoef, alpha, conflict),
+                            cut_table(dcoef, alpha, conflict),
                         )
                         assert kept.value == fresh.value
                         assert np.array_equal(kept.assoc.x, fresh.assoc.x)
@@ -701,7 +714,7 @@ class TestMaster:
                     with pytest.raises(ModelError):
                         solve_master(s, demands, placement, cuts, 0.25, table)
             # the seeded table went last: none of its rows holds a conflict
-            assert not any(conflicts_held(K, row).any() for row in table.rows)
+            assert not any(conflicts_held(K, row).any() for row in table.master.rows)
 
     def test_table_rows_are_the_conflict_free_assignments(self):
         for U in (6, 9):
@@ -717,9 +730,9 @@ class TestMaster:
                     (empty, every),
                     (None, every),
                 ):
-                    table = benders._CutTable(dcoef, 0.5, conflict)
-                    assert table.rows.shape == (len(allowed), U)
-                    assert np.array_equal(table.rows, np.reshape(allowed, (-1, U)))
+                    rows = cut_table(dcoef, 0.5, conflict).master.rows
+                    assert rows.shape == (len(allowed), U)
+                    assert np.array_equal(rows, np.reshape(allowed, (-1, U)))
 
     @pytest.mark.parametrize("U, B", [(1, 3), (3, 1), (1, 1), (6, 3), (15, 2)])
     def test_table_matches_outer_sums(self, monkeypatch, U, B):
@@ -735,9 +748,10 @@ class TestMaster:
         ]
         cuts.append(Cut(-float(rng.normal()), random_support(rng, U, B), "feasibility"))
         for alpha in (0.0, 0.5, 1.0):
-            table = benders._CutTable(dcoef, alpha)
+            table = cut_table(dcoef, alpha)
             table.absorb(cuts)
-            assert table.rows.tolist() == [list(a) for a in iter_assignments(U, B)]
+            every = [list(a) for a in iter_assignments(U, B)]
+            assert table.master.rows.tolist() == every
             assert np.array_equal(table.value, outer_sum_table(dcoef, cuts, alpha))
 
     def test_seeded_table_matches_outer_sums(self):
@@ -749,12 +763,12 @@ class TestMaster:
                 cuts = ucwt(s, demands, placement, 0.5).trace.cuts
                 dcoef = delay_coefficients(s, demands, placement)
                 for alpha in (0.0, 0.5, 1.0):
-                    table = benders._CutTable(
+                    table = cut_table(
                         dcoef, alpha, conflict_seed(_SinrRows(s, demands))
                     )
                     table.absorb(cuts)
                     grid = outer_sum_table(dcoef, cuts, alpha)
-                    at = np.ravel_multi_index(table.rows.T, (B,) * U)
+                    at = np.ravel_multi_index(table.master.rows.T, (B,) * U)
                     assert np.array_equal(table.value, grid[at])
 
     def test_seeded_tables_enumerate_past_the_old_limit(self):
@@ -766,7 +780,7 @@ class TestMaster:
                 s, demands = inst.scenario, inst.demands
                 K = conflict_seed(_SinrRows(s, demands))
                 dcoef = delay_coefficients(s, demands, placement)
-                rows = benders._CutTable(dcoef, 0.5, K).rows
+                rows = cut_table(dcoef, 0.5, K).master.rows
                 assert rows is not None and len(rows) > 0
                 # sorted, distinct and conflict-free
                 assert np.array_equal(np.unique(rows, axis=0), rows)
@@ -783,14 +797,14 @@ class TestMaster:
         # an unseeded table with B**U past the limit
         inst, placement = desk_pipeline(0, user_count=10)
         dcoef = delay_coefficients(inst.scenario, inst.demands, placement)
-        assert benders._CutTable(dcoef, 0.5).rows is None
+        assert cut_table(dcoef, 0.5).master.rows is None
         # paper seed 0: a prefix level of its conflict-free rows passes it
         paper = scn.generate(scn.paper_scale(), 0)
         s, demands = paper.scenario, paper.demands
         placement, _ = lpf_greedy(s, local_popularity(s, paper.preferences))
         dcoef = delay_coefficients(s, demands, placement)
         K = conflict_seed(_SinrRows(s, demands))
-        assert benders._CutTable(dcoef, 0.5, K).rows is None
+        assert cut_table(dcoef, 0.5, K).master.rows is None
         # a peak level past a limit of 2 gives up, though one row is left:
         # user 1 reaches SBS 0 only, and not beside user 0 at SBS 1 or 2
         K = np.zeros((2, 3, 2, 3), dtype=bool)
@@ -798,22 +812,22 @@ class TestMaster:
         K[0, 1:, 1, 0] = K[1, 0, 0, 1:] = True
         dcoef = np.ones((2, 3))
         monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 2)
-        assert benders._CutTable(dcoef, 0.5, K).rows is None
+        assert cut_table(dcoef, 0.5, K).master.rows is None
         monkeypatch.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 3)
-        assert benders._CutTable(dcoef, 0.5, K).rows.tolist() == [[0, 0]]
+        assert cut_table(dcoef, 0.5, K).master.rows.tolist() == [[0, 0]]
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(problem=random_masters(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
     def test_table_and_search_agree_on_random_masters(self, problem, alpha):
         U, B, dcoef, K, cuts, floor = problem
-        table = benders._CutTable(dcoef, alpha, K, floor)
+        table = cut_table(dcoef, alpha, K, floor)
         allowed = [a for a in iter_assignments(U, B) if not conflicts_held(K, a).any()]
-        assert table.rows.tolist() == [a.tolist() for a in allowed]
+        assert table.master.rows.tolist() == [a.tolist() for a in allowed]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-            searched = benders._CutTable(dcoef, alpha, K, floor)
+            searched = cut_table(dcoef, alpha, K, floor)
         # limit 0 leaves rows only where no user 0 placement is conflict-free
-        assert searched.rows is None or not allowed
+        assert searched.master.rows is None or not allowed
         answers = []
         for t in (table, searched):
             try:
@@ -896,18 +910,18 @@ class TestMaster:
         s, demands = inst.scenario, inst.demands
         K = conflict_seed(_SinrRows(s, demands))
         dcoef = delay_coefficients(s, demands, placement)
-        floor_free = benders._CutTable(dcoef, 0.5, K)
+        floor_free = cut_table(dcoef, 0.5, K)
         cuts = []
         assoc = solve_master(s, demands, placement, cuts, 0.5, floor_free).assoc
         while len(cuts) < 268:
             cuts.append(solve_subproblem(s, demands, assoc)[0])
             assoc = solve_master(s, demands, placement, cuts, 0.5, floor_free).assoc
         for k in (267, 268):
-            table = benders._CutTable(dcoef, 0.5, K)
+            table = cut_table(dcoef, 0.5, K)
             enum = solve_master(s, demands, placement, cuts[:k], 0.5, table)
             with monkeypatch.context() as m:
                 m.setattr(benders, "_MASTER_ENUMERATION_LIMIT", 0)
-                table = benders._CutTable(dcoef, 0.5, K)
+                table = cut_table(dcoef, 0.5, K)
             found = solve_master(s, demands, placement, cuts[:k], 0.5, table)
             assert found.value.hex() == enum.value.hex() == "0x1.baff865298a4ap+12"
             assert np.array_equal(found.assoc.x, enum.assoc.x)
@@ -932,8 +946,8 @@ class TestMaster:
                 K[users, :, users, :] = (
                     np.eye(B, dtype=bool) & ~reachable_sbs(s, demands)[:, :, None]
                 )
-                table = benders._CutTable(np.zeros((U, B)), 1.0, K, F)
-                for assigned, floor in zip(table.rows, table.value.tolist()):
+                table = cut_table(np.zeros((U, B)), 1.0, K, F)
+                for assigned, floor in zip(table.master.rows, table.value.tolist()):
                     expected = 0.0
                     for j in range(B):
                         expected += F[assigned == j, j].max(initial=0.0)
@@ -1222,7 +1236,7 @@ class TestUcwt:
             K = conflict_seed(_SinrRows(s, demands))
             dcoef = delay_coefficients(s, demands, placement)
             for alpha in (0.0, 0.5, 1.0):
-                table = benders._CutTable(
+                table = cut_table(
                     dcoef, alpha, K, benders.energy_floor(_SinrRows(s, demands))
                 )
                 start = solve_master(s, demands, placement, [], alpha, table).assoc
@@ -1267,7 +1281,7 @@ class TestUcwt:
         floors = []
 
         def recorded(table, cuts):
-            floors.append(table.floor)
+            floors.append(table.master.floor)
             return search(table, cuts)
 
         for alpha in (0.5, 1.0):

@@ -172,11 +172,12 @@ def plain_walk(s, demands, placement):
     Candidates as (assigned, powers, energy, delay), floats as ``float.hex``.
     """
     reach = reachable_sbs(s, demands)
+    rows = benders._SinrRows(s, demands)   # the instance's, built once
     out = []
     for walk in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
         assigned = np.array(walk)
         assoc = Association.from_assignment(assigned, s.sbs_count)
-        power = min_power_for(s, demands, assoc)
+        power = min_power_for(s, demands, assoc, rows)
         if power is not None:
             value = objective(s, demands, placement, assoc, power)
             out.append((walk, [float(p).hex() for p in power.p],

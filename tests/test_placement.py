@@ -1,6 +1,7 @@
 """Cache placement policies against the exact knapsack oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,31 @@ class TestKnapsackExact:
         with pytest.raises(KnapsackError):
             knapsack_exact(
                 [DEFAULT_GRID_BYTES] * 10, [1.0] * 10, 1e7 * DEFAULT_GRID_BYTES
+            )
+
+    @pytest.mark.parametrize("sizes, values, capacity, message", [
+        ([1.0], [1.0], -0.5, "capacity"),
+        ([1.0], [1.0], -3.0, "capacity"),
+        ([1.0], [1.0], math.nan, "capacity"),
+        ([1.0], [1.0], math.inf, "capacity"),
+        ([math.nan], [1.0], 1.0, "finite"),
+        ([math.inf], [1.0], 1.0, "finite"),
+        ([1.0], [math.nan], 1.0, "finite"),
+        ([1.0], [math.inf], 1.0, "finite"),
+        ([1.0, 2.0], [1.0], 3.0, "equal length"),
+        ([1.0], [1.0, 2.0], 3.0, "equal length"),
+        ([[1.0]], [[1.0]], 3.0, "1-D"),
+    ], ids=[
+        "capacity-half-cell-below-0", "capacity-3-cells-below-0", "capacity-nan",
+        "capacity-inf", "size-nan", "size-inf", "value-nan", "value-inf",
+        "more-sizes", "more-values", "2-d",
+    ])
+    def test_rejects_malformed_input(self, sizes, values, capacity, message):
+        # sizes and capacity in grid cells
+        with pytest.raises(ModelError, match=message):
+            knapsack_exact(
+                np.multiply(sizes, DEFAULT_GRID_BYTES), values,
+                capacity * DEFAULT_GRID_BYTES,
             )
 
     def test_zero_capacity(self):

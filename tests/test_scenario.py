@@ -42,11 +42,8 @@ class TestConfig:
         "overrides",
         [
             {"sbs_count": 0},
-            {"alpha": 2.0},
-            {"file_size_range_mb": (5.0, 1.0)},
             {"sinr_threshold_range": (-1.0, 1.0)},
             {"cache_fraction": 1.5},
-            {"pathloss_exponent": 1.0},
             {"min_user_sbs_distance_m": 0.0},
         ],
     )

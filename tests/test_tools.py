@@ -36,25 +36,49 @@ def test_src_size_caps_solve_lp_call_sites():
     assert sites <= MAX_SOLVE_LP_SITES
 
 
+SAMPLE_SOURCE = textwrap.dedent("""
+    @dataclass(frozen=True)
+    class Point:
+        x: float
+        y: float = 0.0
+        norm: float = field(init=False)
+
+    class Grid:
+        def cell(self, i, *rest, j=0, **named):
+            return lambda k: k
+""")
+
+
 def test_src_size_counts_settable_values():
     *modules, total = src_size_rows()
     assert int(total[4]) == sum(int(row[4]) for row in modules) > 0
     spec = importlib.util.spec_from_file_location("src_size", ROOT / "tools" / "src_size.py")
     src_size = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(src_size)
-    sample = ast.parse(textwrap.dedent("""
-        @dataclass(frozen=True)
-        class Point:
-            x: float
-            y: float = 0.0
-            norm: float = field(init=False)
-
-        class Grid:
-            def cell(self, i, *rest, j=0, **named):
-                return lambda k: k
-    """))
     # x and y; i, rest, j and named; k
-    assert src_size._settable_values(sample) == 2 + 4 + 1
+    assert src_size._settable_values(ast.parse(SAMPLE_SOURCE)) == 2 + 4 + 1
+
+
+def src_size_defs(root):
+    """``tools/src_size.py --defs`` on ``root``, one list of fields per line."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_size.py"), "--defs", str(root)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return [line.split() for line in run.stdout.splitlines()]
+
+
+def test_src_size_lists_settable_values_per_def(tmp_path):
+    (tmp_path / "sample.py").write_text(SAMPLE_SOURCE, encoding="utf-8")
+    # most settable values first, each at the line of its def or class
+    assert src_size_defs(tmp_path) == [
+        ["4", "Grid.cell", "sample.py:9"],
+        ["2", "Point", "sample.py:3"],
+        ["1", "Grid.cell.<lambda>", "sample.py:10"],
+    ]
+    # over the package, the lines add up to the table's total
+    total = src_size_rows()[-1]
+    assert sum(int(fields[0]) for fields in src_size_defs(ROOT / "src")) == int(total[4])
 
 
 def load_tracing(monkeypatch):

@@ -1,6 +1,6 @@
 """Report the size of the package source: lines, code-only lines, LP call sites.
 
-Usage: python tools/src_size.py [SRC_DIR]   (default: src/ next to tools/)
+Usage: python tools/src_size.py [--defs] [SRC_DIR]   (default: src/ next to tools/)
 
 For each module under SRC_DIR it prints the physical line count, the
 code-only count, which leaves out blank lines, comment-only lines and the
@@ -8,17 +8,21 @@ lines of module, class and function docstrings, the number of
 ``solve_lp(...)`` call sites and the number of settable values: every
 parameter of a ``def`` or ``lambda`` other than ``self``/``cls`` (``*args``
 and ``**kwargs`` count one each), plus every init field of a dataclass.
-The last line gives the totals. Stdlib only.
+The last line gives the totals. With ``--defs`` it prints instead one
+line per ``def``, ``lambda`` and dataclass: its settable values, its
+qualified name and its ``file:line``, most settable values first. Stdlib
+only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
 import tokenize
 from pathlib import Path
-from typing import Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 _NON_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -67,17 +71,27 @@ def _init_field(stmt: ast.stmt) -> bool:
         for k in value.keywords))
 
 
-def _settable_values(tree: ast.AST) -> int:
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            a = node.args
+def _defs(node: ast.AST, prefix: str = "") -> Iterator[Tuple[str, int, int]]:
+    """(qualified name, line, settable values) of each def, lambda and dataclass."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name += getattr(child, "name", "<lambda>")
+            a = child.args
             params = a.posonlyargs + a.args + a.kwonlyargs + [
                 p for p in (a.vararg, a.kwarg) if p is not None]
-            count += sum(p.arg not in ("self", "cls") for p in params)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(_init_field(stmt) for stmt in node.body)
-    return count
+            yield name, child.lineno, sum(p.arg not in ("self", "cls") for p in params)
+            name += "."
+        elif isinstance(child, ast.ClassDef):
+            name += child.name
+            if _is_dataclass(child):
+                yield name, child.lineno, sum(_init_field(stmt) for stmt in child.body)
+            name += "."
+        yield from _defs(child, name)
+
+
+def _settable_values(tree: ast.AST) -> int:
+    return sum(count for _, _, count in _defs(tree))
 
 
 def measure(path: Path) -> Tuple[int, int, int, int]:
@@ -97,13 +111,32 @@ def _row(name: str, counts) -> str:
     return f"{name:<32} {lines:>6} {code:>6} {sites:>8} {settable:>8}"
 
 
+def _print_defs(root: Path, files: List[Path]) -> None:
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = str(path.relative_to(root))
+        found.extend((-count, where, line, name) for name, line, count in _defs(tree))
+    # most settable values first, then in file and line order
+    for count, where, line, name in sorted(found):
+        print(f"{-count:>8}  {name:<48} {where}:{line}")
+
+
 def main(argv: list) -> int:
-    default = Path(__file__).resolve().parent.parent / "src"
-    root = Path(argv[1]) if len(argv) > 1 else default
+    parser = argparse.ArgumentParser(description="Report the size of the source.")
+    parser.add_argument("src", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--defs", action="store_true",
+                        help="each def, lambda and dataclass by settable values")
+    args = parser.parse_args(argv[1:])
+    root = args.src
     files = sorted(root.rglob("*.py"))
     if not files:
         print(f"no Python files under {root}", file=sys.stderr)
         return 2
+    if args.defs:
+        _print_defs(root, files)
+        return 0
     totals = [0, 0, 0, 0]
     print(f"{'module':<32} {'lines':>6} {'code':>6} {'solve_lp':>8} {'settable':>8}")
     for path in files:
