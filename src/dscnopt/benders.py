@@ -97,7 +97,6 @@ from .model import (
     PowerVector,
     Scenario,
     delay_coefficients,
-    objective,
     requested_thresholds,
     serving_time,
     total_transmission_time,
@@ -256,7 +255,7 @@ class _SinrRows:
         self.u = (self.b[:, None] / g).ravel()
         self.T = serving_time(scenario, demands, None, "relaxed")
         self.pmax = scenario.max_power
-        self.A = np.repeat(-self.gamma[:, None] * g, B, axis=0)
+        self.A = (-self.gamma[:, None] * g).repeat(B, axis=0)
         # column j of row (i, j): the diagonal of user i's B x B block
         self.A.reshape(U, B * B)[:, :: B + 1] = g
         self.magnitude = np.abs(self.A)
@@ -321,6 +320,7 @@ class _InterferenceSystem:
     """
 
     switch_gain = 1.0 + _SWITCH_TOL
+    dtype = float
 
     def __init__(self, rows: _SinrRows, assigned: np.ndarray):
         self.assigned = assigned
@@ -388,6 +388,7 @@ class _ExactSystem(_InterferenceSystem):
     """
 
     switch_gain = 1
+    dtype = object
 
     def _gather(self, rows: _SinrRows, assigned: np.ndarray):
         # imported here: only an unverified answer needs it, and loading it
@@ -443,7 +444,7 @@ def _policy_iteration(system: _InterferenceSystem) -> Optional[_PowerAnswer]:
         if not within:
             return _irreducible_ray(system, sigma, factors, p_sigma)
         cols = assigned[sigma]
-        p = np.zeros_like(system.pmax)
+        p = np.zeros(len(system.pmax), system.dtype)
         p[cols] = p_sigma
         r = system.u + system.C @ p
         best = system.most_demanding(r)
@@ -452,9 +453,10 @@ def _policy_iteration(system: _InterferenceSystem) -> Optional[_PowerAnswer]:
             # optimality duals: w = (I - F)^-T T on the serving SBSs, with
             # nu = w / g_own on the binding rows and mu = 0
             w = system.solve(factors, T[cols], trans=1)
-            nu = np.zeros_like(system.b)
+            nu = np.zeros(len(system.b), system.dtype)
             nu[sigma] = w / system.own[sigma]
-            return _PowerAnswer(p, np.zeros_like(system.pmax), nu, float(T @ p))
+            mu = np.zeros(len(system.pmax), system.dtype)
+            return _PowerAnswer(p, mu, nu, float(T @ p))
         sigma = np.where(switch, best, sigma)
     return None
 
@@ -483,14 +485,14 @@ def _irreducible_ray(
             users, factors, p = rest, rest_factors, q
     S = np.array(users)
     cols = system.assigned[S]
-    mu = np.zeros_like(system.pmax)
+    mu = np.zeros(len(system.pmax), system.dtype)
     if p is not None:
         # spectral radius below 1: the most exceeded cap j, with
         # w = (I - F)^-T e_j and mu = e_j
         caps = system.caps
         excess = [x / caps[i] for x, i in zip(p.tolist(), users)]
         k = excess.index(max(excess))
-        e = np.zeros_like(p)
+        e = np.zeros(len(p), system.dtype)
         e[k] = 1
         w = system.solve(factors, e, trans=1)
         mu[cols[k]] = 1
@@ -503,7 +505,7 @@ def _irreducible_ray(
             return None
         head = system.C[users[0], cols[1:]]
         w = np.concatenate([[1], system.solve(factors, head, trans=1)])
-    nu = np.zeros_like(system.b)
+    nu = np.zeros(len(system.b), system.dtype)
     nu[S] = w.clip(min=0) / system.own[S]
     # rays are scale-free: normalize so the certified violation at this
     # association is exactly 1, keeping the resulting cut well scaled
@@ -611,16 +613,19 @@ def conflict_seed(rows: _SinrRows) -> np.ndarray:
     (1e-8) on its caps, so that the rounding of this closed form cannot
     flag a pair that ``min_power_for``'s exact verdict accepts; a missed
     conflict costs one Benders iteration, a wrong one an answer. u and c
-    are read from the instance's ``rows``.
+    are read from the instance's ``rows``. The one-user conflicts are the
+    diagonal of K viewed as a (U B, U B) matrix; each pair of SBSs j < l
+    gives one (U, U) clash block, whose diagonal (a user with itself) is
+    cleared, written at (j, l) and, transposed, at (l, j).
     """
     U, B = rows.scenario.channel_gains.shape
-    users = np.arange(U)
     # c[i, j, l]: gamma_i g_il / g_ij, SBS l's interference on user i at j
     u, c = rows.u.reshape(U, B), rows.C.reshape(U, B, B)
     caps = rows.pmax * (1.0 + _CONFLICT_MARGIN)
     reach = reachable_sbs(rows.scenario, rows.demands)
     K = np.zeros((U, B, U, B), dtype=bool)
-    K[users, :, users, :] = np.eye(B, dtype=bool) & ~reach[:, :, None]
+    # K[i, j, i, j] is the diagonal of K as a (U B, U B) matrix
+    np.fill_diagonal(K.reshape(U * B, U * B), ~reach)
     for j in range(B):
         for l in range(j + 1, B):
             # rows: user i at j; columns: user k at l
@@ -628,7 +633,7 @@ def conflict_seed(rows: _SinrRows) -> np.ndarray:
             uj, ul = u[:, j][:, None], u[:, l][None, :]
             det = 1.0 - cj * cl
             clash = (uj + cj * ul > caps[j] * det) | (ul + cl * uj > caps[l] * det)
-            clash[users, users] = False
+            np.fill_diagonal(clash, False)
             K[:, j, :, l] = clash
             K[:, l, :, j] = clash.T
     return K
@@ -655,8 +660,14 @@ def min_power_for(
 ) -> Optional[PowerVector]:
     """Minimum-energy powers for a fixed association, or None if infeasible.
 
-    ``rows`` are the instance's ``_SinrRows``, built here when None.
+    ``rows`` are the instance's ``_SinrRows``, built here when None. An
+    association of another shape than (U, B) is a ``ModelError``.
     """
+    if assoc.x.shape != scenario.channel_gains.shape:
+        raise ModelError(
+            f"association has shape {assoc.x.shape}, "
+            f"expected {scenario.channel_gains.shape}"
+        )
     rows = _rows_for(scenario, demands, rows)
     power = _min_power(rows, assoc.assigned_sbs).power
     return None if power is None else PowerVector(power)
@@ -674,8 +685,14 @@ def solve_subproblem(
     verdict. With its multipliers nu extended by zeros to the unassigned
     pairs, h(X) = -p_max mu + sum_ij nu_ij (N gamma_i - (1 - x_ij) / varrho).
     gamma, p_max and varrho are read from ``rows``, the instance's
-    ``_SinrRows`` (built here when None).
+    ``_SinrRows`` (built here when None). An association of another shape
+    than (U, B) is a ``ModelError``.
     """
+    if assoc.x.shape != scenario.channel_gains.shape:
+        raise ModelError(
+            f"association has shape {assoc.x.shape}, "
+            f"expected {scenario.channel_gains.shape}"
+        )
     rows = _rows_for(scenario, demands, rows)
     assigned = assoc.assigned_sbs
     answer = _min_power(rows, assigned)
@@ -717,19 +734,20 @@ class _ConflictFree:
     Given once: a (U, B, U, B) boolean conflict array, such as
     ``conflict_seed``'s, and (U, B) floor terms, such as ``energy_floor``'s;
     an all-false seed and a zero floor stand for none. Its rows, built at
-    once, are the assignments that hold no seeded conflict, in
-    lexicographic order, made by extending conflict-free prefixes one user
-    at a time; with no conflict they are all B**U assignments. The build
-    stops as soon as a prefix level would hold more than
-    ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None, which
-    sends the master to ``_search_master``. With no conflict, level d
-    holds B**(d + 1) rows, so that happens exactly when B**U passes the
-    limit. The floor is scored once, at the build: per row, per SBS the
-    largest term among its users, 0 if it serves none, added over the SBSs
-    in index order. ``score`` adds a coefficient matrix over the rows from
-    the last user to the first. Both orders are those of
-    ``_search_master``'s bounds. None of it depends on the placement or
-    on alpha.
+    once, are the assignments that hold no seeded conflict, in lexicographic
+    order, made by extending conflict-free prefixes one user at a time, each
+    level written into one new array; with no conflict they are all B**U
+    assignments. The build stops as soon as a prefix level would hold more
+    than ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None, which
+    sends the master to ``_search_master``. With no conflict, level d holds
+    B**(d + 1) rows, so that happens exactly when B**U passes the limit. The
+    floor is scored once, at the build: per row, per SBS the largest term
+    among its users, 0 if it serves none, added over the SBSs in index order
+    (one (rows, U, B) array of the terms each SBS holds, a maximum over
+    users, a cumulative sum over SBSs). ``score`` adds a coefficient matrix
+    over the rows from the last user to the first. Both orders are those of
+    ``_search_master``'s bounds. None of it depends on the placement or on
+    alpha.
     """
 
     def __init__(self, conflict: np.ndarray, floor: np.ndarray):
@@ -744,14 +762,19 @@ class _ConflictFree:
 
     def _build(self) -> Optional[np.ndarray]:
         """The conflict-free rows, or None once a prefix level passes the limit."""
+        users = np.arange(self.shape[0])
         rows = np.zeros((1, 0), dtype=np.intp)
-        for d in range(self.shape[0]):
+        for d in users.tolist():
             # [r, j]: user d at SBS j conflicts alone or with a user of row r
-            blocked = self.alone[d] | self.conflict[np.arange(d), rows, d].any(axis=1)
-            r, j = np.nonzero(~blocked)
+            blocked = self.conflict[users[:d], rows, d].any(axis=1)
+            blocked |= self.alone[d]
+            r, j = (~blocked).nonzero()
             if len(r) > _MASTER_ENUMERATION_LIMIT:
                 return None
-            rows = np.column_stack([rows[r], j])
+            extended = np.empty((len(r), d + 1), dtype=np.intp)
+            extended[:, :d] = rows[r]
+            extended[:, d] = j
+            rows = extended
         return rows
 
     def score(self, coef: np.ndarray) -> np.ndarray:
@@ -763,11 +786,12 @@ class _ConflictFree:
         """Per row, the sum over SBSs of the largest floor term among its users."""
         U, B = self.shape
         terms = self.floor[np.arange(U), self.rows]
-        total = np.zeros(len(self.rows))
-        for j in range(B):
-            # SBSs in index order, the order in which the search's cumsum adds
-            total += np.where(self.rows == j, terms, 0.0).max(axis=1)
-        return total
+        # [r, i, j]: user i's term if row r serves it at SBS j, else 0
+        held = np.where(
+            self.rows[:, :, None] == np.arange(B), terms[:, :, None], 0.0
+        )
+        # SBSs in index order, the order in which the search's cumsum adds
+        return held.max(axis=1).cumsum(axis=1)[:, -1]
 
 
 class InstanceMaster(_ConflictFree):
@@ -839,9 +863,9 @@ class _CutTable:
 
     def solve(self) -> MasterSolution:
         """Exact master over the absorbed cuts; ties keep the lexicographic first."""
-        if self.value.min(initial=np.inf) == np.inf:
+        k = int(self.value.argmin()) if len(self.value) else None
+        if k is None or self.value[k] == np.inf:
             raise InfeasibleInstanceError(_EXCLUDED)
-        k = int(np.argmin(self.value))
         # the rows hold valid SBS indices by construction
         assoc = Association._unchecked(self.master.rows[k], self.dcoef.shape[1])
         return MasterSolution(assoc=assoc, value=float(self.value[k]))
@@ -1069,9 +1093,13 @@ def ucwt(
     The incumbent is the first bounded proposal of least
     alpha * M + (1 - alpha) * delay: its value is the upper bound, the
     master's optimum the lower bound, and the powers returned are those
-    its subproblem found, not solved again. An exact master re-proposes an
-    association whose cut it holds only once the gap has closed. Without
-    convergence the incumbent is returned all the same, with
+    its subproblem found, not solved again. ``trace.final_objective`` is
+    that value: M is T p over the same T as ``serving_time`` and the delay
+    is (delay coefficients * x).sum(), the very expressions of
+    ``model.objective``, so it equals ``objective(...).weighted`` at the
+    incumbent bit for bit, with no closing call. An exact master
+    re-proposes an association whose cut it holds only once the gap has
+    closed. Without convergence the incumbent is returned all the same, with
     ``trace.converged`` False; with no incumbent, ``IterationBudgetError``
     (non-convergence, not infeasibility) is raised. ``epsilon`` defaults
     to 1e-6 * (1 + |first finite upper bound|).
@@ -1130,8 +1158,5 @@ def ucwt(
             "no power-feasible association found within the iteration budget"
         )
     trace.omega = omega
-    power = PowerVector(power)
-    trace.final_objective = objective(
-        scenario, demands, placement, best, power, alpha
-    ).weighted
-    return UcwtResult(assoc=best, power=power, trace=trace)
+    trace.final_objective = psi_upper
+    return UcwtResult(assoc=best, power=PowerVector(power), trace=trace)

@@ -202,19 +202,27 @@ class Association:
     @classmethod
     def _unchecked(cls, assigned: np.ndarray, sbs_count: int) -> "Association":
         """``from_assignment`` without its checks, for indices valid by construction."""
+        x = np.zeros((len(assigned), sbs_count), dtype=np.int8)
+        x[np.arange(len(assigned)), assigned] = 1
+        x.setflags(write=False)
         assoc = object.__new__(cls)
-        object.__setattr__(assoc, "x", np.eye(sbs_count, dtype=np.int8)[assigned])
-        assoc.x.setflags(write=False)
+        object.__setattr__(assoc, "x", x)
         return assoc
 
     @property
     def assigned_sbs(self) -> np.ndarray:
-        return np.argmax(self.x, axis=1)
+        # ndarray.argmax skips the Python wrapper of np.argmax
+        return self.x.argmax(axis=1)
 
 
 @dataclass(frozen=True)
 class PowerVector:
-    """Per-SBS transmit powers in watts, within [0, P_max]."""
+    """Per-SBS transmit powers in watts, within [0, P_max].
+
+    ``p`` is kept as a read-only float copy. A non-vector, a non-finite
+    entry or a negative one is a ``ModelError``; the sign is checked on
+    the least entry, once every entry is known to be finite.
+    """
 
     p: np.ndarray
 
@@ -225,7 +233,8 @@ class PowerVector:
             raise ModelError("p must be a vector")
         if not np.isfinite(p).all():
             raise ModelError("powers must be finite")
-        if np.any(p < 0):
+        # an empty vector has no least entry
+        if p.size and p.min() < 0:
             raise ModelError("powers must be nonnegative")
 
     def check_bounds(self, scenario: Scenario) -> bool:
@@ -282,8 +291,15 @@ def relaxed_delay_table(scenario: Scenario, placement: CachePlacement) -> np.nda
     """Relaxed d_ij^k as a (B, F) table: s_k/R_k plus backhaul on misses.
 
     Relaxed wireless delay is user-independent, so the table only depends
-    on the serving SBS and the file.
+    on the serving SBS and the file. A placement of another shape than
+    (B, F) is a ``ModelError``: it would broadcast.
     """
+    expected = (scenario.sbs_count, scenario.file_count)
+    if placement.y.shape != expected:
+        raise ModelError(
+            f"cache placement has shape {placement.y.shape}, "
+            f"expected {expected}"
+        )
     tau = scenario.file_sizes * BITS_PER_BYTE / scenario.rate_requirements
     return tau[None, :] + (1 - placement.y) * scenario.backhaul_mean[:, None]
 
@@ -332,8 +348,14 @@ def objective(
 
     Energy is ``p @ T`` with the relaxed serving times; delay is the sum of
     the relaxed delivery delays of the assigned (user, SBS) pairs. ``alpha``
-    defaults to the scenario's weight.
+    defaults to the scenario's weight. An association of another shape
+    than (U, B) is a ``ModelError``.
     """
+    if assoc.x.shape != scenario.channel_gains.shape:
+        raise ModelError(
+            f"association has shape {assoc.x.shape}, "
+            f"expected {scenario.channel_gains.shape}"
+        )
     if alpha is None:
         alpha = scenario.alpha
     energy = float(p.p @ serving_time(scenario, demands, assoc))

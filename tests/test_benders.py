@@ -38,6 +38,7 @@ from dscnopt.model import (
     InfeasibleInstanceError,
     ModelError,
     Scenario,
+    objective,
     requested_thresholds,
     serving_time,
 )
@@ -1376,6 +1377,29 @@ class TestUcwt:
             with pytest.raises(ModelError):
                 ucwt(s, demands, placement, 0.5, epsilon=epsilon)
 
+    def test_mis_shaped_placement_raises(self):
+        # a (1, F) or (B, 1) placement used to broadcast, as if every file
+        # were cached everywhere
+        inst, _ = desk_pipeline(0, user_count=4)
+        s, demands = inst.scenario, inst.demands
+        B, F = s.sbs_count, s.file_count
+        for shape in ((1, F), (B, 1)):
+            expected = rf"shape \({shape[0]}, {shape[1]}\), expected \({B}, {F}\)"
+            with pytest.raises(ModelError, match=expected):
+                ucwt(s, demands, CachePlacement(np.ones(shape)), 0.5)
+
+    def test_mis_shaped_association_raises(self):
+        # a (U, 2) association on a B = 3 instance used to read as infeasible
+        inst, _ = desk_pipeline(0, user_count=4)
+        s, demands = inst.scenario, inst.demands
+        assoc = Association.from_assignment([0, 1, 0, 1], 2)
+        expected = r"shape \(4, 2\), expected \(4, 3\)"
+        for solve in (min_power_for, solve_subproblem):
+            with pytest.raises(ModelError, match=expected):
+                solve(s, demands, assoc)
+            with pytest.raises(ModelError, match=expected):
+                solve(s, demands, assoc, _SinrRows(s, demands))
+
     def test_stranded_user_raises_before_any_subproblem(self, monkeypatch):
         calls = []
 
@@ -1569,3 +1593,75 @@ class TestInstanceMaster:
             assert (len(solved) == len(master.answers)
                     == len(first.trace.iterations) + len(second.trace.iterations)
                     - second.trace.reused)
+
+
+# the ucwt digest set: desk seeds 0-19 and the benchmark's first five core
+# seeds, at four sizes and three alphas, 300 solves over 100 instances
+UCWT_SEEDS = (*range(20), *range(1_000_000, 1_000_005))
+UCWT_USERS = (4, 6, 8, 9)
+UCWT_ALPHAS = (0.0, 0.5, 1.0)
+UCWT_DIGEST = "0c17e03cc11cc5b936a0031223c61f5f2fbff27d5a24d26e1b842983da2d8de9"
+
+
+@functools.cache
+def ucwt_digest_instances():
+    """(scenario, demands, placement) of each instance of the digest set."""
+    cases = []
+    for seed in UCWT_SEEDS:
+        for U in UCWT_USERS:
+            inst, placement = desk_pipeline(seed, user_count=U)
+            cases.append((inst.scenario, inst.demands, placement))
+    return cases
+
+
+def ucwt_fingerprint():
+    """SHA-256 over each instance's master and each of its ucwt solves.
+
+    Per ``InstanceMaster``: its conflict bytes, its rows and its floor score
+    by ``float.hex``. Per solve: the objective and powers by ``float.hex``,
+    the association, every ``csv_rows`` line and each cut's constant.
+    """
+    digest = hashlib.sha256()
+
+    def hexes(v):
+        return ",".join(map(float.hex, v.tolist()))
+
+    for s, demands, placement in ucwt_digest_instances():
+        master = benders.InstanceMaster(s, demands)
+        rows = "none" if master.rows is None else master.rows.tolist()
+        score = "none" if master.rows is None else hexes(master.floor_score)
+        digest.update(master.conflict.tobytes())
+        digest.update(f"{rows}|{score}\n".encode())
+        for alpha in UCWT_ALPHAS:
+            result = ucwt(s, demands, placement, alpha)
+            trace = result.trace
+            constants = ",".join(c.constant.hex() for c in trace.cuts)
+            digest.update(
+                f"{trace.final_objective.hex()}|{hexes(result.power.p)}|"
+                f"{result.assoc.assigned_sbs.tolist()}|{constants}\n".encode()
+            )
+            digest.update("\n".join(trace.csv_rows()).encode())
+    return digest.hexdigest()
+
+
+def closing_values_differ():
+    """Solves of the digest set whose closing value is not their objective."""
+    differ = []
+    for s, demands, placement in ucwt_digest_instances():
+        for alpha in UCWT_ALPHAS:
+            result = ucwt(s, demands, placement, alpha)
+            value = objective(s, demands, placement, result.assoc, result.power, alpha)
+            if result.trace.final_objective.hex() != value.weighted.hex():
+                differ.append((s.user_count, alpha))
+    return differ
+
+
+class TestUcwtDigest:
+    def test_answers_match_recorded_digest(self):
+        assert ucwt_fingerprint() == UCWT_DIGEST
+
+    def test_closing_value_is_the_objective(self, monkeypatch):
+        assert closing_values_differ() == []
+        # the exact re-run of every power answer closes the same way
+        monkeypatch.setattr(benders, "_verified", lambda *args: False)
+        assert closing_values_differ() == []

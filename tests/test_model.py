@@ -306,6 +306,17 @@ class TestPhysics:
             for j in range(2):
                 assert dcoef[i, j] == table[j, k]
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3, 2), (2, 3)])
+    def test_mis_shaped_placement_raises(self, shape):
+        # a (1, F) or (B, 1) placement would broadcast to (B, F)
+        s = tiny_scenario()
+        placement = CachePlacement(np.ones(shape))
+        expected = rf"shape \({shape[0]}, {shape[1]}\), expected \(2, 2\)"
+        with pytest.raises(ModelError, match=expected):
+            relaxed_delay_table(s, placement)
+        with pytest.raises(ModelError, match=expected):
+            delay_coefficients(s, DemandMatrix([[1, 0], [0, 1]]), placement)
+
 
 class TestAggregates:
     def test_total_transmission_time(self):
@@ -331,6 +342,16 @@ class TestAggregates:
         assert value.energy == pytest.approx(0.9 * 8.0)
         assert value.delay == pytest.approx(16.0)
         assert value.weighted == pytest.approx(0.25 * 7.2 + 0.75 * 16.0)
+
+    @pytest.mark.parametrize("assigned, sbs_count", [([0, 0, 1], 2), ([0, 2], 3)])
+    def test_objective_rejects_mis_shaped_association(self, assigned, sbs_count):
+        s = tiny_scenario()
+        demands = DemandMatrix([[1, 0], [0, 1]])
+        assoc = Association.from_assignment(assigned, sbs_count)
+        expected = rf"shape \({len(assigned)}, {sbs_count}\), expected \(2, 2\)"
+        with pytest.raises(ModelError, match=expected):
+            objective(s, demands, CachePlacement([[1, 1], [1, 1]]), assoc,
+                      PowerVector([0.4, 0.5]), alpha=0.25)
 
     def test_requested_thresholds(self):
         s = tiny_scenario()

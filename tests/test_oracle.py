@@ -175,8 +175,8 @@ def plain_walk(s, demands, placement):
     rows = benders._SinrRows(s, demands)   # the instance's, built once
     out = []
     for walk in itertools.product(*(np.flatnonzero(row).tolist() for row in reach)):
-        assigned = np.array(walk)
-        assoc = Association.from_assignment(assigned, s.sbs_count)
+        # the indices come from np.flatnonzero over B columns: valid by construction
+        assoc = Association._unchecked(np.array(walk), s.sbs_count)
         power = min_power_for(s, demands, assoc, rows)
         if power is not None:
             value = objective(s, demands, placement, assoc, power)

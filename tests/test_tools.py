@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 import textwrap
@@ -79,6 +80,20 @@ def test_src_size_lists_settable_values_per_def(tmp_path):
     # over the package, the lines add up to the table's total
     total = src_size_rows()[-1]
     assert sum(int(fields[0]) for fields in src_size_defs(ROOT / "src")) == int(total[4])
+
+
+def test_ab_pass_times_the_repository_against_itself():
+    # an A/A run: both sides import this checkout and check every answer
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pass.py"), str(ROOT), str(ROOT),
+         "--workload", "oracle-enum", "--rounds", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.search(
+        r"^change/parent ratio: median \d+\.\d{3} \[Q1 \d+\.\d{3}, Q3 \d+\.\d{3}\]$",
+        run.stdout, re.MULTILINE,
+    ), run.stdout
 
 
 def load_tracing(monkeypatch):
