@@ -36,8 +36,8 @@ once per instance (per oracle enumeration, per ``InstanceMaster`` and
 per doa/ema call), so an association only gathers its users' rows.
 Every float answer is verified; one that fails is answered again by the
 same policy iteration in exact rational arithmetic on the same float
-rows, so the verdict is exact. No solver path runs the simplex of
-``lp``. ``min_power_for``, the subproblem, power recovery, the baselines
+rows, so the verdict is exact. No solver path runs or imports the
+simplex of ``lp``. ``min_power_for``, the subproblem, power recovery, the baselines
 and the oracle all take their powers and their feasible/infeasible
 verdict from it, and ``reachable_sbs`` gives the one verdict on which
 (user, SBS) pairs can serve at all: a user that misses its SINR
@@ -87,7 +87,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from . import lp as lpmod
 from .model import (
     Association,
     CachePlacement,
@@ -99,7 +98,7 @@ from .model import (
     delay_coefficients,
     requested_thresholds,
     serving_time,
-    total_transmission_time,
+    _check_shape,
     _frozen,
 )
 
@@ -112,10 +111,12 @@ _MASTER_ENUMERATION_LIMIT = 20_000
 # user's power requirement that moves its SBS's binding row to it in float64
 _POLICY_STEPS = 50
 _SWITCH_TOL = 1e-14
-# a float infeasibility ray stands only if it proves some row or cap missed
-# by this much relative to its norm, well above the strict check's
-# tolerance; closer calls are re-solved in exact arithmetic
-_RAY_MARGIN = 10 * lpmod.STRICT_TOL
+# strict row check of float powers: each row may miss by this much of its norm
+_STRICT_TOL = 1e-10
+# a float ray must prove a miss ten times what the strict check forgives, so
+# no powers that pass that check can also meet the ray's rows and the two
+# verdicts never both stand; closer calls are re-solved in exact arithmetic
+_RAY_MARGIN = 10 * _STRICT_TOL
 # relative cap margin past which ``conflict_seed`` flags a two-user conflict
 _CONFLICT_MARGIN = 1e-8
 
@@ -152,41 +153,6 @@ def varrho(scenario: Scenario, demands: DemandMatrix) -> float:
     g_bar = float(scenario.channel_gains.max())
     worst = (I - 1) * p_bar * g_bar + scenario.noise_power
     return float(1.0 / (gammas.max() * worst))
-
-
-def build_subproblem_primal(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    x,
-) -> lpmod.LinearProgram:
-    """Minimum-energy power LP at a fixed association, over every pair.
-
-    ``x`` is an ``Association`` or a (U, B) matrix, possibly fractional.
-    Every (user, SBS) pair carries a relaxed SINR row; rows for
-    non-assigned pairs are slack for any feasible power by construction
-    of ``varrho``. No solver uses it: it is the reference that
-    ``solve_subproblem``'s energies are checked against.
-    """
-    rho = varrho(scenario, demands)
-    X = np.asarray(x.x if isinstance(x, Association) else x, dtype=float)
-    U, B = scenario.user_count, scenario.sbs_count
-    if X.shape != (U, B):
-        raise ModelError("association matrix has wrong shape")
-    g = scenario.channel_gains
-    gammas = requested_thresholds(scenario, demands)
-    T = serving_time(scenario, demands, None, "relaxed")
-    # row i*B + j: the interference row -gamma_i g_i with g_ij on the diagonal
-    A = np.repeat(-gammas[:, None] * g, B, axis=0)
-    A[np.arange(U * B), np.tile(np.arange(B), U)] = g.ravel()
-    b = (gammas[:, None] * scenario.noise_power - (1.0 - X) / rho).ravel()
-    return lpmod.LinearProgram(
-        sense="min",
-        c=T,
-        A=A,
-        b=b,
-        row_senses=[lpmod.GE] * (U * B),
-        upper=scenario.max_power.copy(),
-    )
 
 
 @dataclass(frozen=True)
@@ -230,17 +196,17 @@ class _SinrRows:
     """An instance's SINR rows, one per (user, SBS) pair, built once per instance.
 
     Pair (i, j), user i served by SBS j, is row i * B + j of each per-pair
-    array, as in ``build_subproblem_primal``. Its SINR requirement is
-    A p >= b_i: the row of A is -gamma_i g_i with g_ij in column j, and
-    b = gamma N. In fixed-point form it reads p_j >= u + C p, with
-    u = b_i / g_ij and the row of C gamma_i g_i / g_ij off column j (0 in
-    it); ``normalized`` is the row of A over g_ij, exactly 1 in column j,
-    so the row of I - C. ``magnitude`` is |A| and ``norm`` its row maxima,
-    the scales ``_verified`` reads; T, p_max and ``varrho`` complete what
-    every power solve, subproblem cut and master seed of the instance
-    reads. A binary association gathers its users' rows (``pairs``); each
-    array is the float expression a per-association build would compute,
-    so every answer is the same bit for bit. Tied to the ``scenario`` and
+    array. Its SINR requirement is A p >= b_i: the row of A is
+    -gamma_i g_i with g_ij in column j, and b = gamma N. In fixed-point
+    form it reads p_j >= u + C p, with u = b_i / g_ij and the row of C
+    gamma_i g_i / g_ij off column j (0 in it); ``normalized`` is the row
+    of A over g_ij, exactly 1 in column j, so the row of I - C.
+    ``magnitude`` is |A| and ``norm`` its row maxima, the scales
+    ``_verified`` reads; T, p_max and ``varrho`` complete what every power
+    solve, subproblem cut and master seed of the instance reads. A binary
+    association gathers its users' rows (``pairs``); each array is the
+    float expression a per-association build would compute, so every
+    answer is the same bit for bit. Tied to the ``scenario`` and
     ``demands`` objects it was built from.
     """
 
@@ -518,13 +484,13 @@ def _irreducible_ray(
 def _verified(rows: _SinrRows, assigned: np.ndarray, answer: _PowerAnswer) -> bool:
     """Whether a structured answer passes the checks that let it stand.
 
-    Powers pass the strict row check at ``STRICT_TOL`` and lie in
+    Powers pass the strict row check at ``_STRICT_TOL`` and lie in
     [0, p_max]; their duals nu, mu >= 0 satisfy A'nu - mu <= T. A ray
     nu, mu >= 0 satisfies the Farkas inequalities with a margin: over every
     p in [0, p_max], nu'(b - A p) + mu'(p - p_max) >= gain, where gain
     charges any positive part of A'nu - mu at p_max. The gain must exceed
     ``_RAY_MARGIN`` times the rows' and caps' weight, so that some row or
-    cap misses by more than the strict check at ``STRICT_TOL`` lets pass.
+    cap misses by more than the strict check at ``_STRICT_TOL`` lets pass.
     A, |A| and the row norms are the association's rows of ``rows``.
     """
     mu, nu = answer.mu, answer.nu
@@ -540,7 +506,7 @@ def _verified(rows: _SinrRows, assigned: np.ndarray, answer: _PowerAnswer) -> bo
         return bool(
             p.min() >= 0.0
             and (p <= pmax).all()
-            and slack.min() >= -lpmod.STRICT_TOL
+            and slack.min() >= -_STRICT_TOL
             and (columns - T <= 1e-9 * (nu @ rows.magnitude[pairs] + mu + T)).all()
         )
     gain = nu @ b - mu @ pmax - columns.clip(min=0.0) @ pmax
@@ -663,11 +629,7 @@ def min_power_for(
     ``rows`` are the instance's ``_SinrRows``, built here when None. An
     association of another shape than (U, B) is a ``ModelError``.
     """
-    if assoc.x.shape != scenario.channel_gains.shape:
-        raise ModelError(
-            f"association has shape {assoc.x.shape}, "
-            f"expected {scenario.channel_gains.shape}"
-        )
+    _check_shape("association", assoc.x.shape, scenario.channel_gains.shape)
     rows = _rows_for(scenario, demands, rows)
     power = _min_power(rows, assoc.assigned_sbs).power
     return None if power is None else PowerVector(power)
@@ -688,11 +650,7 @@ def solve_subproblem(
     ``_SinrRows`` (built here when None). An association of another shape
     than (U, B) is a ``ModelError``.
     """
-    if assoc.x.shape != scenario.channel_gains.shape:
-        raise ModelError(
-            f"association has shape {assoc.x.shape}, "
-            f"expected {scenario.channel_gains.shape}"
-        )
+    _check_shape("association", assoc.x.shape, scenario.channel_gains.shape)
     rows = _rows_for(scenario, demands, rows)
     assigned = assoc.assigned_sbs
     answer = _min_power(rows, assigned)
@@ -713,6 +671,7 @@ def recover_power(
     """Minimum-power vector for an association known to be feasible.
 
     ``ucwt`` does not call it: its incumbent keeps its subproblem's powers.
+    It stays only because the benchmark's tracer wraps it.
     """
     power = min_power_for(scenario, demands, assoc)
     if power is None:
@@ -986,38 +945,6 @@ def solve_master(
         return _search_master(table, cuts)
     table.absorb(cuts)
     return table.solve()
-
-
-def penalty_lambda(scenario: Scenario, demands: DemandMatrix) -> float:
-    """Penalty weight: 10 p_max + total relaxed transmission time + backhaul means."""
-    return float(
-        10.0 * scenario.max_power.max()
-        + total_transmission_time(scenario, demands)
-        + scenario.backhaul_mean.sum()
-    )
-
-
-def rmp_penalty_value(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    placement: CachePlacement,
-    alpha: float,
-    lam: float,
-    eta: float,
-    x,
-) -> float:
-    """Penalized relaxed-master objective at a (possibly fractional) association.
-
-    ``eta`` is the energy bound at ``x``, the caller's largest optimality
-    cut there. At binary X the penalty vanishes and the value equals the
-    master objective; fractional entries are charged lam * (x - x^2) each.
-    """
-    X = np.asarray(x.x if isinstance(x, Association) else x, dtype=float)
-    if np.any(X < -1e-12) or np.any(X > 1 + 1e-12):
-        raise ModelError("association entries must lie in [0, 1]")
-    dcoef = delay_coefficients(scenario, demands, placement)
-    penalty = lam * float((X - X**2).sum())
-    return alpha * eta + (1.0 - alpha) * float((dcoef * X).sum()) + penalty
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ bounds the power problems need, so no variable is split.
 Unbounded verdicts carry a feasible point and an improving extreme ray.
 Infeasible verdicts carry a Farkas certificate expressed as row multipliers
 (plus multipliers for finite upper bounds), i.e. a dual ray proving the
-constraints empty. No solver path calls it: the minimum-power LP of
-``benders.build_subproblem_primal`` and the tests use it as an independent
-reference.
+constraints empty. No module of the package imports it: it is the tests'
+independent reference, which solves their minimum-power LP of the power
+subproblem, and the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations

@@ -35,6 +35,12 @@ def _frozen_binary(a, name: str) -> np.ndarray:
     return arr
 
 
+def _check_shape(what: str, shape: tuple, expected: tuple) -> None:
+    """A ``ModelError`` naming ``what`` unless its shape is the expected one."""
+    if shape != expected:
+        raise ModelError(f"{what} has shape {shape}, expected {expected}")
+
+
 class ModelError(ValueError):
     """Raised on invalid model inputs (bad shapes, violated invariants)."""
 
@@ -295,11 +301,7 @@ def relaxed_delay_table(scenario: Scenario, placement: CachePlacement) -> np.nda
     (B, F) is a ``ModelError``: it would broadcast.
     """
     expected = (scenario.sbs_count, scenario.file_count)
-    if placement.y.shape != expected:
-        raise ModelError(
-            f"cache placement has shape {placement.y.shape}, "
-            f"expected {expected}"
-        )
+    _check_shape("cache placement", placement.y.shape, expected)
     tau = scenario.file_sizes * BITS_PER_BYTE / scenario.rate_requirements
     return tau[None, :] + (1 - placement.y) * scenario.backhaul_mean[:, None]
 
@@ -351,11 +353,7 @@ def objective(
     defaults to the scenario's weight. An association of another shape
     than (U, B) is a ``ModelError``.
     """
-    if assoc.x.shape != scenario.channel_gains.shape:
-        raise ModelError(
-            f"association has shape {assoc.x.shape}, "
-            f"expected {scenario.channel_gains.shape}"
-        )
+    _check_shape("association", assoc.x.shape, scenario.channel_gains.shape)
     if alpha is None:
         alpha = scenario.alpha
     energy = float(p.p @ serving_time(scenario, demands, assoc))

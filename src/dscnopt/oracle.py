@@ -24,15 +24,14 @@ the oracle stays an independent check on it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import benders
-# ``min_power_for`` is unused here but stays importable: the benchmark tracer wraps it
+# ``min_power_for`` is unused here; it stays only for the benchmark's tracer
 from .benders import min_power_for, reachable_sbs
 from .model import (
     Association,
@@ -62,11 +61,6 @@ class OracleSolution:
     objective: float
 
 
-def iter_assignments(user_count: int, sbs_count: int) -> Iterator[np.ndarray]:
-    """All assignments in lexicographic (mixed-radix, user 0 most significant) order."""
-    return map(np.array, itertools.product(range(sbs_count), repeat=user_count))
-
-
 @dataclass(frozen=True)
 class Candidate:
     assigned: np.ndarray
@@ -83,10 +77,11 @@ def enumerate_candidates(
     """Every power-feasible association with its minimum energy and total delay.
 
     Alpha-independent, so a single enumeration serves a whole tradeoff
-    sweep. Associations come in ``iter_assignments`` order, restricted to
-    each user's reachable SBSs. Raises ``EnumerationCapError`` when more
-    than ``DEFAULT_ENUMERATION_CAP`` associations would be walked (the
-    product of each user's reachable-SBS count, not B^U).
+    sweep. Associations come in lexicographic order (user 0 most
+    significant), restricted to each user's reachable SBSs. Raises
+    ``EnumerationCapError`` when more than ``DEFAULT_ENUMERATION_CAP``
+    associations would be walked (the product of each user's
+    reachable-SBS count, not B^U).
 
     The walk fixes users in index order, each trying its reachable SBSs
     in index order. Each no-good it learns from an infeasible association

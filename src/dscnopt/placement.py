@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import CachePlacement, ModelError, Scenario
+from .model import CachePlacement, ModelError, Scenario, _check_shape
 from .popularity import PopularityTable
 
 # 0.1 MB: the DP's capacity cell; generated file sizes lie on it
@@ -48,8 +48,11 @@ def lpf_greedy(
 
     Items that do not fit are skipped and scanning continues, so capacity
     is never exceeded. Returns the placement and the per-SBS cached
-    popularity mass.
+    popularity mass. Popularity of another shape than (B, F) is a
+    ``ModelError``.
     """
+    expected = (scenario.sbs_count, scenario.file_count)
+    _check_shape("popularity table", popularity.psi.shape, expected)
     density = popularity.psi / scenario.file_sizes
     # per SBS, densest first, lowest index breaking ties
     orders = np.argsort(-density, axis=1, kind="stable")

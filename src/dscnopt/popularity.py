@@ -13,7 +13,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import _UNIT_SUM_TOL, DemandMatrix, ModelError, Scenario, _frozen
+from .model import (
+    _UNIT_SUM_TOL,
+    DemandMatrix,
+    ModelError,
+    Scenario,
+    _check_shape,
+    _frozen,
+)
 
 DEFAULT_VARIANCE_RANGE = (5.0**2, 50.0**2)
 
@@ -81,9 +88,11 @@ def local_popularity(scenario: Scenario, prefs: PreferenceMatrix) -> PopularityT
     """Aggregate central-zone user preferences into per-cell popularity.
 
     Each member contributes with equal weight; an SBS with an empty
-    central zone falls back to a uniform row.
+    central zone falls back to a uniform row. Preferences of another
+    shape than (U, F) are a ``ModelError``.
     """
     F, weight = scenario.file_count, 1.0 / scenario.user_count
+    _check_shape("preference matrix", prefs.rho.shape, (scenario.user_count, F))
     # weighted by 1/U, not a plain mean: the two round differently
     weighted = weight * prefs.rho
     psi = np.empty((scenario.sbs_count, F))
@@ -129,8 +138,12 @@ def sample_demands(
     Central-zone users are pooled under their nearest covering SBS and
     receive files by largest-remainder quotas on that cell's popularity
     row; users outside every zone draw from their own preference row.
+    Preferences of another shape than (U, F), or popularity of another
+    shape than (B, F), are a ``ModelError``.
     """
     B, U, F = scenario.sbs_count, scenario.user_count, scenario.file_count
+    _check_shape("preference matrix", prefs.rho.shape, (U, F))
+    _check_shape("popularity table", popularity.psi.shape, (B, F))
     rng = np.random.default_rng(seed)
     theta = np.zeros((U, F), dtype=np.int8)
     if scenario.user_positions is None or scenario.sbs_positions is None:

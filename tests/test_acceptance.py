@@ -16,16 +16,13 @@ from dscnopt import benders, lp as lpmod, scenario as scn
 from dscnopt.baselines import doa, ema, min_power_for
 from dscnopt.benders import (
     Cut,
-    build_subproblem_primal,
     delay_coefficients,
-    penalty_lambda,
-    rmp_penalty_value,
     solve_master,
     solve_subproblem,
     ucwt,
 )
 from dscnopt.model import Association, ModelError, serving_time
-from dscnopt.oracle import brute_force_sweep, enumerate_candidates, iter_assignments
+from dscnopt.oracle import brute_force_sweep, enumerate_candidates
 from dscnopt.placement import (
     DEFAULT_GRID_BYTES,
     _greedy_fill,
@@ -37,6 +34,12 @@ from dscnopt.placement import (
 )
 from dscnopt.popularity import local_popularity
 
+from reference import (
+    build_subproblem_primal,
+    iter_assignments,
+    penalty_lambda,
+    rmp_penalty_value,
+)
 from test_lp import enumerate_optimum, random_lp, verify_farkas, verify_ray
 
 CAMPAIGN_SEEDS = 100

@@ -18,14 +18,11 @@ from dscnopt.benders import (
     Cut,
     IterationBudgetError,
     _SinrRows,
-    build_subproblem_primal,
     conflict_seed,
     delay_coefficients,
     min_power_for,
-    penalty_lambda,
     reachable_sbs,
     recover_power,
-    rmp_penalty_value,
     solve_master,
     solve_subproblem,
     ucwt,
@@ -46,11 +43,16 @@ from dscnopt.oracle import (
     brute_force,
     brute_force_sweep,
     enumerate_candidates,
-    iter_assignments,
 )
 from dscnopt.placement import gpc_placement, lpf_greedy, rc_placement
 from dscnopt.popularity import local_popularity
 
+from reference import (
+    build_subproblem_primal,
+    iter_assignments,
+    penalty_lambda,
+    rmp_penalty_value,
+)
 from test_lp import verify_farkas
 
 

@@ -23,10 +23,11 @@ from dscnopt.oracle import (
     brute_force,
     brute_force_sweep,
     enumerate_candidates,
-    iter_assignments,
 )
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
+
+from reference import iter_assignments
 
 
 def make_scenario(

@@ -16,7 +16,7 @@ from dscnopt.placement import (
     lpf_greedy,
     rc_placement,
 )
-from dscnopt.popularity import local_popularity
+from dscnopt.popularity import PopularityTable, local_popularity
 from dscnopt import scenario as scn
 
 
@@ -113,6 +113,15 @@ class TestLpfGreedy:
         pop = local_popularity(inst.scenario, inst.preferences)
         placement, _ = lpf_greedy(inst.scenario, pop)
         assert np.all(placement.y == 1)
+
+    @pytest.mark.parametrize("sbs, files", [(1, 8), (2, 8), (3, 1), (3, 7)])
+    def test_mis_shaped_popularity_raises(self, desk, sbs, files):
+        # desk seed 0: B=3, F=8; a (B, 1) table would broadcast to every file
+        inst, _ = desk
+        pop = PopularityTable(np.full((sbs, files), 1.0 / files))
+        expected = rf"popularity table has shape \({sbs}, {files}\), expected \(3, 8\)"
+        with pytest.raises(ModelError, match=expected):
+            lpf_greedy(inst.scenario, pop)
 
 
 class TestBaselinePolicies:

@@ -204,3 +204,24 @@ class TestSampleDemands:
     def test_deterministic_in_seed(self, desk_instance):
         inst2 = scn.generate(scn.desk_scale(), 0)
         assert np.array_equal(desk_instance.demands.theta, inst2.demands.theta)
+
+
+class TestShapes:
+    # desk seed 0: U=6, B=3, F=8; a table of another shape would broadcast
+    @pytest.mark.parametrize("users, files", [(7, 8), (5, 8), (6, 7)])
+    def test_mis_shaped_preferences_raise(self, desk_instance, users, files):
+        s = desk_instance.scenario
+        prefs = PreferenceMatrix(np.full((users, files), 1.0 / files))
+        pop = local_popularity(s, desk_instance.preferences)
+        expected = rf"preference matrix has shape \({users}, {files}\), expected \(6, 8\)"
+        with pytest.raises(ModelError, match=expected):
+            local_popularity(s, prefs)
+        with pytest.raises(ModelError, match=expected):
+            sample_demands(s, pop, prefs, 0)
+
+    @pytest.mark.parametrize("sbs, files", [(1, 8), (4, 8), (3, 1), (3, 7)])
+    def test_mis_shaped_popularity_raises(self, desk_instance, sbs, files):
+        pop = PopularityTable(np.full((sbs, files), 1.0 / files))
+        expected = rf"popularity table has shape \({sbs}, {files}\), expected \(3, 8\)"
+        with pytest.raises(ModelError, match=expected):
+            sample_demands(desk_instance.scenario, pop, desk_instance.preferences, 0)

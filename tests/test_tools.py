@@ -1,6 +1,7 @@
-"""The repository's own tools, run as a user runs them."""
+"""The repository's own tools, run as a user runs them, and the source layout."""
 
 import ast
+import fnmatch
 import importlib.util
 import re
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 from dscnopt import benders, oracle, placement, popularity, scenario as scn
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
+
+import reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,6 +83,35 @@ def test_src_size_lists_settable_values_per_def(tmp_path):
     # over the package, the lines add up to the table's total
     total = src_size_rows()[-1]
     assert sum(int(fields[0]) for fields in src_size_defs(ROOT / "src")) == int(total[4])
+
+
+def test_package_import_leaves_lp_unloaded():
+    # the package and its commands take no answer from the simplex
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import dscnopt, dscnopt.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('dscnopt')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    loaded = ast.literal_eval(run.stdout)
+    assert "dscnopt.benders" in loaded and "dscnopt.cli" in loaded
+    assert "dscnopt.lp" not in loaded
+
+
+def test_test_only_references_live_in_tests(pytestconfig):
+    moved = {benders: ("build_subproblem_primal", "penalty_lambda",
+                       "rmp_penalty_value"),
+             oracle: ("iter_assignments",)}
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert callable(getattr(reference, name))
+    # a module of references, not of tests: no python_files pattern names it
+    path = ROOT / "tests" / "reference.py"
+    assert Path(reference.__file__).resolve() == path
+    assert not any(fnmatch.fnmatch(path.name, pattern)
+                   for pattern in pytestconfig.getini("python_files"))
 
 
 def test_ab_pass_times_the_repository_against_itself():
