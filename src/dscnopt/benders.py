@@ -19,11 +19,13 @@ largest term among its users, summed over the SBSs.
 While no prefix level passes ``_MASTER_ENUMERATION_LIMIT`` rows, the
 master is enumerated: the table keeps a running objective at the run's
 alpha over those rows, scores the floor once and each cut of a ``ucwt``
-run once on them. Otherwise a depth-first search over users bounds each
-optimality cut over the completions of a partial association by its
-fixed terms plus each free user's least coefficient, and the floor by
-the fixed users' terms, and prunes a child as soon as its user conflicts
-alone or with a user fixed before it, or completes a no-good.
+run once on them. Otherwise it is searched depth first over blocks of
+prefixes, extended by the build's own step. One valuation serves both
+paths: a block is valued by a table of its own over ``_Rows`` that leave
+the later users free, each adding its least coefficient to a cut, no
+term to the floor and no pair to a no-good. So a prefix's value bounds
+each completion's from below, and a whole association's is the table's,
+bit for bit.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -105,8 +107,15 @@ from .model import (
 DEFAULT_MAX_ITERS = 500
 # while no prefix level of the conflict-free associations holds more rows
 # than this, the master is solved by vectorized enumeration; otherwise by a
-# depth-first search with cut bounds. With no seed, that is B**U rows.
+# depth-first search over blocks of prefixes, valued by the same table
+# code. With no seed, that is B**U rows.
 _MASTER_ENUMERATION_LIMIT = 20_000
+# prefixes per block of that search, whose children are valued together.
+# On desk B=9 (tools/master_sets.py, 6 solves, 2 vCPUs, three runs each)
+# 64 took 6.3-8.0 s, against 9.0-12.1 s at 16, 7.9-8.4 s at 32, 7.9-8.2 s
+# at 128 and 6.9-8.8 s at 256: smaller blocks score each cut more often,
+# larger ones value children that a better incumbent would have pruned
+_SEARCH_BLOCK = 64
 # policy iteration: steps before giving up, and the relative gain in a
 # user's power requirement that moves its SBS's binding row to it in float64
 _POLICY_STEPS = 50
@@ -687,70 +696,95 @@ class MasterSolution:
     value: float
 
 
-class _ConflictFree:
-    """The conflict-free associations of one conflict seed, with the floor's score.
+class _Rows:
+    """Associations as the master values them, each whole or a prefix with free users.
+
+    Row r of ``rows`` gives an SBS per user, or -1 for a free user, one the
+    row leaves open. ``score`` adds a (U, B) coefficient matrix over each
+    row from the last user to the first, a free user adding its least
+    coefficient. ``floor_score`` is, per row, the largest floor term among
+    the users of each SBS, 0 if it serves none, added over the SBSs in index
+    order; a free user holds no term. ``_CutTable`` values rows from these
+    two and reads a feasibility cut's support off ``rows``, where a free
+    user holds no pair. So a whole row's value is the master objective at
+    its association, and a prefix's value is a lower bound on that of each
+    of its completions, bit for bit: a completion adds the same terms in
+    the same order, each free user's least coefficient gives way to one at
+    least as large, each floor maximum can only grow, and rounding is
+    monotone.
+    """
+
+    def __init__(self, rows: np.ndarray, floor: np.ndarray):
+        U, B = floor.shape
+        self.rows = rows
+        # last user first, the order in which ``score`` adds
+        users, sbs = np.arange(U - 1, -1, -1), rows[:, ::-1]
+        free = sbs < 0
+        self.free = free.any()
+        # flat indices into a U x B coefficient matrix followed by its U
+        # per-user least coefficients
+        self._flat = np.where(free, U * B + users, users * B + sbs)
+        # per SBS the peak term, and a spare last column where each free
+        # user's -1 puts its term, left out of the sum
+        peaks = np.zeros((len(rows), B + 1))
+        np.maximum.at(peaks, (np.arange(len(rows))[:, None], sbs), floor[users, sbs])
+        # cumsum adds in order; a sum over the axis would add pairwise
+        self.floor_score = peaks.cumsum(axis=1)[:, -2]
+
+    def score(self, coef: np.ndarray) -> np.ndarray:
+        """Per row, sum_i coef[i, a_i] added from the last user to the first.
+
+        A free user i adds min_j coef[i, j] in its place.
+        """
+        flat = coef.ravel()
+        if self.free:
+            flat = np.concatenate((flat, coef.min(axis=1)))
+        return flat[self._flat].cumsum(axis=1)[:, -1]
+
+
+class _ConflictFree(_Rows):
+    """The conflict-free associations of one conflict seed, valued as ``_Rows``.
 
     Given once: a (U, B, U, B) boolean conflict array, such as
     ``conflict_seed``'s, and (U, B) floor terms, such as ``energy_floor``'s;
     an all-false seed and a zero floor stand for none. Its rows, built at
     once, are the assignments that hold no seeded conflict, in lexicographic
-    order, made by extending conflict-free prefixes one user at a time, each
-    level written into one new array; with no conflict they are all B**U
-    assignments. The build stops as soon as a prefix level would hold more
-    than ``_MASTER_ENUMERATION_LIMIT`` rows and leaves ``rows`` None, which
-    sends the master to ``_search_master``. With no conflict, level d holds
-    B**(d + 1) rows, so that happens exactly when B**U passes the limit. The
-    floor is scored once, at the build: per row, per SBS the largest term
-    among its users, 0 if it serves none, added over the SBSs in index order
-    (one (rows, U, B) array of the terms each SBS holds, a maximum over
-    users, a cumulative sum over SBSs). ``score`` adds a coefficient matrix
-    over the rows from the last user to the first. Both orders are those of
-    ``_search_master``'s bounds. None of it depends on the placement or on
-    alpha.
+    order, made from the one empty prefix by ``children``, a level at a
+    time; with no conflict they are all B**U assignments. The build gives
+    up, before it writes the level, as soon as a level would hold more than
+    ``_MASTER_ENUMERATION_LIMIT`` rows, and leaves ``rows`` None, which
+    sends the master to ``_search_master``; that search extends its
+    prefixes by ``children`` too. With no conflict, level d holds
+    B**(d + 1) rows, so that happens exactly when B**U passes the limit.
+    None of it depends on the placement or on alpha.
     """
 
     def __init__(self, conflict: np.ndarray, floor: np.ndarray):
-        self.shape = U, B = floor.shape
+        self.shape = floor.shape
         self.conflict, self.floor = conflict, floor
         self.alone = np.einsum("ijij->ij", conflict)
-        self.rows = self._build()
-        if self.rows is not None:
-            # flat indices into a U x B coefficient matrix, last user first
-            self._flat = np.arange(U - 1, -1, -1) * B + self.rows[:, ::-1]
-            self.floor_score = self._score_floor()
-
-    def _build(self) -> Optional[np.ndarray]:
-        """The conflict-free rows, or None once a prefix level passes the limit."""
-        users = np.arange(self.shape[0])
+        self.users = np.arange(len(floor))
         rows = np.zeros((1, 0), dtype=np.intp)
-        for d in users.tolist():
-            # [r, j]: user d at SBS j conflicts alone or with a user of row r
-            blocked = self.conflict[users[:d], rows, d].any(axis=1)
-            blocked |= self.alone[d]
-            r, j = (~blocked).nonzero()
+        for _ in range(len(floor)):
+            r, j = self.children(rows)
             if len(r) > _MASTER_ENUMERATION_LIMIT:
-                return None
-            extended = np.empty((len(r), d + 1), dtype=np.intp)
-            extended[:, :d] = rows[r]
-            extended[:, d] = j
-            rows = extended
-        return rows
+                self.rows = None
+                return
+            rows = np.concatenate((rows[r], j[:, None]), axis=1)
+        super().__init__(rows, floor)
 
-    def score(self, coef: np.ndarray) -> np.ndarray:
-        """Per row, sum_i coef[i, a_i] added from the last user to the first."""
-        # cumsum adds in order; a sum over the axis would add pairwise
-        return coef.ravel()[self._flat].cumsum(axis=1)[:, -1]
+    def children(self, prefixes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(r, j) per child of the (n, d) ``prefixes`` that holds no seeded conflict.
 
-    def _score_floor(self) -> np.ndarray:
-        """Per row, the sum over SBSs of the largest floor term among its users."""
-        U, B = self.shape
-        terms = self.floor[np.arange(U), self.rows]
-        # [r, i, j]: user i's term if row r serves it at SBS j, else 0
-        held = np.where(
-            self.rows[:, :, None] == np.arange(B), terms[:, :, None], 0.0
-        )
-        # SBSs in index order, the order in which the search's cumsum adds
-        return held.max(axis=1).cumsum(axis=1)[:, -1]
+        The child of prefix r puts user d at SBS j; it is dropped when that
+        pair conflicts alone or with a user of the prefix. The children come
+        in lexicographic order when the prefixes do.
+        """
+        d = prefixes.shape[1]
+        # [r, j]: user d at SBS j conflicts alone or with a user of prefix r
+        blocked = self.conflict[self.users[:d], prefixes, d].any(axis=1)
+        blocked |= self.alone[d]
+        return (~blocked).nonzero()
 
 
 class InstanceMaster(_ConflictFree):
@@ -777,13 +811,14 @@ class InstanceMaster(_ConflictFree):
 
 
 class _CutTable:
-    """The enumerated master's running objective over the conflict-free associations.
+    """The master's running objective over rows of associations, whole or prefixes.
 
-    Built for one ``alpha`` over a ``_ConflictFree`` ``master``. Where the
-    master's build gave up (``rows`` None), ``solve_master`` searches
-    (``_search_master``), reading the delay coefficients and alpha from the
-    table and the seed and the floor from its master. Per row of the
-    master the table holds the master objective
+    Built for one ``alpha`` over ``master``, a ``_Rows``: the conflict-free
+    rows of a ``_ConflictFree``, or a block of ``_search_master``'s
+    prefixes. Where a ``_ConflictFree``'s build gave up (``rows`` None),
+    ``solve_master`` searches (``_search_master``), reading the delay
+    coefficients and alpha from the table and the seed and the floor from
+    its master. Per row the table holds the master objective
     alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
     and the optimality cuts absorbed so far, or +inf where the row holds
     every pair of a feasibility cut's support. Each optimality cut of a
@@ -791,10 +826,12 @@ class _CutTable:
     ``score``. The objective starts at alpha * floor + (1 - alpha) * delay,
     and an optimality cut h raises it to its maximum with
     alpha * h + (1 - alpha) * delay: rounding is monotone and alpha >= 0,
-    so this equals weighting the largest of them, bit for bit.
+    so this equals weighting the largest of them, bit for bit. Over
+    prefixes, each value is a lower bound on that of every completion
+    (``_Rows``).
     """
 
-    def __init__(self, dcoef: np.ndarray, alpha: float, master: _ConflictFree):
+    def __init__(self, dcoef: np.ndarray, alpha: float, master: _Rows):
         self.master = master
         self.dcoef = dcoef
         self.alpha = alpha
@@ -831,78 +868,46 @@ class _CutTable:
 
 
 def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
-    """Exact master by depth-first search over users 0..U-1, SBSs in index order.
+    """Exact master by depth-first search over blocks of prefixes, users in index order.
 
     It reads the delay coefficients and alpha from a ``table`` whose
     master's build gave up (``rows`` None), and the conflict seed and the
-    energy floor from that master.
-    Each optimality cut is affine in x, so over the completions of a
-    partial association it is least at its fixed users' terms plus each
-    free user's least coefficient; the delay is bounded the same way. The
-    floor is bounded by a per-SBS running maximum of the fixed users'
-    terms, carried along the path: free users can only raise it. Each
-    bound adds its terms in the order ``_CutTable`` adds a row's, so,
-    rounding being monotone, no leaf scores below the bound of a child
-    above it, and a leaf's bound is its score, bit for bit. A child is
-    pruned when the seed excludes its user alone or with a user fixed
-    before it, when it completes the support of a feasibility cut (the
-    pairs held are counted per cut along the path), or when its bound
-    reaches the incumbent. A leaf replaces the incumbent only if strictly
-    better, so ties keep the lexicographically first association, as
-    enumeration does.
+    energy floor from that master. A block is up to ``_SEARCH_BLOCK``
+    prefixes that fix the same users, in lexicographic order. Its children
+    come from the master's ``children``, which drops each child whose user
+    conflicts alone or with a user of its prefix, and are valued over
+    ``_Rows`` that leave the later users free, by a ``_CutTable`` of their
+    own that absorbs every cut. So a child holding the support of a
+    feasibility cut is +inf, and any other child's value is a bit-exact
+    lower bound on each of its completions; the children that reach the
+    incumbent's value are dropped. The rest are searched in blocks, the
+    first block first, or, where the children are whole associations, their
+    lexicographically first least replaces the incumbent if strictly better.
+    Blocks are taken in lexicographic order, so ties keep the
+    lexicographically first association, as enumeration does, and the
+    value is the table's own, bit for bit.
     """
     master = table.master
-    conflict, alone, floor = master.conflict, master.alone, master.floor
-    U, B = table.dcoef.shape
-    users = np.arange(U)
-    optimality = [c for c in cuts if c.kind == "optimality"]
-    # rows: optimality cuts, then the delay
-    k_delay = len(optimality)
-    coef = np.stack([c.coef for c in optimality] + [table.dcoef])
-    const = np.array([c.constant for c in optimality] + [0.0])[:, None]
-    # tail[:, d]: least sum of each row's terms over the users d..U-1,
-    # added from the last user, as a leaf adds them
-    tail = np.zeros((k_delay + 1, U + 1))
-    tail[:, :U] = np.cumsum(coef.min(axis=2)[:, ::-1], axis=1)[:, ::-1]
-    # per feasibility cut, its support pairs as 0/1 and their number
-    supports = [c.coef != 0 for c in cuts if c.kind == "feasibility"]
-    pairs = np.array(supports, dtype=np.intp).reshape(-1, U, B)
-    size = pairs.sum(axis=(1, 2))[:, None]
-    assigned = np.zeros(U, dtype=int)
-    best_value, best_assigned = math.inf, None
-
-    def visit(d: int, held: np.ndarray, peak: np.ndarray) -> None:
-        nonlocal best_value, best_assigned
-        # per row, per SBS of user d: the tail, then the users d..0
-        low = tail[:, d + 1, None] + coef[:, d, :]
-        for i in range(d - 1, -1, -1):
-            low += coef[:, i, assigned[i], None]
-        low += const
-        # [j]: the per-SBS peak floor terms with user d at SBS j
-        peaks = np.tile(peak, (B, 1))
-        np.fill_diagonal(peaks, np.maximum(peak, floor[d]))
-        eta = np.maximum(
-            low[:k_delay].max(axis=0, initial=0.0), peaks.cumsum(axis=1)[:, -1]
-        )
-        bound = table.alpha * eta + (1.0 - table.alpha) * low[k_delay]
-        held = held[:, None] + pairs[:, d, :]       # per cut, per SBS of user d
-        blocked = alone[d] | conflict[d, :, users[:d], assigned[:d]].any(axis=0)
-        bound[blocked | (held == size).any(axis=0)] = math.inf
-        for j, least in enumerate(bound.tolist()):
-            if least >= best_value:
-                continue
-            assigned[d] = j
-            if d + 1 < U:
-                visit(d + 1, held[:, j], peaks[j])
-            else:
-                best_value, best_assigned = least, assigned.copy()
-
-    visit(0, np.zeros(len(pairs), dtype=np.intp), np.zeros(B))
-    if best_assigned is None:
+    U = master.shape[0]
+    best = MasterSolution(None, math.inf)
+    # (users fixed, prefixes): each prefix a row with -1 at the free users
+    stack = [(0, np.full((1, U), -1))]
+    while stack:
+        d, prefixes = stack.pop()
+        r, j = master.children(prefixes[:, :d])
+        rows = prefixes[r]
+        rows[:, d] = j
+        block = _CutTable(table.dcoef, table.alpha, _Rows(rows, master.floor))
+        block.absorb(cuts)
+        if d + 1 < U:
+            kept = rows[block.value < best.value]
+            starts = range(0, len(kept), _SEARCH_BLOCK)
+            stack += [(d + 1, kept[k:k + _SEARCH_BLOCK]) for k in reversed(starts)]
+        elif block.value.min(initial=math.inf) < best.value:
+            best = block.solve()
+    if best.assoc is None:
         raise InfeasibleInstanceError(_EXCLUDED)
-    return MasterSolution(
-        assoc=Association.from_assignment(best_assigned, B), value=best_value
-    )
+    return best
 
 
 def solve_master(
@@ -929,8 +934,10 @@ def solve_master(
     Where the table's master holds its conflict-free rows, they are
     enumerated, keeping the lexicographically first optimum; where its
     build gave up (``rows`` None), the master is searched depth first
-    (``_search_master``) with the same tie rule and the same value, bit
-    for bit. Both paths are deterministic.
+    (``_search_master``). One valuation serves both paths: the search
+    values its prefixes with this same table code, so it keeps the same
+    tie rule and gives the same value, bit for bit. Both paths are
+    deterministic.
     """
     if table is None:
         dcoef = delay_coefficients(scenario, demands, placement)

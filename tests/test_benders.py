@@ -844,6 +844,27 @@ class TestMaster:
             assert found.value.hex() == enum.value.hex()
             assert np.array_equal(found.assoc.x, enum.assoc.x)
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(problem=random_masters(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_prefix_values_bound_their_completions(self, problem, alpha):
+        # each conflict-free row cut to its first k users, the rest free
+        # (-1), is valued by the table's own code: at most the whole row's
+        # table value, and that value by float.hex at k = U
+        U, B, dcoef, K, cuts, floor = problem
+        table = cut_table(dcoef, alpha, K, floor)
+        table.absorb(cuts)
+        rows = table.master.rows
+        for k in range(U + 1):
+            prefixes = np.where(np.arange(U) < k, rows, -1)
+            partial = benders._CutTable(
+                dcoef, alpha, benders._Rows(prefixes, table.master.floor)
+            )
+            partial.absorb(cuts)
+            assert (partial.value <= table.value).all()
+        assert list(map(float.hex, partial.value.tolist())) == list(
+            map(float.hex, table.value.tolist())
+        )
+
     def test_master_matches_brute_force_on_random_cuts(self, monkeypatch):
         def eta_for(x, cuts):
             # least eta at a binary x, or None if it holds every pair of a
@@ -1302,6 +1323,25 @@ class TestUcwt:
             assert np.array_equal(searched.assoc.x, enumerated.assoc.x)
             assert searched.power.p.tobytes() == enumerated.power.p.tobytes()
             assert searched.trace.iterations == enumerated.trace.iterations
+
+    @pytest.mark.parametrize("alpha, objective, iterations", [
+        (0.5, "0x1.7298674e5344ap+13", 5),
+        (1.0, "0x1.9c6bc61c20c46p+6", 4),
+    ])
+    def test_search_at_the_default_limit_is_pinned(self, alpha, objective, iterations):
+        # desk B=9, U=20, seed 0: a prefix level of the conflict-free rows
+        # passes the default limit, so every master of the run is searched
+        inst, placement = desk_pipeline(0, sbs_count=9, user_count=20)
+        s, demands = inst.scenario, inst.demands
+        master = benders.InstanceMaster(s, demands)
+        assert master.rows is None
+        result = ucwt(s, demands, placement, alpha, master=master)
+        assert result.trace.converged
+        assert result.trace.final_objective.hex() == objective
+        assert result.assoc.assigned_sbs.tolist() == [
+            7, 5, 5, 8, 2, 7, 7, 1, 3, 0, 6, 3, 7, 6, 3, 2, 6, 5, 2, 8
+        ]
+        assert len(result.trace.iterations) == iterations
 
     def test_trace_keeps_one_cut_per_iteration_and_one_incumbent(self):
         # every cut is new, and the incumbent moves only on a strict drop

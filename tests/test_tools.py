@@ -2,6 +2,7 @@
 
 import ast
 import fnmatch
+import hashlib
 import importlib.util
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import dscnopt
 from dscnopt import benders, oracle, placement, popularity, scenario as scn
 from dscnopt.placement import lpf_greedy
 from dscnopt.popularity import local_popularity
@@ -126,6 +128,31 @@ def test_ab_pass_times_the_repository_against_itself():
         r"^change/parent ratio: median \d+\.\d{3} \[Q1 \d+\.\d{3}, Q3 \d+\.\d{3}\]$",
         run.stdout, re.MULTILINE,
     ), run.stdout
+
+
+def test_master_sets_digests_each_solve_at_both_limits():
+    # one small solve: the digest covers its objective, association, powers
+    # and trace rows, and the limit-0 run searches its master to the same
+    spec = importlib.util.spec_from_file_location(
+        "master_sets", ROOT / "tools" / "master_sets.py"
+    )
+    master_sets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(master_sets)
+    cases = master_sets.instances(dscnopt, [(3, 8, range(1))])
+    (s, demands, placement_), = cases
+    result = benders.ucwt(s, demands, placement_, 0.5)
+    power = ",".join(map(float.hex, result.power.p.tolist()))
+    expected = hashlib.sha256(
+        f"{result.trace.final_objective.hex()}|"
+        f"{result.assoc.assigned_sbs.tolist()}|{power}\n".encode()
+        + "\n".join(result.trace.csv_rows()).encode() + b"\n"
+    ).hexdigest()
+    limit = benders._MASTER_ENUMERATION_LIMIT
+    digest, seconds, searched = master_sets.solve_set(benders, cases, (0.5,))
+    assert (digest, searched) == (expected, 0) and seconds > 0
+    digest, _, searched = master_sets.solve_set(benders, cases, (0.5,), 0)
+    assert (digest, searched) == (expected, 1)
+    assert benders._MASTER_ENUMERATION_LIMIT == limit
 
 
 def load_tracing(monkeypatch):
