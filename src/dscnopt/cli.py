@@ -7,18 +7,25 @@ floats are written with 9 significant digits.
 
 Exit codes: 0 success, 1 solver non-convergence or a doa/ema repair that
 gave up, 2 usage error (including an oracle request above the enumeration
-cap), 3 infeasible instance, 4 internal solver fault.
+cap and an output file that cannot be written), 3 infeasible instance,
+4 internal solver fault.
 
-Each command handles only the outcomes it turns into rows or exit codes:
-``InfeasibleInstanceError`` (exit 3, padded sweep rows or empty cells),
-and ``IterationBudgetError`` or ``RepairFailedError`` (exit 1 or empty
-cells). Every command maps the rest in one place (``_Command``): an
-``EnumerationCapError`` is a usage error, and a ``SolverFault`` or any
-other ``ModelError`` is a solver fault, never an infeasible instance.
+Every solve of one alpha runs through ``_run``, which also values the
+answer (``sweep-alpha``'s oracle sweep takes its values from
+``oracle.brute_force_sweep``). A command keeps only the outcomes it
+writes as rows: ``_answer`` turns no answer into empty cells, and
+``sweep-alpha`` pads an infeasible replication and blanks an alpha whose
+iteration budget ran out. Every other error escapes to ``_Command``,
+whose one table ``_EXITS`` gives its stderr prefix and exit code: an
+infeasible instance exits 3, non-convergence and a repair that gave up
+exit 1, the enumeration cap and an unwritable ``--out`` or
+``--trace-out`` are usage errors, and a ``SolverFault`` or any other
+``ModelError`` is a solver fault, never an infeasible instance.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import math
@@ -51,11 +58,23 @@ def _f(v: float) -> str:
     return format(float(v), ".9g")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: List[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+class _Unwritable(Exception):
+    """An output file that cannot be written."""
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into ``_Unwritable``, naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_csv(path: str, rows: List[Sequence]) -> None:
+    """Write ``rows``, the header row first."""
+    with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _config(paper_scale: bool) -> scn.GenerationConfig:
@@ -158,7 +177,8 @@ def _run(
     epsilon: Optional[float] = None,
     master: Optional[benders.InstanceMaster] = None,
 ):
-    """One solve: (association, powers, ucwt's trace or None).
+    """One solve and its value: (association, powers, the ``model.objective``
+    value at ``alpha``, ucwt's trace or None).
 
     ``master``, ucwt's ``InstanceMaster`` of ``inst``, is shared by the
     caller's solves of one instance. Each solver is looked up on its
@@ -166,44 +186,62 @@ def _run(
     runs.
     """
     s, d = inst.scenario, inst.demands
+    trace = None
     if algorithm == "ucwt":
         res = benders.ucwt(s, d, cache, alpha, epsilon, master=master)
-        return res.assoc, res.power, res.trace
-    if algorithm == "oracle":
+        trace = res.trace
+    elif algorithm == "oracle":
         res = oracle.brute_force(s, d, cache, alpha)
     else:
         res = {"doa": baselines.doa, "ema": baselines.ema}[algorithm](s, d, cache)
-    return res.assoc, res.power, None
+    value = objective(s, d, cache, res.assoc, res.power, alpha)
+    return res.assoc, res.power, value, trace
 
 
 def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float, master=None):
-    """(association, powers) of one comparison run, or None for no answer.
+    """(association, objective value) of one comparison run, or None for no answer.
 
     No answer is an infeasible instance, a spent ucwt budget, a doa/ema
     repair that gave up, or a non-converged ucwt run; the caller writes
     empty cells for it.
     """
     try:
-        assoc, power, trace = _run(algorithm, inst, cache, alpha, master=master)
+        assoc, _, value, trace = _run(algorithm, inst, cache, alpha, master=master)
     except (InfeasibleInstanceError, benders.IterationBudgetError,
             baselines.RepairFailedError):
         return None
     if trace is not None and not trace.converged:
         return None
-    return assoc, power
+    return assoc, value
+
+
+# Every error a command lets escape, with its stderr prefix and exit code;
+# the first row that matches wins. A row without a prefix is a usage error,
+# which click prints under the usage line.
+_EXITS = (
+    (InfeasibleInstanceError, "infeasible", EXIT_INFEASIBLE),
+    (benders.IterationBudgetError, "not converged", EXIT_NONCONVERGENCE),
+    # a heuristic that gives up proves nothing about the instance
+    (baselines.RepairFailedError, "no answer", EXIT_NONCONVERGENCE),
+    (oracle.EnumerationCapError, None, click.UsageError.exit_code),
+    (_Unwritable, None, click.UsageError.exit_code),
+    (benders.SolverFault, "solver fault", EXIT_SOLVER_FAULT),
+    (ModelError, "solver fault", EXIT_SOLVER_FAULT),
+)
 
 
 class _Command(click.Command):
-    """A subcommand that maps the failures it does not handle to exit codes."""
+    """A subcommand whose escaping errors exit through ``_EXITS``."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except oracle.EnumerationCapError as exc:
-            raise click.UsageError(str(exc), ctx)
-        except (benders.SolverFault, ModelError) as exc:
-            click.echo(f"solver fault: {exc}", err=True)
-            sys.exit(EXIT_SOLVER_FAULT)
+        except tuple(row[0] for row in _EXITS) as exc:
+            prefix, code = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
+            if prefix is None:
+                raise click.UsageError(str(exc), ctx)
+            click.echo(f"{prefix}: {exc}", err=True)
+            sys.exit(code)
 
 
 @click.group()
@@ -222,31 +260,9 @@ main.command_class = _Command
 def generate(seed: int, paper_scale: bool, out: str) -> None:
     """Generate a random instance and write it to a file."""
     (inst,) = _load_instances(None, [seed], paper_scale)
-    scn.save(inst, out)
+    with _writing(out):
+        scn.save(inst, out)
     click.echo(f"wrote {out}")
-
-
-def _solve_rows(inst, cache, algorithm, alpha, epsilon):
-    """Run one algorithm; returns (long-format rows, exit code, trace|None)."""
-    assoc, power, trace = _run(algorithm, inst, cache, alpha, epsilon)
-    converged = trace is None or trace.converged
-    iterations = 0 if trace is None else len(trace.iterations)
-    value = objective(inst.scenario, inst.demands, cache, assoc, power, alpha)
-    rows: List[Sequence] = [
-        ("algorithm", "", algorithm),
-        ("alpha", "", _f(alpha)),
-        ("energy_joules", "", _f(value.energy)),
-        ("delay_seconds", "", _f(value.delay)),
-        ("weighted", "", _f(value.weighted)),
-        ("converged", "", int(converged)),
-        ("iterations", "", iterations),
-    ]
-    for i, j in enumerate(assoc.assigned_sbs):
-        rows.append(("assigned_sbs", i, int(j)))
-    for j, p in enumerate(power.p):
-        rows.append(("power_w", j, _f(p)))
-    code = 0 if converged else EXIT_NONCONVERGENCE
-    return rows, code, trace
 
 
 @main.command()
@@ -273,24 +289,25 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     _check_epsilon(epsilon)
     (inst,) = _load_instances(instance, [seed], paper_scale)
     _, cache = _pipeline(inst)
-    try:
-        rows, code, trace = _solve_rows(inst, cache, algorithm, alpha, epsilon)
-    except InfeasibleInstanceError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
-    except benders.IterationBudgetError as exc:
-        click.echo(f"not converged: {exc}", err=True)
-        sys.exit(EXIT_NONCONVERGENCE)
-    except baselines.RepairFailedError as exc:
-        # a heuristic that gives up proves nothing about the instance
-        click.echo(f"no answer: {exc}", err=True)
-        sys.exit(EXIT_NONCONVERGENCE)
-    _write_csv(out, ("field", "index", "value"), rows)
+    assoc, power, value, trace = _run(algorithm, inst, cache, alpha, epsilon)
+    converged = trace is None or trace.converged
+    _write_csv(out, [
+        ("field", "index", "value"),
+        ("algorithm", "", algorithm),
+        ("alpha", "", _f(alpha)),
+        ("energy_joules", "", _f(value.energy)),
+        ("delay_seconds", "", _f(value.delay)),
+        ("weighted", "", _f(value.weighted)),
+        ("converged", "", int(converged)),
+        ("iterations", "", 0 if trace is None else len(trace.iterations)),
+        *(("assigned_sbs", i, int(j)) for i, j in enumerate(assoc.assigned_sbs)),
+        *(("power_w", j, _f(p)) for j, p in enumerate(power.p)),
+    ])
     if trace is not None:
         trace_path = trace_out or out + ".trace.csv"
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with _writing(trace_path), open(trace_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace.csv_rows()) + "\n")
-    sys.exit(code)
+    sys.exit(0 if converged else EXIT_NONCONVERGENCE)
 
 
 @main.command("sweep-alpha")
@@ -318,7 +335,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
     for a in alphas:
         _check_alpha(a)
     _check_epsilon(epsilon)
-    rows = []
+    rows = [("alpha", "replication", "energy_joules", "delay_seconds", "weighted")]
     infeasible = nonconverged = 0
     seeds = range(seed, seed + replications)
     for rep, inst in enumerate(_load_instances(instance, seeds, paper_scale)):
@@ -336,8 +353,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                 master = benders.InstanceMaster(s, inst.demands)
                 for a in alphas:
                     try:
-                        assoc, power, trace = _run("ucwt", inst, cache, a, epsilon,
-                                                   master)
+                        _, _, v, trace = _run("ucwt", inst, cache, a, epsilon, master)
                     except benders.IterationBudgetError:
                         # no incumbent: a row of empty cells
                         nonconverged += 1
@@ -345,7 +361,6 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                         continue
                     if not trace.converged:
                         nonconverged += 1
-                    v = objective(s, inst.demands, cache, assoc, power, a)
                     rows.append((_f(a), rep, _f(v.energy), _f(v.delay),
                                  _f(v.weighted)))
         except InfeasibleInstanceError as exc:
@@ -354,11 +369,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
             click.echo(f"infeasible: replication {rep} (seed {seed + rep}): {exc}",
                        err=True)
             rows += [(_f(a), rep, "", "", "") for a in alphas[len(rows) - start:]]
-    _write_csv(
-        out,
-        ("alpha", "replication", "energy_joules", "delay_seconds", "weighted"),
-        rows,
-    )
+    _write_csv(out, rows)
     if infeasible == replications:
         sys.exit(EXIT_INFEASIBLE)
     if nonconverged:
@@ -400,18 +411,12 @@ def compare_caching(seeds, seed, paper_scale, capacity_grid, alpha, out):
             for name, cache in policies.items():
                 _, mean_hit = plc.hit_ratio(cache, pop)
                 answer = _answer("ucwt", inst, cache, alpha, master)
-                energy = delay = ""
-                if answer is not None:
-                    v = objective(s, inst.demands, cache, *answer)
-                    energy, delay = _f(v.energy), _f(v.delay)
-                rows.append((name, _f(frac), seed + r, _f(mean_hit), energy, delay))
+                cells = ("", "") if answer is None else (
+                    _f(answer[1].energy), _f(answer[1].delay))
+                rows.append((name, _f(frac), seed + r, _f(mean_hit), *cells))
     rows.sort(key=lambda row: (row[0], float(row[1]), int(row[2])))
-    _write_csv(
-        out,
-        ("policy", "capacity_fraction", "seed", "hit_ratio",
-         "energy_joules", "delay_seconds"),
-        rows,
-    )
+    _write_csv(out, [("policy", "capacity_fraction", "seed", "hit_ratio",
+                      "energy_joules", "delay_seconds"), *rows])
 
 
 @main.command("compare-algorithms")
@@ -462,15 +467,15 @@ def compare_algorithms(seeds, seed, sweep, grid, alpha, sample_backhaul, samples
                 if answer is None:
                     rows.append(row + [""] * (len(header) - len(row)))
                     continue
-                v = objective(inst.scenario, inst.demands, cache, *answer)
+                assoc, v = answer
                 row += [_f(v.energy), _f(v.delay)]
                 if sample_backhaul:
                     rng = np.random.default_rng((seed + r, alg_tag))
                     row.append(_f(sampled_backhaul_delay(
-                        inst, cache, answer[0], rng, samples)))
+                        inst, cache, assoc, rng, samples)))
                 rows.append(row)
     rows.sort(key=lambda row: (float(row[1]), int(row[2]), row[3]))
-    _write_csv(out, header, rows)
+    _write_csv(out, [header, *rows])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -351,9 +351,11 @@ def objective(
     Energy is ``p @ T`` with the relaxed serving times; delay is the sum of
     the relaxed delivery delays of the assigned (user, SBS) pairs. ``alpha``
     defaults to the scenario's weight. An association of another shape
-    than (U, B) is a ``ModelError``.
+    than (U, B), or a power vector of another shape than (B,), is a
+    ``ModelError``.
     """
     _check_shape("association", assoc.x.shape, scenario.channel_gains.shape)
+    _check_shape("power vector", p.p.shape, (scenario.sbs_count,))
     if alpha is None:
         alpha = scenario.alpha
     energy = float(p.p @ serving_time(scenario, demands, assoc))

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -740,6 +742,25 @@ class TestFailureTaxonomy:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
+        ["generate", "--out", "MISSING"],
+        ["solve", "--out", "MISSING"],
+        ["sweep-alpha", "--grid", "0.5", "--out", "MISSING"],
+        ["compare-caching", "--seeds", "1", "--capacity-grid", "0.5", "--out", "MISSING"],
+        ["compare-algorithms", "--seeds", "1", "--grid", "4", "--out", "MISSING"],
+        ["solve", "--out", "OUT", "--trace-out", "MISSING"],
+    ], ids=lambda args: args[0] + "-" + args[-2][2:])
+    def test_unwritable_output_exits_2(self, runner, tmp_path, args):
+        # an output path under a missing directory is a usage error that
+        # names the path, not a traceback with the non-convergence code
+        missing = str(tmp_path / "missing" / "o.csv")
+        paths = {"MISSING": missing, "OUT": str(tmp_path / "o.csv")}
+        result = runner.invoke(main, [paths.get(a, a) for a in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot write {missing}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args", [
         ["generate", "--seed", "-1"],
         ["solve", "--seed", "-1"],
         ["sweep-alpha", "--seed", "-1"],
@@ -760,3 +781,50 @@ class TestFailureTaxonomy:
         assert f"Invalid value for '{args[1]}'" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
+
+
+# SHA-256 over each command's arguments, exit code, stdout and stderr, then
+# the name and bytes of every file it writes, in command order
+CLI_DIGEST = "303ea754a7543a151e8c856d9ff86e14cddec0f0889a7e8854e28d89f77f519d"
+
+DIGEST_COMMANDS = [
+    *(["solve", "--seed", str(seed), "--algorithm", algorithm,
+       "--out", f"solve-{seed}-{algorithm}.csv"]
+      for seed in (0, 1) for algorithm in ("ucwt", "oracle", "doa", "ema")),
+    *(["sweep-alpha", "--algorithm", algorithm, "--replications", "2",
+       "--out", f"sweep-{algorithm}.csv"] for algorithm in ("ucwt", "oracle")),
+    ["compare-caching", "--seeds", "2", "--out", "caching.csv"],
+    ["compare-algorithms", "--seeds", "2", "--sample-backhaul", "--samples", "20",
+     "--out", "sampled.csv"],
+    ["compare-algorithms", "--seeds", "2", "--sweep", "capacity",
+     "--out", "capacity.csv"],
+    ["generate", "--seed", "0", "--out", "inst.txt"],
+]
+
+
+def cli_fingerprint(runner):
+    """The digest of ``DIGEST_COMMANDS``, run in an empty directory.
+
+    Every output name is relative, so no temporary path enters the digest.
+    """
+    digest = hashlib.sha256()
+    with runner.isolated_filesystem():
+        for args in DIGEST_COMMANDS:
+            before = set(os.listdir("."))
+            result = runner.invoke(main, args)
+            digest.update(repr(
+                (args, result.exit_code, result.stdout, result.stderr)).encode())
+            for name in sorted(set(os.listdir(".")) - before):
+                with open(name, "rb") as fh:
+                    digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
+def test_cli_outputs_are_pinned(runner):
+    """Every CSV, trace, instance file, output line and exit code, bit for bit.
+
+    The digest was recorded before the commands shared one run path and one
+    exit table. A change that moves a command's output on purpose
+    re-records it and says why.
+    """
+    assert cli_fingerprint(runner) == CLI_DIGEST

@@ -353,6 +353,17 @@ class TestAggregates:
             objective(s, demands, CachePlacement([[1, 1], [1, 1]]), assoc,
                       PowerVector([0.4, 0.5]), alpha=0.25)
 
+    @pytest.mark.parametrize("powers", [[0.4], [0.4, 0.5, 0.1]])
+    def test_objective_rejects_mis_shaped_power(self, powers):
+        # a (B+1,) or (1,) vector would fail inside numpy's matmul
+        s = tiny_scenario()
+        demands = DemandMatrix([[1, 0], [0, 1]])
+        expected = rf"power vector has shape \({len(powers)},\), expected \(2,\)"
+        with pytest.raises(ModelError, match=expected):
+            objective(s, demands, CachePlacement([[1, 1], [1, 1]]),
+                      Association.from_assignment([0, 1], 2), PowerVector(powers),
+                      alpha=0.25)
+
     def test_requested_thresholds(self):
         s = tiny_scenario()
         demands = DemandMatrix([[0, 1], [1, 0]])
