@@ -25,7 +25,10 @@ paths: a block is valued by a table of its own over ``_Rows`` that leave
 the later users free, each adding its least coefficient to a cut, no
 term to the floor and no pair to a no-good. So a prefix's value bounds
 each completion's from below, and a whole association's is the table's,
-bit for bit.
+bit for bit. Each cut carries the form the master reads, prepared once
+on first use: a no-good's support, and an optimality cut's coefficients
+followed by their per-user least ones (``_terms``), so one gather scores
+a table row and a search prefix alike.
 
 For a binary association, the assigned users' SINR rows form a standard
 interference function (Yates 1995), so the minimum transmit powers are its
@@ -150,20 +153,6 @@ class SolverFault(RuntimeError):
     """
 
 
-def varrho(scenario: Scenario, demands: DemandMatrix) -> float:
-    """SINR-deactivation constant: min_i 1 / (gamma_i ((I-1) p_max g_max + noise)).
-
-    I is the SBS count, so 1/varrho exceeds any user's threshold times the
-    worst-case interference-plus-noise level.
-    """
-    gammas = requested_thresholds(scenario, demands)
-    I = scenario.sbs_count
-    p_bar = float(scenario.max_power.max())
-    g_bar = float(scenario.channel_gains.max())
-    worst = (I - 1) * p_bar * g_bar + scenario.noise_power
-    return float(1.0 / (gammas.max() * worst))
-
-
 @dataclass(frozen=True)
 class Cut:
     """The affine map X -> h(X, mu, nu) as constant + sum coef_ij x_ij.
@@ -176,7 +165,11 @@ class Cut:
     ``magnitude`` serve checks of the affine form h <= 0. A subproblem's
     optimality cut also carries the minimum powers it was read from, so
     ``ucwt`` need not solve its incumbent again. Both arrays are stored as
-    read-only copies.
+    read-only copies. The master reads each cut in the form it needs,
+    prepared on first use and then kept, read-only: a feasibility cut's
+    ``support`` and an optimality cut's ``terms``. Every table and every
+    search block that absorbs the cut reads that one form, and a cut that
+    an ``InstanceMaster`` memoized keeps it across runs.
     """
 
     constant: float
@@ -199,6 +192,29 @@ class Cut:
     def magnitude(self) -> float:
         """Scale of the cut's data, for relative checks of its affine value."""
         return max(1.0, abs(self.constant), float(np.abs(self.coef).max()))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """``np.nonzero(coef)`` stacked: the users, then the SBSs of the no-good."""
+        support = np.array(np.nonzero(self.coef))
+        support.setflags(write=False)
+        return support
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """``_terms(coef)``: the vector that ``_Rows.score`` gathers."""
+        return _terms(self.coef)
+
+
+def _terms(coef: np.ndarray) -> np.ndarray:
+    """A U x B ``coef`` flattened, then its U per-user least coefficients; read-only.
+
+    Entry i * B + j is coef[i, j] and entry U * B + i is min_j coef[i, j],
+    the term of user i where a row leaves it free.
+    """
+    terms = np.concatenate((coef.ravel(), coef.min(axis=1)))
+    terms.setflags(write=False)
+    return terms
 
 
 class _SinrRows:
@@ -241,8 +257,14 @@ class _SinrRows:
 
     @cached_property
     def varrho(self) -> float:
-        """``varrho`` of the instance; only the subproblem's cuts read it."""
-        return varrho(self.scenario, self.demands)
+        """SINR-deactivation constant: min_i 1 / (gamma_i ((I-1) p_max g_max + noise)).
+
+        I is the SBS count, so 1/varrho exceeds any user's threshold times
+        the worst-case interference-plus-noise level. Only the subproblem's
+        cuts read it.
+        """
+        worst = (len(self.pmax) - 1) * float(self.pmax.max()) * float(self.g.max())
+        return float(1.0 / (self.gamma.max() * (worst + self.scenario.noise_power)))
 
     def pairs(self, assigned: np.ndarray) -> np.ndarray:
         """Rows of the pairs (i, assigned[i]), one per user."""
@@ -702,16 +724,17 @@ class _Rows:
     Row r of ``rows`` gives an SBS per user, or -1 for a free user, one the
     row leaves open. ``score`` adds a (U, B) coefficient matrix over each
     row from the last user to the first, a free user adding its least
-    coefficient. ``floor_score`` is, per row, the largest floor term among
-    the users of each SBS, 0 if it serves none, added over the SBSs in index
-    order; a free user holds no term. ``_CutTable`` values rows from these
-    two and reads a feasibility cut's support off ``rows``, where a free
-    user holds no pair. So a whole row's value is the master objective at
-    its association, and a prefix's value is a lower bound on that of each
-    of its completions, bit for bit: a completion adds the same terms in
-    the same order, each free user's least coefficient gives way to one at
-    least as large, each floor maximum can only grow, and rounding is
-    monotone.
+    coefficient; it is given the matrix as ``_terms`` prepares it, so one
+    gather serves whole rows and prefixes alike. ``floor_score`` is, per
+    row, the largest floor term among the users of each SBS, 0 if it
+    serves none, added over the SBSs in index order; a free user holds no
+    term. ``_CutTable`` values rows from these two and reads a feasibility
+    cut's support off ``rows``, where a free user holds no pair. So a
+    whole row's value is the master objective at its association, and a
+    prefix's value is a lower bound on that of each of its completions,
+    bit for bit: a completion adds the same terms in the same order, each
+    free user's least coefficient gives way to one at least as large,
+    each floor maximum can only grow, and rounding is monotone.
     """
 
     def __init__(self, rows: np.ndarray, floor: np.ndarray):
@@ -719,11 +742,8 @@ class _Rows:
         self.rows = rows
         # last user first, the order in which ``score`` adds
         users, sbs = np.arange(U - 1, -1, -1), rows[:, ::-1]
-        free = sbs < 0
-        self.free = free.any()
-        # flat indices into a U x B coefficient matrix followed by its U
-        # per-user least coefficients
-        self._flat = np.where(free, U * B + users, users * B + sbs)
+        # per row and user, its index into a ``_terms`` vector
+        self._flat = np.where(sbs < 0, U * B + users, users * B + sbs)
         # per SBS the peak term, and a spare last column where each free
         # user's -1 puts its term, left out of the sum
         peaks = np.zeros((len(rows), B + 1))
@@ -731,15 +751,13 @@ class _Rows:
         # cumsum adds in order; a sum over the axis would add pairwise
         self.floor_score = peaks.cumsum(axis=1)[:, -2]
 
-    def score(self, coef: np.ndarray) -> np.ndarray:
+    def score(self, terms: np.ndarray) -> np.ndarray:
         """Per row, sum_i coef[i, a_i] added from the last user to the first.
 
-        A free user i adds min_j coef[i, j] in its place.
+        ``terms`` is ``_terms(coef)``; a free user i adds its entry
+        min_j coef[i, j] in place of coef[i, a_i].
         """
-        flat = coef.ravel()
-        if self.free:
-            flat = np.concatenate((flat, coef.min(axis=1)))
-        return flat[self._flat].cumsum(axis=1)[:, -1]
+        return terms[self._flat].cumsum(axis=1)[:, -1]
 
 
 class _ConflictFree(_Rows):
@@ -821,23 +839,24 @@ class _CutTable:
     its master. Per row the table holds the master objective
     alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
     and the optimality cuts absorbed so far, or +inf where the row holds
-    every pair of a feasibility cut's support. Each optimality cut of a
-    growing list is scored once, on the rows only, by the master's
-    ``score``. The objective starts at alpha * floor + (1 - alpha) * delay,
-    and an optimality cut h raises it to its maximum with
-    alpha * h + (1 - alpha) * delay: rounding is monotone and alpha >= 0,
-    so this equals weighting the largest of them, bit for bit. Over
+    every pair of a feasibility cut's support. Each cut of a growing list
+    is absorbed once, on the rows only: a feasibility cut by its
+    ``support``, an optimality cut by the master's ``score`` of its
+    ``terms``, which the cut prepared once for every table; the delay
+    coefficients are prepared by the same ``_terms``. The objective
+    starts at alpha * floor + (1 - alpha) * delay, and an optimality cut
+    h raises it to its maximum with alpha * h + (1 - alpha) * delay:
+    rounding is monotone and alpha >= 0, so this equals weighting the
+    largest of them, bit for bit. Over
     prefixes, each value is a lower bound on that of every completion
     (``_Rows``).
     """
 
     def __init__(self, dcoef: np.ndarray, alpha: float, master: _Rows):
-        self.master = master
-        self.dcoef = dcoef
-        self.alpha = alpha
+        self.master, self.dcoef, self.alpha = master, dcoef, alpha
         self.absorbed = 0
         if master.rows is not None:
-            self.weighted_delay = (1.0 - alpha) * master.score(dcoef)
+            self.weighted_delay = (1.0 - alpha) * master.score(_terms(dcoef))
             self.value = alpha * master.floor_score + self.weighted_delay
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
@@ -848,10 +867,10 @@ class _CutTable:
             )
         for cut in cuts[self.absorbed:]:
             if cut.kind == "feasibility":
-                users, sbs = np.nonzero(cut.coef)
+                users, sbs = cut.support
                 self.value[(self.master.rows[:, users] == sbs).all(axis=1)] = np.inf
             else:
-                h = cut.constant + self.master.score(cut.coef)
+                h = cut.constant + self.master.score(cut.terms)
                 np.maximum(
                     self.value, self.alpha * h + self.weighted_delay, out=self.value
                 )
@@ -877,7 +896,9 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
     come from the master's ``children``, which drops each child whose user
     conflicts alone or with a user of its prefix, and are valued over
     ``_Rows`` that leave the later users free, by a ``_CutTable`` of their
-    own that absorbs every cut. So a child holding the support of a
+    own that absorbs every cut in the form the cut prepared once
+    (``Cut.support``, ``Cut.terms``), so no block computes a cut's support
+    or least coefficients again. So a child holding the support of a
     feasibility cut is +inf, and any other child's value is a bit-exact
     lower bound on each of its completions; the children that reach the
     incumbent's value are dropped. The rest are searched in blocks, the
@@ -911,12 +932,8 @@ def _search_master(table: _CutTable, cuts: Sequence[Cut]) -> MasterSolution:
 
 
 def solve_master(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    placement: CachePlacement,
-    cuts: Sequence[Cut],
-    alpha: float,
-    table: Optional[_CutTable] = None,
+    scenario: Scenario, demands: DemandMatrix, placement: CachePlacement,
+    cuts: Sequence[Cut], alpha: float, table: Optional[_CutTable] = None,
 ) -> MasterSolution:
     """Exact master solve over binary associations.
 
@@ -1072,15 +1089,9 @@ def ucwt(
             if trace.epsilon is None:
                 trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
         solution = solve_master(scenario, demands, placement, cuts, alpha, table)
+        status = "bounded" if math.isfinite(M) else "unbounded"
         trace.iterations.append(
-            IterationRecord(
-                t=t,
-                psi_lower=solution.value,
-                psi_upper=psi_upper,
-                subproblem_status="bounded" if math.isfinite(M) else "unbounded",
-                M=M,
-                omega=omega,
-            )
+            IterationRecord(t, solution.value, psi_upper, status, M, omega)
         )
         if trace.epsilon is not None and psi_upper - solution.value <= trace.epsilon:
             trace.converged = True

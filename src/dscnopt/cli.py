@@ -8,7 +8,8 @@ floats are written with 9 significant digits.
 Exit codes: 0 success, 1 solver non-convergence or a doa/ema repair that
 gave up, 2 usage error (including an oracle request above the enumeration
 cap and an output file that cannot be written), 3 infeasible instance,
-4 internal solver fault.
+4 internal solver fault. A ucwt run that stops unconverged with an
+incumbent still writes it, says why on stderr and exits 1.
 
 Every solve of one alpha runs through ``_run``, which also values the
 answer (``sweep-alpha``'s oracle sweep takes its values from
@@ -29,6 +30,7 @@ import contextlib
 import csv
 import dataclasses
 import math
+import os
 import sys
 from typing import Iterable, List, Optional, Sequence
 
@@ -215,6 +217,13 @@ def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float, master=None
     return assoc, value
 
 
+def _gap_left(trace: benders.BendersTrace) -> str:
+    """Why a ucwt run that kept an incumbent stopped short: its last gap."""
+    last = trace.iterations[-1]
+    return (f"gap {_f(last.psi_upper - last.psi_lower)} above epsilon "
+            f"{_f(trace.epsilon)} after {len(trace.iterations)} iterations")
+
+
 # Every error a command lets escape, with its stderr prefix and exit code;
 # the first row that matches wins. A row without a prefix is a usage error,
 # which click prints under the usage line.
@@ -305,9 +314,16 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     ])
     if trace is not None:
         trace_path = trace_out or out + ".trace.csv"
-        with _writing(trace_path), open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace.csv_rows()) + "\n")
-    sys.exit(0 if converged else EXIT_NONCONVERGENCE)
+        try:
+            with _writing(trace_path), open(trace_path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(trace.csv_rows()) + "\n")
+        except _Unwritable:
+            # a usage error leaves no output file behind
+            os.remove(out)
+            raise
+    if not converged:
+        click.echo(f"not converged: {_gap_left(trace)}", err=True)
+        sys.exit(EXIT_NONCONVERGENCE)
 
 
 @main.command("sweep-alpha")
@@ -344,9 +360,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
         s = inst.scenario
         try:
             if algorithm == "oracle":
-                for a, sol in oracle.brute_force_sweep(
-                    s, inst.demands, cache, alphas
-                ):
+                for a, sol in oracle.brute_force_sweep(s, inst.demands, cache, alphas):
                     rows.append((_f(a), rep, _f(sol.energy), _f(sol.delay),
                                  _f(sol.objective)))
             else:
@@ -354,15 +368,17 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                 for a in alphas:
                     try:
                         _, _, v, trace = _run("ucwt", inst, cache, a, epsilon, master)
-                    except benders.IterationBudgetError:
+                    except benders.IterationBudgetError as exc:
                         # no incumbent: a row of empty cells
+                        cells, why = ("", "", ""), exc
+                    else:
+                        cells = (_f(v.energy), _f(v.delay), _f(v.weighted))
+                        why = None if trace.converged else _gap_left(trace)
+                    if why is not None:
                         nonconverged += 1
-                        rows.append((_f(a), rep, "", "", ""))
-                        continue
-                    if not trace.converged:
-                        nonconverged += 1
-                    rows.append((_f(a), rep, _f(v.energy), _f(v.delay),
-                                 _f(v.weighted)))
+                        click.echo(f"not converged: replication {rep} (seed "
+                                   f"{seed + rep}), alpha {_f(a)}: {why}", err=True)
+                    rows.append((_f(a), rep, *cells))
         except InfeasibleInstanceError as exc:
             # every alpha still without a row gets one of empty cells
             infeasible += 1

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from dscnopt import lp as lpmod
-from dscnopt.benders import varrho
+from dscnopt.benders import _SinrRows
 from dscnopt.model import (
     Association,
     CachePlacement,
@@ -43,7 +43,7 @@ def build_subproblem_primal(
     of ``varrho``. It is the reference that ``solve_subproblem``'s
     energies are checked against.
     """
-    rho = varrho(scenario, demands)
+    rho = _SinrRows(scenario, demands).varrho
     X = np.asarray(x.x if isinstance(x, Association) else x, dtype=float)
     U, B = scenario.user_count, scenario.sbs_count
     if X.shape != (U, B):

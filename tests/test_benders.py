@@ -26,7 +26,6 @@ from dscnopt.benders import (
     solve_master,
     solve_subproblem,
     ucwt,
-    varrho,
 )
 from dscnopt.model import (
     Association,
@@ -107,7 +106,7 @@ class TestVarrho:
     def test_hand_computed(self):
         s, demands, _ = easy_case()
         # worst threshold 0.3, one interferer at p=1 through gain 1.0, noise 1e-3
-        assert varrho(s, demands) == pytest.approx(1.0 / (0.3 * 1.001))
+        assert _SinrRows(s, demands).varrho == pytest.approx(1.0 / (0.3 * 1.001))
 
     def test_deactivates_non_assigned_rows(self):
         s, demands, _ = easy_case()
@@ -135,7 +134,7 @@ class TestSubproblemLPs:
             inst, _ = desk_pipeline(seed)
             s, demands = inst.scenario, inst.demands
             U, B = s.user_count, s.sbs_count
-            rho = varrho(s, demands)
+            rho = _SinrRows(s, demands).varrho
             g = s.channel_gains
             gammas = requested_thresholds(s, demands)
             rng = np.random.default_rng(seed)
@@ -864,6 +863,38 @@ class TestMaster:
         assert list(map(float.hex, partial.value.tolist())) == list(
             map(float.hex, table.value.tolist())
         )
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(problem=random_masters())
+    def test_prepared_scoring_is_the_per_user_sum(self, problem):
+        # each cut's prepared vector, gathered by ``_Rows.score`` over every
+        # prefix of the conflict-free rows (free users -1), is the sum of
+        # coef[i, a_i], or coef[i].min() for a free user, from the last
+        # user to the first, by float.hex; its support is np.nonzero(coef)
+        U, B, dcoef, K, cuts, floor = problem
+        rows = cut_table(dcoef, 0.5, K, floor).master.rows
+        for k in range(U + 1):
+            prefixes = np.where(np.arange(U) < k, rows, -1)
+            master = benders._Rows(prefixes, np.zeros((U, B)))
+            for cut in cuts:
+                expected = []
+                for a in prefixes:
+                    terms = [
+                        cut.coef[i].min() if a[i] < 0 else cut.coef[i, a[i]]
+                        for i in reversed(range(U))
+                    ]
+                    expected.append(functools.reduce(lambda x, y: x + y, terms))
+                got = master.score(cut.terms)
+                assert list(map(float.hex, got.tolist())) == [
+                    float(x).hex() for x in expected
+                ]
+        for cut in cuts:
+            users, sbs = cut.support
+            expected_users, expected_sbs = np.nonzero(cut.coef)
+            assert np.array_equal(users, expected_users)
+            assert np.array_equal(sbs, expected_sbs)
+            for prepared in (users, sbs, cut.terms):
+                assert not prepared.flags.writeable
 
     def test_master_matches_brute_force_on_random_cuts(self, monkeypatch):
         def eta_for(x, cuts):

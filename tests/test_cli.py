@@ -183,6 +183,24 @@ class TestSolve:
         assert fields["converged"][0][1] == "0"
         assert fields["iterations"][0][1] == "2"
 
+    def test_unconverged_incumbent_says_why(self, runner, tmp_path, monkeypatch):
+        # the instance of test_iteration_budget_exits_1: the incumbent is
+        # written, and stderr names the gap left and the iterations spent
+        monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", 2)
+        path = tmp_path / "inst.txt"
+        scn.save(scn.generate(scn.desk_scale(sbs_count=5, user_count=16), 0), str(path))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["solve", "--instance", str(path), "--alpha", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("not converged: gap ")
+        assert line.endswith(" after 2 iterations")
+        assert long_fields(read_csv(str(out)))["converged"][0][1] == "0"
+
     def test_budget_without_incumbent_exits_1(self, runner, tmp_path, monkeypatch):
         # running out of iterations before a feasible proposal is
         # non-convergence, not infeasibility
@@ -442,6 +460,25 @@ class TestSweepAlpha:
         assert [r[:2] for r in rows] == [["0", "0"], ["0.5", "0"], ["1", "0"]]
         assert rows[0][2:] == rows[1][2:] == ["", "", ""]
         assert all(float(v) > 0.0 for v in rows[2][2:])
+
+    def test_unconverged_alpha_says_why(self, runner, tmp_path, monkeypatch):
+        # desk B=5, U=16, seed 0 keeps an unconverged incumbent at alpha 1
+        # after two iterations; its row is written and stderr says why
+        monkeypatch.setattr(benders, "DEFAULT_MAX_ITERS", 2)
+        path = tmp_path / "inst.txt"
+        scn.save(scn.generate(scn.desk_scale(sbs_count=5, user_count=16), 0), str(path))
+        out = tmp_path / "o.csv"
+        result = runner.invoke(
+            main,
+            ["sweep-alpha", "--instance", str(path), "--algorithm", "ucwt",
+             "--grid", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("not converged: replication 0 (seed 0), alpha 1: gap ")
+        assert line.endswith(" after 2 iterations")
+        (row,) = read_csv(str(out))[1:]
+        assert all(float(v) > 0.0 for v in row[2:])
 
     @pytest.mark.parametrize("algorithm", ["oracle", "ucwt"])
     def test_infeasible_replication_writes_empty_cells(
@@ -759,6 +796,19 @@ class TestFailureTaxonomy:
         assert isinstance(result.exception, SystemExit)
         assert f"cannot write {missing}" in result.output
         assert "Traceback" not in result.output
+
+    def test_unwritable_trace_leaves_no_output(self, runner, tmp_path):
+        # the result CSV is written first; an unwritable trace path is a
+        # usage error, and a usage error leaves no output file behind
+        out = tmp_path / "ok.csv"
+        missing = str(tmp_path / "missing" / "t.csv")
+        result = runner.invoke(
+            main, ["solve", "--seed", "0", "--out", str(out), "--trace-out", missing]
+        )
+        assert result.exit_code == 2
+        assert f"cannot write {missing}" in result.output
+        assert not out.exists()
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("args", [
         ["generate", "--seed", "-1"],
