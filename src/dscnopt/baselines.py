@@ -4,7 +4,9 @@ Each user starts at its best reachable SBS by the algorithm's per-user
 cost, and the minimum-power vector for that association is recovered. A
 start whose joint power problem is infeasible is repaired by moving the
 hardest users to their next-cheapest reachable SBSs. Each call builds the
-instance's SINR rows (``benders._SinrRows``) once for all its solves.
+instance's table of per-pair facts (``benders._SinrRows``) once, up front:
+its reachability mask picks the start and the repair's moves, its
+thresholds order the repair, and its SINR rows serve every solve.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benders import _SinrRows, min_power_for, reachable_sbs
+from .benders import _SinrRows, min_power_for
 from .model import (
     Association,
     CachePlacement,
@@ -38,32 +40,25 @@ class BaselineResult:
     power: PowerVector
 
 
-def _reach_or_raise(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
-    """``reachable_sbs``; raises ``InfeasibleInstanceError`` if a user has none."""
-    reach = reachable_sbs(scenario, demands)
-    stranded = ~reach.any(axis=1)
+def _reach_or_raise(rows: _SinrRows) -> np.ndarray:
+    """``rows.reach``; raises ``InfeasibleInstanceError`` if a user has none."""
+    stranded = ~rows.reach.any(axis=1)
     if stranded.any():
         bad = int(np.argmax(stranded))
         raise InfeasibleInstanceError(f"user {bad} has no reachable SBS")
-    return reach
+    return rows.reach
 
 
-def _repaired(
-    scenario: Scenario,
-    demands: DemandMatrix,
-    assigned: np.ndarray,
-    cost: np.ndarray,
-    reach: np.ndarray,
-) -> BaselineResult:
+def _repaired(rows: _SinrRows, assigned: np.ndarray, cost: np.ndarray) -> BaselineResult:
     """The start association with its minimum power, repaired if infeasible.
 
     Each round solves the current association; if it is infeasible, the
     hardest user (requested threshold over best gain, descending) that has
-    a costlier reachable SBS moves to the cheapest of those, until a round
-    is feasible, no user can move, or the round budget runs out; then it
-    raises ``RepairFailedError``.
+    a costlier reachable SBS (``rows.reach``) moves to the cheapest of
+    those, until a round is feasible, no user can move, or the round
+    budget runs out; then it raises ``RepairFailedError``.
     """
-    rows = _SinrRows(scenario, demands)
+    scenario, demands = rows.scenario, rows.demands
     order = np.argsort(-rows.gamma / scenario.channel_gains.max(axis=1), kind="stable")
     for _ in range(_REPAIR_ROUNDS):
         assoc = Association.from_assignment(assigned, scenario.sbs_count)
@@ -72,7 +67,7 @@ def _repaired(
             return BaselineResult(assoc, power)
         for i in order:
             current = cost[i, assigned[i]]
-            worse = [j for j in np.flatnonzero(reach[i]) if cost[i, j] > current]
+            worse = [j for j in np.flatnonzero(rows.reach[i]) if cost[i, j] > current]
             if worse:
                 assigned[i] = min(worse, key=lambda j: cost[i, j])
                 break
@@ -91,13 +86,14 @@ def doa(
     least total delay over reachable associations.
     """
     dcoef = delay_coefficients(scenario, demands, placement)
-    reach = _reach_or_raise(scenario, demands)
+    rows = _SinrRows(scenario, demands)
+    reach = _reach_or_raise(rows)
     cached = placement.y[:, demands.requested_file].T
     assigned = np.array([
         min(np.flatnonzero(reach[i]), key=lambda j: (dcoef[i, j], not cached[i, j], j))
         for i in range(scenario.user_count)
     ])
-    return _repaired(scenario, demands, assigned, dcoef, reach)
+    return _repaired(rows, assigned, dcoef)
 
 
 def ema(
@@ -108,7 +104,8 @@ def ema(
     Nearest means highest channel gain (equivalently smallest distance);
     the lowest SBS index wins ties.
     """
-    reach = _reach_or_raise(scenario, demands)
+    rows = _SinrRows(scenario, demands)
+    reach = _reach_or_raise(rows)
     assigned = np.where(reach, scenario.channel_gains, -np.inf).argmax(axis=1)
     # -gain is the proximity cost the repair climbs
-    return _repaired(scenario, demands, assigned, -scenario.channel_gains, reach)
+    return _repaired(rows, assigned, -scenario.channel_gains)

@@ -36,17 +36,19 @@ least fixed point. ``_min_power`` finds it by policy iteration over one
 binding user per SBS, which needs only B x B linear solves (a 1 x 1 one
 without LAPACK), and reads the optimality duals, or a Farkas ray cut down
 to an irreducible infeasible subsystem, from the same solves. Its rows
-come from ``_SinrRows``, a table of every (user, SBS) pair's row built
-once per instance (per oracle enumeration, per ``InstanceMaster`` and
-per doa/ema call), so an association only gathers its users' rows.
-Every float answer is verified; one that fails is answered again by the
-same policy iteration in exact rational arithmetic on the same float
-rows, so the verdict is exact. No solver path runs or imports the
+come from ``_SinrRows``, the one table of an instance's per-pair facts,
+built once per instance (per oracle enumeration, per ``InstanceMaster``
+and per doa/ema call). An association gathers its users' rows from it
+once per solve, into the system that both solves and verifies the
+answer. Every float answer is verified; one that fails is answered again
+by the same policy iteration in exact rational arithmetic on the same
+float rows, so the verdict is exact. No solver path runs or imports the
 simplex of ``lp``. ``min_power_for``, the subproblem, power recovery, the baselines
 and the oracle all take their powers and their feasible/infeasible
-verdict from it, and ``reachable_sbs`` gives the one verdict on which
-(user, SBS) pairs can serve at all: a user that misses its SINR
-threshold at an SBS even alone at full power.
+verdict from it. The same table gives every solver the serving times
+and the one verdict on which (user, SBS) pairs can serve at all
+(``reach``, which ``reachable_sbs`` returns): a user that misses its
+SINR threshold at an SBS even alone at full power.
 
 ``ucwt`` gives the master ``conflict_seed``, read off the same table:
 every such pair, and every two users at two SBSs whose 2 x 2 least
@@ -218,21 +220,25 @@ def _terms(coef: np.ndarray) -> np.ndarray:
 
 
 class _SinrRows:
-    """An instance's SINR rows, one per (user, SBS) pair, built once per instance.
+    """An instance's per-pair facts, one row per (user, SBS) pair, built once.
 
-    Pair (i, j), user i served by SBS j, is row i * B + j of each per-pair
-    array. Its SINR requirement is A p >= b_i: the row of A is
+    Every solver reads them from here: ``reach``, the (U, B) mask of the
+    pairs that can serve at all (``reachable_sbs``), the serving times T,
+    the thresholds gamma (read once per instance), and each pair's SINR
+    row. Pair (i, j), user i served by SBS j, is row i * B + j of each
+    per-pair array. Its SINR requirement is A p >= b_i: the row of A is
     -gamma_i g_i with g_ij in column j, and b = gamma N. In fixed-point
     form it reads p_j >= u + C p, with u = b_i / g_ij and the row of C
     gamma_i g_i / g_ij off column j (0 in it); ``normalized`` is the row
-    of A over g_ij, exactly 1 in column j, so the row of I - C.
-    ``magnitude`` is |A| and ``norm`` its row maxima, the scales
-    ``_verified`` reads; T, p_max and ``varrho`` complete what every power
-    solve, subproblem cut and master seed of the instance reads. A binary
-    association gathers its users' rows (``pairs``); each array is the
-    float expression a per-association build would compute, so every
-    answer is the same bit for bit. Tied to the ``scenario`` and
-    ``demands`` objects it was built from.
+    of A over g_ij, exactly 1 in column j, so the row of I - C. ``norm``
+    holds the row maxima of |A|, the scale ``_verified`` reads; p_max and
+    ``varrho`` complete what every power solve, subproblem cut and master
+    seed of the instance reads. A binary association gathers its users'
+    rows (``pairs``) once per solve, into the ``_InterferenceSystem``
+    that solves and verifies it; each array is the float expression a
+    per-association build would compute, so every answer is the same bit
+    for bit. Tied to the ``scenario`` and ``demands`` objects it was
+    built from.
     """
 
     def __init__(self, scenario: Scenario, demands: DemandMatrix):
@@ -246,11 +252,12 @@ class _SinrRows:
         self.u = (self.b[:, None] / g).ravel()
         self.T = serving_time(scenario, demands, None, "relaxed")
         self.pmax = scenario.max_power
+        best = g * self.pmax[None, :]
+        self.reach = best / scenario.noise_power >= self.gamma[:, None] * (1 - 1e-12)
         self.A = (-self.gamma[:, None] * g).repeat(B, axis=0)
         # column j of row (i, j): the diagonal of user i's B x B block
         self.A.reshape(U, B * B)[:, :: B + 1] = g
-        self.magnitude = np.abs(self.A)
-        self.norm = self.magnitude.max(axis=1)
+        self.norm = np.abs(self.A).max(axis=1)
         self.normalized = self.A / self.g[:, None]
         self.C = -self.normalized
         self.C.reshape(U, B * B)[:, :: B + 1] = 0
@@ -307,10 +314,12 @@ class _InterferenceSystem:
     """The SINR rows of a binary association in fixed-point form.
 
     User i served by SBS a(i) needs p_a(i) >= u_i + sum_l C[i, l] p_l,
-    its rows gathered from the instance's ``_SinrRows``. A set ``S`` of
-    users, at most one per SBS, gives the square system (I - F_S) p = u_S
-    over the SBSs serving them; ``normalized`` holds the rows of I - C.
-    ``b`` and ``pmax`` are kept for the rays. Arithmetic is in float64,
+    its rows gathered from the instance's ``_SinrRows``, once per solve. A
+    set ``S`` of users, at most one per SBS, gives the square system
+    (I - F_S) p = u_S over the SBSs serving them; ``normalized`` holds the
+    rows of I - C. ``b`` and ``pmax`` are kept for the rays, and the
+    association's rows of A and their norms for ``_verified``, which
+    checks the float answer against this system. Arithmetic is in float64,
     factors are LAPACK LU factors (a 1 x 1 system is solved as it
     stands), and a binding row moves only on a relative gain past
     ``_SWITCH_TOL``.
@@ -330,6 +339,7 @@ class _InterferenceSystem:
         pairs = rows.pairs(assigned)
         self.b, self.pmax, self.T = rows.b, rows.pmax, rows.T
         self.caps = rows.pmax[assigned].tolist()   # per user, the cap of its SBS
+        self.A, self.norm = rows.A[pairs], rows.norm[pairs]
         self.own = rows.g[pairs]
         self.normalized = rows.normalized[pairs]
         self.C = rows.C[pairs]
@@ -512,8 +522,8 @@ def _irreducible_ray(
     return _PowerAnswer(None, mu, nu)
 
 
-def _verified(rows: _SinrRows, assigned: np.ndarray, answer: _PowerAnswer) -> bool:
-    """Whether a structured answer passes the checks that let it stand.
+def _verified(system: _InterferenceSystem, answer: _PowerAnswer) -> bool:
+    """Whether the float ``system``'s answer passes the checks that let it stand.
 
     Powers pass the strict row check at ``_STRICT_TOL`` and lie in
     [0, p_max]; their duals nu, mu >= 0 satisfy A'nu - mu <= T. A ray
@@ -522,26 +532,25 @@ def _verified(rows: _SinrRows, assigned: np.ndarray, answer: _PowerAnswer) -> bo
     charges any positive part of A'nu - mu at p_max. The gain must exceed
     ``_RAY_MARGIN`` times the rows' and caps' weight, so that some row or
     cap misses by more than the strict check at ``_STRICT_TOL`` lets pass.
-    A, |A| and the row norms are the association's rows of ``rows``.
+    A and its row norms are the association's rows, which ``system``
+    gathered when it was built.
     """
     mu, nu = answer.mu, answer.nu
     if mu.min() < 0.0 or nu.min() < 0.0:
         return False
-    b, pmax, T = rows.b, rows.pmax, rows.T
-    pairs = rows.pairs(assigned)
-    A = rows.A[pairs]
+    A, b, pmax, T = system.A, system.b, system.pmax, system.T
     columns = nu @ A - mu
     if answer.power is not None:
         p = answer.power
-        slack = (A @ p - b) / rows.norm[pairs]
+        slack = (A @ p - b) / system.norm
         return bool(
             p.min() >= 0.0
             and (p <= pmax).all()
             and slack.min() >= -_STRICT_TOL
-            and (columns - T <= 1e-9 * (nu @ rows.magnitude[pairs] + mu + T)).all()
+            and (columns - T <= 1e-9 * (nu @ np.abs(A) + mu + T)).all()
         )
     gain = nu @ b - mu @ pmax - columns.clip(min=0.0) @ pmax
-    return bool(gain > _RAY_MARGIN * (nu @ rows.norm[pairs] + mu.sum()))
+    return bool(gain > _RAY_MARGIN * (nu @ system.norm + mu.sum()))
 
 
 def _min_power(rows: _SinrRows, assigned: np.ndarray) -> _PowerAnswer:
@@ -555,8 +564,9 @@ def _min_power(rows: _SinrRows, assigned: np.ndarray) -> _PowerAnswer:
     start. The exact answer is rounded to floats, with energy T p.
     Raises ``SolverFault`` when the exact run gives no certificate.
     """
-    answer = _policy_iteration(_InterferenceSystem(rows, assigned))
-    if answer is not None and _verified(rows, assigned, answer):
+    system = _InterferenceSystem(rows, assigned)
+    answer = _policy_iteration(system)
+    if answer is not None and _verified(system, answer):
         return answer
     logger.warning(
         "structured power control unverified for assignment %s; re-solving exactly",
@@ -585,20 +595,20 @@ def reachable_sbs(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:
     u_i exceeds the cap, and a 1e-12 relative slack keeps a pair on that
     boundary. ``_min_power``'s verdict is exact on the float rows, so it
     rejects every association holding an excluded pair; the slack only
-    keeps a few pairs it rejects too.
+    keeps a few pairs it rejects too. It is the ``reach`` of the
+    instance's ``_SinrRows``, which every solver reads; this builds one.
     """
-    gammas = requested_thresholds(scenario, demands)
-    best = scenario.channel_gains * scenario.max_power[None, :]
-    return best / scenario.noise_power >= gammas[:, None] * (1 - 1e-12)
+    return _SinrRows(scenario, demands).reach
 
 
 def conflict_seed(rows: _SinrRows) -> np.ndarray:
     """Boolean K[i, j, k, l]: users i at SBS j and k at SBS l cannot both be served.
 
-    The diagonal K[i, j, i, j] is ``~reachable_sbs``, the one-user
-    conflicts. Off it, users i != k at SBSs j != l conflict when the 2 x 2
-    system p_j >= u_i + c_i p_l, p_l >= u_k + c_k p_j (u the least power
-    alone, c the normalized cross gain) has its least fixed point
+    The diagonal K[i, j, i, j] is ``~rows.reach`` (``reachable_sbs``'s
+    mask), the one-user conflicts. Off it, users i != k at SBSs j != l
+    conflict when the 2 x 2 system p_j >= u_i + c_i p_l,
+    p_l >= u_k + c_k p_j (u the least power alone, c the normalized cross
+    gain) has its least fixed point
     ((u_i + c_i u_k), (u_k + c_k u_i)) / (1 - c_i c_k) above a cap, or no
     positive one (c_i c_k >= 1). Users at one SBS do not interfere, so
     they conflict only through a singleton. Adding users only raises the
@@ -609,20 +619,19 @@ def conflict_seed(rows: _SinrRows) -> np.ndarray:
     A pair is flagged only past a relative margin of ``_CONFLICT_MARGIN``
     (1e-8) on its caps, so that the rounding of this closed form cannot
     flag a pair that ``min_power_for``'s exact verdict accepts; a missed
-    conflict costs one Benders iteration, a wrong one an answer. u and c
-    are read from the instance's ``rows``. The one-user conflicts are the
-    diagonal of K viewed as a (U B, U B) matrix; each pair of SBSs j < l
-    gives one (U, U) clash block, whose diagonal (a user with itself) is
-    cleared, written at (j, l) and, transposed, at (l, j).
+    conflict costs one Benders iteration, a wrong one an answer. The mask,
+    u and c are read from the instance's ``rows``. The one-user conflicts
+    are the diagonal of K viewed as a (U B, U B) matrix; each pair of SBSs
+    j < l gives one (U, U) clash block, whose diagonal (a user with
+    itself) is cleared, written at (j, l) and, transposed, at (l, j).
     """
-    U, B = rows.scenario.channel_gains.shape
+    U, B = rows.reach.shape
     # c[i, j, l]: gamma_i g_il / g_ij, SBS l's interference on user i at j
     u, c = rows.u.reshape(U, B), rows.C.reshape(U, B, B)
     caps = rows.pmax * (1.0 + _CONFLICT_MARGIN)
-    reach = reachable_sbs(rows.scenario, rows.demands)
     K = np.zeros((U, B, U, B), dtype=bool)
     # K[i, j, i, j] is the diagonal of K as a (U B, U B) matrix
-    np.fill_diagonal(K.reshape(U * B, U * B), ~reach)
+    np.fill_diagonal(K.reshape(U * B, U * B), ~rows.reach)
     for j in range(B):
         for l in range(j + 1, B):
             # rows: user i at j; columns: user k at l
@@ -693,7 +702,9 @@ def solve_subproblem(
         + ((scenario.noise_power * rows.gamma[:, None] - 1.0 / rho) * nu).sum()
     )
     kind = "feasibility" if answer.power is None else "optimality"
-    return Cut(constant, nu / rho, kind, answer.power), answer.energy
+    # divided in place: ``Cut`` keeps the one read-only copy of its coef
+    nu /= rho
+    return Cut(constant, nu, kind, answer.power), answer.energy
 
 
 def recover_power(
@@ -817,14 +828,13 @@ class InstanceMaster(_ConflictFree):
     placement or on alpha, so ``ucwt`` runs over one instance at any
     placement and alpha can share it. Each run still builds its own delay
     column, value array and cut list, so its answer and trace are those of
-    an independent run; only the work is shared. It is tied to the
-    ``scenario`` and ``demands`` objects it was built from.
+    an independent run; only the work is shared. Through ``sinr`` it is
+    tied to the ``scenario`` and ``demands`` objects it was built from.
     """
 
     def __init__(self, scenario: Scenario, demands: DemandMatrix):
         self.sinr = _SinrRows(scenario, demands)
         super().__init__(conflict_seed(self.sinr), energy_floor(self.sinr))
-        self.scenario, self.demands = scenario, demands
         self.answers: Dict[bytes, Tuple[Cut, float]] = {}
 
 
@@ -1024,8 +1034,9 @@ def ucwt(
     """Iterative cut generation until the bound gap closes.
 
     The run's table is built over ``master``, an ``InstanceMaster`` of
-    this very ``scenario`` and ``demands`` (checked by identity, else
-    ``ModelError``), or over a fresh one when given none. So no
+    this very ``scenario`` and ``demands`` (its ``sinr`` table is checked
+    by identity, as ``_rows_for`` checks any, else ``ModelError``), or
+    over a fresh one when given none. So no
     proposal puts a user at an SBS it cannot reach alone or two users at a
     conflicting pair of SBSs, and the master's lower bound on each
     association's energy is ``energy_floor`` before any cut raises it. A
@@ -1061,8 +1072,7 @@ def ucwt(
         raise ModelError("epsilon must be a finite positive number")
     if master is None:
         master = InstanceMaster(scenario, demands)
-    elif master.scenario is not scenario or master.demands is not demands:
-        raise ModelError("the master was built for another scenario or demands")
+    _rows_for(scenario, demands, master.sinr)
     dcoef = delay_coefficients(scenario, demands, placement)
 
     # one table per run; the search reads it too

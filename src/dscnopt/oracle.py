@@ -7,8 +7,10 @@ power-feasible). Each association it reaches gets its exact minimum
 powers and feasible/infeasible verdict from ``benders._min_power`` (the
 verified least fixed point of the SINR rows, found again in exact
 arithmetic when the float answer fails its checks), and the weighted
-objective is compared directly. One table of the instance's SINR rows,
-``benders._SinrRows``, serves every solve of an enumeration.
+objective is compared directly. One table of the instance's per-pair
+facts, ``benders._SinrRows``, serves a whole enumeration: its
+reachability mask picks the SBSs the walk tries, its serving times score
+each feasible leaf, and its SINR rows serve every solve.
 
 An infeasible association's Farkas ray is cut down to an irreducible
 infeasible subsystem: its nonzero multipliers sit on a few (user, SBS)
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import benders
 # ``min_power_for`` is unused here; it stays only for the benchmark's tracer
-from .benders import min_power_for, reachable_sbs
+from .benders import min_power_for
 from .model import (
     Association,
     CachePlacement,
@@ -42,7 +44,6 @@ from .model import (
     PowerVector,
     Scenario,
     delay_coefficients,
-    serving_time,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -96,10 +97,10 @@ def enumerate_candidates(
     meet, or exact on the float rows.
     """
     U, B = scenario.user_count, scenario.sbs_count
+    rows = benders._SinrRows(scenario, demands)
     # single-user reachability is a necessary condition (interference only
     # hurts), so only the product of each user's reachable SBSs is walked
-    reach = reachable_sbs(scenario, demands)
-    walked = math.prod(int(n) for n in reach.sum(axis=1))
+    walked = math.prod(int(n) for n in rows.reach.sum(axis=1))
     cap = DEFAULT_ENUMERATION_CAP
     if walked > cap:
         shown = str(walked) if walked < 10**15 else f"at least 10^{len(str(walked)) - 1}"
@@ -107,11 +108,10 @@ def enumerate_candidates(
             f"{shown} reachable associations (of {B}^{U}) exceed the cap of "
             f"{cap}; use a smaller instance"
         )
-    options = [np.flatnonzero(row).tolist() for row in reach]
-    rows = benders._SinrRows(scenario, demands)
-    # what ``objective`` reads besides the leaf, read once: each leaf is
-    # scored by its expressions, so energies and delays match it bit for bit
-    serving = serving_time(scenario, demands, None)
+    options = [np.flatnonzero(row).tolist() for row in rows.reach]
+    # what ``objective`` reads besides the leaf, read once: the table's
+    # serving times are ``serving_time``'s, and each leaf is scored by its
+    # expressions, so energies and delays match it bit for bit
     coefficients = delay_coefficients(scenario, demands, placement)
     one_hot = np.eye(B, dtype=np.int8)
     # (user, SBS) -> the other pairs of each no-good whose last pair it is
@@ -146,7 +146,7 @@ def enumerate_candidates(
             d = last
             continue
         power = PowerVector(answer.power)
-        energy = float(power.p @ serving)
+        energy = float(power.p @ rows.T)
         delay = float((coefficients * one_hot[leaf]).sum())
         out.append(Candidate(leaf, power, energy, delay))
     return out

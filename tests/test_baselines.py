@@ -8,9 +8,8 @@ from dscnopt.baselines import (
     doa,
     ema,
     min_power_for,
-    reachable_sbs,
 )
-from dscnopt.benders import delay_coefficients
+from dscnopt.benders import delay_coefficients, reachable_sbs
 from dscnopt.model import (
     Association,
     CachePlacement,

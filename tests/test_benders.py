@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from dscnopt import benders, lp as lpmod, scenario as scn
+from dscnopt.baselines import doa, ema
 from dscnopt.benders import (
     Cut,
     IterationBudgetError,
@@ -1085,6 +1086,47 @@ class TestReachability:
                 checked += 1
         assert checked >= 300
         assert "re-solving exactly" in caplog.text
+
+    def test_table_mask_is_the_single_pair_threshold_test(self):
+        # g p_max / N >= gamma (1 - 1e-12), written out, bit for bit
+        cases = [
+            (inst.scenario, inst.demands)
+            for users in (6, 9, 12) for seed in range(40)
+            for inst in [scn.generate(scn.desk_scale(user_count=users), seed)]
+        ]
+        cases += [(s, demands) for s, demands, _, _ in near_boundary_instances()]
+        paper = scn.generate(scn.paper_scale(), 0)
+        cases.append((paper.scenario, paper.demands))
+        for s, demands in cases:
+            gamma = s.sinr_thresholds[demands.requested_file]
+            best = s.channel_gains * s.max_power[None, :]
+            expected = best / s.noise_power >= gamma[:, None] * (1 - 1e-12)
+            reach = _SinrRows(s, demands).reach
+            assert reach.dtype == expected.dtype and reach.shape == expected.shape
+            assert reach.tobytes() == expected.tobytes()
+
+    def test_one_threshold_read_per_instance(self, monkeypatch):
+        # each solver reads reachability, thresholds and rows off one table
+        reads = []
+        thresholds = benders.requested_thresholds
+
+        def counted(*args):
+            reads.append(args)
+            return thresholds(*args)
+
+        monkeypatch.setattr(benders, "requested_thresholds", counted)
+        # desk seed 3: doa and ema both answer
+        inst, placement = desk_pipeline(3)
+        s, demands = inst.scenario, inst.demands
+        for solve in (
+            lambda: benders.InstanceMaster(s, demands),
+            lambda: doa(s, demands, placement),
+            lambda: ema(s, demands, placement),
+            lambda: enumerate_candidates(s, demands, placement),
+        ):
+            reads.clear()
+            solve()
+            assert len(reads) == 1
 
 
 def conflicts_held(K, assigned):

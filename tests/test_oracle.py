@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dscnopt import benders, oracle, scenario as scn
-from dscnopt.baselines import min_power_for, reachable_sbs
+from dscnopt.baselines import min_power_for
 from dscnopt.model import (
     Association,
     CachePlacement,
@@ -17,7 +17,7 @@ from dscnopt.model import (
     objective,
     serving_time,
 )
-from dscnopt.benders import delay_coefficients
+from dscnopt.benders import delay_coefficients, reachable_sbs
 from dscnopt.oracle import (
     EnumerationCapError,
     brute_force,

@@ -10,7 +10,11 @@ function at run time would find the tree loaded last.
 Each side builds its workload's batch (seed 0), runs its warm-up calls and
 checks every unit's answer against that batch's reference, so a side that
 answers wrongly stops the run. Then each round times one pass over every
-unit of each side, alternating which side runs first. It prints each
+unit of each side, alternating which side runs first. Each unit is timed
+alone, right after one calibration slice of the benchmark (``HostSpeed``,
+loaded from this checkout's ``bench/run.py``), the state in which
+``bench/run.py`` times it; a pass time is the sum of its units' times, and
+the slices are not counted. It prints each
 side's least and median pass time, and the median change/parent ratio of
 the rounds' pass times with its quartiles. Both sides share the host, so
 its drift cancels in the ratio; the numbers are leads for a change, and a
@@ -34,6 +38,15 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 SEED = 0
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_host_speed():
+    """A ``HostSpeed`` of this checkout's ``bench/run.py``, the benchmark's own."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.HostSpeed()
 
 
 def load_tree(tree: Path, name: str):
@@ -82,11 +95,14 @@ class Side:
             raise SystemExit(f"error: {label} answered {failed} unit(s) wrongly")
         self.passes: list = []
 
-    def timed_pass(self) -> None:
-        start = time.perf_counter()
+    def timed_pass(self, host) -> None:
+        total = 0.0
         for unit in self.units:
+            host.sample()
+            start = time.perf_counter()
             unit.run()
-        self.passes.append(time.perf_counter() - start)
+            total += time.perf_counter() - start
+        self.passes.append(total)
 
 
 def quartiles(values):
@@ -107,6 +123,7 @@ def main(argv: list) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     sys.dont_write_bytecode = True
+    host = load_host_speed()
     with tempfile.TemporaryDirectory(prefix="ab-pass-") as workdir:
         sides = [
             Side(label, tree.resolve(), args.workload, os.path.join(workdir, label))
@@ -114,7 +131,7 @@ def main(argv: list) -> int:
         ]
         for k in range(args.rounds):
             for side in (sides if k % 2 == 0 else sides[::-1]):
-                side.timed_pass()
+                side.timed_pass(host)
     parent, change = sides
     print(f"workload {args.workload}: {len(parent.units)} and {len(change.units)} "
           f"units, {args.rounds} rounds, seed {SEED}")
