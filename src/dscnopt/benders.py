@@ -3,8 +3,11 @@
 The continuous subproblem is the minimum-energy power control for a fixed
 association; ``solve_subproblem`` builds each cut straight from its answer,
 an optimality cut from the multipliers of a feasible association and a
-feasibility cut from the Farkas ray of an infeasible one. The master picks the
-association, minimizing the weighted energy lower bound plus total
+feasibility cut from the Farkas ray of an infeasible one. An optimality
+cut is stored shifted by each user's sum_j x_ij = 1, so that at its own
+association it is the dual value, the energy, with no cancellation: under
+paper physics the unshifted terms are 1e11 to 1e12 times the energy. The
+master picks the association, minimizing the weighted energy lower bound plus total
 delivery delay over all collected cuts. It is solved exactly, with no
 LP, and reads a feasibility cut as a no-good: no association may hold
 every (user, SBS) pair of its support, the combinatorial Benders cut of
@@ -41,11 +44,12 @@ built once per instance (per oracle enumeration, per ``InstanceMaster``
 and per doa/ema call). An association gathers its users' rows from it
 once per solve, into the system that both solves and verifies the
 answer. Every float answer is verified; one that fails is answered again
-by the same policy iteration in exact rational arithmetic on the same
-float rows, so the verdict is exact. No solver path runs or imports the
-simplex of ``lp``. ``min_power_for``, the subproblem, power recovery, the baselines
-and the oracle all take their powers and their feasible/infeasible
-verdict from it. The same table gives every solver the serving times
+by the same policy iteration in exact rational arithmetic, on that very
+system's rows converted to rationals, so the verdict is exact on the rows
+that failed their check and no solve gathers its rows twice. No solver
+path runs or imports the simplex of ``lp``. ``min_power_for``, the
+subproblem, power recovery, the baselines and the oracle all take their
+powers and their feasible/infeasible verdict from it. The same table gives every solver the serving times
 and the one verdict on which (user, SBS) pairs can serve at all
 (``reach``, which ``reachable_sbs`` returns): a user that misses its
 SINR threshold at an SBS even alone at full power.
@@ -67,12 +71,14 @@ call, whose answers stay those of independent calls. It starts from the
 master's answer over the seed and the floor alone. Following Benders
 (1962), its upper bound is the best subproblem value seen so far, kept
 as a single incumbent with the powers of the subproblem that found it,
-and its lower bound is the exact master's optimum. When the seed and the feasibility
-cuts exclude every association, the master raises
-``model.InfeasibleInstanceError``, the one proof of an infeasible
-instance that every solver gives; a spent budget with no incumbent is
-``IterationBudgetError``, and an exact run without a certificate is
-``SolverFault``, a ``RuntimeError`` and not a ``ModelError``. Every cut
+and its lower bound is the exact master's optimum; it stops at a gap
+relative to the first upper bound, as energies under paper physics lie
+far below 1 J. When the seed and the feasibility cuts exclude every
+association, the master raises ``model.InfeasibleInstanceError``, the
+one proof of an infeasible instance that every solver gives; a spent
+budget with no incumbent is ``IterationBudgetError``, and an exact run
+without a certificate is ``SolverFault``, a ``RuntimeError`` and not a
+``ModelError``. Every cut
 is kept: an exact master re-proposes an association whose cut it holds
 only once the gap has closed. The trace's cut list is the master's, one
 cut per iteration.
@@ -80,7 +86,8 @@ cut per iteration.
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
 feasible interference level, so the relaxed constraint set has the same
-optimum as the assigned-only one.
+optimum as the assigned-only one. A stored optimality cut charges that
+slack, nu_i / varrho, at each SBS other than user i's own.
 """
 
 from __future__ import annotations
@@ -159,7 +166,13 @@ class SolverFault(RuntimeError):
 class Cut:
     """The affine map X -> h(X, mu, nu) as constant + sum coef_ij x_ij.
 
-    An optimality cut constrains h <= eta. A feasibility cut is read as a
+    An optimality cut constrains h <= eta. It is stored shifted: over
+    associations, where sum_j x_ij = 1 for each user i, the paper's h
+    equals the dual value N gamma.nu - p_max.mu (the ``constant``) minus
+    nu_i / varrho at each SBS other than user i's own. So its value at
+    its own association is its energy, exact to rounding, where the
+    paper's form adds terms far larger than that energy under paper
+    physics. A feasibility cut keeps the paper's form. It is read as a
     no-good: its support, the (user, SBS) pairs where ``coef`` is nonzero,
     holds the rows of an infeasible subsystem, so the master excludes
     every association that holds all of those pairs (Codato & Fischetti,
@@ -175,7 +188,9 @@ class Cut:
     """
 
     constant: float
-    coef: np.ndarray           # U x B; nu / varrho for a subproblem's cut
+    # U x B, from a subproblem: -nu / varrho off the own pairs (optimality),
+    # nu / varrho on them (feasibility)
+    coef: np.ndarray
     kind: str                  # "optimality" | "feasibility"
     power: Optional[np.ndarray] = None
 
@@ -314,7 +329,9 @@ class _InterferenceSystem:
     """The SINR rows of a binary association in fixed-point form.
 
     User i served by SBS a(i) needs p_a(i) >= u_i + sum_l C[i, l] p_l,
-    its rows gathered from the instance's ``_SinrRows``, once per solve. A
+    its rows gathered from the instance's ``_SinrRows`` by the
+    constructor, the one gather of a solve: the exact re-run converts
+    this system (``_ExactSystem``) and gathers nothing. A
     set ``S`` of users, at most one per SBS, gives the square system
     (I - F_S) p = u_S over the SBSs serving them; ``normalized`` holds the
     rows of I - C. ``b`` and ``pmax`` are kept for the rays, and the
@@ -333,9 +350,6 @@ class _InterferenceSystem:
         # per serving SBS in ascending order, the users it does not serve
         serving = np.array(sorted(set(assigned.tolist())))
         self.others = assigned != serving[:, None]
-        self._gather(rows, assigned)
-
-    def _gather(self, rows: _SinrRows, assigned: np.ndarray):
         pairs = rows.pairs(assigned)
         self.b, self.pmax, self.T = rows.b, rows.pmax, rows.T
         self.caps = rows.pmax[assigned].tolist()   # per user, the cap of its SBS
@@ -385,10 +399,13 @@ class _InterferenceSystem:
 
 
 class _ExactSystem(_InterferenceSystem):
-    """The same system over the exact rational values of its float rows.
+    """A float system, the one that failed its check, over exact rationals.
 
-    A, b, p_max and T become ``fractions.Fraction``s in object arrays, and
-    the fixed-point form is derived from them exactly. Factors are exact
+    Built from that ``_InterferenceSystem``: it keeps its ``assigned`` and
+    ``others`` mask, and its gathered rows of A, and its b, p_max and T,
+    become ``fractions.Fraction``s in object arrays, from which the
+    fixed-point form is derived exactly. So the exact verdict is on the
+    very rows that ``_verified`` rejected. Factors are exact
     inverses, by Gauss-Jordan elimination, and a binding row moves on any
     strict gain, so policy iteration and the deletion filter give the
     exact verdict on the float rows.
@@ -397,18 +414,21 @@ class _ExactSystem(_InterferenceSystem):
     switch_gain = 1
     dtype = object
 
-    def _gather(self, rows: _SinrRows, assigned: np.ndarray):
+    def __init__(self, system: _InterferenceSystem):
         # imported here: only an unverified answer needs it, and loading it
         # would raise the peak memory of every run
         from fractions import Fraction
 
         exact = np.frompyfunc(Fraction, 1, 1)
+        assigned = self.assigned = system.assigned
+        self.others = system.others
         users = np.arange(len(assigned))
-        A = exact(rows.A[rows.pairs(assigned)])
-        self.b, self.pmax, self.T = exact(rows.b), exact(rows.pmax), exact(rows.T)
+        self.A = exact(system.A)
+        self.b, self.pmax = exact(system.b), exact(system.pmax)
+        self.T = exact(system.T)
         self.caps = self.pmax[assigned].tolist()
-        self.own = A[users, assigned]
-        self.normalized = A / self.own[:, None]
+        self.own = self.A[users, assigned]
+        self.normalized = self.A / self.own[:, None]
         self.C = -self.normalized
         self.C[users, assigned] = 0
         self.u = self.b / self.own
@@ -556,12 +576,13 @@ def _verified(system: _InterferenceSystem, answer: _PowerAnswer) -> bool:
 def _min_power(rows: _SinrRows, assigned: np.ndarray) -> _PowerAnswer:
     """Minimum powers of a binary association with their verified certificate.
 
-    ``rows`` are the instance's; the association only gathers its users'.
-    Policy iteration on the interference system answers in float64. An
-    answer that fails ``_verified`` is logged and answered again by the
-    same algorithm in exact arithmetic on the same float rows: from a
-    float ray's support if that is exactly infeasible, else from the
-    start. The exact answer is rounded to floats, with energy T p.
+    ``rows`` are the instance's; the association gathers its users' once,
+    into its ``_InterferenceSystem``. Policy iteration on that system
+    answers in float64. An answer that fails ``_verified`` is logged and
+    answered again by the same algorithm on the same system converted to
+    rationals (``_ExactSystem``): from a float ray's support if that is
+    exactly infeasible, else from the start. The exact answer is rounded
+    to floats, with energy T p.
     Raises ``SolverFault`` when the exact run gives no certificate.
     """
     system = _InterferenceSystem(rows, assigned)
@@ -572,7 +593,7 @@ def _min_power(rows: _SinrRows, assigned: np.ndarray) -> _PowerAnswer:
         "structured power control unverified for assignment %s; re-solving exactly",
         assigned.tolist(),
     )
-    exact = _ExactSystem(rows, assigned)
+    exact = _ExactSystem(system)
     found = None
     if answer is not None and answer.power is None:
         S = np.flatnonzero(answer.nu)
@@ -686,6 +707,13 @@ def solve_subproblem(
     ``_min_power``, as ``min_power_for``'s does, so every path gives one
     verdict. With its multipliers nu extended by zeros to the unassigned
     pairs, h(X) = -p_max mu + sum_ij nu_ij (N gamma_i - (1 - x_ij) / varrho).
+    A feasibility cut stores h as it stands, nu / varrho on its own pairs,
+    which the master reads as its support. An optimality cut stores h
+    shifted by sum_j x_ij = 1: the constant N gamma.nu - p_max.mu and
+    -nu_i / varrho at each SBS other than user i's own. Both forms agree
+    at every association, but only the shifted one is M at its own
+    association to rounding: the paper's constant subtracts
+    sum_i nu_i / varrho, about 1e11 to 1e12 times M under paper physics.
     gamma, p_max and varrho are read from ``rows``, the instance's
     ``_SinrRows`` (built here when None). An association of another shape
     than (U, B) is a ``ModelError``.
@@ -694,17 +722,16 @@ def solve_subproblem(
     rows = _rows_for(scenario, demands, rows)
     assigned = assoc.assigned_sbs
     answer = _min_power(rows, assigned)
-    rho = rows.varrho
+    # h at the association itself: the dual value N gamma.nu - p_max.mu
+    constant = float(rows.b @ answer.nu - rows.pmax @ answer.mu)
     nu = np.zeros(scenario.channel_gains.shape)
-    nu.ravel()[rows.pairs(assigned)] = answer.nu
-    constant = float(
-        -(rows.pmax @ answer.mu)
-        + ((scenario.noise_power * rows.gamma[:, None] - 1.0 / rho) * nu).sum()
-    )
-    kind = "feasibility" if answer.power is None else "optimality"
-    # divided in place: ``Cut`` keeps the one read-only copy of its coef
-    nu /= rho
-    return Cut(constant, nu, kind, answer.power), answer.energy
+    nu.ravel()[rows.pairs(assigned)] = answer.nu / rows.varrho
+    if answer.power is None:
+        return Cut(constant - nu.sum(), nu, "feasibility"), answer.energy
+    # in place, as ``Cut`` keeps the one read-only copy: 0 at each user's
+    # own SBS, where the row's one term cancels exactly
+    nu -= nu.sum(axis=1, keepdims=True)
+    return Cut(constant, nu, "optimality", answer.power), answer.energy
 
 
 def recover_power(
@@ -1063,8 +1090,10 @@ def ucwt(
     re-proposes an association whose cut it holds only once the gap has
     closed. Without convergence the incumbent is returned all the same, with
     ``trace.converged`` False; with no incumbent, ``IterationBudgetError``
-    (non-convergence, not infeasibility) is raised. ``epsilon`` defaults
-    to 1e-6 * (1 + |first finite upper bound|).
+    (non-convergence, not infeasibility) is raised. ``epsilon``, an
+    absolute gap, defaults to the relative 1e-6 * |first finite upper
+    bound|: under paper physics every energy lies far below 1 J, where
+    an absolute part would stop short of the optimum.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError("alpha must lie in [0, 1]")
@@ -1097,7 +1126,7 @@ def ucwt(
             if value < psi_upper:
                 psi_upper, omega, best, power = value, t, assoc, cut.power
             if trace.epsilon is None:
-                trace.epsilon = 1e-6 * (1.0 + abs(psi_upper))
+                trace.epsilon = 1e-6 * abs(psi_upper)
         solution = solve_master(scenario, demands, placement, cuts, alpha, table)
         status = "bounded" if math.isfinite(M) else "unbounded"
         trace.iterations.append(

@@ -9,8 +9,8 @@ verified least fixed point of the SINR rows, found again in exact
 arithmetic when the float answer fails its checks), and the weighted
 objective is compared directly. One table of the instance's per-pair
 facts, ``benders._SinrRows``, serves a whole enumeration: its
-reachability mask picks the SBSs the walk tries, its serving times score
-each feasible leaf, and its SINR rows serve every solve.
+reachability mask picks the SBSs the walk tries, and its SINR rows and
+serving times serve every solve, whose energy each feasible leaf keeps.
 
 An infeasible association's Farkas ray is cut down to an irreducible
 infeasible subsystem: its nonzero multipliers sit on a few (user, SBS)
@@ -109,9 +109,10 @@ def enumerate_candidates(
             f"{cap}; use a smaller instance"
         )
     options = [np.flatnonzero(row).tolist() for row in rows.reach]
-    # what ``objective`` reads besides the leaf, read once: the table's
-    # serving times are ``serving_time``'s, and each leaf is scored by its
-    # expressions, so energies and delays match it bit for bit
+    # what ``objective`` reads besides the leaf, read once: each leaf's
+    # delay is scored by its expression, and its energy is the answer's,
+    # T p over the table's serving times, which are ``serving_time``'s; so
+    # energies and delays match it bit for bit
     coefficients = delay_coefficients(scenario, demands, placement)
     one_hot = np.eye(B, dtype=np.int8)
     # (user, SBS) -> the other pairs of each no-good whose last pair it is
@@ -145,10 +146,8 @@ def enumerate_candidates(
             tried[last + 1:] = [0] * (U - 1 - last)
             d = last
             continue
-        power = PowerVector(answer.power)
-        energy = float(power.p @ rows.T)
         delay = float((coefficients * one_hot[leaf]).sum())
-        out.append(Candidate(leaf, power, energy, delay))
+        out.append(Candidate(leaf, PowerVector(answer.power), answer.energy, delay))
     return out
 
 

@@ -544,6 +544,45 @@ class TestStructuredPower:
             with pytest.raises(benders.SolverFault):
                 min_power_for(s, demands, Association(assoc))
 
+    @pytest.mark.parametrize("case", ["desk", "mixed"])
+    def test_exact_rerun_converts_the_system_that_failed(self, monkeypatch, case):
+        # desk seed 0 at its nearest SBSs is feasible, the mixed split is not
+        if case == "desk":
+            inst = scn.generate(scn.desk_scale(), 0)
+            s, demands = inst.scenario, inst.demands
+            assigned = s.channel_gains.argmax(axis=1)
+        else:
+            s, demands, _ = mixed_case()
+            assigned = np.array([0, 1])
+        rows = _SinrRows(s, demands)
+        gathers, failed, built = [], [], []
+        pairs, init = _SinrRows.pairs, benders._ExactSystem.__init__
+
+        def gather(self, assigned):
+            gathers.append(assigned)
+            return pairs(self, assigned)
+
+        def spy(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(_SinrRows, "pairs", gather)
+        monkeypatch.setattr(benders._ExactSystem, "__init__", spy)
+        monkeypatch.setattr(
+            benders, "_verified", lambda system, answer: failed.append(system) or False
+        )
+        answer = benders._min_power(rows, assigned)
+        assert (answer.power is None) == (case == "mixed")
+        # one gather of the association's rows, on the fallback path too
+        assert len(gathers) == 1
+        (system,), (exact,) = failed, built
+        assert exact.assigned is system.assigned and exact.others is system.others
+        for name in ("A", "b", "pmax", "T"):
+            floats, rationals = getattr(system, name), getattr(exact, name)
+            assert rationals.shape == floats.shape
+            assert all(type(x) is Fraction for x in rationals.flat)
+            assert list(rationals.flat) == [Fraction(x) for x in floats.flat]
+
     def test_paper_scale_ray_is_exact_and_small(self, caplog):
         # paper seed 0, every user at its nearest SBS: the float ray is too
         # weak for _RAY_MARGIN, and the exact re-run reads a small IIS
@@ -1614,6 +1653,44 @@ def same_run(a, b):
             and (a.trace.converged, a.trace.omega) == (b.trace.converged, b.trace.omega))
 
 
+@functools.cache
+def paper_physics(B, U, seed):
+    """(scenario, demands, placement, oracle candidates) under paper physics.
+
+    The paper preset's noise, powers and thresholds at B SBSs and U users,
+    with lpf placement: there every energy lies far below 1 J.
+    """
+    config = dataclasses.replace(scn.paper_scale(), sbs_count=B, user_count=U)
+    inst = scn.generate(config, seed)
+    s, demands = inst.scenario, inst.demands
+    placement, _ = lpf_greedy(s, local_popularity(s, inst.preferences))
+    return s, demands, placement, enumerate_candidates(s, demands, placement)
+
+
+class TestPaperPhysics:
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_ucwt_matches_the_oracle_at_alpha_1(self, seed):
+        # energies near 5e-7 J: an absolute part in the gap, or a cut that
+        # misses its own association's energy, stops short of the optimum
+        s, demands, placement, candidates = paper_physics(9, 6, seed)
+        best = min(candidates, key=lambda c: c.energy)   # the first of least energy
+        result = ucwt(s, demands, placement, 1.0)
+        assert result.trace.converged
+        assert result.assoc.assigned_sbs.tolist() == best.assigned.tolist()
+        value = result.trace.final_objective
+        assert value == pytest.approx(best.energy, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("B, U, seed", [(4, 8, 0), (9, 6, 2)])
+    def test_optimality_cut_is_exact_at_its_own_association(self, B, U, seed):
+        s, demands, _, candidates = paper_physics(B, U, seed)
+        rows = _SinrRows(s, demands)
+        for candidate in candidates[:50]:
+            assoc = Association.from_assignment(candidate.assigned, B)
+            cut, M = solve_subproblem(s, demands, assoc, rows)
+            assert cut.kind == "optimality" and M == candidate.energy
+            assert cut.value(assoc) == pytest.approx(M, rel=1e-12, abs=0)
+
+
 class TestInstanceMaster:
     def test_shared_master_answers_as_independent_runs(self):
         # one master per instance over the placements of compare-caching
@@ -1711,11 +1788,13 @@ class TestInstanceMaster:
 
 
 # the ucwt digest set: desk seeds 0-19 and the benchmark's first five core
-# seeds, at four sizes and three alphas, 300 solves over 100 instances
+# seeds, at four sizes and three alphas, 300 solves over 100 instances;
+# re-recorded when each optimality cut came to be stored exact at its own
+# association, which moved the cut constants and no answer or trace row
 UCWT_SEEDS = (*range(20), *range(1_000_000, 1_000_005))
 UCWT_USERS = (4, 6, 8, 9)
 UCWT_ALPHAS = (0.0, 0.5, 1.0)
-UCWT_DIGEST = "0c17e03cc11cc5b936a0031223c61f5f2fbff27d5a24d26e1b842983da2d8de9"
+UCWT_DIGEST = "20ded0d2efecd0396a4d439b25d1854f92cced58cfeffc92617f7cc18ef70dd8"
 
 
 @functools.cache

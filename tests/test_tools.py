@@ -4,6 +4,7 @@ import ast
 import fnmatch
 import hashlib
 import importlib.util
+import logging
 import re
 import subprocess
 import sys
@@ -153,6 +154,35 @@ def test_master_sets_digests_each_solve_at_both_limits():
     digest, _, searched = master_sets.solve_set(benders, cases, (0.5,), 0)
     assert (digest, searched) == (expected, 1)
     assert benders._MASTER_ENUMERATION_LIMIT == limit
+
+
+def test_paper_physics_checks_ucwt_against_the_oracle(monkeypatch, caplog):
+    # one small case: the reading counts its solve, its match, its
+    # iterations and the exact re-runs that its ucwt solve logged
+    spec = importlib.util.spec_from_file_location(
+        "paper_physics", ROOT / "tools" / "paper_physics.py"
+    )
+    paper_physics = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules; the tool puts its
+    # own directory on sys.path, to import master_sets
+    monkeypatch.setitem(sys.modules, spec.name, paper_physics)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    spec.loader.exec_module(paper_physics)
+    cases = paper_physics.instances(dscnopt, 4, 8, range(1))
+    (s, demands, placement_), = cases
+    with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
+        result = benders.ucwt(s, demands, placement_, 1.0)
+    reruns = sum("unverified" in r.getMessage() for r in caplog.records)
+    readings, oracle_reruns, seconds = paper_physics.campaign(
+        dscnopt, cases, (1.0,)
+    )
+    reading = readings[1.0]
+    assert (reading.solves, reading.matches, reading.unconverged) == (1, 1, 0)
+    assert reading.worst <= paper_physics.MATCH
+    assert reading.iterations == len(result.trace.iterations)
+    assert reading.unverified == reruns
+    # under paper physics the oracle's walk re-runs some answers exactly
+    assert oracle_reruns > 0 and seconds > 0
 
 
 def load_tracing(monkeypatch):
