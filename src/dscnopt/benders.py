@@ -43,7 +43,9 @@ come from ``_SinrRows``, the one table of an instance's per-pair facts,
 built once per instance (per oracle enumeration, per ``InstanceMaster``
 and per doa/ema call). An association gathers its users' rows from it
 once per solve, into the system that both solves and verifies the
-answer. Every float answer is verified; one that fails is answered again
+answer. Every float answer is verified, powers row by row and a ray's
+margin against their own terms in watts, so the check reads the same in
+any unit of power; one that fails, a near-tie, is answered again
 by the same policy iteration in exact rational arithmetic, on that very
 system's rows converted to rationals, so the verdict is exact on the rows
 that failed their check and no solve gathers its rows twice. No solver
@@ -132,11 +134,15 @@ _SEARCH_BLOCK = 64
 # user's power requirement that moves its SBS's binding row to it in float64
 _POLICY_STEPS = 50
 _SWITCH_TOL = 1e-14
-# strict row check of float powers: each row may miss by this much of its norm
-_STRICT_TOL = 1e-10
-# a float ray must prove a miss ten times what the strict check forgives, so
-# no powers that pass that check can also meet the ray's rows and the two
-# verdicts never both stand; closer calls are re-solved in exact arithmetic
+# strict row check of float powers, relative: row i may miss by this much of
+# its own terms in watts, b_i + |A_i| p. That is 25 times the largest
+# shortfall of reported powers on desk U=6 seeds 0-19 (4.0e-14), so at any
+# unit of power only near-ties go to the exact re-run
+_STRICT_TOL = 1e-12
+# a float ray must prove a miss ten times what the strict check forgives at
+# any p in [0, p_max], in the same watts, so no powers that pass that check
+# can also meet the ray's rows and the two verdicts never both stand; closer
+# calls are re-solved in exact arithmetic
 _RAY_MARGIN = 10 * _STRICT_TOL
 # relative cap margin past which ``conflict_seed`` flags a two-user conflict
 _CONFLICT_MARGIN = 1e-8
@@ -245,8 +251,10 @@ class _SinrRows:
     -gamma_i g_i with g_ij in column j, and b = gamma N. In fixed-point
     form it reads p_j >= u + C p, with u = b_i / g_ij and the row of C
     gamma_i g_i / g_ij off column j (0 in it); ``normalized`` is the row
-    of A over g_ij, exactly 1 in column j, so the row of I - C. ``norm``
-    holds the row maxima of |A|, the scale ``_verified`` reads; p_max and
+    of A over g_ij, exactly 1 in column j, so the row of I - C. ``scale``
+    holds each row's size in watts, b_i + |A| p_max, which bounds its terms
+    at any powers within the caps: the one scale of ``_verified``'s ray
+    check, so that check reads the same at every unit of power; p_max and
     ``varrho`` complete what every power solve, subproblem cut and master
     seed of the instance reads. A binary association gathers its users'
     rows (``pairs``) once per solve, into the ``_InterferenceSystem``
@@ -272,7 +280,7 @@ class _SinrRows:
         self.A = (-self.gamma[:, None] * g).repeat(B, axis=0)
         # column j of row (i, j): the diagonal of user i's B x B block
         self.A.reshape(U, B * B)[:, :: B + 1] = g
-        self.norm = np.abs(self.A).max(axis=1)
+        self.scale = self.b.repeat(B) + np.abs(self.A) @ self.pmax
         self.normalized = self.A / self.g[:, None]
         self.C = -self.normalized
         self.C.reshape(U, B * B)[:, :: B + 1] = 0
@@ -335,10 +343,10 @@ class _InterferenceSystem:
     set ``S`` of users, at most one per SBS, gives the square system
     (I - F_S) p = u_S over the SBSs serving them; ``normalized`` holds the
     rows of I - C. ``b`` and ``pmax`` are kept for the rays, and the
-    association's rows of A and their norms for ``_verified``, which
-    checks the float answer against this system. Arithmetic is in float64,
-    factors are LAPACK LU factors (a 1 x 1 system is solved as it
-    stands), and a binding row moves only on a relative gain past
+    association's rows of A and their scales in watts for ``_verified``,
+    which checks the float answer against this system. Arithmetic is in
+    float64, factors are LAPACK LU factors (a 1 x 1 system is solved as
+    it stands), and a binding row moves only on a relative gain past
     ``_SWITCH_TOL``.
     """
 
@@ -353,7 +361,7 @@ class _InterferenceSystem:
         pairs = rows.pairs(assigned)
         self.b, self.pmax, self.T = rows.b, rows.pmax, rows.T
         self.caps = rows.pmax[assigned].tolist()   # per user, the cap of its SBS
-        self.A, self.norm = rows.A[pairs], rows.norm[pairs]
+        self.A, self.scale = rows.A[pairs], rows.scale[pairs]
         self.own = rows.g[pairs]
         self.normalized = rows.normalized[pairs]
         self.C = rows.C[pairs]
@@ -545,15 +553,18 @@ def _irreducible_ray(
 def _verified(system: _InterferenceSystem, answer: _PowerAnswer) -> bool:
     """Whether the float ``system``'s answer passes the checks that let it stand.
 
-    Powers pass the strict row check at ``_STRICT_TOL`` and lie in
-    [0, p_max]; their duals nu, mu >= 0 satisfy A'nu - mu <= T. A ray
-    nu, mu >= 0 satisfies the Farkas inequalities with a margin: over every
-    p in [0, p_max], nu'(b - A p) + mu'(p - p_max) >= gain, where gain
-    charges any positive part of A'nu - mu at p_max. The gain must exceed
-    ``_RAY_MARGIN`` times the rows' and caps' weight, so that some row or
-    cap misses by more than the strict check at ``_STRICT_TOL`` lets pass.
-    A and its row norms are the association's rows, which ``system``
-    gathered when it was built.
+    Both verdicts are checked relative to their own terms in watts, so
+    they read the same at every unit of power. Powers lie in [0, p_max]
+    and pass the strict row check, A_i p - b_i >= -``_STRICT_TOL``
+    (b_i + |A_i| p); their duals nu, mu >= 0 satisfy A'nu - mu <= T. A
+    ray nu, mu >= 0 satisfies the Farkas inequalities with a margin: over
+    every p in [0, p_max], nu'(b - A p) + mu'(p - p_max) >= gain, where
+    gain charges any positive part of A'nu - mu at p_max. The gain must
+    exceed ``_RAY_MARGIN`` (nu's + mu'p_max), s the rows' ``scale``,
+    b + |A| p_max. Powers that pass the row check have
+    nu'(b - A p) <= ``_STRICT_TOL`` nu's, so none can also meet the rows
+    of a ray that passes. A, b and the scales are the association's rows,
+    which ``system`` gathered when it was built.
     """
     mu, nu = answer.mu, answer.nu
     if mu.min() < 0.0 or nu.min() < 0.0:
@@ -562,15 +573,15 @@ def _verified(system: _InterferenceSystem, answer: _PowerAnswer) -> bool:
     columns = nu @ A - mu
     if answer.power is not None:
         p = answer.power
-        slack = (A @ p - b) / system.norm
+        size = np.abs(A)
         return bool(
             p.min() >= 0.0
             and (p <= pmax).all()
-            and slack.min() >= -_STRICT_TOL
-            and (columns - T <= 1e-9 * (nu @ np.abs(A) + mu + T)).all()
+            and (A @ p - b >= -_STRICT_TOL * (b + size @ p)).all()
+            and (columns - T <= 1e-9 * (nu @ size + mu + T)).all()
         )
     gain = nu @ b - mu @ pmax - columns.clip(min=0.0) @ pmax
-    return bool(gain > _RAY_MARGIN * (nu @ system.norm + mu.sum()))
+    return bool(gain > _RAY_MARGIN * (nu @ system.scale + mu @ pmax))
 
 
 def _min_power(rows: _SinrRows, assigned: np.ndarray) -> _PowerAnswer:

@@ -244,7 +244,8 @@ class PowerVector:
             raise ModelError("powers must be nonnegative")
 
     def check_bounds(self, scenario: Scenario) -> bool:
-        return bool(np.all(self.p <= scenario.max_power + 1e-9))
+        """Whether every power is within its cap, to a relative 1e-9."""
+        return bool(np.all(self.p <= scenario.max_power * (1 + 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -377,13 +378,16 @@ def check_feasible(
     """Verify power bounds, association structure and per-user SINR requirements.
 
     Returns a report naming the first violated constraint instead of raising.
+    A power may pass its cap by 1e-7 of that cap, and an SINR may miss its
+    threshold by 1e-7 of it plus 1e-7; SINR is a ratio, so neither
+    tolerance depends on the unit of power.
     """
     tol = 1e-7
     if assoc.x.shape != (scenario.user_count, scenario.sbs_count):
         return FeasibilityReport(False, "association shape mismatch")
     if p.p.shape != (scenario.sbs_count,):
         return FeasibilityReport(False, "power vector shape mismatch")
-    over = np.nonzero(p.p > scenario.max_power + tol)[0]
+    over = np.nonzero(p.p > scenario.max_power * (1 + tol))[0]
     if over.size:
         j = int(over[0])
         return FeasibilityReport(

@@ -584,16 +584,48 @@ class TestStructuredPower:
             assert list(rationals.flat) == [Fraction(x) for x in floats.flat]
 
     def test_paper_scale_ray_is_exact_and_small(self, caplog):
-        # paper seed 0, every user at its nearest SBS: the float ray is too
-        # weak for _RAY_MARGIN, and the exact re-run reads a small IIS
-        inst = scn.generate(scn.paper_scale(), 0)
-        s, demands = inst.scenario, inst.demands
-        assigned = s.channel_gains.argmax(axis=1)
+        # paper seeds 0-4, every user at its nearest SBS: the float ray's
+        # margin is read in the rows' own watts, so it stands with no exact
+        # re-run and names a small IIS
+        sizes = []
         with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
-            answer = benders._min_power(_SinrRows(s, demands), assigned)
-        assert "re-solving exactly" in caplog.text
-        assert answer.power is None
-        assert 1 <= np.count_nonzero(answer.nu) <= 4
+            for seed in range(5):
+                inst = scn.generate(scn.paper_scale(), seed)
+                s, demands = inst.scenario, inst.demands
+                assigned = s.channel_gains.argmax(axis=1)
+                answer = benders._min_power(_SinrRows(s, demands), assigned)
+                assert answer.power is None
+                sizes.append(np.count_nonzero(answer.nu))
+        assert "unverified" not in caplog.text
+        assert sizes == [2, 2, 4, 6, 2]
+
+    def test_verdicts_and_powers_are_unit_free(self, caplog):
+        # desk seeds 0-5 at U=6, every association, against the same
+        # instance with its noise and every cap times c: the checks read
+        # each row against its own terms in watts, so no answer is re-run
+        # exactly, and each verdict and each power over c is the unscaled one
+        c = 1e-8
+        verdicts = {True: 0, False: 0}
+        with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
+            for seed in range(6):
+                inst = scn.generate(scn.desk_scale(user_count=6), seed)
+                s, demands = inst.scenario, inst.demands
+                scaled = dataclasses.replace(
+                    s, noise_power=c * s.noise_power, max_power=c * s.max_power
+                )
+                rows, scaled_rows = _SinrRows(s, demands), _SinrRows(scaled, demands)
+                for assigned in iter_assignments(s.user_count, s.sbs_count):
+                    answer = benders._min_power(rows, assigned)
+                    other = benders._min_power(scaled_rows, assigned)
+                    feasible = answer.power is not None
+                    assert (other.power is not None) == feasible, (seed, assigned)
+                    if feasible:
+                        np.testing.assert_allclose(
+                            other.power / c, answer.power, rtol=1e-12, atol=0
+                        )
+                    verdicts[feasible] += 1
+        assert "unverified" not in caplog.text
+        assert verdicts[True] >= 30 and verdicts[False] >= 4000
 
 
 def outer_sum_grid(coef):

@@ -1,11 +1,13 @@
 """Domain type invariants and physical formulas checked against hand math."""
 
+import dataclasses
 import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from dscnopt import scenario as scn
 from dscnopt.model import (
     Association,
     CachePlacement,
@@ -386,6 +388,29 @@ class TestFeasibilityReport:
         report = check_feasible(s, demands, assoc, PowerVector([1e-6, 1e-6]))
         assert not report
         assert "SINR" in report.violation
+
+    def test_cap_tolerances_are_relative(self):
+        # desk seed 0 with its noise and caps times 1e-8, about 4e-9 W: an
+        # absolute tolerance in watts would let SBS 0 pass its cap 20 times
+        # over, with every user served by it
+        inst = scn.generate(scn.desk_scale(), 0)
+        s = dataclasses.replace(
+            inst.scenario,
+            noise_power=1e-8 * inst.scenario.noise_power,
+            max_power=1e-8 * inst.scenario.max_power,
+        )
+        assoc = Association.from_assignment([0] * s.user_count, s.sbs_count)
+        cases = ((1.0, True), (1 + 1e-10, True), (1.125, False), (20.0, False))
+        for factor, within in cases:
+            p = np.zeros(s.sbs_count)
+            p[0] = factor * s.max_power[0]
+            assert PowerVector(p).check_bounds(s) == within, factor
+            report = check_feasible(s, inst.demands, assoc, PowerVector(p))
+            if within:
+                # at the cap SBS 0 is too weak for user 3
+                assert "SINR requirement violated for user 3" in report.violation
+            else:
+                assert "power bound violated at SBS 0" in report.violation, factor
 
     def test_accepts_feasible_point(self):
         s = tiny_scenario(channel_gains=[[1.0, 0.01], [0.01, 0.8]])

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import dscnopt
@@ -181,8 +182,30 @@ def test_paper_physics_checks_ucwt_against_the_oracle(monkeypatch, caplog):
     assert reading.worst <= paper_physics.MATCH
     assert reading.iterations == len(result.trace.iterations)
     assert reading.unverified == reruns
-    # under paper physics the oracle's walk re-runs some answers exactly
-    assert oracle_reruns > 0 and seconds > 0
+    assert list(oracle_reruns) == list(paper_physics.KINDS) and seconds > 0
+    # with every check failing, each of the oracle's power solves is re-run
+    # exactly, and counted by the kind of its float answer
+    calls, kinds = [], Counter()
+    min_power = benders._min_power
+
+    def failed(system, answer):
+        if answer.power is not None:
+            kinds["powers"] += 1
+        else:
+            kinds["rays on a cap" if answer.mu.any() else "rays with mu = 0"] += 1
+        return False
+
+    monkeypatch.setattr(benders, "_verified", failed)
+    with monkeypatch.context() as m:
+        m.setattr(
+            benders, "_min_power", lambda *args: calls.append(args) or min_power(*args)
+        )
+        dscnopt.oracle.enumerate_candidates(s, demands, placement_)
+    expected = {kind: kinds[kind] for kind in paper_physics.KINDS}
+    _, forced, _ = paper_physics.campaign(dscnopt, cases, (1.0,))
+    assert sum(forced.values()) == len(calls) == sum(expected.values())
+    assert dict(forced) == expected and benders._verified is failed
+    assert expected["powers"] > 0 and expected["rays with mu = 0"] > 0
 
 
 def load_tracing(monkeypatch):

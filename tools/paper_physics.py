@@ -10,7 +10,10 @@ enumerate. Two rungs, (B=4, U=8) and (B=9, U=6), each over seeds 0-9
 with lpf placement, are solved by ``ucwt`` at alpha 0, 1/2 and 1; one
 oracle enumeration per instance serves its three alphas.
 
-Per rung it prints the oracle's time and its "unverified" exact re-runs.
+Per rung it prints the oracle's time and its "unverified" exact re-runs,
+split by the float answer that failed ``benders._verified``: a Farkas ray
+with mu = 0 (a spectral radius of at least 1), a ray on a power cap, or
+powers; policy iteration that runs out of steps gives no float answer.
 Per rung and alpha it prints how many ``ucwt`` objectives match the
 oracle's to a relative 1e-9, the worst relative error, the iterations
 summed over the seeds, the runs that ended unconverged, and the
@@ -25,6 +28,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,6 +40,8 @@ SEEDS = range(10)
 ALPHAS = (0.0, 0.5, 1.0)
 # a ucwt objective matches the oracle's within this relative error
 MATCH = 1e-9
+# the float answers whose failed check leads to an exact re-run
+KINDS = ("rays with mu = 0", "rays on a cap", "powers", "no float answer")
 
 
 @dataclass
@@ -75,31 +81,51 @@ def instances(dscnopt, B, U, seeds):
     return cases
 
 
+def _kind(answer) -> str:
+    """Which of ``KINDS`` a float answer of ``benders._min_power`` is."""
+    if answer.power is not None:
+        return "powers"
+    return "rays on a cap" if answer.mu.any() else "rays with mu = 0"
+
+
 def campaign(dscnopt, cases, alphas):
-    """(per-alpha ``Reading``s, oracle re-runs, oracle seconds) over ``cases``.
+    """(per-alpha ``Reading``s, oracle re-runs per kind, oracle seconds) over ``cases``.
 
     The handler that counts re-runs is on the ``dscnopt.benders`` logger
     only while the solves run; it also keeps their warnings off stderr.
+    For as long, ``benders._verified`` is wrapped to tally the answers it
+    fails by kind; re-runs with no failed answer had no float answer.
     """
+    benders = dscnopt.benders
     logger = logging.getLogger("dscnopt.benders")
     counter = _Unverified()
     logger.addHandler(counter)
+    verified, failed = benders._verified, Counter()
+
+    def tallied(system, answer):
+        passed = verified(system, answer)
+        failed[_kind(answer)] += not passed
+        return passed
+
     readings = {alpha: Reading() for alpha in alphas}
-    oracle_reruns, oracle_s = 0, 0.0
+    oracle_reruns, oracle_s = Counter({kind: 0 for kind in KINDS}), 0.0
+    benders._verified = tallied
     try:
         for s, demands, placement in cases:
             counter.count = 0
+            failed.clear()
             start = time.perf_counter()
             candidates = dscnopt.oracle.enumerate_candidates(s, demands, placement)
             oracle_s += time.perf_counter() - start
-            oracle_reruns += counter.count
+            oracle_reruns.update(failed)
+            oracle_reruns["no float answer"] += counter.count - sum(failed.values())
             for alpha in alphas:
                 reading = readings[alpha]
                 reading.solves += 1
                 counter.count = 0
                 best = min(alpha * c.energy + (1.0 - alpha) * c.delay
                            for c in candidates)
-                trace = dscnopt.benders.ucwt(s, demands, placement, alpha).trace
+                trace = benders.ucwt(s, demands, placement, alpha).trace
                 reading.iterations += len(trace.iterations)
                 reading.unconverged += not trace.converged
                 error = abs(trace.final_objective - best) / abs(best)
@@ -107,6 +133,7 @@ def campaign(dscnopt, cases, alphas):
                 reading.matches += error <= MATCH
                 reading.worst = max(reading.worst, error)
     finally:
+        benders._verified = verified
         logger.removeHandler(counter)
     return readings, oracle_reruns, oracle_s
 
@@ -126,8 +153,9 @@ def main(argv: list) -> int:
     for B, U in RUNGS:
         cases = instances(dscnopt, B, U, SEEDS)
         readings, reruns, seconds = campaign(dscnopt, cases, ALPHAS)
+        kinds = ", ".join(f"{reruns[kind]} {kind}" for kind in KINDS)
         print(f"B={B} U={U}: {len(cases)} instances, oracle {seconds:.2f} s, "
-              f"{reruns} unverified re-runs")
+              f"{sum(reruns.values())} unverified re-runs ({kinds})")
         for alpha, r in readings.items():
             print(f"  alpha={alpha:g}: {r.matches}/{r.solves} match at {MATCH:g}, "
                   f"worst relative error {r.worst:.2g}, {r.iterations} iterations, "
