@@ -114,6 +114,8 @@ from .model import (
     delay_coefficients,
     requested_thresholds,
     serving_time,
+    weighted,
+    _check_alpha,
     _check_shape,
     _frozen,
 )
@@ -885,15 +887,15 @@ class _CutTable:
     ``solve_master`` searches (``_search_master``), reading the delay
     coefficients and alpha from the table and the seed and the floor from
     its master. Per row the table holds the master objective
-    alpha * eta + (1 - alpha) * delay, eta being the largest of the floor
+    ``model.weighted(alpha, eta, delay)``, eta being the largest of the floor
     and the optimality cuts absorbed so far, or +inf where the row holds
     every pair of a feasibility cut's support. Each cut of a growing list
     is absorbed once, on the rows only: a feasibility cut by its
     ``support``, an optimality cut by the master's ``score`` of its
     ``terms``, which the cut prepared once for every table; the delay
-    coefficients are prepared by the same ``_terms``. The objective
-    starts at alpha * floor + (1 - alpha) * delay, and an optimality cut
-    h raises it to its maximum with alpha * h + (1 - alpha) * delay:
+    coefficients are prepared by the same ``_terms`` and scored once, as
+    ``delay``. The objective starts at ``weighted`` of the floor, and an
+    optimality cut h raises it to its maximum with ``weighted`` of h:
     rounding is monotone and alpha >= 0, so this equals weighting the
     largest of them, bit for bit. Over
     prefixes, each value is a lower bound on that of every completion
@@ -904,8 +906,8 @@ class _CutTable:
         self.master, self.dcoef, self.alpha = master, dcoef, alpha
         self.absorbed = 0
         if master.rows is not None:
-            self.weighted_delay = (1.0 - alpha) * master.score(_terms(dcoef))
-            self.value = alpha * master.floor_score + self.weighted_delay
+            self.delay = master.score(_terms(dcoef))
+            self.value = weighted(alpha, master.floor_score, self.delay)
 
     def absorb(self, cuts: Sequence[Cut]) -> None:
         """Score the cuts appended to ``cuts`` since the last call."""
@@ -920,7 +922,7 @@ class _CutTable:
             else:
                 h = cut.constant + self.master.score(cut.terms)
                 np.maximum(
-                    self.value, self.alpha * h + self.weighted_delay, out=self.value
+                    self.value, weighted(self.alpha, h, self.delay), out=self.value
                 )
         self.absorbed = len(cuts)
 
@@ -1024,20 +1026,22 @@ class IterationRecord:
     t: int
     psi_lower: float
     psi_upper: float
-    subproblem_status: str      # "bounded" | "unbounded"
     M: float                    # +inf when unbounded
     omega: Optional[int]
+
+    @property
+    def subproblem_status(self) -> str:
+        """"bounded" where the subproblem had an energy M, else "unbounded"."""
+        return "bounded" if math.isfinite(self.M) else "unbounded"
 
 
 @dataclass
 class BendersTrace:
-    """Per-iteration bounds and the final incumbent of a UCWT run."""
+    """Per-iteration bounds of a UCWT run; its final incumbent is the last row's."""
 
     iterations: List[IterationRecord] = field(default_factory=list)
     converged: bool = False
     epsilon: Optional[float] = None
-    omega: Optional[int] = None
-    final_objective: Optional[float] = None
     cuts: List[Cut] = field(default_factory=list)
     # subproblem answers taken from the master's memo, not solved again
     reused: int = 0
@@ -1052,6 +1056,16 @@ class BendersTrace:
                 f"{r.subproblem_status},{r.M:.9g},{r.psi_lower:.9g},{omega}"
             )
         return rows
+
+    @property
+    def omega(self) -> Optional[int]:
+        """The incumbent's 1-based iteration; None before any iteration."""
+        return self.iterations[-1].omega if self.iterations else None
+
+    @property
+    def final_objective(self) -> Optional[float]:
+        """The incumbent's value, the last upper bound; None before any iteration."""
+        return self.iterations[-1].psi_upper if self.iterations else None
 
 
 @dataclass(frozen=True)
@@ -1085,19 +1099,20 @@ def ucwt(
     association (e.g. some user reaches no SBS), before any subproblem, or
     when feasibility cuts exclude the rest.
     Starts from the master's answer with no cut (the conflict-free
-    association of least alpha * floor + (1 - alpha) * delay); where its
+    association of least ``model.weighted`` of its floor and delay); where its
     energy is its floor, as at a single-SBS association, the bounds meet
     at once. Alternates subproblem and master solves for at most
     ``DEFAULT_MAX_ITERS`` iterations. Every cut is kept;
     ``trace.cuts`` is the master's cut list, one cut per iteration.
     The incumbent is the first bounded proposal of least
-    alpha * M + (1 - alpha) * delay: its value is the upper bound, the
+    ``model.weighted(alpha, M, delay)``: its value is the upper bound, the
     master's optimum the lower bound, and the powers returned are those
-    its subproblem found, not solved again. ``trace.final_objective`` is
-    that value: M is T p over the same T as ``serving_time`` and the delay
-    is (delay coefficients * x).sum(), the very expressions of
-    ``model.objective``, so it equals ``objective(...).weighted`` at the
-    incumbent bit for bit, with no closing call. An exact master
+    its subproblem found, not solved again. ``trace.final_objective``, the
+    last row's upper bound, is that value: M is T p over the same T as
+    ``serving_time``, the delay is (delay coefficients * x).sum(), and
+    both are weighed by ``model.weighted``, as in ``model.objective``, so
+    it equals ``objective(...).weighted`` at the incumbent bit for bit,
+    with no closing call. An exact master
     re-proposes an association whose cut it holds only once the gap has
     closed. Without convergence the incumbent is returned all the same, with
     ``trace.converged`` False; with no incumbent, ``IterationBudgetError``
@@ -1106,8 +1121,7 @@ def ucwt(
     bound|: under paper physics every energy lies far below 1 J, where
     an absolute part would stop short of the optimum.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise ModelError("epsilon must be a finite positive number")
     if master is None:
@@ -1133,16 +1147,13 @@ def ucwt(
         cut, M = master.answers[key]
         cuts.append(cut)
         if math.isfinite(M):
-            value = alpha * M + (1.0 - alpha) * float((dcoef * assoc.x).sum())
+            value = weighted(alpha, M, float((dcoef * assoc.x).sum()))
             if value < psi_upper:
                 psi_upper, omega, best, power = value, t, assoc, cut.power
             if trace.epsilon is None:
                 trace.epsilon = 1e-6 * abs(psi_upper)
         solution = solve_master(scenario, demands, placement, cuts, alpha, table)
-        status = "bounded" if math.isfinite(M) else "unbounded"
-        trace.iterations.append(
-            IterationRecord(t, solution.value, psi_upper, status, M, omega)
-        )
+        trace.iterations.append(IterationRecord(t, solution.value, psi_upper, M, omega))
         if trace.epsilon is not None and psi_upper - solution.value <= trace.epsilon:
             trace.converged = True
             break
@@ -1152,6 +1163,4 @@ def ucwt(
         raise IterationBudgetError(
             "no power-feasible association found within the iteration budget"
         )
-    trace.omega = omega
-    trace.final_objective = psi_upper
     return UcwtResult(assoc=best, power=PowerVector(power), trace=trace)

@@ -49,6 +49,22 @@ class InfeasibleInstanceError(ModelError):
     """Proof that no association of the instance admits feasible powers."""
 
 
+def _check_alpha(alpha: float) -> None:
+    """A ``ModelError`` unless the energy-delay weight lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ModelError("alpha must lie in [0, 1]")
+
+
+def weighted(alpha: float, energy, delay):
+    """The paper's utility alpha * energy + (1 - alpha) * delay, elementwise.
+
+    Every solver weighs energy against delay here, so their values agree
+    bit for bit: on floats and on arrays alike it is the same two products
+    and one sum, in this order.
+    """
+    return alpha * energy + (1.0 - alpha) * delay
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable network instance: geometry, physics constants and weights.
@@ -122,8 +138,7 @@ class Scenario:
             raise ModelError("noise power and bandwidth must be strictly positive")
         if not 2.0 <= self.pathloss_exponent <= 5.0:
             raise ModelError("pathloss exponent must lie in [2, 5]")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ModelError("alpha must lie in [0, 1]")
+        _check_alpha(self.alpha)
         if self.central_zone_radius <= 0:
             raise ModelError("central zone radius must be positive")
         if (self.load_coefficients <= 0).any() or not (
@@ -243,10 +258,6 @@ class PowerVector:
         if p.size and p.min() < 0:
             raise ModelError("powers must be nonnegative")
 
-    def check_bounds(self, scenario: Scenario) -> bool:
-        """Whether every power is within its cap, to a relative 1e-9."""
-        return bool(np.all(self.p <= scenario.max_power * (1 + 1e-9)))
-
 
 @dataclass(frozen=True)
 class CachePlacement:
@@ -353,15 +364,16 @@ def objective(
     the relaxed delivery delays of the assigned (user, SBS) pairs. ``alpha``
     defaults to the scenario's weight. An association of another shape
     than (U, B), or a power vector of another shape than (B,), is a
-    ``ModelError``.
+    ``ModelError``, and so is an ``alpha`` outside [0, 1].
     """
     _check_shape("association", assoc.x.shape, scenario.channel_gains.shape)
     _check_shape("power vector", p.p.shape, (scenario.sbs_count,))
     if alpha is None:
         alpha = scenario.alpha
+    _check_alpha(alpha)
     energy = float(p.p @ serving_time(scenario, demands, assoc))
     delay = float((delay_coefficients(scenario, demands, placement) * assoc.x).sum())
-    return ObjectiveValue(energy, delay, alpha * energy + (1 - alpha) * delay)
+    return ObjectiveValue(energy, delay, weighted(alpha, energy, delay))
 
 
 def requested_thresholds(scenario: Scenario, demands: DemandMatrix) -> np.ndarray:

@@ -6,8 +6,9 @@ each user joins an SBS it can reach alone (no other association can be
 power-feasible). Each association it reaches gets its exact minimum
 powers and feasible/infeasible verdict from ``benders._min_power`` (the
 verified least fixed point of the SINR rows, found again in exact
-arithmetic when the float answer fails its checks), and the weighted
-objective is compared directly. One table of the instance's per-pair
+arithmetic when the float answer fails its checks), and each alpha of a
+sweep weighs the candidates' energies and delays with ``model.weighted``,
+the weighting of ``model.objective``. One table of the instance's per-pair
 facts, ``benders._SinrRows``, serves a whole enumeration: its
 reachability mask picks the SBSs the walk tries, and its SINR rows and
 serving times serve every solve, whose energy each feasible leaf keeps.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .model import (
     PowerVector,
     Scenario,
     delay_coefficients,
+    weighted,
+    _check_alpha,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -151,26 +154,6 @@ def enumerate_candidates(
     return out
 
 
-def _pick(
-    candidates: Sequence[Candidate], alpha: float, sbs_count: int
-) -> OracleSolution:
-    best = math.inf
-    chosen: Optional[Candidate] = None
-    for cand in candidates:   # lexicographic enumeration order breaks ties
-        value = alpha * cand.energy + (1.0 - alpha) * cand.delay
-        if value < best:
-            best, chosen = value, cand
-    assert chosen is not None
-    return OracleSolution(
-        # the walk's leaves hold reachable SBS indices by construction
-        assoc=Association._unchecked(chosen.assigned, sbs_count),
-        power=chosen.power,
-        energy=chosen.energy,
-        delay=chosen.delay,
-        objective=best,
-    )
-
-
 def brute_force(
     scenario: Scenario,
     demands: DemandMatrix,
@@ -189,11 +172,24 @@ def brute_force_sweep(
 ) -> List[Tuple[float, OracleSolution]]:
     """One enumeration reused across a whole alpha grid, each alpha in [0, 1].
 
+    Each alpha picks the candidate of least ``model.weighted`` value over
+    the candidates' energies and delays, gathered once; ``argmin`` keeps
+    the first least, so lexicographic enumeration order breaks ties.
     Raises ``InfeasibleInstanceError`` when no association is power-feasible.
     """
-    if not all(0.0 <= a <= 1.0 for a in alphas):
-        raise ModelError("alpha must lie in [0, 1]")
+    for a in alphas:
+        _check_alpha(a)
     candidates = enumerate_candidates(scenario, demands, placement)
     if not candidates:
         raise InfeasibleInstanceError("every association is power-infeasible")
-    return [(a, _pick(candidates, a, scenario.sbs_count)) for a in alphas]
+    energies = np.array([c.energy for c in candidates])
+    delays = np.array([c.delay for c in candidates])
+    out = []
+    for a in alphas:
+        values = weighted(a, energies, delays)
+        k = int(values.argmin())
+        c = candidates[k]
+        # the walk's leaves hold reachable SBS indices by construction
+        assoc = Association._unchecked(c.assigned, scenario.sbs_count)
+        out.append((a, OracleSolution(assoc, c.power, c.energy, c.delay, float(values[k]))))
+    return out

@@ -249,9 +249,6 @@ class TestStructuredTypes:
             cls(np.array(matrix))
 
     def test_power_vector_bounds(self):
-        s = tiny_scenario()
-        assert PowerVector([0.5, 1.0]).check_bounds(s)
-        assert not PowerVector([0.5, 1.1]).check_bounds(s)
         with pytest.raises(ModelError):
             PowerVector([-0.1, 0.0])
 
@@ -366,6 +363,15 @@ class TestAggregates:
                       Association.from_assignment([0, 1], 2), PowerVector(powers),
                       alpha=0.25)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_objective_rejects_alpha_outside_the_unit_interval(self, alpha):
+        s = tiny_scenario()
+        demands = DemandMatrix([[1, 0], [0, 1]])
+        with pytest.raises(ModelError, match=r"alpha must lie in \[0, 1\]"):
+            objective(s, demands, CachePlacement([[1, 1], [1, 1]]),
+                      Association.from_assignment([0, 1], 2),
+                      PowerVector([0.4, 0.5]), alpha=alpha)
+
     def test_requested_thresholds(self):
         s = tiny_scenario()
         demands = DemandMatrix([[0, 1], [1, 0]])
@@ -404,7 +410,6 @@ class TestFeasibilityReport:
         for factor, within in cases:
             p = np.zeros(s.sbs_count)
             p[0] = factor * s.max_power[0]
-            assert PowerVector(p).check_bounds(s) == within, factor
             report = check_feasible(s, inst.demands, assoc, PowerVector(p))
             if within:
                 # at the cap SBS 0 is too weak for user 3

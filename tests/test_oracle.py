@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dscnopt import benders, oracle, scenario as scn
 from dscnopt.baselines import min_power_for
@@ -306,6 +307,24 @@ class TestSweep:
             assert np.array_equal(
                 sol.assoc.assigned_sbs, single.assoc.assigned_sbs
             )
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @given(alpha=st.floats(0.0, 1.0))
+    def test_picks_the_first_least_objective(self, alpha):
+        # bit for bit what model.objective gives, ties to the first candidate
+        for seed in range(3):
+            s, demands, placement = desk_case(6, seed)
+            candidates = enumerate_candidates(s, demands, placement)
+            values = [
+                objective(s, demands, placement,
+                          Association.from_assignment(c.assigned, s.sbs_count),
+                          c.power, alpha).weighted
+                for c in candidates
+            ]
+            k = values.index(min(values))
+            [(_, sol)] = brute_force_sweep(s, demands, placement, [alpha])
+            assert sol.assoc.assigned_sbs.tolist() == candidates[k].assigned.tolist()
+            assert sol.objective.hex() == values[k].hex()
 
     def test_rejects_alpha_outside_unit_interval(self):
         s, demands, placement = all_feasible_case()
