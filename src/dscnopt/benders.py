@@ -73,17 +73,18 @@ call, whose answers stay those of independent calls. It starts from the
 master's answer over the seed and the floor alone. Following Benders
 (1962), its upper bound is the best subproblem value seen so far, kept
 as a single incumbent with the powers of the subproblem that found it,
-and its lower bound is the exact master's optimum; it stops at a gap
-relative to the first upper bound, as energies under paper physics lie
-far below 1 J. When the seed and the feasibility cuts exclude every
-association, the master raises ``model.InfeasibleInstanceError``, the
-one proof of an infeasible instance that every solver gives; a spent
-budget with no incumbent is ``IterationBudgetError``, and an exact run
-without a certificate is ``SolverFault``, a ``RuntimeError`` and not a
-``ModelError``. Every cut
-is kept: an exact master re-proposes an association whose cut it holds
-only once the gap has closed. The trace's cut list is the master's, one
-cut per iteration.
+and its lower bound is the exact master's optimum. Every cut is kept,
+so the master's value at an association whose cut it holds is that
+association's own value, up to the last bits of rounding. It stops on
+exact evidence, with no tolerance: the bounds meet, or the master
+proposes an association that the run has already solved, the finite
+termination of Benders for a pure-integer master. When the seed and the
+feasibility cuts exclude every association, the master raises
+``model.InfeasibleInstanceError``, the one proof of an infeasible
+instance that every solver gives; a spent budget with no incumbent is
+``IterationBudgetError``, and an exact run without a certificate is
+``SolverFault``, a ``RuntimeError`` and not a ``ModelError``. The
+trace's cut list is the master's, one cut per iteration.
 
 The SINR constraints are activated per assigned pair via the constant
 ``varrho``: for non-assigned pairs the slack term 1/varrho dominates any
@@ -1037,11 +1038,14 @@ class IterationRecord:
 
 @dataclass
 class BendersTrace:
-    """Per-iteration bounds of a UCWT run; its final incumbent is the last row's."""
+    """Per-iteration bounds of a UCWT run; its final incumbent is the last row's.
+
+    ``converged`` is False where the iteration budget ran out before an
+    exact certificate (``ucwt``).
+    """
 
     iterations: List[IterationRecord] = field(default_factory=list)
     converged: bool = False
-    epsilon: Optional[float] = None
     cuts: List[Cut] = field(default_factory=list)
     # subproblem answers taken from the master's memo, not solved again
     reused: int = 0
@@ -1080,10 +1084,9 @@ def ucwt(
     demands: DemandMatrix,
     placement: CachePlacement,
     alpha: float,
-    epsilon: Optional[float] = None,
     master: Optional[InstanceMaster] = None,
 ) -> UcwtResult:
-    """Iterative cut generation until the bound gap closes.
+    """Iterative cut generation until the bounds meet or an association recurs.
 
     The run's table is built over ``master``, an ``InstanceMaster`` of
     this very ``scenario`` and ``demands`` (its ``sinr`` table is checked
@@ -1112,18 +1115,19 @@ def ucwt(
     ``serving_time``, the delay is (delay coefficients * x).sum(), and
     both are weighed by ``model.weighted``, as in ``model.objective``, so
     it equals ``objective(...).weighted`` at the incumbent bit for bit,
-    with no closing call. An exact master
-    re-proposes an association whose cut it holds only once the gap has
-    closed. Without convergence the incumbent is returned all the same, with
+    with no closing call. The run converges on one of two exact
+    certificates: the upper bound is at most the lower, or the master
+    proposes an association this run has already solved (kept as a set of
+    memo keys, as the master's memo may be shared). It holds that
+    association's cut, so its optimum is that association's value up to
+    the last bits of rounding, between the cut's dual value and T p and
+    between the table's delay score and (delay coefficients * x).sum();
+    an infeasible association cannot recur past its own no-good. Without
+    convergence the incumbent is returned all the same, with
     ``trace.converged`` False; with no incumbent, ``IterationBudgetError``
-    (non-convergence, not infeasibility) is raised. ``epsilon``, an
-    absolute gap, defaults to the relative 1e-6 * |first finite upper
-    bound|: under paper physics every energy lies far below 1 J, where
-    an absolute part would stop short of the optimum.
+    (non-convergence, not infeasibility) is raised.
     """
     _check_alpha(alpha)
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        raise ModelError("epsilon must be a finite positive number")
     if master is None:
         master = InstanceMaster(scenario, demands)
     _rows_for(scenario, demands, master.sinr)
@@ -1132,14 +1136,17 @@ def ucwt(
     # one table per run; the search reads it too
     table = _CutTable(dcoef, alpha, master)
     # the master's cuts: one per iteration
-    trace = BendersTrace(epsilon=epsilon)
+    trace = BendersTrace()
     cuts = trace.cuts
     assoc = solve_master(scenario, demands, placement, cuts, alpha, table).assoc
     # the incumbent: its value, 1-based iteration, association and powers
     psi_upper, omega, best = math.inf, None, None
+    # the memo keys of the associations this run has solved
+    solved = set()
 
     for t in range(1, DEFAULT_MAX_ITERS + 1):
         key = assoc.x.tobytes()
+        solved.add(key)
         if key in master.answers:
             trace.reused += 1
         else:
@@ -1150,11 +1157,9 @@ def ucwt(
             value = weighted(alpha, M, float((dcoef * assoc.x).sum()))
             if value < psi_upper:
                 psi_upper, omega, best, power = value, t, assoc, cut.power
-            if trace.epsilon is None:
-                trace.epsilon = 1e-6 * abs(psi_upper)
         solution = solve_master(scenario, demands, placement, cuts, alpha, table)
         trace.iterations.append(IterationRecord(t, solution.value, psi_upper, M, omega))
-        if trace.epsilon is not None and psi_upper - solution.value <= trace.epsilon:
+        if psi_upper <= solution.value or solution.assoc.x.tobytes() in solved:
             trace.converged = True
             break
         assoc = solution.assoc

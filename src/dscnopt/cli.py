@@ -8,8 +8,10 @@ floats are written with 9 significant digits.
 Exit codes: 0 success, 1 solver non-convergence or a doa/ema repair that
 gave up, 2 usage error (including an oracle request above the enumeration
 cap and an output file that cannot be written), 3 infeasible instance,
-4 internal solver fault. A ucwt run that stops unconverged with an
-incumbent still writes it, says why on stderr and exits 1.
+4 internal solver fault. A ucwt run converges only on exact evidence
+(``benders.ucwt``), so no option sets a stopping tolerance; one that
+spends its iteration budget with an incumbent still writes it, says why
+(its last gap) on stderr and exits 1.
 
 Every solve of one alpha runs through ``_run``, which also values the
 answer (``sweep-alpha``'s oracle sweep takes its values from
@@ -29,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import math
 import os
 import sys
 from typing import Iterable, List, Optional, Sequence
@@ -166,17 +167,11 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_epsilon(epsilon: Optional[float]) -> None:
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        raise click.UsageError("epsilon must be a finite positive number")
-
-
 def _run(
     algorithm: str,
     inst: scn.Instance,
     cache,
     alpha: float,
-    epsilon: Optional[float] = None,
     master: Optional[benders.InstanceMaster] = None,
 ):
     """One solve and its value: (association, powers, the ``model.objective``
@@ -190,7 +185,7 @@ def _run(
     s, d = inst.scenario, inst.demands
     trace = None
     if algorithm == "ucwt":
-        res = benders.ucwt(s, d, cache, alpha, epsilon, master=master)
+        res = benders.ucwt(s, d, cache, alpha, master=master)
         trace = res.trace
     elif algorithm == "oracle":
         res = oracle.brute_force(s, d, cache, alpha)
@@ -220,8 +215,8 @@ def _answer(algorithm: str, inst: scn.Instance, cache, alpha: float, master=None
 def _gap_left(trace: benders.BendersTrace) -> str:
     """Why a ucwt run that kept an incumbent stopped short: its last gap."""
     last = trace.iterations[-1]
-    return (f"gap {_f(last.psi_upper - last.psi_lower)} above epsilon "
-            f"{_f(trace.epsilon)} after {len(trace.iterations)} iterations")
+    return (f"gap {_f(last.psi_upper - last.psi_lower)} after "
+            f"{len(trace.iterations)} iterations")
 
 
 # Every error a command lets escape, with its stderr prefix and exit code;
@@ -285,20 +280,22 @@ def generate(seed: int, paper_scale: bool, out: str) -> None:
     show_default=True,
 )
 @click.option("--alpha", type=float, default=0.5, show_default=True)
-@click.option("--epsilon", type=float, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option(
     "--trace-out",
     type=click.Path(dir_okay=False),
     help="Per-iteration bounds CSV (ucwt only); defaults to OUT + '.trace.csv'.",
 )
-def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out):
-    """Solve one instance and write the objective, association and powers."""
+def solve(instance, seed, paper_scale, algorithm, alpha, out, trace_out):
+    """Solve one instance and write the objective, association and powers.
+
+    ucwt stops when its bounds meet or its master re-proposes an
+    association it has solved; there is no stopping tolerance to set.
+    """
     _check_alpha(alpha)
-    _check_epsilon(epsilon)
     (inst,) = _load_instances(instance, [seed], paper_scale)
     _, cache = _pipeline(inst)
-    assoc, power, value, trace = _run(algorithm, inst, cache, alpha, epsilon)
+    assoc, power, value, trace = _run(algorithm, inst, cache, alpha)
     converged = trace is None or trace.converged
     _write_csv(out, [
         ("field", "index", "value"),
@@ -343,14 +340,12 @@ def solve(instance, seed, paper_scale, algorithm, alpha, epsilon, out, trace_out
     help="Comma-separated alpha values in [0, 1].",
 )
 @click.option("--replications", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--epsilon", type=float, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsilon, out):
+def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, out):
     """Trace the energy-delay tradeoff over an alpha grid."""
     alphas = _parse_grid(grid, "--grid")
     for a in alphas:
         _check_alpha(a)
-    _check_epsilon(epsilon)
     rows = [("alpha", "replication", "energy_joules", "delay_seconds", "weighted")]
     infeasible = nonconverged = 0
     seeds = range(seed, seed + replications)
@@ -367,7 +362,7 @@ def sweep_alpha(instance, seed, paper_scale, algorithm, grid, replications, epsi
                 master = benders.InstanceMaster(s, inst.demands)
                 for a in alphas:
                     try:
-                        _, _, v, trace = _run("ucwt", inst, cache, a, epsilon, master)
+                        _, _, v, trace = _run("ucwt", inst, cache, a, master)
                     except benders.IterationBudgetError as exc:
                         # no incumbent: a row of empty cells
                         cells, why = ("", "", ""), exc

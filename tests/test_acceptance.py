@@ -130,7 +130,7 @@ def test_criterion_02_bound_discipline(campaign):
             assert cur.psi_upper <= prev.psi_upper + 1e-9
         if run.trace.converged:
             last = records[-1]
-            assert last.psi_upper - last.psi_lower <= run.trace.epsilon
+            assert last.psi_upper - last.psi_lower <= 1e-12 * abs(last.psi_upper)
     print(f"criterion 2: PASS - bounds monotone on every run, max iterations {max_iters}")
 
 

@@ -12,6 +12,8 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import dscnopt
 from dscnopt import benders, oracle, placement, popularity, scenario as scn
 from dscnopt.placement import lpf_greedy
@@ -132,14 +134,38 @@ def test_ab_pass_times_the_repository_against_itself():
     ), run.stdout
 
 
-def test_master_sets_digests_each_solve_at_both_limits():
+def load_tool(monkeypatch, name):
+    """``tools/<name>.py`` as a module of its own, registered for this test only."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules; paper_physics puts
+    # its own directory on sys.path, to import master_sets
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tool_main(monkeypatch):
+    """A tool's ``main`` imports a tree's package afresh, pins BLAS threads
+    and stops bytecode writes; this process's modules and settings are put
+    back after the test."""
+    package = {name: module for name, module in sys.modules.items()
+               if name == "dscnopt" or name.startswith("dscnopt.")}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    yield
+    for name in [n for n in sys.modules if n == "dscnopt" or n.startswith("dscnopt.")]:
+        del sys.modules[name]
+    sys.modules.update(package)
+
+
+def test_master_sets_digests_each_solve_at_both_limits(monkeypatch):
     # one small solve: the digest covers its objective, association, powers
     # and trace rows, and the limit-0 run searches its master to the same
-    spec = importlib.util.spec_from_file_location(
-        "master_sets", ROOT / "tools" / "master_sets.py"
-    )
-    master_sets = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(master_sets)
+    master_sets = load_tool(monkeypatch, "master_sets")
     cases = master_sets.instances(dscnopt, [(3, 8, range(1))])
     (s, demands, placement_), = cases
     result = benders.ucwt(s, demands, placement_, 0.5)
@@ -157,18 +183,31 @@ def test_master_sets_digests_each_solve_at_both_limits():
     assert benders._MASTER_ENUMERATION_LIMIT == limit
 
 
+def test_master_sets_times_two_trees_in_one_process(monkeypatch, capsys, tool_main):
+    # the repository against itself on a one-instance set: each tree's
+    # digest, equal to the one-tree run's, then the rounds' time ratio
+    master_sets = load_tool(monkeypatch, "master_sets")
+    monkeypatch.setattr(master_sets, "SETS", (("one", [(3, 8, range(1))], (0.5,), None),))
+    monkeypatch.setattr(master_sets, "ROUNDS", 2)
+    assert master_sets.main(["master_sets.py", str(ROOT)]) == 0
+    alone = re.fullmatch(r"one: 1 solves, 0 of 1 masters searched, \S+ s, "
+                         r"sha256 ([0-9a-f]{64})\n", capsys.readouterr().out)
+    assert alone, "one tree keeps its one line per set"
+    assert master_sets.main(["master_sets.py", str(ROOT), str(ROOT)]) == 0
+    title, parent, change, ratio = capsys.readouterr().out.splitlines()
+    assert title == "one: 1 solves"
+    digests = [re.fullmatch(rf"  {label}: 0 of 1 masters searched, \S+ s, "
+                            r"sha256 ([0-9a-f]{64})", line).group(1)
+               for label, line in (("parent", parent), ("change", change))]
+    assert digests == [alone.group(1)] * 2
+    assert re.fullmatch(r"  2 rounds: change/parent ratio median \d+\.\d{3} "
+                        r"\[Q1 \d+\.\d{3}, Q3 \d+\.\d{3}\]", ratio), ratio
+
+
 def test_paper_physics_checks_ucwt_against_the_oracle(monkeypatch, caplog):
     # one small case: the reading counts its solve, its match, its
     # iterations and the exact re-runs that its ucwt solve logged
-    spec = importlib.util.spec_from_file_location(
-        "paper_physics", ROOT / "tools" / "paper_physics.py"
-    )
-    paper_physics = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules; the tool puts its
-    # own directory on sys.path, to import master_sets
-    monkeypatch.setitem(sys.modules, spec.name, paper_physics)
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    spec.loader.exec_module(paper_physics)
+    paper_physics = load_tool(monkeypatch, "paper_physics")
     cases = paper_physics.instances(dscnopt, 4, 8, range(1))
     (s, demands, placement_), = cases
     with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
@@ -206,6 +245,20 @@ def test_paper_physics_checks_ucwt_against_the_oracle(monkeypatch, caplog):
     assert sum(forced.values()) == len(calls) == sum(expected.values())
     assert dict(forced) == expected and benders._verified is failed
     assert expected["powers"] > 0 and expected["rays with mu = 0"] > 0
+
+
+def test_paper_physics_exits_1_on_a_miss(monkeypatch, capsys, tool_main):
+    # a gate: 0 when every solve matches the oracle and converges, 1 when
+    # any misses; one small rung and seed
+    paper_physics = load_tool(monkeypatch, "paper_physics")
+    monkeypatch.setattr(paper_physics, "RUNGS", ((4, 8),))
+    monkeypatch.setattr(paper_physics, "SEEDS", range(1))
+    assert paper_physics.main(["paper_physics.py", str(ROOT)]) == 0
+    assert "total: 3/3 match" in capsys.readouterr().out
+    # no error is within a negative bound
+    monkeypatch.setattr(paper_physics, "MATCH", -1.0)
+    assert paper_physics.main(["paper_physics.py", str(ROOT)]) == 1
+    assert "total: 0/3 match" in capsys.readouterr().out
 
 
 def load_tracing(monkeypatch):

@@ -1,8 +1,8 @@
-"""Digest and time the master's solve sets on one source tree.
+"""Digest and time the master's solve sets on one source tree, or two.
 
-Usage: python tools/master_sets.py TREE
+Usage: python tools/master_sets.py TREE [CHANGE_TREE]
 
-TREE is a repository checkout; its ``src/dscnopt`` is imported, and
+Each tree is a repository checkout; its ``src/dscnopt`` is imported, and
 nothing is written into it. Three sets of ``ucwt`` solves are run, each
 solve with a fresh ``InstanceMaster``:
 
@@ -20,6 +20,14 @@ the wall time of its solves (instances and placements are built before
 the clock starts); and how many of its instances' masters were searched
 (``rows`` None). Two trees give the same answers and trace rows on a set
 exactly when they print the same digest for it.
+
+Given two trees, both are loaded in this process under their own module
+objects, as ``tools/ab_pass.py`` loads them, and each set's line is given
+per tree. Then each of ``ROUNDS`` rounds times one pass of the set on
+each tree, alternating which runs first, and the median change/parent
+ratio of the pass times is printed with its quartiles. Both trees share
+the process and the host, so drift between processes does not enter the
+ratio.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import argparse
 import hashlib
 import importlib
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -43,6 +52,8 @@ SETS = (
     ("desk-38-limit-0", DESK_38, (0.0, 0.5), 0),
     ("desk-b9", DESK_B9, (0.5, 1.0), None),
 )
+# alternating timed rounds per set, given two trees
+ROUNDS = 10
 
 
 def load_tree(tree: Path):
@@ -113,18 +124,38 @@ def solve_set(benders, cases, alphas, limit=None):
 
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("tree", type=Path, help="a repository checkout")
+    parser.add_argument("tree", type=Path, help="a repository checkout (the parent, given two)")
+    parser.add_argument("change", type=Path, nargs="?",
+                        help="a second checkout, timed against the first")
     args = parser.parse_args(argv[1:])
     # pinned before the tree imports numpy, as bench/run.py does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
-    dscnopt = load_tree(args.tree.resolve())
+    trees = [load_tree(tree.resolve()) for tree in (args.tree, args.change) if tree]
     for name, spec, alphas, limit in SETS:
-        cases = instances(dscnopt, spec)
-        digest, seconds, searched = solve_set(dscnopt.benders, cases, alphas, limit)
-        print(f"{name}: {len(cases) * len(alphas)} solves, {searched} of "
-              f"{len(cases)} masters searched, {seconds:.3f} s, sha256 {digest}")
+        sides = [(dscnopt.benders, instances(dscnopt, spec)) for dscnopt in trees]
+        solves = len(sides[0][1]) * len(alphas)
+        lines = []
+        for benders, cases in sides:
+            digest, seconds, searched = solve_set(benders, cases, alphas, limit)
+            lines.append(f"{searched} of {len(cases)} masters searched, "
+                         f"{seconds:.3f} s, sha256 {digest}")
+        if len(sides) == 1:
+            print(f"{name}: {solves} solves, {lines[0]}")
+            continue
+        print(f"{name}: {solves} solves")
+        for label, line in zip(("parent", "change"), lines):
+            print(f"  {label}: {line}")
+        passes = ([], [])
+        for k in range(ROUNDS):
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                benders, cases = sides[side]
+                passes[side].append(solve_set(benders, cases, alphas, limit)[1])
+        ratios = [c / p for p, c in zip(*passes)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        print(f"  {ROUNDS} rounds: change/parent ratio median {median:.3f} "
+              f"[Q1 {q1:.3f}, Q3 {q3:.3f}]")
     return 0
 
 

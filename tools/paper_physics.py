@@ -18,7 +18,8 @@ Per rung and alpha it prints how many ``ucwt`` objectives match the
 oracle's to a relative 1e-9, the worst relative error, the iterations
 summed over the seeds, the runs that ended unconverged, and the
 "unverified" exact re-runs of the ``ucwt`` solves. Re-runs are counted
-from the warnings of the ``dscnopt.benders`` logger.
+from the warnings of the ``dscnopt.benders`` logger. It exits 1 when any
+solve misses the oracle beyond ``MATCH`` or ends unconverged, else 0.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def main(argv: list) -> int:
           f"match, {sum(r.iterations for r in every)} iterations, "
           f"{sum(r.unconverged for r in every)} unconverged, "
           f"{sum(r.unverified for r in every)} unverified re-runs")
-    return 0
+    return int(any(r.matches < r.solves or r.unconverged for r in every))
 
 
 if __name__ == "__main__":
