@@ -387,12 +387,14 @@ class TestSweepAlpha:
         )
         assert result.exit_code == 2
 
-    def test_epsilon_option_is_a_usage_error(self, runner, tmp_path):
-        # ucwt stops on exact evidence; a script that still sets a
-        # tolerance fails loudly, on both commands that once took one
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bad_epsilon_exits_2(self, runner, tmp_path, epsilon):
+        # ucwt stops on exact evidence and takes no tolerance; a script
+        # that still sets one fails loudly, on both commands that once
+        # took one, whatever the value
         for command in (["solve"], ["sweep-alpha", "--algorithm", "ucwt", "--grid", "0.5"]):
             out = tmp_path / "o"
-            result = runner.invoke(main, [*command, "--epsilon", "1e-3", "--out", str(out)])
+            result = runner.invoke(main, [*command, "--epsilon", epsilon, "--out", str(out)])
             assert result.exit_code == 2
             assert "No such option '--epsilon'" in result.output
             assert not out.exists()
