@@ -166,7 +166,7 @@ def test_master_sets_digests_each_solve_at_both_limits(monkeypatch):
     # one small solve: the digest covers its objective, association, powers
     # and trace rows, and the limit-0 run searches its master to the same
     master_sets = load_tool(monkeypatch, "master_sets")
-    cases = master_sets.instances(dscnopt, [(3, 8, range(1))])
+    cases = master_sets.lpf_cases(dscnopt, "desk_scale", [(3, 8, range(1))])
     (s, demands, placement_), = cases
     result = benders.ucwt(s, demands, placement_, 0.5)
     power = ",".join(map(float.hex, result.power.p.tolist()))
@@ -181,6 +181,22 @@ def test_master_sets_digests_each_solve_at_both_limits(monkeypatch):
     digest, _, searched = master_sets.solve_set(benders, cases, (0.5,), 0)
     assert (digest, searched) == (expected, 1)
     assert benders._MASTER_ENUMERATION_LIMIT == limit
+
+
+# tools/master_sets.py's desk-38 digest: 38 desk solves, at both limits
+DESK_38_DIGEST = "76828428012443b4bd608548f3007c6a1f21342bbb9841331aa52bada6990e29"
+
+
+def test_master_sets_pins_desk_38_at_both_limits(monkeypatch):
+    # on real instances, the master's enumerated table and its search give
+    # the same answers and trace rows, bit for bit
+    master_sets = load_tool(monkeypatch, "master_sets")
+    sets = {name: (spec, alphas, limit) for name, spec, alphas, limit in master_sets.SETS}
+    for name, searched in (("desk-38", 0), ("desk-38-limit-0", 19)):
+        spec, alphas, limit = sets[name]
+        cases = master_sets.lpf_cases(dscnopt, "desk_scale", spec)
+        digest, _, count = master_sets.solve_set(benders, cases, alphas, limit)
+        assert (digest, count) == (DESK_38_DIGEST, searched), name
 
 
 def test_master_sets_times_two_trees_in_one_process(monkeypatch, capsys, tool_main):
@@ -208,7 +224,7 @@ def test_paper_physics_checks_ucwt_against_the_oracle(monkeypatch, caplog):
     # one small case: the reading counts its solve, its match, its
     # iterations and the exact re-runs that its ucwt solve logged
     paper_physics = load_tool(monkeypatch, "paper_physics")
-    cases = paper_physics.instances(dscnopt, 4, 8, range(1))
+    cases = paper_physics.lpf_cases(dscnopt, "paper_scale", [(4, 8, range(1))])
     (s, demands, placement_), = cases
     with caplog.at_level(logging.WARNING, logger="dscnopt.benders"):
         result = benders.ucwt(s, demands, placement_, 1.0)

@@ -23,94 +23,64 @@ claim still comes from ``bench/run.py``.
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import os
+import statistics
 import sys
+import tempfile
+import time
+from pathlib import Path
 
-# pinned before numpy is imported, as bench/run.py does: one closed-loop client
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import importlib.util  # noqa: E402
-import statistics  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from master_sets import alternate, load_tree, setup  # noqa: E402
 
 SEED = 0
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_host_speed():
-    """A ``HostSpeed`` of this checkout's ``bench/run.py``, the benchmark's own."""
-    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run.HostSpeed()
+def load_module(name: str, path: Path):
+    """The module run from ``path`` under ``name``, registered in ``sys.modules``
+    (a dataclass looks its module up by name while it is made)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def load_tree(tree: Path, name: str):
-    """The ``bench/workloads.py`` module of ``tree``, over that tree's ``dscnopt``."""
-    src = tree / "src"
-    if not (src / "dscnopt" / "__init__.py").is_file():
-        raise SystemExit(f"error: {src / 'dscnopt'} is missing")
-    for module in [m for m in sys.modules if m == "dscnopt" or m.startswith("dscnopt.")]:
-        del sys.modules[module]
-    sys.path.insert(0, str(src))
-    try:
-        spec = importlib.util.spec_from_file_location(name, tree / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        # a dataclass looks its module up by name while it is made
-        sys.modules[name] = workloads
-        spec.loader.exec_module(workloads)
-    finally:
-        sys.path.remove(str(src))
-    loaded = Path(sys.modules["dscnopt"].__file__).resolve().parent
-    if loaded != (src / "dscnopt").resolve():
-        raise SystemExit(f"error: dscnopt was imported from {loaded}, not {src}")
-    return workloads
+def checked_units(label: str, tree: Path, workload: str, workdir: str):
+    """The units of ``tree``'s batch of ``workload``, warmed up and each checked."""
+    os.mkdir(workdir)
+    load_tree(tree)
+    # run while the tree's dscnopt is loaded, so it imports that package
+    workloads = load_module(f"workloads_{label}", tree / "bench" / "workloads.py")
+    if workload not in workloads.WORKLOADS:
+        raise SystemExit(f"error: {tree} has no workload {workload!r}")
+    batch = workloads.WORKLOADS[workload][0](SEED, workdir)
+    for warm in batch.warmup:
+        warm()
+    failed = 0
+    for unit in batch.units:
+        try:
+            answer = unit.run()
+        except Exception:   # a raised unit is a wrong answer, checked below
+            answer = None
+        failed += unit.check(answer, unit.reference()).failed
+    if failed:
+        raise SystemExit(f"error: {label} answered {failed} unit(s) wrongly")
+    return batch.units
 
 
-class Side:
-    """One tree's batch of a workload, checked once and then timed per pass."""
-
-    def __init__(self, label: str, tree: Path, workload: str, workdir: str):
-        self.label = label
-        os.mkdir(workdir)
-        workloads = load_tree(tree, f"workloads_{label}")
-        if workload not in workloads.WORKLOADS:
-            raise SystemExit(f"error: {tree} has no workload {workload!r}")
-        batch = workloads.WORKLOADS[workload][0](SEED, workdir)
-        for warm in batch.warmup:
-            warm()
-        self.units = batch.units
-        failed = 0
-        for unit in self.units:
-            try:
-                answer = unit.run()
-            except Exception:   # a raised unit is a wrong answer, checked below
-                answer = None
-            failed += unit.check(answer, unit.reference()).failed
-        if failed:
-            raise SystemExit(f"error: {label} answered {failed} unit(s) wrongly")
-        self.passes: list = []
-
-    def timed_pass(self, host) -> None:
-        total = 0.0
-        for unit in self.units:
-            host.sample()
-            start = time.perf_counter()
-            unit.run()
-            total += time.perf_counter() - start
-        self.passes.append(total)
-
-
-def quartiles(values):
-    """(Q1, median, Q3) of ``values``; a single value is all three."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+def timed_pass(host, units) -> float:
+    """Seconds of one pass over ``units``, each timed after a calibration slice."""
+    total = 0.0
+    for unit in units:
+        host.sample()
+        start = time.perf_counter()
+        unit.run()
+        total += time.perf_counter() - start
+    return total
 
 
 def main(argv: list) -> int:
@@ -122,24 +92,22 @@ def main(argv: list) -> int:
     args = parser.parse_args(argv[1:])
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    sys.dont_write_bytecode = True
-    host = load_host_speed()
+    setup()
+    host = load_module("bench_run", ROOT / "bench" / "run.py").HostSpeed()
+    labels = ("parent", "change")
     with tempfile.TemporaryDirectory(prefix="ab-pass-") as workdir:
         sides = [
-            Side(label, tree.resolve(), args.workload, os.path.join(workdir, label))
-            for label, tree in (("parent", args.parent), ("change", args.change))
+            checked_units(label, tree.resolve(), args.workload, os.path.join(workdir, label))
+            for label, tree in zip(labels, (args.parent, args.change))
         ]
-        for k in range(args.rounds):
-            for side in (sides if k % 2 == 0 else sides[::-1]):
-                side.timed_pass(host)
-    parent, change = sides
-    print(f"workload {args.workload}: {len(parent.units)} and {len(change.units)} "
+        passes, (q1, median, q3) = alternate(
+            args.rounds, *[lambda units=units: timed_pass(host, units) for units in sides]
+        )
+    print(f"workload {args.workload}: {len(sides[0])} and {len(sides[1])} "
           f"units, {args.rounds} rounds, seed {SEED}")
-    for side in sides:
-        print(f"{side.label}: min {min(side.passes):.6f} s, "
-              f"median {statistics.median(side.passes):.6f} s per pass")
-    ratios = [c / p for p, c in zip(parent.passes, change.passes)]
-    q1, median, q3 = quartiles(ratios)
+    for label, times in zip(labels, passes):
+        print(f"{label}: min {min(times):.6f} s, "
+              f"median {statistics.median(times):.6f} s per pass")
     print(f"change/parent ratio: median {median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}]")
     return 0
 

@@ -22,12 +22,15 @@ the clock starts); and how many of its instances' masters were searched
 exactly when they print the same digest for it.
 
 Given two trees, both are loaded in this process under their own module
-objects, as ``tools/ab_pass.py`` loads them, and each set's line is given
-per tree. Then each of ``ROUNDS`` rounds times one pass of the set on
-each tree, alternating which runs first, and the median change/parent
-ratio of the pass times is printed with its quartiles. Both trees share
-the process and the host, so drift between processes does not enter the
-ratio.
+objects, and each set's line is given per tree. Then ``ROUNDS``
+alternating rounds time one pass of the set on each tree, and the median
+change/parent ratio of the pass times is printed with its quartiles.
+Both trees share the process and the host, so drift between processes
+does not enter the ratio.
+
+The set-up, the tree loader, the lpf case builder and the alternating
+rounds here are also those of ``tools/ab_pass.py`` and
+``tools/paper_physics.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 # (B, U, seeds) of the desk instances of each set, and its alphas
@@ -56,8 +60,20 @@ SETS = (
 ROUNDS = 10
 
 
+def setup() -> None:
+    """Pin BLAS to one thread before numpy is imported, as ``bench/run.py``
+    does, and write no bytecode into the trees."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+
+
 def load_tree(tree: Path):
-    """The ``dscnopt`` package of ``tree``, imported from its ``src/``."""
+    """The ``dscnopt`` package of ``tree``, imported from its ``src/``.
+
+    Its modules stay in ``sys.modules`` until the next call, so a module
+    run in between imports this tree's ``dscnopt``.
+    """
     src = tree / "src"
     if not (src / "dscnopt" / "__init__.py").is_file():
         raise SystemExit(f"error: {src / 'dscnopt'} is missing")
@@ -66,8 +82,6 @@ def load_tree(tree: Path):
     sys.path.insert(0, str(src))
     try:
         package = importlib.import_module("dscnopt")
-        for name in ("benders", "placement", "popularity", "scenario"):
-            importlib.import_module(f"dscnopt.{name}")
     finally:
         sys.path.remove(str(src))
     loaded = Path(package.__file__).resolve().parent
@@ -76,18 +90,40 @@ def load_tree(tree: Path):
     return package
 
 
-def instances(dscnopt, spec):
-    """(scenario, demands, placement) per desk instance of ``spec``."""
+def lpf_cases(dscnopt, preset: str, spec):
+    """(scenario, demands, placement) per instance of ``spec``, lpf placement.
+
+    ``spec`` lists (B, U, seeds); each instance is the ``scenario`` preset
+    named ``preset`` with B SBSs and U users.
+    """
     scn = dscnopt.scenario
     cases = []
     for B, U, seeds in spec:
+        config = replace(getattr(scn, preset)(), sbs_count=B, user_count=U)
         for seed in seeds:
-            inst = scn.generate(scn.desk_scale(sbs_count=B, user_count=U), seed)
+            inst = scn.generate(config, seed)
             s = inst.scenario
             pop = dscnopt.popularity.local_popularity(s, inst.preferences)
             placement, _ = dscnopt.placement.lpf_greedy(s, pop)
             cases.append((s, inst.demands, placement))
     return cases
+
+
+def alternate(rounds: int, parent, change):
+    """(parent times, change times) of ``rounds`` calls of each timer, and
+    the (Q1, median, Q3) of the rounds' change/parent ratios.
+
+    Each round runs both timers, alternating which runs first; a single
+    round's ratio is all three quartiles.
+    """
+    times = ([], [])
+    for k in range(rounds):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            times[side].append((parent, change)[side]())
+    ratios = [c / p for p, c in zip(*times)]
+    if rounds == 1:
+        return times, ratios * 3
+    return times, statistics.quantiles(ratios, n=4, method="inclusive")
 
 
 def solve_set(benders, cases, alphas, limit=None):
@@ -128,13 +164,11 @@ def main(argv: list) -> int:
     parser.add_argument("change", type=Path, nargs="?",
                         help="a second checkout, timed against the first")
     args = parser.parse_args(argv[1:])
-    # pinned before the tree imports numpy, as bench/run.py does
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
+    setup()
     trees = [load_tree(tree.resolve()) for tree in (args.tree, args.change) if tree]
     for name, spec, alphas, limit in SETS:
-        sides = [(dscnopt.benders, instances(dscnopt, spec)) for dscnopt in trees]
+        sides = [(dscnopt.benders, lpf_cases(dscnopt, "desk_scale", spec))
+                 for dscnopt in trees]
         solves = len(sides[0][1]) * len(alphas)
         lines = []
         for benders, cases in sides:
@@ -147,13 +181,10 @@ def main(argv: list) -> int:
         print(f"{name}: {solves} solves")
         for label, line in zip(("parent", "change"), lines):
             print(f"  {label}: {line}")
-        passes = ([], [])
-        for k in range(ROUNDS):
-            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                benders, cases = sides[side]
-                passes[side].append(solve_set(benders, cases, alphas, limit)[1])
-        ratios = [c / p for p, c in zip(*passes)]
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        _, (q1, median, q3) = alternate(ROUNDS, *[
+            lambda b=benders, c=cases: solve_set(b, c, alphas, limit)[1]
+            for benders, cases in sides
+        ])
         print(f"  {ROUNDS} rounds: change/parent ratio median {median:.3f} "
               f"[Q1 {q1:.3f}, Q3 {q3:.3f}]")
     return 0

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from master_sets import load_tree  # noqa: E402
+from master_sets import load_tree, lpf_cases, setup  # noqa: E402
 
 RUNGS = ((4, 8), (9, 6))
 SEEDS = range(10)
@@ -66,20 +65,6 @@ class _Unverified(logging.Handler):
 
     def emit(self, record):
         self.count += "unverified" in record.getMessage()
-
-
-def instances(dscnopt, B, U, seeds):
-    """(scenario, demands, placement) per paper-physics instance, lpf placement."""
-    scn = dscnopt.scenario
-    cases = []
-    for seed in seeds:
-        config = replace(scn.paper_scale(), sbs_count=B, user_count=U)
-        inst = scn.generate(config, seed)
-        s = inst.scenario
-        pop = dscnopt.popularity.local_popularity(s, inst.preferences)
-        placement, _ = dscnopt.placement.lpf_greedy(s, pop)
-        cases.append((s, inst.demands, placement))
-    return cases
 
 
 def _kind(answer) -> str:
@@ -145,14 +130,11 @@ def main(argv: list) -> int:
                         default=Path(__file__).resolve().parent.parent,
                         help="a repository checkout (default: this one)")
     args = parser.parse_args(argv[1:])
-    # pinned before the tree imports numpy, as bench/run.py does
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
+    setup()
     dscnopt = load_tree(args.tree.resolve())
     every = []
     for B, U in RUNGS:
-        cases = instances(dscnopt, B, U, SEEDS)
+        cases = lpf_cases(dscnopt, "paper_scale", [(B, U, SEEDS)])
         readings, reruns, seconds = campaign(dscnopt, cases, ALPHAS)
         kinds = ", ".join(f"{reruns[kind]} {kind}" for kind in KINDS)
         print(f"B={B} U={U}: {len(cases)} instances, oracle {seconds:.2f} s, "
